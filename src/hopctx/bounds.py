@@ -198,7 +198,9 @@ def verify_bound(
 
     dz is derived from the inputs as u*^T - z_target.  A violation raises
     ``BoundViolationError`` carrying the full report; the comparison allows
-    relative slack 1e-9 to absorb softmax rounding.
+    relative slack 1e-9 to absorb softmax rounding.  A non-finite error or a
+    NaN bound cannot be checked and counts as a violation; an infinite bound
+    (infinite separation ratio c) holds for any finite error.
     """
     u_star = np.asarray(u_star, dtype=np.float64)
     sep = separation(query, ctx, model, target_index)
@@ -210,7 +212,9 @@ def verify_bound(
     eps = realized_error(result, u_star)
     report = error_bound(sep, model.gamma, instance_error, z_max_norm)
     report = replace(report, realized_error=eps, u_star=u_star)
-    if eps > report.upper_bound + 1e-9 * (1.0 + report.upper_bound):
+    if not math.isfinite(eps) or math.isnan(report.upper_bound) or (
+        eps > report.upper_bound + 1e-9 * (1.0 + report.upper_bound)
+    ):
         raise BoundViolationError(report, detail=f"eps={eps!r} bound={report.upper_bound!r}")
     return report
 

@@ -3,7 +3,8 @@
 Subcommands: ``bound-sweep``, ``k-study``, ``compare``, ``retrieve``,
 ``selftest``.  Every experiment reads an optional flat key=value config file;
 ``--set key=value`` flags override file values.  Exit codes: 0 success,
-1 usage error, 2 invariant violation.
+1 usage error, 2 invariant violation, 3 oracle failure (a completion oracle,
+such as a remote endpoint, gave no usable prediction).
 """
 
 import argparse
@@ -13,10 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds, classic, experiments, retrieval
+from . import bounds, classic, experiments, retrieval, tasks
 
 USAGE_ERROR = 1
 INVARIANT_ERROR = 2
+ORACLE_ERROR = 3
 
 
 def _load_config(args) -> experiments.ExperimentConfig:
@@ -231,6 +233,9 @@ def cli_main(argv=None) -> int:
     except bounds.BoundViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return INVARIANT_ERROR
+    except tasks.OracleFailure as exc:
+        print(f"oracle failure: {exc}", file=sys.stderr)
+        return ORACLE_ERROR
     except (FileNotFoundError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

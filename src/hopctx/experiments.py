@@ -11,7 +11,6 @@ are insensitive to last-ulp noise.
 import io
 import csv
 import json
-import time
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -172,7 +171,6 @@ class TrialRecord:
     k: int
     mean_score: float
     per_query_scores: tuple
-    runtime_ms: int
 
 
 # ---------------------------------------------------------------------------
@@ -204,27 +202,15 @@ def _round_score(s: float) -> float:
     return round(s, SCORE_DECIMALS)
 
 
+def _score_queries(y_hats, queries, score_fn) -> tuple:
+    """Rounded scores of y_hats[j] against queries[j].y, in one batch."""
+    scores, _ = selection.score_rows(score_fn, y_hats, np.stack([q.y for q in queries]))
+    return tuple(_round_score(s) for s in scores.tolist())
+
+
 def _evaluate_fixed_context(oracle, context, queries, score_fn) -> tuple:
     """Per-query scores (rounded) of one context over the whole query set."""
-    xs = np.stack([q.x for q in queries])
-    y_hats = oracle.predict_many(context, xs)
-    out = []
-    for y_hat, q in zip(y_hats, queries):
-        s, _ = selection.safe_score(score_fn, y_hat, q.y)
-        out.append(_round_score(s))
-    return tuple(out)
-
-
-def _exemplar_query_scores(oracle, pool, queries, score_fn) -> np.ndarray:
-    """scores[i, j]: exemplar i as sole context, scored on query j."""
-    xs = np.stack([q.x for q in queries])
-    out = np.zeros((pool.size, len(queries)))
-    for i, e in enumerate(pool):
-        y_hats = oracle.predict_many([e], xs)
-        for j, q in enumerate(queries):
-            s, _ = selection.safe_score(score_fn, y_hats[j], q.y)
-            out[i, j] = s
-    return out
+    return _score_queries(oracle.predict_many(context, np.stack([q.x for q in queries])), queries, score_fn)
 
 
 def _csv_text(header_comment: str, columns, rows) -> str:
@@ -304,33 +290,33 @@ def run_bound_sweep(config: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 
-def _active_ranking(pool, oracle, score_fn, subsample, seed):
-    estimates = selection.estimate_pool_values(pool, oracle, score_fn, subsample=subsample, seed=seed)
-    ranked = sorted(estimates, key=lambda v: (-v.value, v.exemplar_id))
-    return [v.exemplar_id for v in ranked]
+def _instance_best_orders(score_matrix, pool) -> np.ndarray:
+    """orders[:, j]: pool positions by descending score on query j, ties by
+    ascending id (-0.0 and 0.0 tie)."""
+    ids = np.array([e.id for e in pool])
+    return np.lexsort((np.broadcast_to(ids[:, None], score_matrix.shape), -score_matrix), axis=0)
 
 
-def _instance_best_scores(score_matrix, pool, queries, k, oracle, score_fn):
-    """Per-query scores when each query gets its own top-k exemplars."""
-    out = []
-    for j, q in enumerate(queries):
-        order = sorted(range(pool.size), key=lambda i: (-score_matrix[i, j], pool[i].id))
-        context = [pool[i] for i in order[:k]]
-        y_hat = oracle.predict(context, q.x)
-        s, _ = selection.safe_score(score_fn, y_hat, q.y)
-        out.append(_round_score(s))
-    return tuple(out)
+def _instance_best_scores(orders, pool, queries, k, oracle, score_fn):
+    """Per-query scores when each query gets its own top-k exemplars;
+    ``orders[:, j]`` ranks the pool positions for query j."""
+    y_hats = [oracle.predict([pool[i] for i in orders[:k, j]], q.x) for j, q in enumerate(queries)]
+    return _score_queries(y_hats, queries, score_fn)
 
 
 def run_k_study(config: ExperimentConfig):
     """Mean score of each strategy at each context size K, over seeded trials.
 
     The pool and query set are generated once from the config seed; trials
-    vary only the selection randomness.  Active values are estimated once per
-    trial and sliced per K (identical to calling the selector per K with the
-    same seed); the instance-best strategy re-selects per query and has no
-    randomness, so its records repeat across trials.  Returns
-    (records, csv_text).
+    vary only the selection randomness.  When ``active`` runs, the pool score
+    matrix (``selection.pool_score_matrix``) is built once per run, and each
+    trial's active values are a gather and mean over it under that trial's
+    probe permutation, ranked once at the largest K and sliced per K
+    (identical to calling the selector per K with the same seed).  This asks
+    the oracle for pool.size^2 single-exemplar predictions once instead of
+    trials * pool.size * subsample.  The instance-best strategy re-selects
+    per query and has no randomness, so its records repeat across trials.
+    Returns (records, csv_text).
     """
     task = _build_task(config)
     oracle = _build_oracle(config, task)
@@ -344,21 +330,26 @@ def run_k_study(config: ExperimentConfig):
 
     instance_best_cache = {}
     if "instance-best" in config.strategies:
-        matrix = _exemplar_query_scores(oracle, pool, queries, score_fn)
+        query_scores, _ = selection.pool_score_matrix(pool, oracle, score_fn, targets=queries)
+        orders = _instance_best_orders(query_scores, pool)
         for k in config.k_values:
-            t0 = time.perf_counter()
-            scores = _instance_best_scores(matrix, pool, queries, k, oracle, score_fn)
-            instance_best_cache[k] = (scores, int(1000 * (time.perf_counter() - t0)))
+            instance_best_cache[k] = _instance_best_scores(orders, pool, queries, k, oracle, score_fn)
+
+    pool_scores = None
+    if "active" in config.strategies:
+        pool_scores = selection.pool_score_matrix(pool, oracle, score_fn)
 
     for trial in range(config.trials):
         for strategy in config.strategies:
             code = _STRATEGY_CODES[strategy]
             if strategy == "active":
                 active_seed = derive_seed(config.seed, 2, trial, code)
-                ranking = _active_ranking(pool, oracle, score_fn, config.subsample, active_seed)
+                ranking = selection.active_select(
+                    pool, max(config.k_values), oracle, score_fn,
+                    subsample=config.subsample, seed=active_seed, matrix=pool_scores,
+                ).chosen
             for k in config.k_values:
                 trial_seed = derive_seed(config.seed, 2, trial, code, k)
-                t0 = time.perf_counter()
                 if strategy == "random":
                     result = selection.random_select(pool, k, seed=trial_seed)
                     context = [pool.by_id(i) for i in result.chosen]
@@ -368,10 +359,9 @@ def run_k_study(config: ExperimentConfig):
                     scores = _evaluate_fixed_context(oracle, context, queries, score_fn)
                     trial_seed = active_seed
                 elif strategy == "instance-best":
-                    scores, _ = instance_best_cache[k]
+                    scores = instance_best_cache[k]
                 elif strategy == "metric":
                     scores = _metric_per_query_scores(oracle, pool, queries, k, score_fn, config.metric)
-                runtime_ms = int(1000 * (time.perf_counter() - t0))
                 records.append(TrialRecord(
                     trial_index=trial,
                     trial_seed=trial_seed,
@@ -379,7 +369,6 @@ def run_k_study(config: ExperimentConfig):
                     k=k,
                     mean_score=float(np.mean(scores)),
                     per_query_scores=tuple(scores),
-                    runtime_ms=runtime_ms,
                 ))
 
     rows = [
@@ -395,14 +384,11 @@ def run_k_study(config: ExperimentConfig):
 
 
 def _metric_per_query_scores(oracle, pool, queries, k, score_fn, metric):
-    out = []
+    y_hats = []
     for q in queries:
         result = selection.metric_select(pool, k, q.x, metric=metric)
-        context = [pool.by_id(i) for i in result.chosen]
-        y_hat = oracle.predict(context, q.x)
-        s, _ = selection.safe_score(score_fn, y_hat, q.y)
-        out.append(_round_score(s))
-    return tuple(out)
+        y_hats.append(oracle.predict([pool.by_id(i) for i in result.chosen], q.x))
+    return _score_queries(y_hats, queries, score_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,11 @@ the first k slots.  ``value_estimate`` seeds its own stream with
 ``seed`` and gives every exemplar the first ``subsample`` entries of that
 permutation after removing the exemplar itself, so all values are estimated
 against the same probe set and the estimand's own pair never contributes.
+
+The score of exemplar i as the sole context on probe j does not depend on
+the seed, only the probe set does.  ``pool_score_matrix`` therefore scores
+every (i, j) pair once, and ``estimate_pool_values`` turns each seed's probe
+sets into a gather and mean over that matrix.
 """
 
 from dataclasses import dataclass, field
@@ -31,6 +36,7 @@ __all__ = [
     "random_select",
     "metric_select",
     "value_estimate",
+    "pool_score_matrix",
     "estimate_pool_values",
     "active_select",
     "instance_best_select",
@@ -123,6 +129,14 @@ def _check_k(pool: ExemplarPool, k: int) -> None:
         raise ValueError(f"k={k} out of range [1, {pool.size}]")
 
 
+def _check_subsample(pool: ExemplarPool, subsample) -> None:
+    if pool.size < 2:
+        raise ValueError("pool too small: value estimation needs at least 2 exemplars")
+    if subsample != "all":
+        if not 1 <= subsample <= pool.size - 1:
+            raise ValueError(f"subsample={subsample} out of range [1, {pool.size - 1}]")
+
+
 def safe_score(score_fn, y_hat, y) -> tuple[float, bool]:
     """Score a prediction, mapping malformed outputs to 0 instead of aborting."""
     try:
@@ -132,6 +146,31 @@ def safe_score(score_fn, y_hat, y) -> tuple[float, bool]:
     if not np.isfinite(s):
         return 0.0, False
     return s, True
+
+
+def score_rows(score_fn, y_hats, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Scores and ok flags of each prediction row against its target row.
+
+    A score function with a ``rows`` form (every built-in score) scores the
+    whole batch in one call; any other callable, or predictions that do not
+    form one float array (ragged rows from a duck-typed oracle), go row by
+    row through ``safe_score``.  Both give the same bits.
+    """
+    rows = getattr(score_fn, "rows", None)
+    if rows is not None:
+        try:
+            return rows(y_hats, ys)
+        except (ValueError, TypeError):
+            pass
+    pairs = [safe_score(score_fn, y_hat, y) for y_hat, y in zip(y_hats, ys)]
+    return np.array([s for s, _ in pairs], dtype=np.float64), np.array([ok for _, ok in pairs], dtype=bool)
+
+
+def _predict_rows(oracle, context, xs):
+    predict_many = getattr(oracle, "predict_many", None)
+    if predict_many is not None:
+        return predict_many(context, xs)
+    return [oracle.predict(context, x) for x in xs]
 
 
 def random_select(pool: ExemplarPool, k: int, seed: int) -> SelectionResult:
@@ -174,37 +213,6 @@ def metric_select(pool: ExemplarPool, k: int, query_x, metric: str = "euclidean"
     return SelectionResult(chosen=chosen, strategy="metric", diagnostics={"metric": metric, "closeness": scores})
 
 
-def _value_from_probe(exemplar: Exemplar, probe, oracle, score_fn, keep_scores: bool) -> ValueEstimate:
-    # Fixed evaluation order so the mean is bitwise independent of pool order.
-    probe = sorted(probe, key=lambda e: e.id)
-    predict_many = getattr(oracle, "predict_many", None)
-    if predict_many is not None and probe:
-        y_hats = predict_many([exemplar], np.stack([o.x for o in probe]))
-    else:
-        y_hats = [oracle.predict([exemplar], o.x) for o in probe]
-    scores = []
-    failures = 0
-    for y_hat, other in zip(y_hats, probe):
-        s, ok = safe_score(score_fn, y_hat, other.y)
-        if not ok:
-            failures += 1
-        scores.append(s)
-    return ValueEstimate(
-        exemplar_id=exemplar.id,
-        value=float(np.mean(scores)),
-        sample_count=len(scores),
-        scores=tuple(scores) if keep_scores else None,
-        failures=failures,
-    )
-
-
-def _probe_after_exclusion(pool: ExemplarPool, order: list[int], exclude_id: int, subsample) -> list[Exemplar]:
-    members = [pool[i] for i in order if pool[i].id != exclude_id]
-    if subsample == "all":
-        return members
-    return members[:subsample]
-
-
 def value_estimate(
     e: Exemplar,
     pool: ExemplarPool,
@@ -219,15 +227,38 @@ def value_estimate(
     With an integer ``subsample`` the probe set is a uniform sample of that
     size from the rest of the pool, drawn from the (seed, e.id) stream.
     """
-    if pool.size < 2:
-        raise ValueError("pool too small: value estimation needs at least 2 exemplars")
-    if subsample != "all":
-        if not 1 <= subsample <= pool.size - 1:
-            raise ValueError(f"subsample={subsample} out of range [1, {pool.size - 1}]")
+    _check_subsample(pool, subsample)
     rng = np.random.default_rng([seed, e.id])
     order = sample_prefix(rng, pool.size, pool.size)
-    probe = _probe_after_exclusion(pool, order, e.id, subsample)
-    return _value_from_probe(e, probe, oracle, score_fn, keep_scores)
+    probe = [pool[i] for i in order if pool[i].id != e.id]
+    if subsample != "all":
+        probe = probe[:subsample]
+    # Fixed evaluation order so the mean is bitwise independent of pool order.
+    probe.sort(key=lambda o: o.id)
+    y_hats = _predict_rows(oracle, [e], np.stack([o.x for o in probe]))
+    scores, ok = score_rows(score_fn, y_hats, np.stack([o.y for o in probe]))
+    return ValueEstimate(
+        exemplar_id=e.id,
+        value=float(np.mean(scores)),
+        sample_count=len(scores),
+        scores=tuple(scores.tolist()) if keep_scores else None,
+        failures=int(np.count_nonzero(~ok)),
+    )
+
+
+def pool_score_matrix(pool: ExemplarPool, oracle, score_fn, targets=None) -> tuple[np.ndarray, np.ndarray]:
+    """scores[i, j]: pool[i] as the sole context exemplar, scored on targets[j].
+
+    ``targets`` holds anything with ``x`` and ``y`` (default: the pool).  One
+    ``predict_many([pool[i]], X_targets)`` call and one batched score per
+    row.  Returns the scores and their ok mask.  Nothing in it depends on a
+    seed, so one pool matrix serves every trial of a run: the oracle is asked
+    for N^2 predictions once instead of N * subsample per trial.
+    """
+    targets = pool if targets is None else targets
+    xs, ys = np.stack([t.x for t in targets]), np.stack([t.y for t in targets])
+    rows = [score_rows(score_fn, _predict_rows(oracle, [e], xs), ys) for e in pool]
+    return np.stack([s for s, _ in rows]), np.stack([ok for _, ok in rows])
 
 
 def estimate_pool_values(
@@ -236,25 +267,33 @@ def estimate_pool_values(
     score_fn,
     subsample="all",
     seed: int = 0,
+    matrix=None,
 ) -> list[ValueEstimate]:
     """Value estimates for every pool member against one shared probe sample.
 
     A single permutation is drawn per call; each exemplar's probe set is the
-    first ``subsample`` entries of that permutation after dropping itself.
-    Estimates come back in pool order.
+    first ``subsample`` entries of that permutation after dropping itself,
+    taken in id order.  The scores come from ``matrix``, the (scores, ok)
+    pair of ``pool_score_matrix``; pass it to reuse one matrix across seeds,
+    or leave it out to build it here.  Estimates come back in pool order.
     """
-    if pool.size < 2:
-        raise ValueError("pool too small: value estimation needs at least 2 exemplars")
-    if subsample != "all":
-        if not 1 <= subsample <= pool.size - 1:
-            raise ValueError(f"subsample={subsample} out of range [1, {pool.size - 1}]")
-    rng = np.random.default_rng(seed)
-    order = sample_prefix(rng, pool.size, pool.size)
-    estimates = []
-    for e in pool:
-        probe = _probe_after_exclusion(pool, order, e.id, subsample)
-        estimates.append(_value_from_probe(e, probe, oracle, score_fn, keep_scores=False))
-    return estimates
+    _check_subsample(pool, subsample)
+    scores, ok = pool_score_matrix(pool, oracle, score_fn) if matrix is None else matrix
+    n = pool.size
+    order = np.array(sample_prefix(np.random.default_rng(seed), n, n))
+    m = n - 1 if subsample == "all" else subsample
+    # Row i: the permutation without position i, cut to m probes, put in id
+    # order so each mean sums in the same order as ``value_estimate``'s.
+    probes = np.broadcast_to(order, (n, n))[order != np.arange(n)[:, None]].reshape(n, n - 1)[:, :m]
+    ids = np.array([e.id for e in pool])
+    probes = np.take_along_axis(probes, np.argsort(ids[probes], axis=1), axis=1)
+    rows = np.arange(n)[:, None]
+    values = scores[rows, probes].mean(axis=1)
+    failures = np.count_nonzero(~ok[rows, probes], axis=1)
+    return [
+        ValueEstimate(exemplar_id=e.id, value=float(v), sample_count=m, failures=int(f))
+        for e, v, f in zip(pool, values, failures)
+    ]
 
 
 def active_select(
@@ -264,14 +303,15 @@ def active_select(
     score_fn,
     subsample="all",
     seed: int = 0,
+    matrix=None,
 ) -> SelectionResult:
     """Top-k exemplars by Monte-Carlo value, ties broken by ascending id.
 
     Chosen ids are ordered by descending value; diagnostics carry every
-    estimate.
+    estimate.  ``matrix`` is passed on to ``estimate_pool_values``.
     """
     _check_k(pool, k)
-    estimates = estimate_pool_values(pool, oracle, score_fn, subsample=subsample, seed=seed)
+    estimates = estimate_pool_values(pool, oracle, score_fn, subsample=subsample, seed=seed, matrix=matrix)
     ranked = sorted(estimates, key=lambda v: (-v.value, v.exemplar_id))
     chosen = tuple(v.exemplar_id for v in ranked[:k])
     return SelectionResult(

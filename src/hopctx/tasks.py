@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import requests
 
-from .retrieval import ContextSet, ContextualHopfield, QueryState, hnc_retrieve
+from .retrieval import ContextualHopfield
 from .selection import Exemplar, ExemplarPool
 
 __all__ = [
@@ -130,6 +130,31 @@ def _as_pair(y_hat, y):
     return y_hat, y
 
 
+def _row_dot(a, b) -> np.ndarray:
+    """Per-row dot products as stacked matmul, which reaches the same BLAS
+    ``ddot`` as a 1-D ``a[i] @ b[i]`` and so matches it bit for bit
+    (``einsum`` and ``(a * b).sum(1)`` sum in another order)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _rows(score_rows):
+    """Wrap a rows kernel with the ``safe_score`` contract: a shape mismatch
+    or a non-finite result scores 0 and is not ok."""
+
+    def rows(y_hats, ys) -> tuple[np.ndarray, np.ndarray]:
+        y_hats = np.ascontiguousarray(y_hats, dtype=np.float64)
+        ys = np.ascontiguousarray(ys, dtype=np.float64)
+        if y_hats.shape != ys.shape or y_hats.ndim != 2:
+            n = ys.shape[0] if ys.ndim else 0
+            return np.zeros(n), np.zeros(n, dtype=bool)
+        with np.errstate(all="ignore"):
+            scores, ok = score_rows(y_hats, ys)
+        ok &= np.isfinite(scores)
+        return np.where(ok, scores, 0.0), ok
+
+    return rows
+
+
 def cosine_score(y_hat, y) -> float:
     """(1 + cos(y_hat, y)) / 2, in [0, 1].  Undefined for zero vectors."""
     y_hat, y = _as_pair(y_hat, y)
@@ -140,10 +165,20 @@ def cosine_score(y_hat, y) -> float:
     return (1.0 + cos) / 2.0
 
 
+def _cosine_rows(y_hats, ys):
+    nh, ny = np.sqrt(_row_dot(y_hats, y_hats)), np.sqrt(_row_dot(ys, ys))
+    cos = _row_dot(y_hats, ys) / (nh * ny)
+    return (1.0 + cos) / 2.0, (nh != 0.0) & (ny != 0.0)
+
+
 def exact_match(y_hat, y) -> float:
     """1 if the prediction equals the target exactly, else 0."""
     y_hat, y = _as_pair(y_hat, y)
     return 1.0 if np.array_equal(y_hat, y) else 0.0
+
+
+def _exact_match_rows(y_hats, ys):
+    return (y_hats == ys).all(axis=1).astype(np.float64), np.ones(len(ys), dtype=bool)
 
 
 def negative_error(y_hat, y) -> float:
@@ -151,6 +186,17 @@ def negative_error(y_hat, y) -> float:
     y_hat, y = _as_pair(y_hat, y)
     return float(-np.linalg.norm(y_hat - y))
 
+
+def _negative_error_rows(y_hats, ys):
+    diff = y_hats - ys
+    return -np.sqrt(_row_dot(diff, diff)), np.ones(len(ys), dtype=bool)
+
+
+# Rows form of each score: (n, d) predictions and targets in, (n,) scores and
+# an ok mask out, bitwise equal to ``selection.safe_score`` row by row.
+cosine_score.rows = _rows(_cosine_rows)
+exact_match.rows = _rows(_exact_match_rows)
+negative_error.rows = _rows(_negative_error_rows)
 
 SCORE_TAGS = {
     "cosine-score": cosine_score,
@@ -185,7 +231,6 @@ class CompletionOracle:
     """Interface: predict(context_exemplars, x) -> prediction vector."""
 
     name = "abstract"
-    supports_concurrency = True
 
     def predict(self, context_exemplars, x) -> np.ndarray:
         raise NotImplementedError
@@ -207,7 +252,6 @@ class AssociativeOracle(CompletionOracle):
     """
 
     name = "builtin-associative"
-    supports_concurrency = True
 
     def __init__(self, gamma: float = 1.0, y_dim: int | None = None,
                  xi_q: np.ndarray | None = None, xi_k: np.ndarray | None = None):
@@ -268,21 +312,20 @@ class RemoteOracle(CompletionOracle):
 
     Request body:  {"exemplars": [{"x": [...], "y": [...]}, ...], "query": [...]}
     Response body: {"prediction": [...]}
-    Non-2xx status, malformed bodies, or exhausted retries raise
-    ``OracleFailure``.
+    Non-2xx status, malformed bodies, a prediction whose length differs from
+    the context's y, or exhausted retries raise ``OracleFailure``.
     """
 
     name = "remote"
 
-    def __init__(self, endpoint: str, timeout: float = 10.0, max_retries: int = 2,
-                 supports_concurrency: bool = False):
+    def __init__(self, endpoint: str, timeout: float = 10.0, max_retries: int = 2):
         self.endpoint = endpoint
         self.timeout = float(timeout)
         self.max_retries = int(max_retries)
-        self.supports_concurrency = supports_concurrency
         self._request_counter = 0
 
     def predict(self, context_exemplars, x) -> np.ndarray:
+        context_exemplars = list(context_exemplars)
         self._request_counter += 1
         request_id = self._request_counter
         body = {
@@ -315,6 +358,11 @@ class RemoteOracle(CompletionOracle):
                 isinstance(v, (int, float)) and not isinstance(v, bool) for v in prediction
             ):
                 raise OracleFailure(f"request {request_id}: 'prediction' is not a numeric list")
+            if context_exemplars and len(prediction) != len(context_exemplars[0].y):
+                raise OracleFailure(
+                    f"request {request_id}: prediction has length {len(prediction)}, "
+                    f"context y has length {len(context_exemplars[0].y)}"
+                )
             return np.asarray(prediction, dtype=np.float64)
         raise OracleFailure(f"request {request_id}: no successful response ({last_error})")
 
@@ -446,12 +494,3 @@ def pool_from_jsonl(text: str) -> ExemplarPool:
             latent_id=rec.get("latent_id"),
         ))
     return ExemplarPool(exemplars)
-
-
-def retrieval_prediction(model: ContextualHopfield, context_exemplars, x) -> np.ndarray:
-    """Reference path for the built-in oracle: one explicit retrieval call."""
-    lam = ContextSet.from_vectors([np.concatenate([e.x, e.y]) for e in context_exemplars])
-    d_y = context_exemplars[0].y.shape[0]
-    sigma = np.concatenate([np.asarray(x, dtype=np.float64), np.zeros(d_y)])
-    result = hnc_retrieve(model, lam, QueryState.from_sigma(sigma, model))
-    return result.u_new[len(x):]

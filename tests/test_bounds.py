@@ -231,6 +231,14 @@ class TestVerifyBound:
         model, ctx, query, u_star = random_bound_instance(rng)
         verify_bound(model, ctx, query, u_star, target_index=0)
 
+    def test_nan_error_is_a_violation(self):
+        # gamma * scores overflows, the softmax weights and so the realized
+        # error become NaN; an instance that cannot be evaluated must not pass.
+        model, ctx, query = identity_instance([[1.0, 0.0], [0.0, 1.0]], [1e10, 1.0], gamma=1e300)
+        with np.errstate(all="ignore"), pytest.raises(BoundViolationError) as excinfo:
+            verify_bound(model, ctx, query, [1.0, 0.0], target_index=0)
+        assert math.isnan(excinfo.value.report.realized_error)
+
     def test_violation_error_carries_report(self, monkeypatch):
         # A genuine violation is impossible, so force one by sabotaging the
         # beta computation and check the diagnostic path.

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and output files."""
 
 import json
+import socket
 
 import pytest
 
@@ -119,3 +120,18 @@ def test_seed_flag_changes_output(small_config_file, tmp_path):
     cli_main(["k-study", "--config", str(small_config_file), "--seed", "99",
               "--output", str(out_b)])
     assert out_a.read_text() != out_b.read_text()
+
+
+def test_refused_remote_oracle_is_oracle_error(small_config_file, tmp_path, capsys):
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    code = cli_main([
+        "k-study", "--config", str(small_config_file),
+        "--set", "oracle.kind=remote", "--set", f"oracle.endpoint=http://127.0.0.1:{port}/predict",
+        "--output", str(tmp_path / "r.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("oracle failure: ") and err.count("\n") == 1
+    assert "Traceback" not in err

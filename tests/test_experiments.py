@@ -194,6 +194,20 @@ class TestKStudy:
             expected = round(float(cosine_score(oracle.predict(context, q.x), q.y)), 12)
             assert rec.per_query_scores[j] == expected
 
+    def test_instance_best_orders_match_python_sort(self):
+        from hopctx import Exemplar, ExemplarPool
+        from hopctx.experiments import _instance_best_orders
+
+        rng = np.random.default_rng(4)
+        ids = [int(i) for i in rng.permutation(40)[:12]]
+        pool = ExemplarPool([Exemplar(id=i, x=np.zeros(1), y=np.zeros(1)) for i in ids])
+        # Few distinct values, so most scores tie; -0.0 and 0.0 must tie too.
+        matrix = rng.choice([0.0, -0.0, 0.5, 1.0], size=(12, 9))
+        orders = _instance_best_orders(matrix, pool)
+        for j in range(9):
+            expected = sorted(range(12), key=lambda i: (-matrix[i, j], ids[i]))
+            assert orders[:, j].tolist() == expected
+
     def test_metric_strategy_runs(self):
         config = small_config(trials=2, k_values=(1, 2), strategies=("random", "metric"))
         records, _ = run_k_study(config)

@@ -101,6 +101,15 @@ def test_unreachable_endpoint_raises():
         oracle.predict([], np.zeros(2))
 
 
+def test_wrong_length_prediction_raises(stub_server):
+    # /echo answers with 3 values; the context's y has 2.
+    oracle = RemoteOracle(stub_server + "/echo")
+    e = Exemplar(id=0, x=np.zeros(2), y=np.zeros(2))
+    with pytest.raises(OracleFailure) as excinfo:
+        oracle.predict([e], np.zeros(2))
+    assert "length 3" in str(excinfo.value)
+
+
 def test_loopback_matches_builtin(stub_server):
     spec = make_benchmark_task(p=3, d=8, noise_sigma=0.1)
     pool, queries = generate_pool(spec, 12, seed=9, n_queries=6)

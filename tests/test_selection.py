@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopctx import (
     AssociativeOracle,
@@ -10,12 +12,15 @@ from hopctx import (
     active_select,
     cosine_score,
     estimate_pool_values,
+    exact_match,
     instance_best_select,
     metric_select,
     mode_pattern,
+    negative_error,
     random_select,
     value_estimate,
 )
+from hopctx.selection import pool_score_matrix, safe_score
 
 
 def reference_prefix(seed_or_rng, n, k):
@@ -246,6 +251,82 @@ class TestActiveSelect:
                 for pid in probe_ids
             ])
             assert est.value == pytest.approx(float(expected), abs=1e-12)
+
+
+def reference_pool_values(pool, oracle, score_fn, subsample, seed):
+    """The per-probe procedure, one exemplar at a time: shared permutation,
+    own position dropped, first ``subsample`` probes in id order, each scored
+    by ``safe_score``.  Returns (value, sample_count, failures) per exemplar."""
+    shared = reference_prefix(seed, pool.size, pool.size)
+    out = []
+    for e in pool:
+        probe = [pool[i] for i in shared if pool[i].id != e.id]
+        if subsample != "all":
+            probe = probe[:subsample]
+        probe.sort(key=lambda o: o.id)
+        pairs = [safe_score(score_fn, oracle.predict([e], o.x), o.y) for o in probe]
+        out.append((float(np.mean([s for s, _ in pairs])), len(pairs), sum(not ok for _, ok in pairs)))
+    return out
+
+
+class TestPoolScoreMatrix:
+    @given(
+        pool_seed=st.integers(0, 2**32 - 1),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+        n=st.integers(2, 24),
+        subsample=st.one_of(st.just("all"), st.integers(1, 23)),
+        fn=st.sampled_from([cosine_score, negative_error, exact_match, lambda y_hat, y: float(y_hat[0])]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_values_equal_per_probe_reference(self, pool_seed, seeds, n, subsample, fn):
+        # Ids are shuffled and sparse so id order differs from pool order; a
+        # few zero targets make cosine scores fail and count as failures.
+        rng = np.random.default_rng(pool_seed)
+        if subsample != "all":
+            subsample = min(subsample, n - 1)
+        ids = rng.permutation(10 * n)[:n]
+        ys = rng.standard_normal((n, 3))
+        ys[rng.random(n) < 0.15] = 0.0
+        pool = ExemplarPool([
+            Exemplar(id=int(i), x=rng.standard_normal(2), y=y) for i, y in zip(ids, ys)
+        ])
+        oracle = AssociativeOracle(gamma=float(rng.uniform(0.5, 8.0)), y_dim=3)
+        matrix = pool_score_matrix(pool, oracle, fn)
+        for seed in seeds:
+            got = estimate_pool_values(pool, oracle, fn, subsample=subsample, seed=seed, matrix=matrix)
+            assert [v.exemplar_id for v in got] == [e.id for e in pool]
+            assert [(v.value, v.sample_count, v.failures) for v in got] == \
+                reference_pool_values(pool, oracle, fn, subsample, seed)
+
+    def test_entries_are_single_exemplar_scores(self):
+        pool, oracle = oracle_pool(8, seed=3)
+        scores, ok = pool_score_matrix(pool, oracle, cosine_score)
+        assert scores.shape == ok.shape == (8, 8) and ok.all()
+        for i, e in enumerate(pool):
+            for j, other in enumerate(pool):
+                assert scores[i, j] == cosine_score(oracle.predict([e], other.x), other.y)
+
+    def test_ragged_predictions_score_row_by_row(self):
+        # A duck-typed oracle without predict_many whose predictions differ
+        # in length: the mismatched rows count as failures, as per probe.
+        pool, _ = oracle_pool(8, seed=2)
+
+        class RaggedOracle:
+            def predict(self, exemplars, x):
+                return np.ones(x.shape[0] + 1) if x[0] > 0.5 else np.ones(x.shape[0])
+
+        oracle = RaggedOracle()
+        got = estimate_pool_values(pool, oracle, cosine_score, subsample=4, seed=7)
+        expected = reference_pool_values(pool, oracle, cosine_score, 4, 7)
+        assert [(v.value, v.sample_count, v.failures) for v in got] == expected
+        assert sum(v.failures for v in got) > 0
+
+    def test_default_builds_the_same_matrix(self):
+        pool, oracle = oracle_pool(12, seed=5)
+        matrix = pool_score_matrix(pool, oracle, cosine_score)
+        a = active_select(pool, 4, oracle, cosine_score, subsample=5, seed=3)
+        b = active_select(pool, 4, oracle, cosine_score, subsample=5, seed=3, matrix=matrix)
+        assert a.chosen == b.chosen and a.diagnostics["values"] == b.diagnostics["values"]
 
 
 class TestInstanceBest:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopctx import (
     AssociativeOracle,
@@ -19,6 +21,7 @@ from hopctx import (
     pool_to_jsonl,
     score,
 )
+from hopctx.selection import safe_score
 
 
 def reference_single_retrieval(exemplars, x, gamma):
@@ -62,6 +65,59 @@ class TestScoreFunctions:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             negative_error(np.zeros(2), np.zeros(3))
+
+
+def assert_rows_equal_safe_score(fn, y_hats, ys):
+    """The rows form equals ``safe_score`` row by row, bit for bit."""
+    scores, ok = fn.rows(y_hats, ys)
+    expected = [safe_score(fn, y_hat, y) for y_hat, y in zip(y_hats, ys)]
+    assert scores.dtype == np.float64 and scores.shape == (len(ys),)
+    assert scores.tobytes() == np.array([s for s, _ in expected], dtype=np.float64).tobytes()
+    assert ok.tolist() == [flag for _, flag in expected]
+
+
+SCORE_FNS = [cosine_score, exact_match, negative_error]
+
+
+class TestScoreRows:
+    @pytest.mark.parametrize("fn", SCORE_FNS, ids=lambda f: f.__name__)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 24), d=st.integers(1, 40),
+           wide=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_bitwise_equal_safe_score(self, fn, seed, n, d, wide):
+        # Rows mix ordinary values, magnitudes near the float64 limits (so
+        # norms overflow or underflow), zero rows, exact copies and NaN/inf.
+        rng = np.random.default_rng(seed)
+        lo, hi = (-320.0, 300.0) if wide else (-3.0, 3.0)
+        y_hats = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(lo, hi, size=(n, 1))
+        ys = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(lo, hi, size=(n, 1))
+        kind = rng.integers(0, 8, size=n)
+        y_hats[kind == 1] = 0.0
+        ys[kind == 2] = 0.0
+        ys[kind == 3] = y_hats[kind == 3]
+        y_hats[kind == 4, 0] = np.nan
+        ys[kind == 5, -1] = np.inf
+        # Predictions as the oracle returns them: a column slice of a wider array.
+        wider = np.zeros((n, d + 3))
+        wider[:, 3:] = y_hats
+        with np.errstate(all="ignore"):
+            assert_rows_equal_safe_score(fn, wider[:, 3:], ys)
+
+    @pytest.mark.parametrize("fn", SCORE_FNS, ids=lambda f: f.__name__)
+    def test_shape_mismatch_scores_zero_not_ok(self, fn):
+        y_hats, ys = np.ones((4, 3)), np.ones((4, 2))
+        assert_rows_equal_safe_score(fn, y_hats, ys)
+        scores, ok = fn.rows(y_hats, ys)
+        assert not ok.any() and not scores.any()
+
+    def test_zero_and_perfect_rows(self):
+        y = np.array([[1.0, 0.0], [0.0, 0.0], [3.0, 4.0]])
+        scores, ok = cosine_score.rows(y, y)
+        assert scores.tolist() == [1.0, 0.0, 1.0] and ok.tolist() == [True, False, True]
+        scores, ok = negative_error.rows(y, y)
+        assert scores.tolist() == [0.0, 0.0, 0.0] and ok.all()
+        scores, ok = exact_match.rows(y, y[::-1])
+        assert scores.tolist() == [0.0, 1.0, 0.0] and ok.all()
 
 
 class TestTaskSpec:
