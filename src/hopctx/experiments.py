@@ -97,6 +97,10 @@ class ExperimentConfig:
         self.k_values = tuple(int(k) for k in self.k_values)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.pool_size < 2:
+            raise ValueError(f"pool.size must be >= 2, got {self.pool_size}")
+        if self.queries_size < 1:
+            raise ValueError(f"queries.size must be >= 1, got {self.queries_size}")
         if list(self.k_values) != sorted(self.k_values):
             raise ValueError("k_values must be sorted ascending")
         if any(k < 1 or k > self.pool_size for k in self.k_values):
@@ -106,6 +110,16 @@ class ExperimentConfig:
         unknown = set(self.strategies) - set(_STRATEGY_CODES)
         if unknown:
             raise ValueError(f"unknown strategies: {sorted(unknown)}")
+        if self.metric not in ("euclidean", "cosine"):
+            raise ValueError(f"metric must be 'euclidean' or 'cosine', got {self.metric!r}")
+        if self.score not in tasks.SCORE_TAGS:
+            raise ValueError(f"score must be one of {sorted(tasks.SCORE_TAGS)}, got {self.score!r}")
+        if self.oracle_kind not in ("builtin", "remote"):
+            raise ValueError(f"oracle.kind must be 'builtin' or 'remote', got {self.oracle_kind!r}")
+        if not self.oracle_gamma > 0:
+            raise ValueError(f"oracle.gamma must be > 0, got {self.oracle_gamma!r}")
+        if self.subsample != "all" and not 1 <= self.subsample <= self.pool_size - 1:
+            raise ValueError(f"subsample must be 'all' or in [1, {self.pool_size - 1}], got {self.subsample}")
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
@@ -191,11 +205,9 @@ def _build_task(config: ExperimentConfig) -> tasks.TaskSpec:
 def _build_oracle(config: ExperimentConfig, task: tasks.TaskSpec):
     if config.oracle_kind == "builtin":
         return tasks.AssociativeOracle(gamma=config.oracle_gamma, y_dim=task.y_dim)
-    if config.oracle_kind == "remote":
-        if not config.oracle_endpoint:
-            raise ValueError("oracle.kind=remote needs oracle.endpoint")
-        return tasks.RemoteOracle(config.oracle_endpoint)
-    raise ValueError(f"unknown oracle.kind {config.oracle_kind!r}")
+    if not config.oracle_endpoint:
+        raise ValueError("oracle.kind=remote needs oracle.endpoint")
+    return tasks.RemoteOracle(config.oracle_endpoint)
 
 
 def _round_score(s: float) -> float:
@@ -297,10 +309,10 @@ def _instance_best_orders(score_matrix, pool) -> np.ndarray:
     return np.lexsort((np.broadcast_to(ids[:, None], score_matrix.shape), -score_matrix), axis=0)
 
 
-def _instance_best_scores(orders, pool, queries, k, oracle, score_fn):
-    """Per-query scores when each query gets its own top-k exemplars;
-    ``orders[:, j]`` ranks the pool positions for query j."""
-    y_hats = [oracle.predict([pool[i] for i in orders[:k, j]], q.x) for j, q in enumerate(queries)]
+def _top_k_scores(orders, pool, queries, k, oracle, score_fn):
+    """Per-query scores when query j's context is the first k pool positions
+    of ``orders[j]``, one prediction per query."""
+    y_hats = [oracle.predict([pool[i] for i in order[:k]], q.x) for order, q in zip(orders, queries)]
     return _score_queries(y_hats, queries, score_fn)
 
 
@@ -314,9 +326,11 @@ def run_k_study(config: ExperimentConfig):
     probe permutation, ranked once at the largest K and sliced per K
     (identical to calling the selector per K with the same seed).  This asks
     the oracle for pool.size^2 single-exemplar predictions once instead of
-    trials * pool.size * subsample.  The instance-best strategy re-selects
-    per query and has no randomness, so its records repeat across trials.
-    Returns (records, csv_text).
+    trials * pool.size * subsample.  Metric and instance-best have no
+    randomness: each ranks every query once per run
+    (``selection.metric_rank``; the query score matrix), slices the ranking
+    to each K with one prediction per query, and every trial reuses those
+    scores.  Returns (records, csv_text).
     """
     task = _build_task(config)
     oracle = _build_oracle(config, task)
@@ -324,16 +338,19 @@ def run_k_study(config: ExperimentConfig):
     pool, queries = tasks.generate_pool(
         task, config.pool_size, derive_seed(config.seed, 1), n_queries=config.queries_size
     )
-    if not queries:
-        raise ValueError("k-study needs queries.size >= 1")
     records = []
 
-    instance_best_cache = {}
+    orders = {}
     if "instance-best" in config.strategies:
         query_scores, _ = selection.pool_score_matrix(pool, oracle, score_fn, targets=queries)
-        orders = _instance_best_orders(query_scores, pool)
-        for k in config.k_values:
-            instance_best_cache[k] = _instance_best_scores(orders, pool, queries, k, oracle, score_fn)
+        orders["instance-best"] = _instance_best_orders(query_scores, pool).T
+    if "metric" in config.strategies:
+        orders["metric"], _ = selection.metric_rank(pool, np.stack([q.x for q in queries]), config.metric)
+    per_query = {
+        (strategy, k): _top_k_scores(order, pool, queries, k, oracle, score_fn)
+        for strategy, order in orders.items()
+        for k in config.k_values
+    }
 
     pool_scores = None
     if "active" in config.strategies:
@@ -358,10 +375,8 @@ def run_k_study(config: ExperimentConfig):
                     context = [pool.by_id(i) for i in ranking[:k]]
                     scores = _evaluate_fixed_context(oracle, context, queries, score_fn)
                     trial_seed = active_seed
-                elif strategy == "instance-best":
-                    scores = instance_best_cache[k]
-                elif strategy == "metric":
-                    scores = _metric_per_query_scores(oracle, pool, queries, k, score_fn, config.metric)
+                else:
+                    scores = per_query[strategy, k]
                 records.append(TrialRecord(
                     trial_index=trial,
                     trial_seed=trial_seed,
@@ -381,14 +396,6 @@ def run_k_study(config: ExperimentConfig):
         rows,
     )
     return records, csv_text
-
-
-def _metric_per_query_scores(oracle, pool, queries, k, score_fn, metric):
-    y_hats = []
-    for q in queries:
-        result = selection.metric_select(pool, k, q.x, metric=metric)
-        y_hats.append(oracle.predict([pool.by_id(i) for i in result.chosen], q.x))
-    return _score_queries(y_hats, queries, score_fn)
 
 
 # ---------------------------------------------------------------------------

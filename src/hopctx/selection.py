@@ -20,7 +20,9 @@ against the same probe set and the estimand's own pair never contributes.
 The score of exemplar i as the sole context on probe j does not depend on
 the seed, only the probe set does.  ``pool_score_matrix`` therefore scores
 every (i, j) pair once, and ``estimate_pool_values`` turns each seed's probe
-sets into a gather and mean over that matrix.
+sets into a gather and mean over that matrix.  Metric selection has no
+randomness: ``metric_rank`` ranks the pool for a batch of queries, which a
+k-study does once per run, slicing the ranking to each K for every trial.
 """
 
 from dataclasses import dataclass, field
@@ -34,6 +36,7 @@ __all__ = [
     "SelectionResult",
     "sample_prefix",
     "random_select",
+    "metric_rank",
     "metric_select",
     "value_estimate",
     "pool_score_matrix",
@@ -89,9 +92,6 @@ class ExemplarPool:
 
     def x_matrix(self) -> np.ndarray:
         return np.stack([e.x for e in self.exemplars])
-
-    def y_matrix(self) -> np.ndarray:
-        return np.stack([e.y for e in self.exemplars])
 
 
 @dataclass(frozen=True)
@@ -185,31 +185,44 @@ def random_select(pool: ExemplarPool, k: int, seed: int) -> SelectionResult:
     return SelectionResult(chosen=chosen, strategy="random", diagnostics={"seed": seed})
 
 
+def metric_rank(pool: ExemplarPool, query_xs, metric: str = "euclidean") -> tuple[np.ndarray, np.ndarray]:
+    """Pool positions ranked by the closeness of their x to each of Q queries.
+
+    Returns (orders, closeness), both (Q, N): ``orders[j]`` runs by descending
+    ``closeness[j]``, ties by ascending id.  Each row is computed on its own
+    (no Q x N matrix product), so its bits do not depend on the batch.
+    """
+    query_xs = np.asarray(query_xs, dtype=np.float64)
+    xs = pool.x_matrix()
+    if query_xs.shape[1:] != xs.shape[1:]:
+        raise ValueError(f"query shape {query_xs.shape[1:]} does not match pool x shape {xs.shape[1:]}")
+    if metric == "euclidean":
+        rows = [-np.linalg.norm(xs - q, axis=1) for q in query_xs]
+    elif metric == "cosine":
+        xn = np.linalg.norm(xs, axis=1)
+        qns = [np.linalg.norm(q) for q in query_xs]
+        if 0.0 in qns or np.any(xn == 0.0):
+            raise ValueError("cosine metric undefined for zero vectors")
+        rows = [(xs @ q) / (xn * qn) for q, qn in zip(query_xs, qns)]
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
+    closeness = np.array(rows)
+    ids = np.array([e.id for e in pool])
+    return np.lexsort((np.broadcast_to(ids, closeness.shape), -closeness), axis=1), closeness
+
+
 def metric_select(pool: ExemplarPool, k: int, query_x, metric: str = "euclidean") -> SelectionResult:
     """The k exemplars whose x is closest to the query.
 
     ``cosine`` maximizes cosine similarity, ``euclidean`` minimizes distance;
     ties break by ascending id.  Chosen ids are ordered by descending
-    closeness.
+    closeness.  A one-query ``metric_rank``.
     """
     _check_k(pool, k)
-    query_x = np.asarray(query_x, dtype=np.float64)
-    xs = pool.x_matrix()
-    if query_x.shape != xs.shape[1:]:
-        raise ValueError(f"query shape {query_x.shape} does not match pool x shape {xs.shape[1:]}")
-    if metric == "euclidean":
-        closeness = -np.linalg.norm(xs - query_x, axis=1)
-    elif metric == "cosine":
-        qn = np.linalg.norm(query_x)
-        xn = np.linalg.norm(xs, axis=1)
-        if qn == 0.0 or np.any(xn == 0.0):
-            raise ValueError("cosine metric undefined for zero vectors")
-        closeness = (xs @ query_x) / (xn * qn)
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
-    order = sorted(range(pool.size), key=lambda i: (-closeness[i], pool[i].id))
-    chosen = tuple(pool[i].id for i in order[:k])
-    scores = {pool[i].id: float(closeness[i]) for i in order[:k]}
+    orders, closeness = metric_rank(pool, [query_x], metric)
+    top = orders[0, :k]
+    chosen = tuple(pool[i].id for i in top)
+    scores = {pool[i].id: float(closeness[0, i]) for i in top}
     return SelectionResult(chosen=chosen, strategy="metric", diagnostics={"metric": metric, "closeness": scores})
 
 

@@ -1,5 +1,7 @@
 """Config parsing and the three experiment runners."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from hopctx import (
     active_select,
     cosine_score,
     derive_seed,
+    metric_select,
     run_bound_sweep,
     run_k_study,
     run_strategy_comparison,
@@ -67,6 +70,31 @@ class TestConfig:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(strategies=("greedy",))
+
+    @pytest.mark.parametrize("key, value", [
+        ("metric", "manhattan"),
+        ("score", "f1"),
+        ("oracle.kind", "grpc"),
+        ("oracle.gamma", "0"),
+        ("oracle.gamma", "-1.5"),
+        ("oracle.gamma", "nan"),
+        ("pool.size", "1"),
+        ("queries.size", "0"),
+        ("subsample", "0"),
+        ("subsample", "200"),
+        ("subsample", "1000000"),
+    ])
+    def test_bad_value_rejected_naming_key(self, key, value):
+        mapping = {"k_values": "1", "subsample": "all", key: value}
+        with pytest.raises(ValueError, match=rf"^{re.escape(key)} must"):
+            ExperimentConfig.from_mapping(mapping)
+
+    def test_boundary_values_accepted(self):
+        config = ExperimentConfig.from_mapping({
+            "pool.size": "2", "queries.size": "1", "k_values": "1,2", "subsample": "1",
+            "oracle.gamma": "1e-300", "oracle.kind": "remote", "metric": "cosine", "score": "exact-match",
+        })
+        assert (config.pool_size, config.subsample, config.metric) == (2, 1, "cosine")
 
     def test_mapping_roundtrip(self):
         config = ExperimentConfig()
@@ -207,6 +235,35 @@ class TestKStudy:
         for j in range(9):
             expected = sorted(range(12), key=lambda i: (-matrix[i, j], ids[i]))
             assert orders[:, j].tolist() == expected
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_metric_records_match_per_trial_selector(self, metric):
+        """The once-per-run ranking gives the records of metric_select and a
+        one-row predict per query, trial by trial."""
+        from hopctx import AssociativeOracle, generate_pool
+        from hopctx.experiments import _build_task
+
+        config = small_config(trials=3, k_values=(1, 2, 4, 30), strategies=("random", "metric"), metric=metric)
+        task = _build_task(config)
+        pool, queries = generate_pool(
+            task, config.pool_size, derive_seed(config.seed, 1), n_queries=config.queries_size
+        )
+        oracle = AssociativeOracle(gamma=config.oracle_gamma, y_dim=task.y_dim)
+        records, _ = run_k_study(config)
+        got = {(r.trial_index, r.k): r for r in records if r.strategy == "metric"}
+        assert len(got) == config.trials * len(config.k_values)
+        for trial in range(config.trials):
+            for k in config.k_values:
+                expected = []
+                for q in queries:
+                    chosen = metric_select(pool, k, q.x, metric=metric).chosen
+                    y_hat = oracle.predict([pool.by_id(i) for i in chosen], q.x)
+                    expected.append(round(float(cosine_score(y_hat, q.y)), 12))
+                rec = got[trial, k]
+                assert list(rec.per_query_scores) == expected
+                assert rec.mean_score == float(np.mean(expected))
+                assert rec.trial_seed == derive_seed(config.seed, 2, trial, 1, k)
+                assert rec.per_query_scores == got[0, k].per_query_scores
 
     def test_metric_strategy_runs(self):
         config = small_config(trials=2, k_values=(1, 2), strategies=("random", "metric"))

@@ -20,7 +20,7 @@ from hopctx import (
     random_select,
     value_estimate,
 )
-from hopctx.selection import pool_score_matrix, safe_score
+from hopctx.selection import metric_rank, pool_score_matrix, safe_score
 
 
 def reference_prefix(seed_or_rng, n, k):
@@ -142,6 +142,83 @@ class TestMetricSelect:
             metric_select(pool, 1, np.zeros(2), metric="manhattan")
         with pytest.raises(ValueError):
             metric_select(pool, 1, np.zeros(3), metric="euclidean")
+
+
+def reference_metric_select(pool, k, query_x, metric):
+    """Per-query loop the batched ranker must reproduce: closeness of each
+    pool x to the query, then a Python sort by (-closeness, id)."""
+    query_x = np.asarray(query_x, dtype=np.float64)
+    xs = np.stack([e.x for e in pool])
+    if metric == "euclidean":
+        closeness = -np.linalg.norm(xs - query_x, axis=1)
+    else:
+        qn = np.linalg.norm(query_x)
+        xn = np.linalg.norm(xs, axis=1)
+        if qn == 0.0 or np.any(xn == 0.0):
+            raise ValueError("cosine metric undefined for zero vectors")
+        closeness = (xs @ query_x) / (xn * qn)
+    order = sorted(range(pool.size), key=lambda i: (-closeness[i], pool[i].id))
+    return order, [float(closeness[i]).hex() for i in order[:k]]
+
+
+# Few distinct coordinates, so rows repeat, distances tie and exact matches
+# give -0.0 euclidean closeness; plus arbitrary finite values.
+coordinate = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+def check_rank_against_reference(pool, queries, k, metric):
+    """Batched ranker rows and one-query metric_select both equal the
+    reference, bit for bit; a reference ValueError must be raised too."""
+    try:
+        refs = [reference_metric_select(pool, k, q, metric) for q in queries]
+    except ValueError:
+        with pytest.raises(ValueError):
+            metric_rank(pool, queries, metric)
+        return
+    orders, closeness = metric_rank(pool, queries, metric)
+    assert orders.shape == closeness.shape == (len(queries), pool.size)
+    for j, (q, (ref_order, ref_closeness)) in enumerate(zip(queries, refs)):
+        result = metric_select(pool, k, q, metric=metric)
+        assert orders[j].tolist() == ref_order
+        assert [float(closeness[j, i]).hex() for i in orders[j, :k]] == ref_closeness
+        assert result.chosen == tuple(pool[i].id for i in ref_order[:k])
+        assert [result.diagnostics["closeness"][i].hex() for i in result.chosen] == ref_closeness
+
+
+class TestMetricRank:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 10), d=st.integers(1, 4),
+           metric=st.sampled_from(["euclidean", "cosine"]))
+    def test_rows_equal_per_query_select_bitwise(self, data, n, d, metric):
+        row = st.lists(coordinate, min_size=d, max_size=d)
+        distinct = data.draw(st.lists(row, min_size=1, max_size=n))
+        xs = [distinct[data.draw(st.integers(0, len(distinct) - 1))] for _ in range(n)]
+        ids = data.draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n, unique=True))
+        pool = ExemplarPool([Exemplar(id=i, x=x, y=np.zeros(1)) for i, x in zip(ids, xs)])
+        # Queries include copies of pool rows (exact matches) and fresh rows.
+        queries = np.array(data.draw(st.lists(st.one_of(st.sampled_from(xs), row), min_size=1, max_size=4)))
+        k = data.draw(st.integers(1, n))
+        check_rank_against_reference(pool, queries, k, metric)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_duplicate_rows_and_zero_closeness(self, metric):
+        # Duplicated x rows under unsorted, sparse ids; exact matches give
+        # -0.0 euclidean closeness, orthogonal rows 0.0 cosine closeness.
+        xs = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+        pool = ExemplarPool([Exemplar(id=i, x=x, y=np.zeros(1)) for i, x in zip([7, -3, 12, 0, 5, 40], xs)])
+        queries = np.array([[1.0, 0.0], [0.0, -1.0], [-0.0, 2.0]])
+        for k in (1, 3, 6):
+            check_rank_against_reference(pool, queries, k, metric)
+        _, closeness = metric_rank(pool, queries, metric)
+        zero = closeness[closeness == 0.0]
+        assert zero.size and (metric == "cosine" or np.all(np.signbit(zero)))
+
+    def test_cosine_rejects_a_zero_query_anywhere_in_the_batch(self):
+        with pytest.raises(ValueError):
+            metric_rank(vector_pool(4), np.array([[1.0, 0.0], [0.0, 0.0]]), "cosine")
 
 
 class TestValueEstimate:
