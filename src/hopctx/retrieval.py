@@ -37,11 +37,19 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return a
 
 
-def softmax(scores: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax (max-score subtraction)."""
+@np.errstate(over="ignore")
+def softmax(scores: np.ndarray, gamma: float = 1.0) -> np.ndarray:
+    """softmax(gamma * scores) along the last axis, shifted before scaling.
+
+    exp(gamma * (s - max s)) has exponents <= 0, so for finite scores and a
+    finite gamma > 0 the weights are finite and sum to 1; a gap that
+    overflows to -inf gets weight 0.
+    """
     scores = np.asarray(scores, dtype=np.float64)
-    e = np.exp(scores - scores.max())
-    return e / e.sum()
+    e = gamma * (scores - scores.max(axis=-1, keepdims=True))
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 @dataclass(frozen=True)
@@ -157,7 +165,8 @@ class AttentionView:
 def hnc_retrieve(model: ContextualHopfield, ctx: ContextSet, query: QueryState) -> RetrievalResult:
     """Apply the retrieval update to the query pattern.
 
-    scores = gamma * u Z with Z = xi_k^T lam, weights = softmax(scores),
+    scores = gamma * u Z with Z = xi_k^T lam, weights = softmax(scores)
+    (shifted before scaling, so finite where gamma * u Z overflows),
     u_new = weights . lam^T xi_k (a convex combination of context patterns).
     """
     if ctx.lam.shape[0] != model.d_m:
@@ -165,8 +174,10 @@ def hnc_retrieve(model: ContextualHopfield, ctx: ContextSet, query: QueryState) 
     if query.sigma.shape != (model.d_m,):
         raise ValueError(f"query dimension {query.sigma.shape} != d_m={model.d_m}")
     z = model.xi_k.T @ ctx.lam
-    scores = model.gamma * (query.u @ z)
-    weights = softmax(scores)
+    raw = query.u @ z
+    with np.errstate(over="ignore"):
+        scores = model.gamma * raw
+    weights = softmax(raw, model.gamma)
     u_new = weights @ (ctx.lam.T @ model.xi_k)
     return RetrievalResult(u_new=u_new, weights=weights, scores=scores)
 
@@ -182,5 +193,5 @@ def attention_view(model: ContextualHopfield, ctx: ContextSet, query: QueryState
     q = query.sigma @ model.xi_q
     k = ctx.lam.T @ model.xi_k
     v = k @ model.w_v
-    weights = softmax(model.gamma * (q @ k.T))
+    weights = softmax(q @ k.T, model.gamma)
     return AttentionView(q=q, k=k, v=v, output=weights @ v)

@@ -15,9 +15,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import requests
 
-from .retrieval import ContextualHopfield
+from .retrieval import ContextualHopfield, softmax
 from .selection import Exemplar, ExemplarPool
 
 __all__ = [
@@ -299,10 +298,7 @@ class AssociativeOracle(CompletionOracle):
         sigmas = np.hstack([xs, np.zeros((xs.shape[0], d_y))])
         u = sigmas @ model.xi_q
         z = model.xi_k.T @ lam
-        scores = self.gamma * (u @ z)
-        scores -= scores.max(axis=1, keepdims=True)
-        weights = np.exp(scores)
-        weights /= weights.sum(axis=1, keepdims=True)
+        weights = softmax(u @ z, self.gamma)
         u_new = weights @ (lam.T @ model.xi_k)
         return u_new[:, d_x:]
 
@@ -325,6 +321,10 @@ class RemoteOracle(CompletionOracle):
         self._request_counter = 0
 
     def predict(self, context_exemplars, x) -> np.ndarray:
+        # Imported here, not at module level, so that runs with a local oracle
+        # never load the HTTP stack (requests, urllib3, idna, certifi, ...).
+        import requests
+
         context_exemplars = list(context_exemplars)
         self._request_counter += 1
         request_id = self._request_counter

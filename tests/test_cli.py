@@ -1,10 +1,15 @@
 """CLI subcommands, exit codes, and output files."""
 
 import json
+import os
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hopctx
 from hopctx.cli import cli_main
 
 
@@ -135,3 +140,23 @@ def test_refused_remote_oracle_is_oracle_error(small_config_file, tmp_path, caps
     assert code == 3
     assert err.startswith("oracle failure: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_local_commands_do_not_import_http_stack(small_config_file, tmp_path):
+    # A fresh interpreter: this process may already have requests loaded.
+    code = (
+        "import sys\n"
+        "from hopctx.cli import cli_main\n"
+        f"cfg, out = {str(small_config_file)!r}, {str(tmp_path)!r}\n"
+        "assert cli_main(['bound-sweep', '--config', cfg, '--output', out + '/b.csv']) == 0\n"
+        "assert cli_main(['k-study', '--config', cfg, '--set', 'trials=1',\n"
+        "                 '--output', out + '/k.csv']) == 0\n"
+        "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))\n"
+    )
+    path = [str(Path(hopctx.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -62,10 +62,14 @@ class StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture(scope="module")
 def stub_server():
     server = HTTPServer(("127.0.0.1", 0), StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll interval lets shutdown() return within 0.05 s, not 0.5 s.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def test_echo_stub(stub_server):

@@ -1,5 +1,7 @@
 """Contextual retrieval update and its attention form."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,3 +214,37 @@ class TestInvariants:
         w = softmax(np.array([1e4, 1e4 - 1.0]))
         assert np.isfinite(w).all()
         assert abs(w.sum() - 1.0) <= 1e-12
+
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=16),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_softmax_finite_for_finite_scores_and_any_gamma(self, scores, gamma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = softmax(np.array(scores), gamma)
+        assert np.isfinite(w).all()
+        assert np.all(w >= 0.0) and np.all(w <= 1.0)
+        assert abs(w.sum() - 1.0) <= 1e-12
+        assert w[int(np.argmax(scores))] == w.max()
+
+    def test_softmax_is_row_wise(self):
+        scores = np.array([[3.0, 1.0, -2.0], [0.5, 0.5, 40.0]])
+        w = softmax(scores, 2.0)
+        for row, s in zip(w, scores):
+            np.testing.assert_array_equal(row, softmax(s, 2.0))
+
+    def test_overflowing_gamma_keeps_weights_finite(self):
+        # gamma * u Z overflows to inf; shifting before scaling still gives
+        # the limit weights (1, 0) instead of NaN, without a warning.
+        model = ContextualHopfield.identity(2, gamma=1e300)
+        ctx = ContextSet.from_vectors([[1.0, 0.0], [0.0, 1.0]])
+        query = QueryState.from_sigma([1e10, 1.0], model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = hnc_retrieve(model, ctx, query)
+            view = attention_view(model, ctx, query)
+        np.testing.assert_array_equal(result.weights, [1.0, 0.0])
+        np.testing.assert_array_equal(result.u_new, [1.0, 0.0])
+        np.testing.assert_array_equal(view.output, [1.0, 0.0])

@@ -1,5 +1,7 @@
 """Task generators, score functions, and the built-in associative oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,17 @@ from hypothesis import strategies as st
 
 from hopctx import (
     AssociativeOracle,
+    ContextSet,
+    ContextualHopfield,
     Exemplar,
     OracleFailure,
+    QueryState,
     TaskSpec,
     cosine_score,
     exact_match,
     generate_pool,
     get_score_fn,
+    hnc_retrieve,
     make_benchmark_task,
     make_task,
     negative_error,
@@ -257,6 +263,50 @@ class TestAssociativeOracle:
                 cosine_score(zero_pred, q.y)  # zero vector: scored as 0 by harnesses
             context = [e for e in pool if e.latent_id == q.latent_id][:2]
             assert cosine_score(oracle.predict(context, q.x), q.y) > 0.0
+
+    @staticmethod
+    def hnc_rows(exemplars, xs, gamma):
+        """hnc_retrieve on the (x, y) embedding, one query at a time."""
+        d_x, d_y = xs.shape[1], exemplars[0].y.shape[0]
+        model = ContextualHopfield.identity(d_x + d_y, gamma=gamma)
+        ctx = ContextSet.from_vectors([np.concatenate([e.x, e.y]) for e in exemplars])
+        sigmas = np.hstack([xs, np.zeros((len(xs), d_y))])
+        return np.stack([
+            hnc_retrieve(model, ctx, QueryState.from_sigma(sigma, model)).u_new[d_x:]
+            for sigma in sigmas
+        ])
+
+    @given(
+        st.integers(min_value=0, max_value=100_000),
+        st.floats(min_value=1e-3, max_value=1e3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_predict_many_rows_equal_hnc_retrieve(self, seed, gamma):
+        # The batched kernel and hnc_retrieve reach BLAS through gemm and gemv
+        # respectively, so they agree to roundoff rather than bit for bit.
+        rng = np.random.default_rng(seed)
+        d_x, d_y = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        exemplars = [
+            Exemplar(id=i, x=rng.standard_normal(d_x), y=rng.standard_normal(d_y))
+            for i in range(int(rng.integers(1, 20)))
+        ]
+        xs = rng.standard_normal((int(rng.integers(1, 12)), d_x))
+        got = AssociativeOracle(gamma=gamma).predict_many(exemplars, xs)
+        np.testing.assert_allclose(got, self.hnc_rows(exemplars, xs, gamma), rtol=0, atol=1e-9)
+
+    def test_overflowing_gamma_predicts_limit(self):
+        # gamma * scores overflows to inf for the first query; the weights
+        # stay finite and equal hnc_retrieve's.
+        exemplars = [
+            Exemplar(id=0, x=np.array([1.0, 0.0]), y=np.array([2.0])),
+            Exemplar(id=1, x=np.array([0.0, 1.0]), y=np.array([-3.0])),
+        ]
+        xs = np.array([[1e10, 1.0], [0.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = AssociativeOracle(gamma=1e300).predict_many(exemplars, xs)
+        np.testing.assert_array_equal(got, [[2.0], [-3.0]])
+        np.testing.assert_array_equal(got, self.hnc_rows(exemplars, xs, 1e300))
 
     def test_custom_projections_must_be_square(self):
         e = Exemplar(id=0, x=np.zeros(2), y=np.zeros(2))
