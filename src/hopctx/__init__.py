@@ -40,7 +40,6 @@ from .selection import (
     metric_select,
     mode_pattern,
     random_select,
-    value_estimate,
 )
 from .tasks import (
     AssociativeOracle,

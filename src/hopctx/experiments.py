@@ -11,7 +11,8 @@ are insensitive to last-ulp noise.
 import io
 import csv
 import json
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -116,8 +117,14 @@ class ExperimentConfig:
             raise ValueError(f"score must be one of {sorted(tasks.SCORE_TAGS)}, got {self.score!r}")
         if self.oracle_kind not in ("builtin", "remote"):
             raise ValueError(f"oracle.kind must be 'builtin' or 'remote', got {self.oracle_kind!r}")
-        if not self.oracle_gamma > 0:
-            raise ValueError(f"oracle.gamma must be > 0, got {self.oracle_gamma!r}")
+        if not 0 < self.oracle_gamma < math.inf:
+            raise ValueError(f"oracle.gamma must be finite and > 0, got {self.oracle_gamma!r}")
+        if not all(0 < g < math.inf for g in self.bound_gamma_grid):
+            raise ValueError(f"bound.gamma_grid must hold finite values > 0, got {self.bound_gamma_grid}")
+        if any(m < 1 for m in self.bound_m_grid):
+            raise ValueError(f"bound.m_grid must hold values >= 1, got {self.bound_m_grid}")
+        if not all(0.0 <= f <= 1.0 for f in self.bound_dup_fractions):
+            raise ValueError(f"bound.dup_fractions must lie in [0, 1], got {self.bound_dup_fractions}")
         if self.subsample != "all" and not 1 <= self.subsample <= self.pool_size - 1:
             raise ValueError(f"subsample must be 'all' or in [1, {self.pool_size - 1}], got {self.subsample}")
 
@@ -275,8 +282,6 @@ def run_bound_sweep(config: ExperimentConfig):
     for gi, gamma in enumerate(config.bound_gamma_grid):
         for mi, m in enumerate(config.bound_m_grid):
             for di, frac in enumerate(config.bound_dup_fractions):
-                if not 0.0 <= frac <= 1.0:
-                    raise ValueError(f"duplicate fraction {frac} outside [0, 1]")
                 rng = np.random.default_rng(derive_seed(config.seed, 3, gi, mi, di))
                 for j in range(config.bound_instances):
                     model, ctx, query, u_star = _random_bound_instance(rng, gamma, int(m), frac)
@@ -408,11 +413,7 @@ def run_strategy_comparison(config: ExperimentConfig):
     fixed K (the first entry of k_values).  Returns (summary, csv_text,
     json_text)."""
     k = config.k_values[0]
-    sub = ExperimentConfig(**{
-        **{f.name: getattr(config, f.name) for f in fields(ExperimentConfig)},
-        "k_values": (k,),
-    })
-    records, _ = run_k_study(sub)
+    records, _ = run_k_study(replace(config, k_values=(k,)))
     by_strategy = {}
     for r in records:
         by_strategy.setdefault(r.strategy, []).append(r)

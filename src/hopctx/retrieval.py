@@ -12,7 +12,7 @@ context vectors are the columns of ``lam``; context patterns z_i are the
 columns of Z = xi_k^T lam.  All arithmetic is float64.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "RetrievalResult",
     "AttentionView",
     "softmax",
+    "retrieval_update",
     "hnc_retrieve",
     "attention_view",
 ]
@@ -56,28 +57,20 @@ def softmax(scores: np.ndarray, gamma: float = 1.0) -> np.ndarray:
 class ContextualHopfield:
     """Retrieval model: projections ``xi_q``/``xi_k`` (d_m x d_q), value map
     ``w_v`` (d_q x d_q, identity by default) and inverse temperature ``gamma``.
-
-    ``similarity`` and ``separation`` are fixed configuration tags
-    (dot-product scoring separated by softmax); they exist so callers and
-    tests can assert the configuration.
     """
 
     xi_q: np.ndarray
     xi_k: np.ndarray
     gamma: float = 1.0
     w_v: np.ndarray | None = None
-    similarity: str = field(default="dot-product")
-    separation: str = field(default="softmax")
 
     def __post_init__(self):
         xi_q = _as_matrix(self.xi_q, "xi_q")
         xi_k = _as_matrix(self.xi_k, "xi_k")
         if xi_q.shape != xi_k.shape:
             raise ValueError(f"xi_q shape {xi_q.shape} != xi_k shape {xi_k.shape}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.similarity != "dot-product" or self.separation != "softmax":
-            raise ValueError("only dot-product similarity with softmax separation is supported")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
         w_v = np.eye(xi_q.shape[1]) if self.w_v is None else _as_matrix(self.w_v, "w_v")
         if w_v.shape != (xi_q.shape[1], xi_q.shape[1]):
             raise ValueError(f"w_v shape {w_v.shape} incompatible with d_q={xi_q.shape[1]}")
@@ -145,11 +138,10 @@ class QueryState:
 
 @dataclass(frozen=True)
 class RetrievalResult:
-    """One retrieval step: pre-softmax scores, softmax weights, updated pattern."""
+    """One retrieval step: softmax weights and the updated pattern."""
 
     u_new: np.ndarray
     weights: np.ndarray
-    scores: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -162,24 +154,26 @@ class AttentionView:
     output: np.ndarray
 
 
-def hnc_retrieve(model: ContextualHopfield, ctx: ContextSet, query: QueryState) -> RetrievalResult:
-    """Apply the retrieval update to the query pattern.
+def retrieval_update(model: ContextualHopfield, lam: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The retrieval update for one query pattern u (d_q,) or a batch of rows.
 
-    scores = gamma * u Z with Z = xi_k^T lam, weights = softmax(scores)
-    (shifted before scaling, so finite where gamma * u Z overflows),
-    u_new = weights . lam^T xi_k (a convex combination of context patterns).
+    weights = softmax(u Z) at inverse temperature gamma, with
+    Z = xi_k^T lam (shifted before scaling, so finite where gamma * u Z
+    overflows); u_new = weights . lam^T xi_k, a convex combination of context
+    patterns.  Returns (weights, u_new).
     """
+    weights = softmax(u @ (model.xi_k.T @ lam), model.gamma)
+    return weights, weights @ (lam.T @ model.xi_k)
+
+
+def hnc_retrieve(model: ContextualHopfield, ctx: ContextSet, query: QueryState) -> RetrievalResult:
+    """Apply the retrieval update (``retrieval_update``) to the query pattern."""
     if ctx.lam.shape[0] != model.d_m:
         raise ValueError(f"context dimension {ctx.lam.shape[0]} != d_m={model.d_m}")
     if query.sigma.shape != (model.d_m,):
         raise ValueError(f"query dimension {query.sigma.shape} != d_m={model.d_m}")
-    z = model.xi_k.T @ ctx.lam
-    raw = query.u @ z
-    with np.errstate(over="ignore"):
-        scores = model.gamma * raw
-    weights = softmax(raw, model.gamma)
-    u_new = weights @ (ctx.lam.T @ model.xi_k)
-    return RetrievalResult(u_new=u_new, weights=weights, scores=scores)
+    weights, u_new = retrieval_update(model, ctx.lam, query.u)
+    return RetrievalResult(u_new=u_new, weights=weights)
 
 
 def attention_view(model: ContextualHopfield, ctx: ContextSet, query: QueryState) -> AttentionView:

@@ -11,11 +11,11 @@ Sampling procedure (used everywhere randomness is needed, so results can be
 reproduced by an independent implementation): draw from
 ``numpy.random.default_rng(seed)`` and take a Fisher-Yates prefix -- for
 i = 0..k-1, swap position i with position i + rng.integers(n - i), then keep
-the first k slots.  ``value_estimate`` seeds its own stream with
-``(seed, exemplar_id)``; ``active_select`` draws one shared permutation from
-``seed`` and gives every exemplar the first ``subsample`` entries of that
-permutation after removing the exemplar itself, so all values are estimated
-against the same probe set and the estimand's own pair never contributes.
+the first k slots.  ``estimate_pool_values`` (behind ``active_select``)
+draws one shared permutation from ``seed`` and gives every exemplar the first
+``subsample`` entries of that permutation after removing the exemplar itself,
+so all values are estimated against the same probe set and the estimand's own
+pair never contributes.
 
 The score of exemplar i as the sole context on probe j does not depend on
 the seed, only the probe set does.  ``pool_score_matrix`` therefore scores
@@ -38,7 +38,6 @@ __all__ = [
     "random_select",
     "metric_rank",
     "metric_select",
-    "value_estimate",
     "pool_score_matrix",
     "estimate_pool_values",
     "active_select",
@@ -101,7 +100,6 @@ class ValueEstimate:
     exemplar_id: int
     value: float
     sample_count: int
-    scores: tuple | None = None
     failures: int = 0
 
 
@@ -226,39 +224,6 @@ def metric_select(pool: ExemplarPool, k: int, query_x, metric: str = "euclidean"
     return SelectionResult(chosen=chosen, strategy="metric", diagnostics={"metric": metric, "closeness": scores})
 
 
-def value_estimate(
-    e: Exemplar,
-    pool: ExemplarPool,
-    oracle,
-    score_fn,
-    subsample="all",
-    seed: int = 0,
-    keep_scores: bool = False,
-) -> ValueEstimate:
-    """Mean score of e as the sole context exemplar over probes j != e.
-
-    With an integer ``subsample`` the probe set is a uniform sample of that
-    size from the rest of the pool, drawn from the (seed, e.id) stream.
-    """
-    _check_subsample(pool, subsample)
-    rng = np.random.default_rng([seed, e.id])
-    order = sample_prefix(rng, pool.size, pool.size)
-    probe = [pool[i] for i in order if pool[i].id != e.id]
-    if subsample != "all":
-        probe = probe[:subsample]
-    # Fixed evaluation order so the mean is bitwise independent of pool order.
-    probe.sort(key=lambda o: o.id)
-    y_hats = _predict_rows(oracle, [e], np.stack([o.x for o in probe]))
-    scores, ok = score_rows(score_fn, y_hats, np.stack([o.y for o in probe]))
-    return ValueEstimate(
-        exemplar_id=e.id,
-        value=float(np.mean(scores)),
-        sample_count=len(scores),
-        scores=tuple(scores.tolist()) if keep_scores else None,
-        failures=int(np.count_nonzero(~ok)),
-    )
-
-
 def pool_score_matrix(pool: ExemplarPool, oracle, score_fn, targets=None) -> tuple[np.ndarray, np.ndarray]:
     """scores[i, j]: pool[i] as the sole context exemplar, scored on targets[j].
 
@@ -296,7 +261,7 @@ def estimate_pool_values(
     order = np.array(sample_prefix(np.random.default_rng(seed), n, n))
     m = n - 1 if subsample == "all" else subsample
     # Row i: the permutation without position i, cut to m probes, put in id
-    # order so each mean sums in the same order as ``value_estimate``'s.
+    # order so each mean sums in the same order whatever the pool order.
     probes = np.broadcast_to(order, (n, n))[order != np.arange(n)[:, None]].reshape(n, n - 1)[:, :m]
     ids = np.array([e.id for e in pool])
     probes = np.take_along_axis(probes, np.argsort(ids[probes], axis=1), axis=1)

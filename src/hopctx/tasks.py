@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .retrieval import ContextualHopfield, softmax
+from .retrieval import ContextualHopfield, retrieval_update
 from .selection import Exemplar, ExemplarPool
 
 __all__ = [
@@ -53,7 +53,6 @@ class TaskSpec:
     d: int
     prototypes: np.ndarray
     noise_sigma: float
-    seed: int = 0
 
     def __post_init__(self):
         protos = np.asarray(self.prototypes, dtype=np.float64)
@@ -229,8 +228,6 @@ class OracleFailure(RuntimeError):
 class CompletionOracle:
     """Interface: predict(context_exemplars, x) -> prediction vector."""
 
-    name = "abstract"
-
     def predict(self, context_exemplars, x) -> np.ndarray:
         raise NotImplementedError
 
@@ -243,37 +240,24 @@ class AssociativeOracle(CompletionOracle):
     """Completion by associative retrieval over the context pairs.
 
     Each context exemplar is embedded as the column (x_i, y_i); the query is
-    embedded as (x, 0).  Retrieval at inverse temperature gamma produces an
-    updated pattern whose trailing block is the prediction.  With the default
-    identity projections this is pure associative completion.  With no
-    context there is nothing to retrieve and the prediction is the zero
-    vector (``y_dim`` must be set for that case).
+    embedded as (x, 0).  Retrieval at inverse temperature gamma with identity
+    projections (pure associative completion) produces an updated pattern
+    whose trailing block is the prediction.  With no context there is nothing
+    to retrieve and the prediction is the zero vector (``y_dim`` must be set
+    for that case).
     """
 
-    name = "builtin-associative"
-
-    def __init__(self, gamma: float = 1.0, y_dim: int | None = None,
-                 xi_q: np.ndarray | None = None, xi_k: np.ndarray | None = None):
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
+    def __init__(self, gamma: float = 1.0, y_dim: int | None = None):
+        if not 0 < gamma < math.inf:
+            raise ValueError(f"gamma must be finite and positive, got {gamma}")
         self.gamma = float(gamma)
         self.y_dim = y_dim
-        self.xi_q = None if xi_q is None else np.asarray(xi_q, dtype=np.float64)
-        self.xi_k = None if xi_k is None else np.asarray(xi_k, dtype=np.float64)
         self._models: dict[int, ContextualHopfield] = {}
 
     def _model(self, d_m: int) -> ContextualHopfield:
         model = self._models.get(d_m)
         if model is None:
-            xi_q = np.eye(d_m) if self.xi_q is None else self.xi_q
-            xi_k = np.eye(d_m) if self.xi_k is None else self.xi_k
-            if xi_q.shape != (d_m, d_m) or xi_k.shape != (d_m, d_m):
-                raise ValueError(
-                    f"oracle projections must be {d_m}x{d_m} for this task, "
-                    f"got {xi_q.shape} and {xi_k.shape}"
-                )
-            model = ContextualHopfield(xi_q=xi_q, xi_k=xi_k, gamma=self.gamma)
-            self._models[d_m] = model
+            model = self._models[d_m] = ContextualHopfield.identity(d_m, self.gamma)
         return model
 
     def predict(self, context_exemplars, x) -> np.ndarray:
@@ -296,10 +280,7 @@ class AssociativeOracle(CompletionOracle):
         model = self._model(d_x + d_y)
         lam = np.column_stack([np.concatenate([e.x, e.y]) for e in context_exemplars])
         sigmas = np.hstack([xs, np.zeros((xs.shape[0], d_y))])
-        u = sigmas @ model.xi_q
-        z = model.xi_k.T @ lam
-        weights = softmax(u @ z, self.gamma)
-        u_new = weights @ (lam.T @ model.xi_k)
+        _, u_new = retrieval_update(model, lam, sigmas @ model.xi_q)
         return u_new[:, d_x:]
 
 
@@ -311,8 +292,6 @@ class RemoteOracle(CompletionOracle):
     Non-2xx status, malformed bodies, a prediction whose length differs from
     the context's y, or exhausted retries raise ``OracleFailure``.
     """
-
-    name = "remote"
 
     def __init__(self, endpoint: str, timeout: float = 10.0, max_retries: int = 2):
         self.endpoint = endpoint
@@ -432,7 +411,7 @@ def make_task(kind: str, d: int, prototypes: int, noise_sigma: float, seed: int 
         rng = np.random.default_rng(seed)
         protos = rng.standard_normal((prototypes, d))
         protos /= np.linalg.norm(protos, axis=1, keepdims=True)
-        return TaskSpec(kind=kind, d=d, prototypes=protos, noise_sigma=noise_sigma, seed=seed)
+        return TaskSpec(kind=kind, d=d, prototypes=protos, noise_sigma=noise_sigma)
     if kind == "key-value-association":
         return make_benchmark_task(p=prototypes, d=d, noise_sigma=noise_sigma)
     raise ValueError(f"unknown task kind {kind!r}")

@@ -32,16 +32,16 @@ from hopctx import (
     classic_update,
     cosine_score,
     error_bound,
+    estimate_pool_values,
     generate_pool,
     hnc_retrieve,
     make_benchmark_task,
     run_bound_sweep,
     run_k_study,
     separation,
-    value_estimate,
     verify_bound,
 )
-from hopctx.selection import safe_score
+from hopctx.selection import pool_score_matrix, safe_score
 
 
 def _report(line):
@@ -253,8 +253,8 @@ def test_criterion_6_value_estimator():
     oracle = AssociativeOracle(gamma=2.0, y_dim=spec.y_dim)
 
     worst = 0.0
-    for e in pool:
-        est = value_estimate(e, pool, oracle, cosine_score, subsample="all")
+    full_values = estimate_pool_values(pool, oracle, cosine_score, subsample="all")
+    for e, est in zip(pool, full_values):
         brute = np.mean([
             cosine_score(oracle.predict([e], other.x), other.y)
             for other in pool if other.id != e.id
@@ -262,10 +262,10 @@ def test_criterion_6_value_estimator():
         worst = max(worst, abs(est.value - float(brute)))
     assert worst <= 1e-12, f"full-pool estimate deviates from brute force by {worst:.2e}"
 
-    e = pool[3]
-    full = value_estimate(e, pool, oracle, cosine_score, subsample="all").value
+    full = full_values[3].value
+    matrix = pool_score_matrix(pool, oracle, cosine_score)
     estimates = np.array([
-        value_estimate(e, pool, oracle, cosine_score, subsample=8, seed=s).value
+        estimate_pool_values(pool, oracle, cosine_score, subsample=8, seed=s, matrix=matrix)[3].value
         for s in range(200)
     ])
     se = estimates.std(ddof=1) / np.sqrt(len(estimates))

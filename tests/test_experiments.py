@@ -83,6 +83,13 @@ class TestConfig:
         ("subsample", "0"),
         ("subsample", "200"),
         ("subsample", "1000000"),
+        ("oracle.gamma", "inf"),
+        ("bound.gamma_grid", "0.5,inf"),
+        ("bound.gamma_grid", "nan"),
+        ("bound.gamma_grid", "0"),
+        ("bound.m_grid", "0,8"),
+        ("bound.dup_fractions", "-0.5"),
+        ("bound.dup_fractions", "0,1.5"),
     ])
     def test_bad_value_rejected_naming_key(self, key, value):
         mapping = {"k_values": "1", "subsample": "all", key: value}

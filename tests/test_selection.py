@@ -18,7 +18,6 @@ from hopctx import (
     mode_pattern,
     negative_error,
     random_select,
-    value_estimate,
 )
 from hopctx.selection import metric_rank, pool_score_matrix, safe_score
 
@@ -224,14 +223,14 @@ class TestMetricRank:
 class TestValueEstimate:
     def test_constant_score_gives_value_one(self):
         pool, oracle = oracle_pool(6)
-        est = value_estimate(pool[0], pool, oracle, lambda y_hat, y: 1.0)
-        assert est.value == 1.0
-        assert est.sample_count == 5
+        for est in estimate_pool_values(pool, oracle, lambda y_hat, y: 1.0):
+            assert est.value == 1.0
+            assert est.sample_count == 5
 
     def test_pool_of_two_single_term(self):
         pool, oracle = oracle_pool(2)
         e0, e1 = pool[0], pool[1]
-        est = value_estimate(e0, pool, oracle, cosine_score)
+        est = estimate_pool_values(pool, oracle, cosine_score)[0]
         expected = cosine_score(oracle.predict([e0], e1.x), e1.y)
         assert est.sample_count == 1
         assert est.value == pytest.approx(expected, abs=1e-15)
@@ -239,25 +238,15 @@ class TestValueEstimate:
     def test_full_pool_matches_scripted_mean(self):
         pool, oracle = oracle_pool(20, seed=13)
         e = pool[7]
-        est = value_estimate(e, pool, oracle, cosine_score, subsample="all", keep_scores=True)
+        est = estimate_pool_values(pool, oracle, cosine_score, subsample="all")[7]
         scripted = [
             cosine_score(oracle.predict([e], other.x), other.y)
             for other in pool
             if other.id != e.id
         ]
+        assert est.exemplar_id == e.id
         assert est.sample_count == 19
         assert est.value == pytest.approx(float(np.mean(scripted)), abs=1e-12)
-        assert est.scores is not None and len(est.scores) == 19
-
-    def test_subsample_probe_matches_documented_procedure(self):
-        pool, oracle = oracle_pool(12)
-        e = pool[4]
-        est = value_estimate(e, pool, oracle, cosine_score, subsample=5, seed=21)
-        order = reference_prefix(np.random.default_rng([21, e.id]), 12, 12)
-        probe = [pool[i] for i in order if pool[i].id != e.id][:5]
-        expected = np.mean([cosine_score(oracle.predict([e], o.x), o.y) for o in probe])
-        assert est.sample_count == 5
-        assert est.value == pytest.approx(float(expected), abs=1e-12)
 
     def test_oracle_failure_scores_zero_and_counts(self):
         pool, _ = oracle_pool(4)
@@ -266,17 +255,17 @@ class TestValueEstimate:
             def predict(self, exemplars, x):
                 return np.zeros(2)
 
-        est = value_estimate(pool[0], pool, BrokenOracle(), cosine_score)
-        assert est.value == 0.0
-        assert est.failures == est.sample_count == 3
+        for est in estimate_pool_values(pool, BrokenOracle(), cosine_score):
+            assert est.value == 0.0
+            assert est.failures == est.sample_count == 3
 
     def test_rejects_tiny_pool_and_bad_subsample(self):
         pool, oracle = oracle_pool(4)
         solo = ExemplarPool([pool[0]])
         with pytest.raises(ValueError):
-            value_estimate(pool[0], solo, oracle, cosine_score)
+            estimate_pool_values(solo, oracle, cosine_score)
         with pytest.raises(ValueError):
-            value_estimate(pool[0], pool, oracle, cosine_score, subsample=4)
+            estimate_pool_values(pool, oracle, cosine_score, subsample=4)
 
 
 class TestActiveSelect:

@@ -308,11 +308,10 @@ class TestAssociativeOracle:
         np.testing.assert_array_equal(got, [[2.0], [-3.0]])
         np.testing.assert_array_equal(got, self.hnc_rows(exemplars, xs, 1e300))
 
-    def test_custom_projections_must_be_square(self):
-        e = Exemplar(id=0, x=np.zeros(2), y=np.zeros(2))
-        oracle = AssociativeOracle(gamma=1.0, xi_q=np.ones((3, 2)), xi_k=np.ones((3, 2)))
-        with pytest.raises(ValueError):
-            oracle.predict([e], np.zeros(2))
+    def test_rejects_gamma_not_finite_and_positive(self):
+        for gamma in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="^gamma must"):
+                AssociativeOracle(gamma=gamma)
 
 
 class TestBenchmarkGeometry:
