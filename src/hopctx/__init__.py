@@ -24,7 +24,6 @@ from .bounds import (
     SeparationReport,
     beta_coefficient,
     error_bound,
-    monotonicity_table,
     realized_error,
     separation,
     verify_bound,
@@ -32,13 +31,9 @@ from .bounds import (
 from .selection import (
     Exemplar,
     ExemplarPool,
-    SelectionResult,
     ValueEstimate,
     active_select,
     estimate_pool_values,
-    instance_best_select,
-    metric_select,
-    mode_pattern,
     random_select,
 )
 from .tasks import (
@@ -55,9 +50,6 @@ from .tasks import (
     make_benchmark_task,
     make_task,
     negative_error,
-    pool_from_jsonl,
-    pool_to_jsonl,
-    score,
 )
 from .experiments import (
     ExperimentConfig,

@@ -33,7 +33,6 @@ __all__ = [
     "beta_coefficient",
     "error_bound",
     "verify_bound",
-    "monotonicity_table",
     "BOUND_CSV_COLUMNS",
     "bound_report_csv_row",
 ]
@@ -217,39 +216,6 @@ def verify_bound(
     ):
         raise BoundViolationError(report, detail=f"eps={eps!r} bound={report.upper_bound!r}")
     return report
-
-
-def monotonicity_table(
-    base: BoundReport,
-    param: str,
-    values,
-) -> list[tuple[float, float, float]]:
-    """Evaluate (param, beta, bound) along a sweep of c, M or t.
-
-    The two non-swept quantities are held at the base report's values, as is
-    the instance error and ||z_max||.  Rows are sorted by the parameter.
-    """
-    if param not in ("c", "M", "t"):
-        raise ValueError(f"sweep parameter must be 'c', 'M' or 't', got {param!r}")
-    values = sorted(values)
-    if not values:
-        raise ValueError("empty sweep range")
-    rows = []
-    for v in values:
-        if param == "c":
-            if v < 0:
-                raise ValueError(f"c must be nonnegative, got {v}")
-            beta = beta_coefficient(float(v), base.m, base.t)
-        elif param == "M":
-            if v < base.t:
-                raise ValueError(f"M={v} smaller than t={base.t}")
-            beta = beta_coefficient(base.c, int(v), base.t)
-        else:
-            if not 1 <= v <= base.m:
-                raise ValueError(f"t={v} out of range [1, {base.m}]")
-            beta = beta_coefficient(base.c, base.m, int(v))
-        rows.append((float(v), beta, base.instance_error + beta * base.z_max_norm))
-    return rows
 
 
 def bound_report_csv_row(instance_id, report: BoundReport) -> list:

@@ -98,6 +98,12 @@ class ExperimentConfig:
         self.k_values = tuple(int(k) for k in self.k_values)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not 0 <= self.task_noise_sigma < math.inf:
+            raise ValueError(f"task.noise_sigma must be finite and >= 0, got {self.task_noise_sigma!r}")
+        if not self.strategies:
+            raise ValueError("strategies must name at least one strategy")
+        if not self.k_values:
+            raise ValueError("k_values must hold at least one K")
         if self.pool_size < 2:
             raise ValueError(f"pool.size must be >= 2, got {self.pool_size}")
         if self.queries_size < 1:
@@ -119,12 +125,15 @@ class ExperimentConfig:
             raise ValueError(f"oracle.kind must be 'builtin' or 'remote', got {self.oracle_kind!r}")
         if not 0 < self.oracle_gamma < math.inf:
             raise ValueError(f"oracle.gamma must be finite and > 0, got {self.oracle_gamma!r}")
-        if not all(0 < g < math.inf for g in self.bound_gamma_grid):
-            raise ValueError(f"bound.gamma_grid must hold finite values > 0, got {self.bound_gamma_grid}")
-        if any(m < 1 for m in self.bound_m_grid):
-            raise ValueError(f"bound.m_grid must hold values >= 1, got {self.bound_m_grid}")
-        if not all(0.0 <= f <= 1.0 for f in self.bound_dup_fractions):
-            raise ValueError(f"bound.dup_fractions must lie in [0, 1], got {self.bound_dup_fractions}")
+        # An empty grid or no instances would verify nothing and report success.
+        if not self.bound_gamma_grid or not all(0 < g < math.inf for g in self.bound_gamma_grid):
+            raise ValueError(f"bound.gamma_grid must be non-empty, finite and > 0, got {self.bound_gamma_grid}")
+        if not self.bound_m_grid or any(m < 1 for m in self.bound_m_grid):
+            raise ValueError(f"bound.m_grid must be non-empty and >= 1, got {self.bound_m_grid}")
+        if not self.bound_dup_fractions or not all(0.0 <= f <= 1.0 for f in self.bound_dup_fractions):
+            raise ValueError(f"bound.dup_fractions must be non-empty, in [0, 1], got {self.bound_dup_fractions}")
+        if self.bound_instances < 1:
+            raise ValueError(f"bound.instances must be >= 1, got {self.bound_instances}")
         if self.subsample != "all" and not 1 <= self.subsample <= self.pool_size - 1:
             raise ValueError(f"subsample must be 'all' or in [1, {self.pool_size - 1}], got {self.subsample}")
 
@@ -229,7 +238,8 @@ def _score_queries(y_hats, queries, score_fn) -> tuple:
 
 def _evaluate_fixed_context(oracle, context, queries, score_fn) -> tuple:
     """Per-query scores (rounded) of one context over the whole query set."""
-    return _score_queries(oracle.predict_many(context, np.stack([q.x for q in queries])), queries, score_fn)
+    xs = np.stack([q.x for q in queries])
+    return _score_queries(selection.predict_rows(oracle, context, xs), queries, score_fn)
 
 
 def _csv_text(header_comment: str, columns, rows) -> str:
@@ -369,12 +379,11 @@ def run_k_study(config: ExperimentConfig):
                 ranking = selection.active_select(
                     pool, max(config.k_values), oracle, score_fn,
                     subsample=config.subsample, seed=active_seed, matrix=pool_scores,
-                ).chosen
+                )
             for k in config.k_values:
                 trial_seed = derive_seed(config.seed, 2, trial, code, k)
                 if strategy == "random":
-                    result = selection.random_select(pool, k, seed=trial_seed)
-                    context = [pool.by_id(i) for i in result.chosen]
+                    context = [pool.by_id(i) for i in selection.random_select(pool, k, seed=trial_seed)]
                     scores = _evaluate_fixed_context(oracle, context, queries, score_fn)
                 elif strategy == "active":
                     context = [pool.by_id(i) for i in ranking[:k]]

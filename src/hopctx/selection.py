@@ -3,9 +3,10 @@
 Three families are provided: uniform random selection (the baseline),
 metric-based selection of the exemplars closest to a query, and active
 selection, which ranks exemplars by a Monte-Carlo estimate of how well each
-one predicts the rest of the pool when used as the sole context.  An
-evaluation-only "instance best" strategy ranks exemplars by their true
-per-query score against ground truth.
+one predicts the rest of the pool when used as the sole context.  Each
+returns the chosen ids as a tuple, in context order.  The evaluation-only
+"instance best" strategy of the k-study runner ranks exemplars by their true
+per-query score, a ``pool_score_matrix`` with the queries as targets.
 
 Sampling procedure (used everywhere randomness is needed, so results can be
 reproduced by an independent implementation): draw from
@@ -25,7 +26,7 @@ randomness: ``metric_rank`` ranks the pool for a batch of queries, which a
 k-study does once per run, slicing the ranking to each K for every trial.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,16 +34,12 @@ __all__ = [
     "Exemplar",
     "ExemplarPool",
     "ValueEstimate",
-    "SelectionResult",
     "sample_prefix",
     "random_select",
     "metric_rank",
-    "metric_select",
     "pool_score_matrix",
     "estimate_pool_values",
     "active_select",
-    "instance_best_select",
-    "mode_pattern",
 ]
 
 
@@ -103,16 +100,6 @@ class ValueEstimate:
     failures: int = 0
 
 
-@dataclass(frozen=True)
-class SelectionResult:
-    """Chosen exemplar ids (ordered as they should appear in the context),
-    the strategy tag, and strategy-specific diagnostics."""
-
-    chosen: tuple
-    strategy: str
-    diagnostics: dict = field(default_factory=dict)
-
-
 def sample_prefix(rng: np.random.Generator, n: int, k: int) -> list[int]:
     """First k slots of a Fisher-Yates shuffle of range(n) on the given stream."""
     idx = list(range(n))
@@ -164,23 +151,25 @@ def score_rows(score_fn, y_hats, ys) -> tuple[np.ndarray, np.ndarray]:
     return np.array([s for s, _ in pairs], dtype=np.float64), np.array([ok for _, ok in pairs], dtype=bool)
 
 
-def _predict_rows(oracle, context, xs):
+def predict_rows(oracle, context, xs):
+    """Predictions of one fixed context for every row of xs.
+
+    Uses the oracle's batched ``predict_many`` when it has one; an oracle
+    that defines only ``predict`` (the documented interface) is asked once
+    per row, in row order, and the predictions come back as a list.
+    """
     predict_many = getattr(oracle, "predict_many", None)
     if predict_many is not None:
         return predict_many(context, xs)
     return [oracle.predict(context, x) for x in xs]
 
 
-def random_select(pool: ExemplarPool, k: int, seed: int) -> SelectionResult:
-    """k distinct exemplars sampled uniformly without replacement.
-
-    Chosen ids are listed in pool order.
-    """
+def random_select(pool: ExemplarPool, k: int, seed: int) -> tuple:
+    """Ids of k distinct exemplars sampled uniformly without replacement,
+    listed in pool order."""
     _check_k(pool, k)
     rng = np.random.default_rng(seed)
-    positions = sorted(sample_prefix(rng, pool.size, k))
-    chosen = tuple(pool[i].id for i in positions)
-    return SelectionResult(chosen=chosen, strategy="random", diagnostics={"seed": seed})
+    return tuple(pool[i].id for i in sorted(sample_prefix(rng, pool.size, k)))
 
 
 def metric_rank(pool: ExemplarPool, query_xs, metric: str = "euclidean") -> tuple[np.ndarray, np.ndarray]:
@@ -209,21 +198,6 @@ def metric_rank(pool: ExemplarPool, query_xs, metric: str = "euclidean") -> tupl
     return np.lexsort((np.broadcast_to(ids, closeness.shape), -closeness), axis=1), closeness
 
 
-def metric_select(pool: ExemplarPool, k: int, query_x, metric: str = "euclidean") -> SelectionResult:
-    """The k exemplars whose x is closest to the query.
-
-    ``cosine`` maximizes cosine similarity, ``euclidean`` minimizes distance;
-    ties break by ascending id.  Chosen ids are ordered by descending
-    closeness.  A one-query ``metric_rank``.
-    """
-    _check_k(pool, k)
-    orders, closeness = metric_rank(pool, [query_x], metric)
-    top = orders[0, :k]
-    chosen = tuple(pool[i].id for i in top)
-    scores = {pool[i].id: float(closeness[0, i]) for i in top}
-    return SelectionResult(chosen=chosen, strategy="metric", diagnostics={"metric": metric, "closeness": scores})
-
-
 def pool_score_matrix(pool: ExemplarPool, oracle, score_fn, targets=None) -> tuple[np.ndarray, np.ndarray]:
     """scores[i, j]: pool[i] as the sole context exemplar, scored on targets[j].
 
@@ -235,7 +209,7 @@ def pool_score_matrix(pool: ExemplarPool, oracle, score_fn, targets=None) -> tup
     """
     targets = pool if targets is None else targets
     xs, ys = np.stack([t.x for t in targets]), np.stack([t.y for t in targets])
-    rows = [score_rows(score_fn, _predict_rows(oracle, [e], xs), ys) for e in pool]
+    rows = [score_rows(score_fn, predict_rows(oracle, [e], xs), ys) for e in pool]
     return np.stack([s for s, _ in rows]), np.stack([ok for _, ok in rows])
 
 
@@ -282,75 +256,13 @@ def active_select(
     subsample="all",
     seed: int = 0,
     matrix=None,
-) -> SelectionResult:
-    """Top-k exemplars by Monte-Carlo value, ties broken by ascending id.
-
-    Chosen ids are ordered by descending value; diagnostics carry every
-    estimate.  ``matrix`` is passed on to ``estimate_pool_values``.
+) -> tuple:
+    """Ids of the top-k exemplars by Monte-Carlo value, ordered by descending
+    value, ties by ascending id.  ``matrix`` is passed on to
+    ``estimate_pool_values``.
     """
     _check_k(pool, k)
     estimates = estimate_pool_values(pool, oracle, score_fn, subsample=subsample, seed=seed, matrix=matrix)
     ranked = sorted(estimates, key=lambda v: (-v.value, v.exemplar_id))
-    chosen = tuple(v.exemplar_id for v in ranked[:k])
-    return SelectionResult(
-        chosen=chosen,
-        strategy="active",
-        diagnostics={"values": estimates, "seed": seed, "subsample": subsample},
-    )
+    return tuple(v.exemplar_id for v in ranked[:k])
 
-
-def instance_best_select(
-    pool: ExemplarPool,
-    query: tuple,
-    k: int,
-    oracle,
-    score_fn,
-) -> SelectionResult:
-    """Evaluation-only: rank exemplars by their true score on one query.
-
-    Each exemplar is scored as the sole context for the query against the
-    ground-truth y; the top k come back in descending score order, ties by
-    ascending id.
-    """
-    _check_k(pool, k)
-    query_x, query_y = query
-    query_y = np.asarray(query_y, dtype=np.float64)
-    scored = []
-    failures = 0
-    for e in pool:
-        y_hat = oracle.predict([e], query_x)
-        s, ok = safe_score(score_fn, y_hat, query_y)
-        if not ok:
-            failures += 1
-        scored.append((e.id, s))
-    ranked = sorted(scored, key=lambda item: (-item[1], item[0]))
-    chosen = tuple(eid for eid, _ in ranked[:k])
-    return SelectionResult(
-        chosen=chosen,
-        strategy="oracle-instance-best",
-        diagnostics={"scores": dict(scored), "failures": failures},
-    )
-
-
-def mode_pattern(patterns, tolerance: float) -> tuple[np.ndarray, int]:
-    """Most frequent pattern under tolerance-equality clustering.
-
-    Patterns whose coordinates all agree within ``tolerance`` join the same
-    cluster, represented by its first member; ties between clusters break by
-    first occurrence.  Returns (representative, multiplicity).
-    """
-    patterns = [np.asarray(p, dtype=np.float64) for p in patterns]
-    if not patterns:
-        raise ValueError("mode_pattern needs a non-empty pattern list")
-    reps: list[np.ndarray] = []
-    counts: list[int] = []
-    for p in patterns:
-        for i, rep in enumerate(reps):
-            if p.shape == rep.shape and np.all(np.abs(p - rep) <= tolerance):
-                counts[i] += 1
-                break
-        else:
-            reps.append(p)
-            counts.append(1)
-    best = max(range(len(reps)), key=lambda i: (counts[i], -i))
-    return reps[best], counts[best]

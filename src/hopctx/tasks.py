@@ -9,7 +9,6 @@ themselves, so every experiment runs fully locally; an HTTP adapter lets a
 remote predictor stand in behind the same interface.
 """
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -31,12 +30,9 @@ __all__ = [
     "exact_match",
     "negative_error",
     "get_score_fn",
-    "score",
     "make_task",
     "make_benchmark_task",
     "generate_pool",
-    "pool_to_jsonl",
-    "pool_from_jsonl",
 ]
 
 
@@ -64,8 +60,8 @@ class TaskSpec:
             raise ValueError(f"unknown task kind {self.kind!r}")
         if self.kind == "key-value-association" and self.d % 2 != 0:
             raise ValueError("key-value-association needs an even d (split at d//2)")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and nonnegative, got {self.noise_sigma!r}")
         object.__setattr__(self, "prototypes", protos)
         if protos.shape[0] > 1:
             dists = [
@@ -209,13 +205,6 @@ def get_score_fn(tag: str):
     return SCORE_TAGS[tag]
 
 
-def score(fn, y_hat, y) -> float:
-    """Score a prediction with a tag or a callable."""
-    if callable(fn):
-        return float(fn(y_hat, y))
-    return float(get_score_fn(fn)(y_hat, y))
-
-
 # ---------------------------------------------------------------------------
 # Oracles
 # ---------------------------------------------------------------------------
@@ -226,14 +215,12 @@ class OracleFailure(RuntimeError):
 
 
 class CompletionOracle:
-    """Interface: predict(context_exemplars, x) -> prediction vector."""
+    """Interface: predict(context_exemplars, x) -> prediction vector.  An
+    oracle may add a batched ``predict_many(context_exemplars, xs)``;
+    ``selection.predict_rows`` uses it when present."""
 
     def predict(self, context_exemplars, x) -> np.ndarray:
         raise NotImplementedError
-
-    def predict_many(self, context_exemplars, xs) -> np.ndarray:
-        """Batch of predictions for one fixed context (default: loop)."""
-        return np.stack([self.predict(context_exemplars, x) for x in xs])
 
 
 class AssociativeOracle(CompletionOracle):
@@ -445,31 +432,3 @@ def generate_pool(
         queries.append(QuerySample(x=x, y=y, latent_id=latent))
     return ExemplarPool(exemplars), queries
 
-
-def pool_to_jsonl(pool: ExemplarPool) -> str:
-    """One exemplar per line: {"id": ..., "x": [...], "y": [...], "latent_id": ...}."""
-    lines = []
-    for e in pool:
-        lines.append(json.dumps({
-            "id": e.id,
-            "x": e.x.tolist(),
-            "y": e.y.tolist(),
-            "latent_id": e.latent_id,
-        }))
-    return "\n".join(lines) + "\n"
-
-
-def pool_from_jsonl(text: str) -> ExemplarPool:
-    exemplars = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        rec = json.loads(line)
-        exemplars.append(Exemplar(
-            id=int(rec["id"]),
-            x=np.asarray(rec["x"], dtype=np.float64),
-            y=np.asarray(rec["y"], dtype=np.float64),
-            latent_id=rec.get("latent_id"),
-        ))
-    return ExemplarPool(exemplars)

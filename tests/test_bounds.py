@@ -15,7 +15,6 @@ from hopctx import (
     beta_coefficient,
     error_bound,
     hnc_retrieve,
-    monotonicity_table,
     realized_error,
     separation,
     verify_bound,
@@ -250,56 +249,6 @@ class TestVerifyBound:
         with pytest.raises(BoundViolationError) as excinfo:
             bounds_module.verify_bound(model, ctx, query, [1.0, 0.0], target_index=0)
         assert excinfo.value.report.realized_error > excinfo.value.report.upper_bound
-
-
-class TestMonotonicityTable:
-    def base_report(self, m=2, t=1):
-        cols = [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [-0.5, 0.25]][:m]
-        model, ctx, query = identity_instance(cols, [1.0, 0.0])
-        sep = separation(query, ctx, model, target_index=0)
-        return error_bound(sep, gamma=1.0, instance_error=0.0, z_max_norm=1.0)
-
-    def test_c_sweep_frozen_values(self):
-        rows = monotonicity_table(self.base_report(), "c", [0.0, 0.5, 1.0])
-        betas = [b for _, b, _ in rows]
-        assert betas[0] == 0.0
-        assert betas[1] == pytest.approx(0.8333333333333334, abs=1e-12)
-        assert betas[2] == pytest.approx(1.5, abs=1e-12)
-
-    def test_m_sweep_with_zero_c_is_constant(self):
-        col = [1.0, 0.0]
-        model, ctx, query = identity_instance([col, col], [1.0, 0.0])
-        sep = separation(query, ctx, model, target_index=0)
-        base = error_bound(sep, gamma=1.0, instance_error=0.2, z_max_norm=3.0)
-        assert base.c == 0.0
-        rows = monotonicity_table(base, "M", [2, 4, 8, 16])
-        assert all(b == 0.0 for _, b, _ in rows)
-        assert all(bound == 0.2 for _, _, bound in rows)
-
-    def test_t_sweep_strictly_decreasing(self):
-        # Fixed c=0.5, M=8 via a rewritten base report.
-        from dataclasses import replace
-
-        base = replace(self.base_report(), c=0.5, m=8, t=1)
-        rows = monotonicity_table(base, "t", [1, 2, 4])
-        betas = [b for _, b, _ in rows]
-        assert betas == pytest.approx([4.277777777777778, 3.6, 2.3333333333333335], abs=1e-12)
-        assert betas[0] > betas[1] > betas[2]
-
-    def test_rows_sorted_by_parameter(self):
-        rows = monotonicity_table(self.base_report(), "c", [1.0, 0.25, 0.5])
-        assert [r[0] for r in rows] == [0.25, 0.5, 1.0]
-
-    def test_rejects_invalid_sweeps(self):
-        base = self.base_report()
-        with pytest.raises(ValueError):
-            monotonicity_table(base, "gamma", [1.0])
-        with pytest.raises(ValueError):
-            monotonicity_table(base, "c", [])
-        with pytest.raises(ValueError):
-            monotonicity_table(base, "c", [-1.0])
-        with pytest.raises(ValueError):
-            monotonicity_table(base, "M", [0])
 
 
 class TestCsvRow:

@@ -1,7 +1,9 @@
-"""CLI subcommands, exit codes, and output files."""
+"""CLI subcommands, exit codes, output files, and the package's public names."""
 
+import importlib
 import json
 import os
+import pkgutil
 import socket
 import subprocess
 import sys
@@ -160,3 +162,9 @@ def test_local_commands_do_not_import_http_stack(small_config_file, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(hopctx.__path__)))
+def test_every_all_entry_exists(name):
+    module = importlib.import_module(f"hopctx.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []

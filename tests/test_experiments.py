@@ -10,7 +10,6 @@ from hopctx import (
     active_select,
     cosine_score,
     derive_seed,
-    metric_select,
     run_bound_sweep,
     run_k_study,
     run_strategy_comparison,
@@ -90,6 +89,15 @@ class TestConfig:
         ("bound.m_grid", "0,8"),
         ("bound.dup_fractions", "-0.5"),
         ("bound.dup_fractions", "0,1.5"),
+        ("task.noise_sigma", "nan"),
+        ("task.noise_sigma", "inf"),
+        ("task.noise_sigma", "-0.1"),
+        ("bound.instances", "0"),
+        ("bound.gamma_grid", ""),
+        ("bound.m_grid", ""),
+        ("bound.dup_fractions", ""),
+        ("strategies", ""),
+        ("k_values", ""),
     ])
     def test_bad_value_rejected_naming_key(self, key, value):
         mapping = {"k_values": "1", "subsample": "all", key: value}
@@ -205,14 +213,14 @@ class TestKStudy:
             direct = active_select(pool, k, oracle, cosine_score, subsample=config.subsample,
                                    seed=active_seed)
             rec = next(r for r in records if r.k == k)
-            context = [pool.by_id(i) for i in direct.chosen]
+            context = [pool.by_id(i) for i in direct]
             xs = np.stack([q.x for q in queries])
             y_hats = oracle.predict_many(context, xs)
             expected = [round(float(cosine_score(y_hat, q.y)), 12) for y_hat, q in zip(y_hats, queries)]
             assert list(rec.per_query_scores) == expected
 
     def test_instance_best_matches_per_query_selector(self):
-        from hopctx import AssociativeOracle, generate_pool, instance_best_select
+        from hopctx import AssociativeOracle, generate_pool
         from hopctx.experiments import _build_task, derive_seed
 
         config = small_config(trials=1, k_values=(2,), strategies=("instance-best",))
@@ -224,8 +232,9 @@ class TestKStudy:
         records, _ = run_k_study(config)
         rec = records[0]
         for j, q in enumerate(queries):
-            direct = instance_best_select(pool, (q.x, q.y), 2, oracle, cosine_score)
-            context = [pool.by_id(i) for i in direct.chosen]
+            # Brute force: every exemplar as the sole context, sorted by (-score, id).
+            scores = {e.id: float(cosine_score(oracle.predict([e], q.x), q.y)) for e in pool}
+            context = [pool.by_id(i) for i in sorted(sorted(scores), key=lambda i: -scores[i])[:2]]
             expected = round(float(cosine_score(oracle.predict(context, q.x), q.y)), 12)
             assert rec.per_query_scores[j] == expected
 
@@ -245,8 +254,8 @@ class TestKStudy:
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     def test_metric_records_match_per_trial_selector(self, metric):
-        """The once-per-run ranking gives the records of metric_select and a
-        one-row predict per query, trial by trial."""
+        """The once-per-run ranking gives the records of a per-query metric
+        sort and a one-row predict per query, trial by trial."""
         from hopctx import AssociativeOracle, generate_pool
         from hopctx.experiments import _build_task
 
@@ -257,14 +266,19 @@ class TestKStudy:
         )
         oracle = AssociativeOracle(gamma=config.oracle_gamma, y_dim=task.y_dim)
         records, _ = run_k_study(config)
+        xs = np.stack([e.x for e in pool])
         got = {(r.trial_index, r.k): r for r in records if r.strategy == "metric"}
         assert len(got) == config.trials * len(config.k_values)
         for trial in range(config.trials):
             for k in config.k_values:
                 expected = []
                 for q in queries:
-                    chosen = metric_select(pool, k, q.x, metric=metric).chosen
-                    y_hat = oracle.predict([pool.by_id(i) for i in chosen], q.x)
+                    if metric == "euclidean":
+                        closeness = -np.linalg.norm(xs - q.x, axis=1)
+                    else:
+                        closeness = (xs @ q.x) / (np.linalg.norm(xs, axis=1) * np.linalg.norm(q.x))
+                    order = sorted(range(pool.size), key=lambda i: (-closeness[i], pool[i].id))
+                    y_hat = oracle.predict([pool[i] for i in order[:k]], q.x)
                     expected.append(round(float(cosine_score(y_hat, q.y)), 12))
                 rec = got[trial, k]
                 assert list(rec.per_query_scores) == expected

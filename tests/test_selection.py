@@ -13,12 +13,10 @@ from hopctx import (
     cosine_score,
     estimate_pool_values,
     exact_match,
-    instance_best_select,
-    metric_select,
-    mode_pattern,
     negative_error,
     random_select,
 )
+from hopctx.experiments import _instance_best_orders
 from hopctx.selection import metric_rank, pool_score_matrix, safe_score
 
 
@@ -61,8 +59,7 @@ def oracle_pool(n=20, seed=13):
 class TestRandomSelect:
     def test_k_equals_pool_size_returns_everything(self):
         pool = vector_pool(6)
-        result = random_select(pool, 6, seed=0)
-        assert sorted(result.chosen) == [e.id for e in pool]
+        assert sorted(random_select(pool, 6, seed=0)) == [e.id for e in pool]
 
     def test_deterministic_for_same_seed(self):
         pool = vector_pool(10)
@@ -72,14 +69,13 @@ class TestRandomSelect:
 
     def test_matches_reference_sampler(self):
         pool = vector_pool(10)
-        result = random_select(pool, 3, seed=42)
         expected = sorted(pool[i].id for i in reference_prefix(42, 10, 3))
-        assert list(result.chosen) == expected
+        assert list(random_select(pool, 3, seed=42)) == expected
 
     def test_chosen_in_pool_order(self):
         pool = vector_pool(25)
-        result = random_select(pool, 10, seed=3)
-        positions = [next(i for i, e in enumerate(pool) if e.id == c) for c in result.chosen]
+        chosen = random_select(pool, 10, seed=3)
+        positions = [next(i for i, e in enumerate(pool) if e.id == c) for c in chosen]
         assert positions == sorted(positions)
 
     def test_rejects_out_of_range_k(self):
@@ -93,33 +89,36 @@ class TestRandomSelect:
         pool = vector_pool(5)
         counts = np.zeros(5)
         for seed in range(2000):
-            for chosen in random_select(pool, 2, seed=seed).chosen:
+            for chosen in random_select(pool, 2, seed=seed):
                 counts[chosen] += 1
         # Each id should appear ~800 times out of 2000 draws of 2-of-5.
         assert np.all(np.abs(counts - 800) < 100)
+
+
+def metric_top(pool, k, query_x, metric="euclidean"):
+    """Ids of the k closest exemplars, from a one-query ``metric_rank``."""
+    orders, _ = metric_rank(pool, [query_x], metric)
+    return tuple(pool[i].id for i in orders[0, :k])
 
 
 class TestMetricSelect:
     def test_exact_match_wins_at_k1(self):
         pool = vector_pool(8)
         target = pool[5]
-        result = metric_select(pool, 1, target.x, metric="euclidean")
-        assert result.chosen == (target.id,)
+        assert metric_top(pool, 1, target.x) == (target.id,)
 
     def test_equidistant_ties_break_by_ascending_id(self):
         pool = ExemplarPool([
             Exemplar(id=i, x=np.array([np.cos(a), np.sin(a)]), y=np.zeros(1))
             for i, a in enumerate([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
         ])
-        result = metric_select(pool, 2, np.array([0.0, 0.0]), metric="euclidean")
-        assert result.chosen == (0, 1)
+        assert metric_top(pool, 2, np.array([0.0, 0.0])) == (0, 1)
 
     def test_matches_brute_force_sort(self):
         pool = vector_pool(8, seed=5)
         query = np.array([0.25, -0.5])
-        result = metric_select(pool, 3, query, metric="euclidean")
         brute = sorted(pool, key=lambda e: (np.linalg.norm(e.x - query), e.id))
-        assert list(result.chosen) == [e.id for e in brute[:3]]
+        assert list(metric_top(pool, 3, query)) == [e.id for e in brute[:3]]
 
     def test_cosine_ranking(self):
         pool = ExemplarPool([
@@ -127,20 +126,19 @@ class TestMetricSelect:
             Exemplar(id=1, x=np.array([10.0, 1.0]), y=np.zeros(1)),
             Exemplar(id=2, x=np.array([0.0, 1.0]), y=np.zeros(1)),
         ])
-        result = metric_select(pool, 2, np.array([1.0, 0.0]), metric="cosine")
-        assert result.chosen == (0, 1)
+        assert metric_top(pool, 2, np.array([1.0, 0.0]), metric="cosine") == (0, 1)
 
     def test_cosine_rejects_zero_vectors(self):
         pool = vector_pool(4)
         with pytest.raises(ValueError):
-            metric_select(pool, 1, np.zeros(2), metric="cosine")
+            metric_rank(pool, [np.zeros(2)], "cosine")
 
     def test_rejects_unknown_metric_and_bad_query(self):
         pool = vector_pool(4)
         with pytest.raises(ValueError):
-            metric_select(pool, 1, np.zeros(2), metric="manhattan")
+            metric_rank(pool, [np.zeros(2)], "manhattan")
         with pytest.raises(ValueError):
-            metric_select(pool, 1, np.zeros(3), metric="euclidean")
+            metric_rank(pool, [np.zeros(3)], "euclidean")
 
 
 def reference_metric_select(pool, k, query_x, metric):
@@ -169,7 +167,7 @@ coordinate = st.one_of(
 
 
 def check_rank_against_reference(pool, queries, k, metric):
-    """Batched ranker rows and one-query metric_select both equal the
+    """Batched ranker rows and one-query ranker calls both equal the
     reference, bit for bit; a reference ValueError must be raised too."""
     try:
         refs = [reference_metric_select(pool, k, q, metric) for q in queries]
@@ -180,11 +178,10 @@ def check_rank_against_reference(pool, queries, k, metric):
     orders, closeness = metric_rank(pool, queries, metric)
     assert orders.shape == closeness.shape == (len(queries), pool.size)
     for j, (q, (ref_order, ref_closeness)) in enumerate(zip(queries, refs)):
-        result = metric_select(pool, k, q, metric=metric)
-        assert orders[j].tolist() == ref_order
-        assert [float(closeness[j, i]).hex() for i in orders[j, :k]] == ref_closeness
-        assert result.chosen == tuple(pool[i].id for i in ref_order[:k])
-        assert [result.diagnostics["closeness"][i].hex() for i in result.chosen] == ref_closeness
+        one_order, one_closeness = metric_rank(pool, [q], metric)
+        for row_order, row_closeness in ((orders[j], closeness[j]), (one_order[0], one_closeness[0])):
+            assert row_order.tolist() == ref_order
+            assert [float(row_closeness[i]).hex() for i in row_order[:k]] == ref_closeness
 
 
 class TestMetricRank:
@@ -271,10 +268,9 @@ class TestValueEstimate:
 class TestActiveSelect:
     def test_pool_of_two_picks_higher_single_term_value(self):
         pool, oracle = oracle_pool(2, seed=3)
-        result = active_select(pool, 1, oracle, cosine_score)
-        values = {v.exemplar_id: v.value for v in result.diagnostics["values"]}
+        values = {v.exemplar_id: v.value for v in estimate_pool_values(pool, oracle, cosine_score)}
         best = max(sorted(values), key=lambda i: values[i])
-        assert result.chosen == (best,)
+        assert active_select(pool, 1, oracle, cosine_score) == (best,)
 
     def test_dominant_exemplar_ranks_first(self):
         target = np.array([1.0, 0.0])
@@ -282,12 +278,11 @@ class TestActiveSelect:
         exemplars.append(Exemplar(id=5, x=np.array([1.0, 0.0]), y=np.array([-1.0, 0.0])))
         pool = ExemplarPool(exemplars)
         oracle = AssociativeOracle(gamma=4.0, y_dim=2)
-        result = active_select(pool, 1, oracle, cosine_score)
-        assert result.chosen[0] != 5
+        assert active_select(pool, 1, oracle, cosine_score)[0] != 5
 
     def test_matches_independent_rerun_of_documented_procedure(self):
         pool, oracle = oracle_pool(20, seed=13)
-        result = active_select(pool, 5, oracle, cosine_score, subsample=10, seed=13)
+        chosen = active_select(pool, 5, oracle, cosine_score, subsample=10, seed=13)
         shared = reference_prefix(np.random.default_rng(13), 20, 20)
         values = {}
         for e in pool:
@@ -296,14 +291,14 @@ class TestActiveSelect:
                 cosine_score(oracle.predict([e], o.x), o.y) for o in probe
             ]))
         expected = sorted(sorted(values), key=lambda i: -values[i])[:5]
-        assert list(result.chosen) == expected
+        assert list(chosen) == expected
 
     def test_full_subsample_invariant_to_pool_order(self):
         pool, oracle = oracle_pool(10, seed=2)
         reversed_pool = ExemplarPool(list(pool)[::-1])
         a = active_select(pool, 3, oracle, cosine_score, subsample="all", seed=0)
         b = active_select(reversed_pool, 3, oracle, cosine_score, subsample="all", seed=0)
-        assert a.chosen == b.chosen
+        assert a == b
 
     def test_shared_probe_within_one_call(self):
         pool, oracle = oracle_pool(10, seed=4)
@@ -390,35 +385,42 @@ class TestPoolScoreMatrix:
     def test_default_builds_the_same_matrix(self):
         pool, oracle = oracle_pool(12, seed=5)
         matrix = pool_score_matrix(pool, oracle, cosine_score)
-        a = active_select(pool, 4, oracle, cosine_score, subsample=5, seed=3)
-        b = active_select(pool, 4, oracle, cosine_score, subsample=5, seed=3, matrix=matrix)
-        assert a.chosen == b.chosen and a.diagnostics["values"] == b.diagnostics["values"]
+        a = estimate_pool_values(pool, oracle, cosine_score, subsample=5, seed=3)
+        b = estimate_pool_values(pool, oracle, cosine_score, subsample=5, seed=3, matrix=matrix)
+        assert a == b
+        assert active_select(pool, 4, oracle, cosine_score, subsample=5, seed=3) == \
+            active_select(pool, 4, oracle, cosine_score, subsample=5, seed=3, matrix=matrix)
+
+
+def instance_best(pool, query, k, oracle, score_fn):
+    """Ids of the k best exemplars on one (x, y) query, ranked the way the
+    k-study runner ranks instance-best: the query's column of the score
+    matrix, by descending score, ties by ascending id."""
+    target = Exemplar(id=0, x=query[0], y=query[1])
+    scores, _ = pool_score_matrix(pool, oracle, score_fn, targets=[target])
+    return tuple(pool[i].id for i in _instance_best_orders(scores, pool)[:k, 0])
 
 
 class TestInstanceBest:
     def test_identical_exemplar_chosen(self):
         pool, oracle = oracle_pool(10, seed=6)
         target = pool[3]
-        result = instance_best_select(pool, (target.x, target.y), 1, oracle, cosine_score)
-        chosen = pool.by_id(result.chosen[0])
+        chosen = pool.by_id(instance_best(pool, (target.x, target.y), 1, oracle, cosine_score)[0])
         assert cosine_score(oracle.predict([chosen], target.x), target.y) == pytest.approx(1.0, abs=1e-12)
 
     def test_all_equal_scores_tie_break_to_smallest_ids(self):
         pool, oracle = oracle_pool(6)
-        result = instance_best_select(
-            pool, (pool[0].x, pool[0].y), 3, oracle, lambda y_hat, y: 0.5
-        )
-        assert result.chosen == (0, 1, 2)
+        assert instance_best(pool, (pool[0].x, pool[0].y), 3, oracle, lambda y_hat, y: 0.5) == (0, 1, 2)
 
     def test_matches_brute_force_ranking(self):
         pool, oracle = oracle_pool(20, seed=13)
         query = (np.array([0.9, 0.1]), np.array([1.0, 0.0]))
-        result = instance_best_select(pool, query, 3, oracle, cosine_score)
+        chosen = instance_best(pool, query, 3, oracle, cosine_score)
         scores = {
             e.id: cosine_score(oracle.predict([e], query[0]), query[1]) for e in pool
         }
         expected = sorted(sorted(scores), key=lambda i: -scores[i])[:3]
-        assert list(result.chosen) == expected
+        assert list(chosen) == expected
 
     def test_k1_choice_dominates_every_other_strategy(self):
         # Instance-best maximizes the scored objective, so its K=1 pick is at
@@ -428,53 +430,16 @@ class TestInstanceBest:
         for _ in range(10):
             query_x = rng.standard_normal(2)
             query_y = rng.standard_normal(2)
-            best = instance_best_select(pool, (query_x, query_y), 1, oracle, cosine_score)
-            best_score = cosine_score(oracle.predict([pool.by_id(best.chosen[0])], query_x), query_y)
+            best = instance_best(pool, (query_x, query_y), 1, oracle, cosine_score)
+            best_score = cosine_score(oracle.predict([pool.by_id(best[0])], query_x), query_y)
             rivals = [
-                random_select(pool, 1, seed=3).chosen[0],
-                metric_select(pool, 1, query_x).chosen[0],
-                active_select(pool, 1, oracle, cosine_score).chosen[0],
+                random_select(pool, 1, seed=3)[0],
+                metric_top(pool, 1, query_x)[0],
+                active_select(pool, 1, oracle, cosine_score)[0],
             ]
             for rival in rivals:
                 rival_score = cosine_score(oracle.predict([pool.by_id(rival)], query_x), query_y)
                 assert best_score >= rival_score - 1e-12
-
-
-class TestModePattern:
-    def test_all_identical(self):
-        p = np.array([1.0, 2.0])
-        rep, count = mode_pattern([p, p.copy(), p.copy()], tolerance=1e-9)
-        np.testing.assert_array_equal(rep, p)
-        assert count == 3
-
-    def test_majority_of_three(self):
-        a = np.array([1.0, 0.0])
-        b = np.array([0.0, 1.0])
-        rep, count = mode_pattern([a, a.copy(), b], tolerance=1e-9)
-        np.testing.assert_array_equal(rep, a)
-        assert count == 2
-
-    def test_tie_breaks_to_first_occurrence(self):
-        a = np.array([1.0])
-        b = np.array([2.0])
-        rep, count = mode_pattern([b, a, b.copy(), a.copy()], tolerance=1e-9)
-        np.testing.assert_array_equal(rep, b)
-        assert count == 2
-
-    def test_noisy_prototype_clusters_match_exact_grouping(self):
-        rng = np.random.default_rng(31)
-        prototypes = [np.array([5.0, 0.0]), np.array([0.0, 5.0]), np.array([-5.0, -5.0])]
-        assignments = rng.integers(0, 3, size=50)
-        patterns = [prototypes[a] + 1e-8 * rng.standard_normal(2) for a in assignments]
-        rep, count = mode_pattern(patterns, tolerance=1e-4)
-        counts = np.bincount(assignments, minlength=3)
-        best = int(np.argmax(counts))
-        assert count == counts[best]
-        assert np.linalg.norm(rep - prototypes[best]) < 1e-3
-
-    def test_rejects_empty_list(self):
-        with pytest.raises(ValueError):
-            mode_pattern([], tolerance=1e-9)
 
 
 class TestPoolValidation:

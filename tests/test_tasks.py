@@ -23,11 +23,8 @@ from hopctx import (
     make_benchmark_task,
     make_task,
     negative_error,
-    pool_from_jsonl,
-    pool_to_jsonl,
-    score,
 )
-from hopctx.selection import safe_score
+from hopctx.selection import safe_score, score_rows
 
 
 def reference_single_retrieval(exemplars, x, gamma):
@@ -62,9 +59,12 @@ class TestScoreFunctions:
         assert got == pytest.approx(-1.4142135623730951, abs=1e-12)
 
     def test_dispatch_by_tag_and_callable(self):
-        y = np.array([1.0, 0.0])
-        assert score("exact-match", y, y) == 1.0
-        assert score(lambda a, b: 0.25, y, y) == 0.25
+        # A tag resolves to its built-in (batched rows form); any other
+        # callable is scored row by row.
+        ys = np.array([[1.0, 0.0]])
+        assert get_score_fn("exact-match") is exact_match
+        assert score_rows(get_score_fn("exact-match"), ys, ys)[0].tolist() == [1.0]
+        assert score_rows(lambda a, b: 0.25, ys, ys)[0].tolist() == [0.25]
         with pytest.raises(ValueError):
             get_score_fn("f1")
 
@@ -140,6 +140,11 @@ class TestTaskSpec:
         protos = np.array([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
             TaskSpec(kind="prototype-completion", d=2, prototypes=protos, noise_sigma=0.0)
+
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    def test_rejects_negative_or_non_finite_noise(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma must"):
+            TaskSpec(kind="prototype-completion", d=2, prototypes=np.eye(2), noise_sigma=sigma)
 
     def test_warns_when_prototypes_too_close(self):
         protos = np.array([[1.0, 0.0], [1.0, 0.3]])
@@ -334,24 +339,3 @@ class TestBenchmarkGeometry:
     def test_rejects_undersized_dimension(self):
         with pytest.raises(ValueError):
             make_benchmark_task(p=5, d=8)
-
-
-class TestPoolSerialization:
-    def test_jsonl_roundtrip(self):
-        spec = make_benchmark_task(p=3, d=8)
-        pool, _ = generate_pool(spec, 6, seed=11)
-        text = pool_to_jsonl(pool)
-        back = pool_from_jsonl(text)
-        assert back.size == pool.size
-        for a, b in zip(pool, back):
-            assert a.id == b.id and a.latent_id == b.latent_id
-            np.testing.assert_array_equal(a.x, b.x)
-            np.testing.assert_array_equal(a.y, b.y)
-
-    def test_jsonl_line_schema(self):
-        import json
-
-        spec = make_benchmark_task(p=3, d=8)
-        pool, _ = generate_pool(spec, 3, seed=11)
-        first = json.loads(pool_to_jsonl(pool).splitlines()[0])
-        assert set(first) == {"id", "x", "y", "latent_id"}
