@@ -102,14 +102,16 @@ class ExperimentConfig:
             raise ValueError(f"task.noise_sigma must be finite and >= 0, got {self.task_noise_sigma!r}")
         if not self.strategies:
             raise ValueError("strategies must name at least one strategy")
+        if len(set(self.strategies)) != len(self.strategies):
+            raise ValueError(f"strategies must not repeat an entry, got {self.strategies}")
         if not self.k_values:
             raise ValueError("k_values must hold at least one K")
         if self.pool_size < 2:
             raise ValueError(f"pool.size must be >= 2, got {self.pool_size}")
         if self.queries_size < 1:
             raise ValueError(f"queries.size must be >= 1, got {self.queries_size}")
-        if list(self.k_values) != sorted(self.k_values):
-            raise ValueError("k_values must be sorted ascending")
+        if list(self.k_values) != sorted(set(self.k_values)):
+            raise ValueError(f"k_values must be strictly ascending (no repeats), got {self.k_values}")
         if any(k < 1 or k > self.pool_size for k in self.k_values):
             raise ValueError("every k must satisfy 1 <= k <= pool.size")
         if self.subsample != "all":
@@ -123,6 +125,8 @@ class ExperimentConfig:
             raise ValueError(f"score must be one of {sorted(tasks.SCORE_TAGS)}, got {self.score!r}")
         if self.oracle_kind not in ("builtin", "remote"):
             raise ValueError(f"oracle.kind must be 'builtin' or 'remote', got {self.oracle_kind!r}")
+        if self.oracle_endpoint:
+            tasks.split_endpoint(self.oracle_endpoint)
         if not 0 < self.oracle_gamma < math.inf:
             raise ValueError(f"oracle.gamma must be finite and > 0, got {self.oracle_gamma!r}")
         # An empty grid or no instances would verify nothing and report success.
@@ -221,8 +225,10 @@ def _build_task(config: ExperimentConfig) -> tasks.TaskSpec:
 def _build_oracle(config: ExperimentConfig, task: tasks.TaskSpec):
     if config.oracle_kind == "builtin":
         return tasks.AssociativeOracle(gamma=config.oracle_gamma, y_dim=task.y_dim)
+    # Checked here rather than in ExperimentConfig: a remote config may be
+    # built and validated before its endpoint is known.
     if not config.oracle_endpoint:
-        raise ValueError("oracle.kind=remote needs oracle.endpoint")
+        raise ValueError("oracle.endpoint must be set when oracle.kind=remote")
     return tasks.RemoteOracle(config.oracle_endpoint)
 
 

@@ -9,7 +9,9 @@ themselves, so every experiment runs fully locally; an HTTP adapter lets a
 remote predictor stand in behind the same interface.
 """
 
+import json
 import math
+import urllib.parse
 import warnings
 from dataclasses import dataclass
 
@@ -271,25 +273,49 @@ class AssociativeOracle(CompletionOracle):
         return u_new[:, d_x:]
 
 
+def split_endpoint(endpoint: str) -> tuple[str, str, int | None, str]:
+    """(scheme, host, port, path with query) of an http:// or https:// URL;
+    ``ValueError`` naming ``oracle.endpoint`` for anything else."""
+    try:
+        # Percent-encoding is the caller's job: http.client sends the URL as is.
+        if not endpoint.isascii() or not endpoint.isprintable() or " " in endpoint:
+            raise ValueError
+        parts = urllib.parse.urlsplit(endpoint)
+        port = parts.port  # raises on a non-numeric or out-of-range port
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError
+    except ValueError:
+        raise ValueError(
+            "oracle.endpoint must be an http:// or https:// URL of printable ASCII "
+            f"with a host and a valid port, got {endpoint!r}"
+        ) from None
+    path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    return parts.scheme, parts.hostname, port, path
+
+
 class RemoteOracle(CompletionOracle):
     """HTTP adapter: POST one JSON request per prediction.
 
     Request body:  {"exemplars": [{"x": [...], "y": [...]}, ...], "query": [...]}
     Response body: {"prediction": [...]}
-    Non-2xx status, malformed bodies, a prediction whose length differs from
-    the context's y, or exhausted retries raise ``OracleFailure``.
+    Each attempt opens one connection and asks the server to close it
+    (``Connection: close``).  A transport error or a non-2xx status is retried
+    up to ``max_retries`` times; a non-finite input, a malformed body, a
+    prediction whose length differs from the context's y, or exhausted
+    retries raise ``OracleFailure``.
     """
 
     def __init__(self, endpoint: str, timeout: float = 10.0, max_retries: int = 2):
         self.endpoint = endpoint
+        self._scheme, self._host, self._port, self._path = split_endpoint(endpoint)
         self.timeout = float(timeout)
         self.max_retries = int(max_retries)
         self._request_counter = 0
 
     def predict(self, context_exemplars, x) -> np.ndarray:
         # Imported here, not at module level, so that runs with a local oracle
-        # never load the HTTP stack (requests, urllib3, idna, certifi, ...).
-        import requests
+        # never load the HTTP stack (http.client, ssl, email, ...).
+        import http.client
 
         context_exemplars = list(context_exemplars)
         self._request_counter += 1
@@ -301,20 +327,31 @@ class RemoteOracle(CompletionOracle):
             ],
             "query": np.asarray(x, dtype=float).tolist(),
         }
+        try:
+            data = json.dumps(body, allow_nan=False).encode()
+        except ValueError as exc:
+            raise OracleFailure(f"request {request_id}: input is not finite ({exc})") from exc
+        headers = {"Content-Type": "application/json", "Connection": "close"}
+        connection_class = (
+            http.client.HTTPSConnection if self._scheme == "https" else http.client.HTTPConnection
+        )
         last_error = None
         for _ in range(self.max_retries + 1):
+            conn = connection_class(self._host, self._port, timeout=self.timeout)
             try:
-                resp = requests.post(self.endpoint, json=body, timeout=self.timeout)
-            except requests.RequestException as exc:
+                conn.request("POST", self._path, body=data, headers=headers)
+                resp = conn.getresponse()
+                status, raw = resp.status, resp.read()
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
-            if not 200 <= resp.status_code < 300:
-                last_error = OracleFailure(
-                    f"request {request_id}: status {resp.status_code} from {self.endpoint}"
-                )
+            finally:
+                conn.close()
+            if not 200 <= status < 300:
+                last_error = OracleFailure(f"request {request_id}: status {status} from {self.endpoint}")
                 continue
             try:
-                payload = resp.json()
+                payload = json.loads(raw)
             except ValueError as exc:
                 raise OracleFailure(f"request {request_id}: response is not JSON ({exc})") from exc
             if not isinstance(payload, dict) or "prediction" not in payload:

@@ -144,8 +144,22 @@ def test_refused_remote_oracle_is_oracle_error(small_config_file, tmp_path, caps
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("setting", [
+    "oracle.endpoint=localhost:1/predict", "k_values=1,1", "strategies=random,random",
+])
+def test_bad_remote_or_repeated_setting_is_usage_error(small_config_file, tmp_path, capsys, setting):
+    code = cli_main([
+        "k-study", "--config", str(small_config_file), "--set", "oracle.kind=remote",
+        "--set", setting, "--output", str(tmp_path / "r.csv"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {setting.partition('=')[0]} must")
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_local_commands_do_not_import_http_stack(small_config_file, tmp_path):
-    # A fresh interpreter: this process may already have requests loaded.
+    # A fresh interpreter: this process may already have the HTTP stack loaded.
     code = (
         "import sys\n"
         "from hopctx.cli import cli_main\n"
@@ -153,7 +167,7 @@ def test_local_commands_do_not_import_http_stack(small_config_file, tmp_path):
         "assert cli_main(['bound-sweep', '--config', cfg, '--output', out + '/b.csv']) == 0\n"
         "assert cli_main(['k-study', '--config', cfg, '--set', 'trials=1',\n"
         "                 '--output', out + '/k.csv']) == 0\n"
-        "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))\n"
+        "print(sorted(m for m in ('http.client', 'requests', 'urllib3') if m in sys.modules))\n"
     )
     path = [str(Path(hopctx.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))

@@ -98,6 +98,15 @@ class TestConfig:
         ("bound.dup_fractions", ""),
         ("strategies", ""),
         ("k_values", ""),
+        ("strategies", "random,active,random"),
+        ("k_values", "1,1"),
+        ("k_values", "1,2,2"),
+        ("oracle.endpoint", "localhost:1/predict"),
+        ("oracle.endpoint", "ftp://127.0.0.1/predict"),
+        ("oracle.endpoint", "http:///predict"),
+        ("oracle.endpoint", "http://127.0.0.1:port/predict"),
+        ("oracle.endpoint", "http://127.0.0.1:70000/predict"),
+        ("oracle.endpoint", "http://127.0.0.1/pre dict"),
     ])
     def test_bad_value_rejected_naming_key(self, key, value):
         mapping = {"k_values": "1", "subsample": "all", key: value}
@@ -110,6 +119,19 @@ class TestConfig:
             "oracle.gamma": "1e-300", "oracle.kind": "remote", "metric": "cosine", "score": "exact-match",
         })
         assert (config.pool_size, config.subsample, config.metric) == (2, 1, "cosine")
+
+    @pytest.mark.parametrize("endpoint", [
+        "http://127.0.0.1:8080/predict", "https://example.com/v1/predict?model=a", "http://[::1]:9/p",
+    ])
+    def test_http_endpoint_accepted(self, endpoint):
+        config = ExperimentConfig.from_mapping({"oracle.kind": "remote", "oracle.endpoint": endpoint})
+        assert config.oracle_endpoint == endpoint
+
+    def test_remote_run_without_endpoint_rejected_naming_key(self):
+        # The config itself may leave the endpoint empty; the run may not.
+        config = small_config(oracle_kind="remote")
+        with pytest.raises(ValueError, match=r"^oracle.endpoint must be set"):
+            run_k_study(config)
 
     def test_mapping_roundtrip(self):
         config = ExperimentConfig()

@@ -1,12 +1,17 @@
 """HTTP oracle adapter against a local loopback stub."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hopctx
 from hopctx import (
     AssociativeOracle,
     Exemplar,
@@ -20,14 +25,23 @@ from hopctx import (
 
 class StubHandler(BaseHTTPRequestHandler):
     """Routes: /echo fixed prediction, /predict builtin-backed, /malformed,
-    /error 500, /notjson."""
+    /error 500, /notjson, /drop and /garbage (on every odd-numbered attempt
+    close the connection unanswered, or after a line that is no HTTP status
+    line; echo on the others).  ``seen`` lists the path of every POST
+    received."""
 
     oracle = AssociativeOracle(gamma=2.0, y_dim=4)
+    seen = []
 
     def do_POST(self):
+        self.seen.append(self.path)
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length)) if length else {}
-        if self.path == "/echo":
+        if self.path in ("/drop", "/garbage") and self.seen.count(self.path) % 2 == 1:
+            if self.path == "/garbage":
+                self.wfile.write(b"garbage\r\n")
+            self.close_connection = True
+        elif self.path in ("/echo", "/drop", "/garbage"):
             self._reply(200, {"prediction": [1.0, 2.0, 3.0]})
         elif self.path == "/predict":
             exemplars = [
@@ -124,3 +138,50 @@ def test_loopback_matches_builtin(stub_server):
         s_local = cosine_score(local.predict(context, q.x), q.y)
         s_remote = cosine_score(remote.predict(context, q.x), q.y)
         assert abs(s_local - s_remote) <= 1e-9
+
+
+@pytest.mark.parametrize("route", ["/drop", "/garbage"])
+def test_failed_attempt_is_retried(stub_server, route):
+    StubHandler.seen.clear()
+    oracle = RemoteOracle(stub_server + route, max_retries=1)
+    e = Exemplar(id=0, x=np.zeros(2), y=np.zeros(3))
+    np.testing.assert_array_equal(oracle.predict([e], np.zeros(2)), [1.0, 2.0, 3.0])
+    assert StubHandler.seen == [route, route]
+
+
+@pytest.mark.parametrize("where", ["query", "x", "y"])
+def test_non_finite_input_raises_without_request(stub_server, where):
+    StubHandler.seen.clear()
+    values = {"query": np.zeros(2), "x": np.zeros(2), "y": np.zeros(3)}
+    values[where] = values[where].copy()
+    values[where][1] = np.nan
+    oracle = RemoteOracle(stub_server + "/echo")
+    with pytest.raises(OracleFailure, match=r"^request 1: input is not finite"):
+        oracle.predict([Exemplar(id=0, x=values["x"], y=values["y"])], values["query"])
+    assert StubHandler.seen == []
+
+
+@pytest.mark.parametrize("endpoint", ["localhost:1/predict", "ftp://127.0.0.1/x", "http:///predict"])
+def test_bad_endpoint_rejected(endpoint):
+    with pytest.raises(ValueError, match=r"^oracle.endpoint must"):
+        RemoteOracle(endpoint)
+
+
+def test_remote_predict_does_not_import_requests(stub_server):
+    # A fresh interpreter: this process may have requests loaded by a plugin.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from hopctx import Exemplar, RemoteOracle\n"
+        f"oracle = RemoteOracle({stub_server + '/echo'!r})\n"
+        "got = oracle.predict([Exemplar(id=0, x=np.zeros(2), y=np.zeros(3))], np.zeros(2))\n"
+        "assert got.tolist() == [1.0, 2.0, 3.0], got\n"
+        "print(sorted(m for m in ('http.client', 'requests', 'urllib3') if m in sys.modules))\n"
+    )
+    src = str(Path(hopctx.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "['http.client']"
