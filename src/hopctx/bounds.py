@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .retrieval import ContextSet, ContextualHopfield, QueryState, RetrievalResult, hnc_retrieve
+from .retrieval import ContextSet, ContextualHopfield, QueryState, RetrievalResult, retrieval_update
 
 __all__ = [
     "SeparationReport",
@@ -97,23 +97,19 @@ class BoundReport:
     u_star: np.ndarray | None = None
 
 
-def separation(
-    query: QueryState,
-    ctx: ContextSet,
-    model: ContextualHopfield,
-    target_index: int,
-) -> SeparationReport:
+def separation(u: np.ndarray, z: np.ndarray, target_index: int) -> SeparationReport:
     """Margins delta_j = u z_i - u z_j of target i against each distinct pattern.
 
-    Duplicates of the target are detected by per-coordinate equality within
-    ``DUPLICATE_TOL``; delta_min is the minimum margin over non-duplicates.
+    u is the query pattern and z the context patterns as columns
+    (``ContextSet.patterns``).  Duplicates of the target are detected by
+    per-coordinate equality within ``DUPLICATE_TOL``; delta_min is the
+    minimum margin over non-duplicates.
     """
-    z = ctx.patterns(model)
     m = z.shape[1]
     if not 0 <= target_index < m:
         raise IndexError(f"target_index {target_index} out of range for M={m}")
     target = z[:, target_index]
-    sims = query.u @ z
+    sims = u @ z
     dup = np.all(np.abs(z - target[:, None]) <= DUPLICATE_TOL, axis=0)
     t = int(dup.sum())
     delta_all = np.where(dup, np.nan, sims[target_index] - sims)
@@ -202,13 +198,13 @@ def verify_bound(
     (infinite separation ratio c) holds for any finite error.
     """
     u_star = np.asarray(u_star, dtype=np.float64)
-    sep = separation(query, ctx, model, target_index)
     z = ctx.patterns(model)
+    sep = separation(query.u, z, target_index)
     dz = u_star - z[:, target_index]
     instance_error = float(np.linalg.norm(dz))
     z_max_norm = float(np.linalg.norm(z, axis=0).max())
-    result = hnc_retrieve(model, ctx, query)
-    eps = realized_error(result, u_star)
+    weights, u_new = retrieval_update(query.u, z, ctx.lam.T @ model.xi_k, model.gamma)
+    eps = realized_error(RetrievalResult(u_new=u_new, weights=weights), u_star)
     report = error_bound(sep, model.gamma, instance_error, z_max_norm)
     report = replace(report, realized_error=eps, u_star=u_star)
     if not math.isfinite(eps) or math.isnan(report.upper_bound) or (

@@ -22,7 +22,7 @@ class ClassicHopfield:
     Energy:  E(s) = -1/2 s^T W s, non-increasing under sequential updates.
     """
 
-    def __init__(self, weights: np.ndarray, stored_patterns: list[np.ndarray]):
+    def __init__(self, weights: np.ndarray):
         weights = np.asarray(weights, dtype=np.float64)
         if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
             raise ValueError("weights must be a square matrix")
@@ -32,11 +32,6 @@ class ClassicHopfield:
             raise ValueError("weights must have zero diagonal")
         self.weights = weights
         self.neuron_count = weights.shape[0]
-        self.stored_patterns = [np.asarray(p, dtype=np.float64) for p in stored_patterns]
-
-    @property
-    def pattern_count(self) -> int:
-        return len(self.stored_patterns)
 
 
 def classic_store(patterns) -> ClassicHopfield:
@@ -53,7 +48,7 @@ def classic_store(patterns) -> ClassicHopfield:
         w += np.outer(p, p)
     w /= n
     np.fill_diagonal(w, 0.0)
-    return ClassicHopfield(w, patterns)
+    return ClassicHopfield(w)
 
 
 def classic_energy(net: ClassicHopfield, state) -> float:

@@ -116,6 +116,8 @@ class ContextSet:
 
     def patterns(self, model: ContextualHopfield) -> np.ndarray:
         """Z = xi_k^T lam; column i is context pattern z_i."""
+        if self.lam.shape[0] != model.d_m:
+            raise ValueError(f"context dimension {self.lam.shape[0]} != d_m={model.d_m}")
         return model.xi_k.T @ self.lam
 
 
@@ -154,25 +156,32 @@ class AttentionView:
     output: np.ndarray
 
 
-def retrieval_update(model: ContextualHopfield, lam: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def retrieval_update(u: np.ndarray, z: np.ndarray, v: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """The retrieval update for one query pattern u (d_q,) or a batch of rows.
 
-    weights = softmax(u Z) at inverse temperature gamma, with
-    Z = xi_k^T lam (shifted before scaling, so finite where gamma * u Z
-    overflows); u_new = weights . lam^T xi_k, a convex combination of context
-    patterns.  Returns (weights, u_new).
+    weights = softmax(u z) at inverse temperature gamma (shifted before
+    scaling, so finite where gamma * u z overflows) and u_new = weights v, a
+    convex combination of context patterns.  z (d_q x M) holds the context
+    patterns as columns and v (M x d_q) the same patterns as rows.  Returns
+    (weights, u_new).
+
+    v is its own argument, not ``z.T``: callers pass the rows computed as
+    such (lam^T xi_k), which can differ from (xi_k^T lam)^T in the last bit,
+    and a C-contiguous v, since a transposed view reaches BLAS by another
+    path.  Both products are stacked one-row matmuls, so every row of a batch
+    makes the same BLAS call as a 1-D u and a row's bits do not depend on how
+    many rows share the call.
     """
-    weights = softmax(u @ (model.xi_k.T @ lam), model.gamma)
-    return weights, weights @ (lam.T @ model.xi_k)
+    weights = softmax((u[..., None, :] @ z)[..., 0, :], gamma)
+    return weights, (weights[..., None, :] @ v)[..., 0, :]
 
 
 def hnc_retrieve(model: ContextualHopfield, ctx: ContextSet, query: QueryState) -> RetrievalResult:
     """Apply the retrieval update (``retrieval_update``) to the query pattern."""
-    if ctx.lam.shape[0] != model.d_m:
-        raise ValueError(f"context dimension {ctx.lam.shape[0]} != d_m={model.d_m}")
+    z = ctx.patterns(model)
     if query.sigma.shape != (model.d_m,):
         raise ValueError(f"query dimension {query.sigma.shape} != d_m={model.d_m}")
-    weights, u_new = retrieval_update(model, ctx.lam, query.u)
+    weights, u_new = retrieval_update(query.u, z, ctx.lam.T @ model.xi_k, model.gamma)
     return RetrievalResult(u_new=u_new, weights=weights)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .retrieval import ContextualHopfield, retrieval_update
+from .retrieval import retrieval_update
 from .selection import Exemplar, ExemplarPool
 
 __all__ = [
@@ -241,13 +241,6 @@ class AssociativeOracle(CompletionOracle):
             raise ValueError(f"gamma must be finite and positive, got {gamma}")
         self.gamma = float(gamma)
         self.y_dim = y_dim
-        self._models: dict[int, ContextualHopfield] = {}
-
-    def _model(self, d_m: int) -> ContextualHopfield:
-        model = self._models.get(d_m)
-        if model is None:
-            model = self._models[d_m] = ContextualHopfield.identity(d_m, self.gamma)
-        return model
 
     def predict(self, context_exemplars, x) -> np.ndarray:
         return self.predict_many(context_exemplars, np.asarray(x, dtype=np.float64)[None, :])[0]
@@ -266,10 +259,11 @@ class AssociativeOracle(CompletionOracle):
         for e in context_exemplars:
             if e.x.shape != (d_x,) or e.y.shape != (d_y,):
                 raise ValueError("context exemplar dimensions do not match the query")
-        model = self._model(d_x + d_y)
+        # With identity projections the query patterns are the sigmas and the
+        # context patterns are the embedded pairs themselves.
         lam = np.column_stack([np.concatenate([e.x, e.y]) for e in context_exemplars])
         sigmas = np.hstack([xs, np.zeros((xs.shape[0], d_y))])
-        _, u_new = retrieval_update(model, lam, sigmas @ model.xi_q)
+        _, u_new = retrieval_update(sigmas, lam, np.ascontiguousarray(lam.T), self.gamma)
         return u_new[:, d_x:]
 
 

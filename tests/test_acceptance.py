@@ -232,7 +232,7 @@ def test_criterion_5_degenerate_cases():
             cols.append(np.array([2.0 - j * 0.01, 0.5, -0.25]))
         ctx = ContextSet.from_vectors(cols)
         query = QueryState.from_sigma(np.array([1.0, 0.0, 0.0]), model)
-        sep = separation(query, ctx, model, target_index=0)
+        sep = separation(query.u, ctx.patterns(model), target_index=0)
         assert sep.duplicate_count == 1 and sep.delta_min >= 1.0
         report = error_bound(sep, gamma=50.0, instance_error=0.0,
                              z_max_norm=float(np.linalg.norm(ctx.patterns(model), axis=0).max()))

@@ -58,7 +58,7 @@ def random_bound_instance(rng):
 class TestSeparation:
     def test_orthogonal_pair(self):
         model, ctx, query = identity_instance([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
-        sep = separation(query, ctx, model, target_index=0)
+        sep = separation(query.u, ctx.patterns(model), target_index=0)
         assert sep.delta_min == 1.0
         assert sep.duplicate_count == 1
         assert math.isnan(sep.delta_all[0])
@@ -67,7 +67,7 @@ class TestSeparation:
     def test_all_duplicates_flags_undefined(self):
         col = [0.5, -0.25]
         model, ctx, query = identity_instance([col, col, col], [1.0, 2.0])
-        sep = separation(query, ctx, model, target_index=1)
+        sep = separation(query.u, ctx.patterns(model), target_index=1)
         assert sep.duplicate_count == 3
         assert sep.delta_min is None
 
@@ -76,7 +76,7 @@ class TestSeparation:
         lam = rng.standard_normal((4, 5))
         sigma = rng.standard_normal(4)
         model, ctx, query = identity_instance(lam.T, sigma)
-        sep = separation(query, ctx, model, target_index=2)
+        sep = separation(query.u, ctx.patterns(model), target_index=2)
         sims = [float(query.u @ lam[:, j]) for j in range(5)]
         expected = min(sims[2] - sims[j] for j in range(5) if j != 2)
         assert sep.delta_min == pytest.approx(expected, abs=1e-12)
@@ -85,13 +85,13 @@ class TestSeparation:
     def test_near_duplicates_beyond_tolerance_count_as_distinct(self):
         base = np.array([1.0, 0.0])
         model, ctx, query = identity_instance([base, base + 1e-9], [1.0, 0.0])
-        sep = separation(query, ctx, model, target_index=0)
+        sep = separation(query.u, ctx.patterns(model), target_index=0)
         assert sep.duplicate_count == 1
 
     def test_rejects_out_of_range_index(self):
         model, ctx, query = identity_instance([[1.0, 0.0]], [1.0, 0.0])
         with pytest.raises(IndexError):
-            separation(query, ctx, model, target_index=1)
+            separation(query.u, ctx.patterns(model), target_index=1)
 
 
 class TestRealizedError:
@@ -151,7 +151,7 @@ class TestErrorBound:
     def test_full_duplication_gives_instance_error(self):
         col = [1.0, 1.0]
         model, ctx, query = identity_instance([col, col], [0.5, 0.5])
-        sep = separation(query, ctx, model, target_index=0)
+        sep = separation(query.u, ctx.patterns(model), target_index=0)
         report = error_bound(sep, gamma=2.0, instance_error=0.37, z_max_norm=5.0)
         assert report.beta == 0.0
         assert report.upper_bound == 0.37
@@ -160,13 +160,13 @@ class TestErrorBound:
     def test_exact_retrieval_limit(self):
         # dz = 0, delta_min > 0, huge gamma: c -> 0 and the bound -> 0.
         model, ctx, query = identity_instance([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0], gamma=1e4)
-        sep = separation(query, ctx, model, target_index=0)
+        sep = separation(query.u, ctx.patterns(model), target_index=0)
         report = error_bound(sep, gamma=1e4, instance_error=0.0, z_max_norm=1.0)
         assert report.upper_bound == 0.0
 
     def test_frozen_two_pattern_bound(self):
         model, ctx, query = identity_instance([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
-        sep = separation(query, ctx, model, target_index=0)
+        sep = separation(query.u, ctx.patterns(model), target_index=0)
         report = error_bound(sep, gamma=1.0, instance_error=0.1, z_max_norm=1.0)
         assert report.c == pytest.approx(math.exp(-1.0), abs=1e-15)
         assert report.beta == pytest.approx(0.6368208625414374, abs=1e-12)
@@ -174,7 +174,7 @@ class TestErrorBound:
 
     def test_rejects_negative_inputs(self):
         model, ctx, query = identity_instance([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
-        sep = separation(query, ctx, model, target_index=0)
+        sep = separation(query.u, ctx.patterns(model), target_index=0)
         with pytest.raises(ValueError):
             error_bound(sep, gamma=0.0, instance_error=0.1, z_max_norm=1.0)
         with pytest.raises(ValueError):
@@ -229,6 +229,13 @@ class TestVerifyBound:
         rng = np.random.default_rng(seed)
         model, ctx, query, u_star = random_bound_instance(rng)
         verify_bound(model, ctx, query, u_star, target_index=0)
+
+    def test_rejects_context_of_wrong_dimension(self):
+        model = ContextualHopfield.identity(3)
+        ctx = ContextSet(np.ones((4, 2)))
+        query = QueryState.from_sigma([1.0, 0.0, 0.0], model)
+        with pytest.raises(ValueError, match=r"^context dimension 4 != d_m=3$"):
+            verify_bound(model, ctx, query, [1.0, 0.0, 0.0], target_index=0)
 
     def test_nan_error_is_a_violation(self):
         # The score u z overflows to inf, so the softmax weights and the

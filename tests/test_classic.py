@@ -103,7 +103,7 @@ class TestUpdate:
 
 class TestEnergy:
     def test_zero_weights_zero_energy(self):
-        net = ClassicHopfield(np.zeros((6, 6)), [])
+        net = ClassicHopfield(np.zeros((6, 6)))
         state = np.where(np.arange(6) % 2 == 0, 1.0, -1.0)
         assert classic_energy(net, state) == 0.0
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hopctx import (
+    AssociativeOracle,
     ExperimentConfig,
     active_select,
     cosine_score,
@@ -185,7 +186,7 @@ class TestGammaMonotonicity:
         for gamma in (0.5, 1.0, 2.0):
             model = ContextualHopfield.identity(2, gamma=gamma)
             query = QueryState.from_sigma([1.0, 0.0], model)
-            sep = separation(query, ctx, model, target_index=0)
+            sep = separation(query.u, ctx.patterns(model), target_index=0)
             assert sep.delta_min is not None and sep.delta_min > 0
             report = error_bound(sep, gamma, instance_error=0.05, z_max_norm=1.0)
             bounds_by_gamma.append(report.upper_bound)
@@ -204,6 +205,20 @@ class TestKStudy:
         _, csv_a = run_k_study(config)
         _, csv_b = run_k_study(config)
         assert csv_a == csv_b
+
+    def test_csv_does_not_depend_on_prediction_batching(self, monkeypatch):
+        # Seed 23 once wrote a different CSV when each query was predicted in
+        # its own call: a batched product rounded one row differently.
+        config = ExperimentConfig(strategies=("random", "metric"), trials=1, seed=23)
+        _, batched_csv = run_k_study(config)
+        batched = AssociativeOracle.predict_many
+
+        def one_row_per_call(self, context, xs):
+            return np.stack([batched(self, context, x[None, :])[0] for x in xs])
+
+        monkeypatch.setattr(AssociativeOracle, "predict_many", one_row_per_call)
+        _, per_row_csv = run_k_study(config)
+        assert per_row_csv == batched_csv
 
     def test_random_at_full_pool_has_zero_variance(self):
         config = small_config(trials=4, k_values=(30,), strategies=("random",))

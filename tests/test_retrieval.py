@@ -15,6 +15,7 @@ from hopctx import (
     hnc_retrieve,
     softmax,
 )
+from hopctx.retrieval import retrieval_update
 
 
 def reference_softmax(scores):
@@ -102,7 +103,7 @@ class TestRetrieve:
         model = ContextualHopfield.identity(3)
         ctx = ContextSet(np.zeros((4, 2)) + 1.0)
         query = QueryState.from_sigma([1.0, 0.0, 0.0], model)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^context dimension 4 != d_m=3$"):
             hnc_retrieve(model, ctx, query)
 
     def test_rejects_non_finite(self):
@@ -115,6 +116,30 @@ class TestRetrieve:
     def test_rejects_empty_context(self):
         with pytest.raises(ValueError):
             ContextSet(np.zeros((3, 0)))
+
+
+class TestBatchInvariance:
+    @given(
+        st.integers(min_value=0, max_value=100_000),
+        st.integers(min_value=1, max_value=200),
+        st.integers(min_value=1, max_value=12),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_batch_rows_equal_one_row_calls(self, seed, m, n):
+        # A row's bits must not depend on how many rows share the call.
+        rng = np.random.default_rng(seed)
+        d_q = int(rng.integers(1, 9))
+        d_m = d_q + int(rng.integers(0, 3))
+        xi_k = rng.standard_normal((d_m, d_q))
+        lam = rng.standard_normal((d_m, m))
+        z, v = xi_k.T @ lam, lam.T @ xi_k
+        us = rng.standard_normal((n, d_q))
+        gamma = float(rng.uniform(0.1, 10.0))
+        weights, u_new = retrieval_update(us, z, v, gamma)
+        for i in range(n):
+            w_i, u_i = retrieval_update(us[i], z, v, gamma)
+            np.testing.assert_array_equal(weights[i], w_i)
+            np.testing.assert_array_equal(u_new[i], u_i)
 
 
 class TestModelValidation:
