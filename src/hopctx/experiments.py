@@ -236,16 +236,11 @@ def _round_score(s: float) -> float:
     return round(s, SCORE_DECIMALS)
 
 
-def _score_queries(y_hats, queries, score_fn) -> tuple:
-    """Rounded scores of y_hats[j] against queries[j].y, in one batch."""
-    scores, _ = selection.score_rows(score_fn, y_hats, np.stack([q.y for q in queries]))
+def _context_scores(oracle, pool, ids, xs, ys, score_fn) -> tuple:
+    """Rounded per-query scores when query j's context is the pool positions
+    ``ids[j]`` (or ``ids`` for every query), in one prediction call."""
+    scores, _ = selection.score_rows(score_fn, selection.predict_rows(oracle, pool, ids, xs), ys)
     return tuple(_round_score(s) for s in scores.tolist())
-
-
-def _evaluate_fixed_context(oracle, context, queries, score_fn) -> tuple:
-    """Per-query scores (rounded) of one context over the whole query set."""
-    xs = np.stack([q.x for q in queries])
-    return _score_queries(selection.predict_rows(oracle, context, xs), queries, score_fn)
 
 
 def _csv_text(header_comment: str, columns, rows) -> str:
@@ -330,28 +325,23 @@ def _instance_best_orders(score_matrix, pool) -> np.ndarray:
     return np.lexsort((np.broadcast_to(ids[:, None], score_matrix.shape), -score_matrix), axis=0)
 
 
-def _top_k_scores(orders, pool, queries, k, oracle, score_fn):
-    """Per-query scores when query j's context is the first k pool positions
-    of ``orders[j]``, one prediction per query."""
-    y_hats = [oracle.predict([pool[i] for i in order[:k]], q.x) for order, q in zip(orders, queries)]
-    return _score_queries(y_hats, queries, score_fn)
-
-
 def run_k_study(config: ExperimentConfig):
     """Mean score of each strategy at each context size K, over seeded trials.
 
     The pool and query set are generated once from the config seed; trials
-    vary only the selection randomness.  When ``active`` runs, the pool score
-    matrix (``selection.pool_score_matrix``) is built once per run, and each
-    trial's active values are a gather and mean over it under that trial's
-    probe permutation, ranked once at the largest K and sliced per K
-    (identical to calling the selector per K with the same seed).  This asks
-    the oracle for pool.size^2 single-exemplar predictions once instead of
-    trials * pool.size * subsample.  Metric and instance-best have no
-    randomness: each ranks every query once per run
+    vary only the selection randomness.  Every context is passed to the
+    oracle as pool positions (``selection.predict_rows``), so each scored
+    (strategy, K) is one prediction call over all queries.  When ``active``
+    runs, the pool score matrix (``selection.pool_score_matrix``) is built
+    once per run, and each trial's active values are a gather and mean over
+    it under that trial's probe permutation, ranked once at the largest K and
+    sliced per K (identical to calling the selector per K with the same
+    seed).  This asks the oracle for pool.size^2 single-exemplar predictions
+    once instead of trials * pool.size * subsample.  Metric and instance-best
+    have no randomness: each ranks every query once per run
     (``selection.metric_rank``; the query score matrix), slices the ranking
-    to each K with one prediction per query, and every trial reuses those
-    scores.  Returns (records, csv_text).
+    to each K, and every trial reuses those scores.  Returns
+    (records, csv_text).
     """
     task = _build_task(config)
     oracle = _build_oracle(config, task)
@@ -359,6 +349,7 @@ def run_k_study(config: ExperimentConfig):
     pool, queries = tasks.generate_pool(
         task, config.pool_size, derive_seed(config.seed, 1), n_queries=config.queries_size
     )
+    xs, ys = np.stack([q.x for q in queries]), np.stack([q.y for q in queries])
     records = []
 
     orders = {}
@@ -366,9 +357,9 @@ def run_k_study(config: ExperimentConfig):
         query_scores, _ = selection.pool_score_matrix(pool, oracle, score_fn, targets=queries)
         orders["instance-best"] = _instance_best_orders(query_scores, pool).T
     if "metric" in config.strategies:
-        orders["metric"], _ = selection.metric_rank(pool, np.stack([q.x for q in queries]), config.metric)
+        orders["metric"], _ = selection.metric_rank(pool, xs, config.metric)
     per_query = {
-        (strategy, k): _top_k_scores(order, pool, queries, k, oracle, score_fn)
+        (strategy, k): _context_scores(oracle, pool, order[:, :k], xs, ys, score_fn)
         for strategy, order in orders.items()
         for k in config.k_values
     }
@@ -382,18 +373,17 @@ def run_k_study(config: ExperimentConfig):
             code = _STRATEGY_CODES[strategy]
             if strategy == "active":
                 active_seed = derive_seed(config.seed, 2, trial, code)
-                ranking = selection.active_select(
+                ranking = pool.positions(selection.active_select(
                     pool, max(config.k_values), oracle, score_fn,
                     subsample=config.subsample, seed=active_seed, matrix=pool_scores,
-                )
+                ))
             for k in config.k_values:
                 trial_seed = derive_seed(config.seed, 2, trial, code, k)
                 if strategy == "random":
-                    context = [pool.by_id(i) for i in selection.random_select(pool, k, seed=trial_seed)]
-                    scores = _evaluate_fixed_context(oracle, context, queries, score_fn)
+                    ids = pool.positions(selection.random_select(pool, k, seed=trial_seed))
+                    scores = _context_scores(oracle, pool, ids, xs, ys, score_fn)
                 elif strategy == "active":
-                    context = [pool.by_id(i) for i in ranking[:k]]
-                    scores = _evaluate_fixed_context(oracle, context, queries, score_fn)
+                    scores = _context_scores(oracle, pool, ranking[:k], xs, ys, score_fn)
                     trial_seed = active_seed
                 else:
                     scores = per_query[strategy, k]

@@ -26,6 +26,7 @@ randomness: ``metric_rank`` ranks the pool for a batch of queries, which a
 k-study does once per run, slicing the ranking to each K for every trial.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,9 @@ __all__ = [
     "estimate_pool_values",
     "active_select",
 ]
+
+# Most predictions one ``pool_score_matrix`` block asks for at once.
+POOL_BLOCK_PREDICTIONS = 4096
 
 
 @dataclass(frozen=True)
@@ -59,16 +63,18 @@ class Exemplar:
 
 
 class ExemplarPool:
-    """Ordered pool of exemplars with unique integer ids."""
+    """Ordered pool of exemplars with unique integer ids.  A context drawn
+    from the pool can be given as pool positions (``positions`` maps ids to
+    them); ``xs`` and ``ys`` stack the pool's x and y rows once, read-only.
+    """
 
     def __init__(self, exemplars):
         self.exemplars = list(exemplars)
         if not self.exemplars:
             raise ValueError("pool must contain at least one exemplar")
-        ids = [e.id for e in self.exemplars]
-        if len(set(ids)) != len(ids):
+        self._position = {e.id: i for i, e in enumerate(self.exemplars)}
+        if len(self._position) != len(self.exemplars):
             raise ValueError("exemplar ids must be unique within a pool")
-        self._by_id = {e.id: e for e in self.exemplars}
 
     @property
     def size(self) -> int:
@@ -84,10 +90,24 @@ class ExemplarPool:
         return self.exemplars[i]
 
     def by_id(self, exemplar_id: int) -> Exemplar:
-        return self._by_id[exemplar_id]
+        return self.exemplars[self._position[exemplar_id]]
 
-    def x_matrix(self) -> np.ndarray:
-        return np.stack([e.x for e in self.exemplars])
+    def positions(self, ids) -> np.ndarray:
+        """Pool positions of the given exemplar ids, in the given order."""
+        return np.array([self._position[i] for i in ids], dtype=np.intp)
+
+    @functools.cached_property
+    def xs(self) -> np.ndarray:
+        return _read_only(np.stack([e.x for e in self.exemplars]))
+
+    @functools.cached_property
+    def ys(self) -> np.ndarray:
+        return _read_only(np.stack([e.y for e in self.exemplars]))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -151,17 +171,26 @@ def score_rows(score_fn, y_hats, ys) -> tuple[np.ndarray, np.ndarray]:
     return np.array([s for s, _ in pairs], dtype=np.float64), np.array([ok for _, ok in pairs], dtype=bool)
 
 
-def predict_rows(oracle, context, xs):
-    """Predictions of one fixed context for every row of xs.
+def predict_rows(oracle, pool: ExemplarPool, ids, xs):
+    """Predictions for every row of a batch of pool-indexed contexts.
 
-    Uses the oracle's batched ``predict_many`` when it has one; an oracle
-    that defines only ``predict`` (the documented interface) is asked once
-    per row, in row order, and the predictions come back as a list.
+    ``ids[..., :K]`` holds each context as K pool positions and ``xs[..., :d_x]``
+    the query rows; their leading axes broadcast, and the predictions come
+    back one per broadcast row, flattened in C order.  An oracle with a
+    batched ``predict_pool`` (the built-in one) answers the whole batch in
+    one call; an oracle that defines only ``predict`` (the documented
+    interface) is asked once per row, in that order, and the predictions
+    come back as a list.
     """
-    predict_many = getattr(oracle, "predict_many", None)
-    if predict_many is not None:
-        return predict_many(context, xs)
-    return [oracle.predict(context, x) for x in xs]
+    predict_pool = getattr(oracle, "predict_pool", None)
+    if predict_pool is not None:
+        y_hats = predict_pool(pool, ids, xs)
+        return y_hats.reshape(-1, y_hats.shape[-1])
+    ids, xs = np.asarray(ids), np.asarray(xs, dtype=np.float64)
+    batch = np.broadcast_shapes(ids.shape[:-1], xs.shape[:-1])
+    ids = np.broadcast_to(ids, batch + ids.shape[-1:]).reshape(-1, ids.shape[-1])
+    xs = np.broadcast_to(xs, batch + xs.shape[-1:]).reshape(-1, xs.shape[-1])
+    return [oracle.predict([pool[i] for i in row], x) for row, x in zip(ids, xs)]
 
 
 def random_select(pool: ExemplarPool, k: int, seed: int) -> tuple:
@@ -180,7 +209,7 @@ def metric_rank(pool: ExemplarPool, query_xs, metric: str = "euclidean") -> tupl
     (no Q x N matrix product), so its bits do not depend on the batch.
     """
     query_xs = np.asarray(query_xs, dtype=np.float64)
-    xs = pool.x_matrix()
+    xs = pool.xs
     if query_xs.shape[1:] != xs.shape[1:]:
         raise ValueError(f"query shape {query_xs.shape[1:]} does not match pool x shape {xs.shape[1:]}")
     if metric == "euclidean":
@@ -201,16 +230,25 @@ def metric_rank(pool: ExemplarPool, query_xs, metric: str = "euclidean") -> tupl
 def pool_score_matrix(pool: ExemplarPool, oracle, score_fn, targets=None) -> tuple[np.ndarray, np.ndarray]:
     """scores[i, j]: pool[i] as the sole context exemplar, scored on targets[j].
 
-    ``targets`` holds anything with ``x`` and ``y`` (default: the pool).  One
-    ``predict_many([pool[i]], X_targets)`` call and one batched score per
-    row.  Returns the scores and their ok mask.  Nothing in it depends on a
-    seed, so one pool matrix serves every trial of a run: the oracle is asked
-    for N^2 predictions once instead of N * subsample per trial.
+    ``targets`` holds anything with ``x`` and ``y`` (default: the pool).  The
+    rows are predicted and scored in blocks of whole exemplar rows, at most
+    ``POOL_BLOCK_PREDICTIONS`` predictions per block, each block one
+    ``predict_rows`` call and one batched score: one call for the whole
+    N x T matrix would hold all its predictions and intermediates at once.
+    Returns the scores and their ok mask.  Nothing in it depends on a seed,
+    so one pool matrix serves every trial of a run: the oracle is asked for
+    N^2 predictions once instead of N * subsample per trial.
     """
     targets = pool if targets is None else targets
     xs, ys = np.stack([t.x for t in targets]), np.stack([t.y for t in targets])
-    rows = [score_rows(score_fn, predict_rows(oracle, [e], xs), ys) for e in pool]
-    return np.stack([s for s, _ in rows]), np.stack([ok for _, ok in rows])
+    step = max(1, POOL_BLOCK_PREDICTIONS // len(xs))
+    blocks = []
+    for start in range(0, pool.size, step):
+        ids = np.arange(start, min(start + step, pool.size))[:, None, None]
+        blocks.append(score_rows(score_fn, predict_rows(oracle, pool, ids, xs), np.tile(ys, (len(ids), 1))))
+    shape = (pool.size, len(xs))
+    return (np.concatenate([s for s, _ in blocks]).reshape(shape),
+            np.concatenate([ok for _, ok in blocks]).reshape(shape))
 
 
 def estimate_pool_values(
@@ -232,6 +270,11 @@ def estimate_pool_values(
     _check_subsample(pool, subsample)
     scores, ok = pool_score_matrix(pool, oracle, score_fn) if matrix is None else matrix
     n = pool.size
+    if np.shape(scores) != (n, n) or np.shape(ok) != (n, n):
+        raise ValueError(
+            f"matrix must hold ({n}, {n}) scores and ok mask for this pool, "
+            f"got {np.shape(scores)} and {np.shape(ok)}"
+        )
     order = np.array(sample_prefix(np.random.default_rng(seed), n, n))
     m = n - 1 if subsample == "all" else subsample
     # Row i: the permutation without position i, cut to m probes, put in id

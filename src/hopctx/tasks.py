@@ -218,8 +218,9 @@ class OracleFailure(RuntimeError):
 
 class CompletionOracle:
     """Interface: predict(context_exemplars, x) -> prediction vector.  An
-    oracle may add a batched ``predict_many(context_exemplars, xs)``;
-    ``selection.predict_rows`` uses it when present."""
+    oracle may add a batched ``predict_pool(pool, ids, xs)`` that takes each
+    context as pool positions; ``selection.predict_rows`` uses it when
+    present and otherwise calls ``predict`` once per row."""
 
     def predict(self, context_exemplars, x) -> np.ndarray:
         raise NotImplementedError
@@ -228,12 +229,18 @@ class CompletionOracle:
 class AssociativeOracle(CompletionOracle):
     """Completion by associative retrieval over the context pairs.
 
-    Each context exemplar is embedded as the column (x_i, y_i); the query is
+    Each context exemplar is embedded as the pattern (x_i, y_i); the query is
     embedded as (x, 0).  Retrieval at inverse temperature gamma with identity
     projections (pure associative completion) produces an updated pattern
     whose trailing block is the prediction.  With no context there is nothing
     to retrieve and the prediction is the zero vector (``y_dim`` must be set
     for that case).
+
+    ``predict_pool`` is the batched form: every context is a set of pool
+    positions, gathered from the pool's stacked x and y rows, and the whole
+    batch is one ``retrieval_update`` call.  ``predict_many`` (one context,
+    many queries) and ``predict`` (one of each) are front-ends over the same
+    embedding and kernel, and every row of any of them has the same bits.
     """
 
     def __init__(self, gamma: float = 1.0, y_dim: int | None = None):
@@ -254,17 +261,38 @@ class AssociativeOracle(CompletionOracle):
             if self.y_dim is None:
                 raise OracleFailure("zero-context prediction needs y_dim to be configured")
             return np.zeros((xs.shape[0], self.y_dim))
-        d_x = xs.shape[1]
         d_y = context_exemplars[0].y.shape[0]
         for e in context_exemplars:
-            if e.x.shape != (d_x,) or e.y.shape != (d_y,):
+            if e.x.shape != xs.shape[1:] or e.y.shape != (d_y,):
                 raise ValueError("context exemplar dimensions do not match the query")
-        # With identity projections the query patterns are the sigmas and the
-        # context patterns are the embedded pairs themselves.
-        lam = np.column_stack([np.concatenate([e.x, e.y]) for e in context_exemplars])
-        sigmas = np.hstack([xs, np.zeros((xs.shape[0], d_y))])
-        _, u_new = retrieval_update(sigmas, lam, np.ascontiguousarray(lam.T), self.gamma)
-        return u_new[:, d_x:]
+        pairs = np.stack([np.concatenate([e.x, e.y]) for e in context_exemplars])
+        return self._retrieve(pairs, np.arange(len(pairs)), xs)
+
+    def predict_pool(self, pool: ExemplarPool, ids, xs) -> np.ndarray:
+        """Predictions of the contexts ``ids[..., :K]`` (pool positions) on
+        the query rows ``xs[..., :d_x]``, their leading axes broadcast: shape
+        (*batch, d_y).  Row r equals ``predict([pool[i] for i in ids[r]],
+        xs[r])`` bit for bit."""
+        ids = np.asarray(ids, dtype=np.intp)
+        xs = np.asarray(xs, dtype=np.float64)
+        if ids.ndim < 1 or ids.shape[-1] < 1:
+            raise ValueError(f"ids must hold at least one pool position per context, got shape {ids.shape}")
+        if xs.ndim < 1 or pool.xs.shape[1:] != xs.shape[-1:]:
+            raise ValueError("context exemplar dimensions do not match the query")
+        return self._retrieve(np.hstack([pool.xs, pool.ys]), ids, xs)
+
+    def _retrieve(self, pairs, ids, xs) -> np.ndarray:
+        """y-blocks of the retrieval over the patterns ``pairs[ids]``.  With
+        identity projections the query patterns are the (x, 0) embeddings
+        and the context patterns the (x, y) pairs themselves.  Each row's v
+        (K, d) and z (d, K) are C-contiguous, so each row makes the same
+        BLAS call however the batch is shaped."""
+        v = pairs[ids]
+        z = np.ascontiguousarray(np.swapaxes(v, -1, -2))
+        d_x = xs.shape[-1]
+        sigmas = np.concatenate([xs, np.zeros(xs.shape[:-1] + (pairs.shape[1] - d_x,))], axis=-1)
+        _, u_new = retrieval_update(sigmas, z, v, self.gamma)
+        return u_new[..., d_x:]
 
 
 def split_endpoint(endpoint: str) -> tuple[str, str, int | None, str]:

@@ -207,18 +207,30 @@ class TestKStudy:
         assert csv_a == csv_b
 
     def test_csv_does_not_depend_on_prediction_batching(self, monkeypatch):
-        # Seed 23 once wrote a different CSV when each query was predicted in
-        # its own call: a batched product rounded one row differently.
-        config = ExperimentConfig(strategies=("random", "metric"), trials=1, seed=23)
-        _, batched_csv = run_k_study(config)
-        batched = AssociativeOracle.predict_many
+        configs = [
+            # Seed 23 once wrote a different CSV when each query was predicted
+            # in its own call: a batched product rounded one row differently.
+            ExperimentConfig(strategies=("random", "metric"), trials=1, seed=23),
+            small_config(strategies=("active", "instance-best"), trials=2),
+        ]
+        batched_csvs = [run_k_study(config)[1] for config in configs]
+        batched = AssociativeOracle.predict_pool
+        rows = []
 
-        def one_row_per_call(self, context, xs):
-            return np.stack([batched(self, context, x[None, :])[0] for x in xs])
+        def one_row_per_call(self, pool, ids, xs):
+            ids, xs = np.asarray(ids), np.asarray(xs)
+            batch = np.broadcast_shapes(ids.shape[:-1], xs.shape[:-1])
+            ids_rows = np.broadcast_to(ids, batch + ids.shape[-1:]).reshape(-1, ids.shape[-1])
+            xs_rows = np.broadcast_to(xs, batch + xs.shape[-1:]).reshape(-1, xs.shape[-1])
+            out = np.stack([batched(self, pool, i, x[None, :])[0] for i, x in zip(ids_rows, xs_rows)])
+            rows.append(len(out))
+            return out.reshape(batch + out.shape[-1:])
 
-        monkeypatch.setattr(AssociativeOracle, "predict_many", one_row_per_call)
-        _, per_row_csv = run_k_study(config)
-        assert per_row_csv == batched_csv
+        monkeypatch.setattr(AssociativeOracle, "predict_pool", one_row_per_call)
+        for config, batched_csv in zip(configs, batched_csvs):
+            rows.clear()
+            assert run_k_study(config)[1] == batched_csv
+            assert max(rows) > 1  # the k-study predicted through predict_pool
 
     def test_random_at_full_pool_has_zero_variance(self):
         config = small_config(trials=4, k_values=(30,), strategies=("random",))

@@ -8,14 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopctx import (
+    AssociativeOracle,
     ContextSet,
     ContextualHopfield,
+    Exemplar,
+    ExemplarPool,
     QueryState,
     attention_view,
+    cosine_score,
     hnc_retrieve,
     softmax,
 )
 from hopctx.retrieval import retrieval_update
+from hopctx.selection import POOL_BLOCK_PREDICTIONS, pool_score_matrix, score_rows
 
 
 def reference_softmax(scores):
@@ -140,6 +145,45 @@ class TestBatchInvariance:
             w_i, u_i = retrieval_update(us[i], z, v, gamma)
             np.testing.assert_array_equal(weights[i], w_i)
             np.testing.assert_array_equal(u_new[i], u_i)
+
+    @given(
+        st.integers(min_value=0, max_value=100_000),
+        st.integers(min_value=1, max_value=16),
+        st.integers(min_value=1, max_value=64),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_pool_prediction_rows_equal_predict(self, seed, k, n, shared):
+        # Contexts as pool positions, one per query row (n, K) or one for
+        # all rows (K,): each row equals predict on that context and query.
+        rng = np.random.default_rng(seed)
+        d_x, d_y = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        pool = ExemplarPool([
+            Exemplar(id=i, x=rng.standard_normal(d_x), y=rng.standard_normal(d_y))
+            for i in range(k + int(rng.integers(0, 8)))
+        ])
+        ids = rng.integers(0, pool.size, size=(k,) if shared else (n, k))
+        xs = rng.standard_normal((n, d_x))
+        oracle = AssociativeOracle(gamma=float(rng.uniform(0.1, 10.0)))
+        got = oracle.predict_pool(pool, ids, xs)
+        assert got.shape == (n, d_y)
+        for j in range(n):
+            context = [pool[i] for i in (ids if shared else ids[j])]
+            np.testing.assert_array_equal(got[j], oracle.predict(context, xs[j]))
+
+    def test_pool_score_matrix_blocks_equal_one_call_per_exemplar(self):
+        rng = np.random.default_rng(4)
+        n = 70
+        assert n * n > POOL_BLOCK_PREDICTIONS  # more than one block
+        pool = ExemplarPool([
+            Exemplar(id=i, x=rng.standard_normal(4), y=rng.standard_normal(3)) for i in range(n)
+        ])
+        oracle = AssociativeOracle(gamma=3.0)
+        scores, ok = pool_score_matrix(pool, oracle, cosine_score)
+        for i, e in enumerate(pool):
+            s_i, ok_i = score_rows(cosine_score, oracle.predict_many([e], pool.xs), pool.ys)
+            np.testing.assert_array_equal(scores[i], s_i)
+            np.testing.assert_array_equal(ok[i], ok_i)
 
 
 class TestModelValidation:

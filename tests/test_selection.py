@@ -17,7 +17,7 @@ from hopctx import (
     random_select,
 )
 from hopctx.experiments import _instance_best_orders
-from hopctx.selection import metric_rank, pool_score_matrix, safe_score
+from hopctx.selection import metric_rank, pool_score_matrix, predict_rows, safe_score
 
 
 def reference_prefix(seed_or_rng, n, k):
@@ -390,6 +390,58 @@ class TestPoolScoreMatrix:
         assert a == b
         assert active_select(pool, 4, oracle, cosine_score, subsample=5, seed=3) == \
             active_select(pool, 4, oracle, cosine_score, subsample=5, seed=3, matrix=matrix)
+
+    def test_rejects_matrix_of_another_pool(self):
+        # An 8-exemplar pool's matrix passed with a pool of its last 5
+        # exemplars once ranked from unrelated rows: (4, 7), not (6, 3).
+        pool8 = vector_pool(8, seed=26)
+        oracle = AssociativeOracle(gamma=2.0, y_dim=2)
+        matrix8 = pool_score_matrix(pool8, oracle, cosine_score)
+        pool5 = ExemplarPool(list(pool8)[3:])
+        assert active_select(pool5, 2, oracle, cosine_score, subsample=2, seed=7) == (6, 3)
+        with pytest.raises(ValueError, match="matrix"):
+            active_select(pool5, 2, oracle, cosine_score, subsample=2, seed=7, matrix=matrix8)
+        scores, ok = pool_score_matrix(pool5, oracle, cosine_score)
+        for bad in ((scores, ok[:, :4]), (scores[:4], ok), (scores.ravel(), ok)):
+            with pytest.raises(ValueError, match="matrix"):
+                estimate_pool_values(pool5, oracle, cosine_score, matrix=bad)
+
+
+class TestPredictRows:
+    def test_predict_only_oracle_is_asked_per_broadcast_row_in_c_order(self):
+        pool = vector_pool(4)
+        calls = []
+
+        class RecordingOracle:
+            def predict(self, exemplars, x):
+                calls.append(([e.id for e in exemplars], x.tolist()))
+                return np.array([float(len(calls))])
+
+        ids = np.array([[[0, 1]], [[2, 3]]])  # (2, 1, K): broadcast against 3 queries
+        xs = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        got = predict_rows(RecordingOracle(), pool, ids, xs)
+        assert [c[0] for c in calls] == [[0, 1]] * 3 + [[2, 3]] * 3
+        assert [c[1] for c in calls] == xs.tolist() * 2
+        assert np.array_equal(np.stack(got), np.arange(1.0, 7.0)[:, None])
+
+    def test_batched_oracle_rows_match_the_fallback(self):
+        pool, oracle = oracle_pool(9, seed=4)
+        ids = np.array([[0, 3, 5], [8, 1, 1]])
+        xs = pool.xs[:2] + 0.1
+
+        class PredictOnly:
+            predict = oracle.predict
+
+        np.testing.assert_array_equal(
+            predict_rows(oracle, pool, ids, xs), np.stack(predict_rows(PredictOnly(), pool, ids, xs))
+        )
+
+    def test_rejects_empty_context_and_mismatched_query(self):
+        pool, oracle = oracle_pool(5)
+        with pytest.raises(ValueError, match="at least one pool position"):
+            oracle.predict_pool(pool, np.zeros((2, 0), dtype=int), pool.xs[:2])
+        with pytest.raises(ValueError, match="dimensions"):
+            oracle.predict_pool(pool, [0, 1], np.ones((2, 3)))
 
 
 def instance_best(pool, query, k, oracle, score_fn):
