@@ -38,9 +38,7 @@ from .selection import (
 )
 from .tasks import (
     AssociativeOracle,
-    CompletionOracle,
     OracleFailure,
-    QuerySample,
     RemoteOracle,
     TaskSpec,
     cosine_score,

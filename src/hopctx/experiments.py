@@ -98,6 +98,10 @@ class ExperimentConfig:
         self.k_values = tuple(int(k) for k in self.k_values)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.task_kind not in tasks.TASK_KINDS:
+            raise ValueError(f"task.kind must be one of {list(tasks.TASK_KINDS)}, got {self.task_kind!r}")
         if not 0 <= self.task_noise_sigma < math.inf:
             raise ValueError(f"task.noise_sigma must be finite and >= 0, got {self.task_noise_sigma!r}")
         if not self.strategies:
@@ -148,7 +152,10 @@ class ExperimentConfig:
             if key not in cls.KEYS:
                 raise ValueError(f"unknown config key {key!r}")
             attr, kind = cls.KEYS[key]
-            kwargs[attr] = _convert(raw, kind)
+            try:
+                kwargs[attr] = _convert(raw, kind)
+            except ValueError:
+                raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {raw!r}") from None
         return cls(**kwargs)
 
     def as_mapping(self) -> dict:
@@ -159,6 +166,13 @@ class ExperimentConfig:
                 value = ",".join(str(v) for v in value)
             out[key] = str(value)
         return out
+
+
+# What a value of each convertible kind must be, for the error message.
+_KIND_NAMES = {
+    int: "an integer", float: "a number", "subsample": "'all' or an integer",
+    "int_list": "a comma-separated list of integers", "float_list": "a comma-separated list of numbers",
+}
 
 
 def _convert(raw, kind):
@@ -232,15 +246,11 @@ def _build_oracle(config: ExperimentConfig, task: tasks.TaskSpec):
     return tasks.RemoteOracle(config.oracle_endpoint)
 
 
-def _round_score(s: float) -> float:
-    return round(s, SCORE_DECIMALS)
-
-
 def _context_scores(oracle, pool, ids, xs, ys, score_fn) -> tuple:
     """Rounded per-query scores when query j's context is the pool positions
     ``ids[j]`` (or ``ids`` for every query), in one prediction call."""
     scores, _ = selection.score_rows(score_fn, selection.predict_rows(oracle, pool, ids, xs), ys)
-    return tuple(_round_score(s) for s in scores.tolist())
+    return tuple(round(s, SCORE_DECIMALS) for s in scores.tolist())
 
 
 def _csv_text(header_comment: str, columns, rows) -> str:
@@ -318,13 +328,6 @@ def run_bound_sweep(config: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 
-def _instance_best_orders(score_matrix, pool) -> np.ndarray:
-    """orders[:, j]: pool positions by descending score on query j, ties by
-    ascending id (-0.0 and 0.0 tie)."""
-    ids = np.array([e.id for e in pool])
-    return np.lexsort((np.broadcast_to(ids[:, None], score_matrix.shape), -score_matrix), axis=0)
-
-
 def run_k_study(config: ExperimentConfig):
     """Mean score of each strategy at each context size K, over seeded trials.
 
@@ -355,7 +358,7 @@ def run_k_study(config: ExperimentConfig):
     orders = {}
     if "instance-best" in config.strategies:
         query_scores, _ = selection.pool_score_matrix(pool, oracle, score_fn, targets=queries)
-        orders["instance-best"] = _instance_best_orders(query_scores, pool).T
+        orders["instance-best"] = pool.rank(query_scores.T)
     if "metric" in config.strategies:
         orders["metric"], _ = selection.metric_rank(pool, xs, config.metric)
     per_query = {

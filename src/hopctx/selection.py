@@ -6,7 +6,13 @@ selection, which ranks exemplars by a Monte-Carlo estimate of how well each
 one predicts the rest of the pool when used as the sole context.  Each
 returns the chosen ids as a tuple, in context order.  The evaluation-only
 "instance best" strategy of the k-study runner ranks exemplars by their true
-per-query score, a ``pool_score_matrix`` with the queries as targets.
+per-query score, a ``pool_score_matrix`` with the queries as targets.  A
+query is an ``Exemplar`` too: a labelled (x, y) pair.
+
+Ranking rule: every ranked strategy (metric, active, instance-best) scores
+each pool exemplar and keeps the first K of ``ExemplarPool.rank``, which
+orders pool positions by descending score, ties by ascending id (-0.0 and
+0.0 tie).
 
 Sampling procedure (used everywhere randomness is needed, so results can be
 reproduced by an independent implementation): draw from
@@ -65,7 +71,8 @@ class Exemplar:
 class ExemplarPool:
     """Ordered pool of exemplars with unique integer ids.  A context drawn
     from the pool can be given as pool positions (``positions`` maps ids to
-    them); ``xs`` and ``ys`` stack the pool's x and y rows once, read-only.
+    them); ``ids``, ``xs`` and ``ys`` stack the pool's ids, x and y rows
+    once, read-only.
     """
 
     def __init__(self, exemplars):
@@ -95,6 +102,16 @@ class ExemplarPool:
     def positions(self, ids) -> np.ndarray:
         """Pool positions of the given exemplar ids, in the given order."""
         return np.array([self._position[i] for i in ids], dtype=np.intp)
+
+    def rank(self, scores) -> np.ndarray:
+        """Pool positions by descending score along the last axis, ties by
+        ascending id (-0.0 and 0.0 tie); ``scores[..., i]`` scores pool[i]."""
+        scores = np.asarray(scores)
+        return np.lexsort((np.broadcast_to(self.ids, scores.shape), -scores), axis=-1)
+
+    @functools.cached_property
+    def ids(self) -> np.ndarray:
+        return _read_only(np.array([e.id for e in self.exemplars]))
 
     @functools.cached_property
     def xs(self) -> np.ndarray:
@@ -204,8 +221,8 @@ def random_select(pool: ExemplarPool, k: int, seed: int) -> tuple:
 def metric_rank(pool: ExemplarPool, query_xs, metric: str = "euclidean") -> tuple[np.ndarray, np.ndarray]:
     """Pool positions ranked by the closeness of their x to each of Q queries.
 
-    Returns (orders, closeness), both (Q, N): ``orders[j]`` runs by descending
-    ``closeness[j]``, ties by ascending id.  Each row is computed on its own
+    Returns (orders, closeness), both (Q, N): ``orders`` is
+    ``pool.rank(closeness)``.  Each row is computed on its own
     (no Q x N matrix product), so its bits do not depend on the batch.
     """
     query_xs = np.asarray(query_xs, dtype=np.float64)
@@ -223,8 +240,7 @@ def metric_rank(pool: ExemplarPool, query_xs, metric: str = "euclidean") -> tupl
     else:
         raise ValueError(f"unknown metric {metric!r}")
     closeness = np.array(rows)
-    ids = np.array([e.id for e in pool])
-    return np.lexsort((np.broadcast_to(ids, closeness.shape), -closeness), axis=1), closeness
+    return pool.rank(closeness), closeness
 
 
 def pool_score_matrix(pool: ExemplarPool, oracle, score_fn, targets=None) -> tuple[np.ndarray, np.ndarray]:
@@ -280,8 +296,7 @@ def estimate_pool_values(
     # Row i: the permutation without position i, cut to m probes, put in id
     # order so each mean sums in the same order whatever the pool order.
     probes = np.broadcast_to(order, (n, n))[order != np.arange(n)[:, None]].reshape(n, n - 1)[:, :m]
-    ids = np.array([e.id for e in pool])
-    probes = np.take_along_axis(probes, np.argsort(ids[probes], axis=1), axis=1)
+    probes = np.take_along_axis(probes, np.argsort(pool.ids[probes], axis=1), axis=1)
     rows = np.arange(n)[:, None]
     values = scores[rows, probes].mean(axis=1)
     failures = np.count_nonzero(~ok[rows, probes], axis=1)
@@ -300,12 +315,10 @@ def active_select(
     seed: int = 0,
     matrix=None,
 ) -> tuple:
-    """Ids of the top-k exemplars by Monte-Carlo value, ordered by descending
-    value, ties by ascending id.  ``matrix`` is passed on to
-    ``estimate_pool_values``.
+    """Ids of the top-k exemplars by Monte-Carlo value, in ``ExemplarPool.rank``
+    order.  ``matrix`` is passed on to ``estimate_pool_values``.
     """
     _check_k(pool, k)
     estimates = estimate_pool_values(pool, oracle, score_fn, subsample=subsample, seed=seed, matrix=matrix)
-    ranked = sorted(estimates, key=lambda v: (-v.value, v.exemplar_id))
-    return tuple(v.exemplar_id for v in ranked[:k])
+    return tuple(pool[i].id for i in pool.rank([v.value for v in estimates])[:k])
 

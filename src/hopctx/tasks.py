@@ -3,7 +3,9 @@
 A task draws labelled (x, y) pairs from a small set of latent prototype
 vectors: the prototype is chosen uniformly, isotropic Gaussian noise is added
 to x, and y stays the clean completion of the chosen prototype.  Predictors
-are "completion oracles": anything with ``predict(context_exemplars, x)``.
+are "completion oracles": anything with ``predict(context_exemplars, x)``,
+optionally with a batched ``predict_pool(pool, ids, xs)`` that takes each
+context as pool positions (``selection.predict_rows`` uses it when present).
 The built-in oracle answers by associative retrieval over the context pairs
 themselves, so every experiment runs fully locally; an HTTP adapter lets a
 remote predictor stand in behind the same interface.
@@ -22,8 +24,6 @@ from .selection import Exemplar, ExemplarPool
 
 __all__ = [
     "TaskSpec",
-    "QuerySample",
-    "CompletionOracle",
     "AssociativeOracle",
     "RemoteOracle",
     "OracleFailure",
@@ -36,6 +36,9 @@ __all__ = [
     "make_benchmark_task",
     "generate_pool",
 ]
+
+
+TASK_KINDS = ("prototype-completion", "key-value-association")
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,7 @@ class TaskSpec:
             raise ValueError("prototypes must be a (P, d) matrix with P >= 1")
         if protos.shape[1] != self.d:
             raise ValueError(f"prototype dimension {protos.shape[1]} != d={self.d}")
-        if self.kind not in ("prototype-completion", "key-value-association"):
+        if self.kind not in TASK_KINDS:
             raise ValueError(f"unknown task kind {self.kind!r}")
         if self.kind == "key-value-association" and self.d % 2 != 0:
             raise ValueError("key-value-association needs an even d (split at d//2)")
@@ -102,15 +105,6 @@ class TaskSpec:
         key, value = proto[:half], proto[half:]
         x = np.concatenate([key + self.noise_sigma * rng.standard_normal(half), np.zeros(half)])
         return x, value.copy()
-
-
-@dataclass(frozen=True)
-class QuerySample:
-    """Test query: noisy input, clean target, and the hidden latent index."""
-
-    x: np.ndarray
-    y: np.ndarray
-    latent_id: int
 
 
 # ---------------------------------------------------------------------------
@@ -216,17 +210,7 @@ class OracleFailure(RuntimeError):
     """A completion oracle could not produce a usable prediction."""
 
 
-class CompletionOracle:
-    """Interface: predict(context_exemplars, x) -> prediction vector.  An
-    oracle may add a batched ``predict_pool(pool, ids, xs)`` that takes each
-    context as pool positions; ``selection.predict_rows`` uses it when
-    present and otherwise calls ``predict`` once per row."""
-
-    def predict(self, context_exemplars, x) -> np.ndarray:
-        raise NotImplementedError
-
-
-class AssociativeOracle(CompletionOracle):
+class AssociativeOracle:
     """Completion by associative retrieval over the context pairs.
 
     Each context exemplar is embedded as the pattern (x_i, y_i); the query is
@@ -315,7 +299,7 @@ def split_endpoint(endpoint: str) -> tuple[str, str, int | None, str]:
     return parts.scheme, parts.hostname, port, path
 
 
-class RemoteOracle(CompletionOracle):
+class RemoteOracle:
     """HTTP adapter: POST one JSON request per prediction.
 
     Request body:  {"exemplars": [{"x": [...], "y": [...]}, ...], "query": [...]}
@@ -405,21 +389,21 @@ def _simplex_directions(m: int) -> np.ndarray:
     return basis / np.linalg.norm(basis, axis=1, keepdims=True)
 
 
-def make_benchmark_task(
-    p: int = 5,
-    d: int = 16,
-    noise_sigma: float = 0.1,
-    hub_gain: float = 60.0,
-    shared_weight: float = 0.4,
-) -> TaskSpec:
+# Key norm of the benchmark's hub association, and the weight of the shared
+# value component in every rare value.
+HUB_GAIN = 60.0
+SHARED_WEIGHT = 0.4
+
+
+def make_benchmark_task(p: int = 5, d: int = 16, noise_sigma: float = 0.1) -> TaskSpec:
     """Key-value benchmark with one dominant association and p-1 rare ones.
 
-    The first association ("hub") has a key of norm ``hub_gain`` along the
+    The first association ("hub") has a key of norm ``HUB_GAIN`` along the
     common key direction, so any context containing it captures the retrieval
     regardless of the query, and its value is the component all other values
     share.  The remaining associations sit on the same unit key (queries
     cannot tell them apart through x) and carry values
-    shared_weight * g + sqrt(1 - shared_weight^2) * s_j with s_j simplex
+    SHARED_WEIGHT * g + sqrt(1 - SHARED_WEIGHT^2) * s_j with s_j simplex
     directions, so the hub value is each rare value's best non-exact answer.
     """
     if p < 2:
@@ -434,13 +418,13 @@ def make_benchmark_task(
     g = np.zeros(half)
     g[0] = 1.0
     tilts = _simplex_directions(p - 1)
-    beta = math.sqrt(max(0.0, 1.0 - shared_weight**2))
+    beta = math.sqrt(max(0.0, 1.0 - SHARED_WEIGHT**2))
     prototypes = np.zeros((p, d))
-    prototypes[0, :half] = hub_gain * key_dir
+    prototypes[0, :half] = HUB_GAIN * key_dir
     prototypes[0, half:] = g
     for j in range(p - 1):
         prototypes[j + 1, :half] = key_dir
-        value = shared_weight * g
+        value = SHARED_WEIGHT * g
         value[1 : 1 + (p - 1)] += beta * tilts[j]
         prototypes[j + 1, half:] = value
     return TaskSpec(kind="key-value-association", d=d, prototypes=prototypes, noise_sigma=noise_sigma)
@@ -468,11 +452,12 @@ def generate_pool(
     n: int,
     seed: int,
     n_queries: int = 0,
-) -> tuple[ExemplarPool, list[QuerySample]]:
+) -> tuple[ExemplarPool, list[Exemplar]]:
     """Draw a training pool and test queries i.i.d. from the task law.
 
     Prototypes are chosen uniformly; the pool is drawn first, then the
-    queries, from one stream seeded by ``seed``.
+    queries, from one stream seeded by ``seed``.  Pool exemplars and queries
+    are each numbered from 0.
     """
     if n < 2:
         raise ValueError("pool size must be at least 2")
@@ -485,9 +470,9 @@ def generate_pool(
         x, y = spec.sample(latent, rng)
         exemplars.append(Exemplar(id=i, x=x, y=y, latent_id=latent))
     queries = []
-    for _ in range(n_queries):
+    for j in range(n_queries):
         latent = int(rng.integers(spec.p))
         x, y = spec.sample(latent, rng)
-        queries.append(QuerySample(x=x, y=y, latent_id=latent))
+        queries.append(Exemplar(id=j, x=x, y=y, latent_id=latent))
     return ExemplarPool(exemplars), queries
 

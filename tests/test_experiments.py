@@ -108,6 +108,13 @@ class TestConfig:
         ("oracle.endpoint", "http://127.0.0.1:port/predict"),
         ("oracle.endpoint", "http://127.0.0.1:70000/predict"),
         ("oracle.endpoint", "http://127.0.0.1/pre dict"),
+        ("pool.size", "abc"),
+        ("k_values", "1,x"),
+        ("subsample", "ALL"),
+        ("oracle.gamma", "fast"),
+        ("bound.instances", ""),
+        ("seed", "-1"),
+        ("task.kind", "bogus"),
     ])
     def test_bad_value_rejected_naming_key(self, key, value):
         mapping = {"k_values": "1", "subsample": "all", key: value}
@@ -289,14 +296,14 @@ class TestKStudy:
 
     def test_instance_best_orders_match_python_sort(self):
         from hopctx import Exemplar, ExemplarPool
-        from hopctx.experiments import _instance_best_orders
 
         rng = np.random.default_rng(4)
         ids = [int(i) for i in rng.permutation(40)[:12]]
         pool = ExemplarPool([Exemplar(id=i, x=np.zeros(1), y=np.zeros(1)) for i in ids])
         # Few distinct values, so most scores tie; -0.0 and 0.0 must tie too.
+        # The runner ranks instance-best as pool.rank(query_scores.T).
         matrix = rng.choice([0.0, -0.0, 0.5, 1.0], size=(12, 9))
-        orders = _instance_best_orders(matrix, pool)
+        orders = pool.rank(matrix.T).T
         for j in range(9):
             expected = sorted(range(12), key=lambda i: (-matrix[i, j], ids[i]))
             assert orders[:, j].tolist() == expected

@@ -16,7 +16,6 @@ from hopctx import (
     negative_error,
     random_select,
 )
-from hopctx.experiments import _instance_best_orders
 from hopctx.selection import metric_rank, pool_score_matrix, predict_rows, safe_score
 
 
@@ -450,7 +449,7 @@ def instance_best(pool, query, k, oracle, score_fn):
     matrix, by descending score, ties by ascending id."""
     target = Exemplar(id=0, x=query[0], y=query[1])
     scores, _ = pool_score_matrix(pool, oracle, score_fn, targets=[target])
-    return tuple(pool[i].id for i in _instance_best_orders(scores, pool)[:k, 0])
+    return tuple(pool[i].id for i in pool.rank(scores[:, 0])[:k])
 
 
 class TestInstanceBest:
@@ -492,6 +491,28 @@ class TestInstanceBest:
             for rival in rivals:
                 rival_score = cosine_score(oracle.predict([pool.by_id(rival)], query_x), query_y)
                 assert best_score >= rival_score - 1e-12
+
+
+class TestPoolRank:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 12), rows=st.one_of(st.none(), st.integers(1, 4)))
+    def test_matches_python_sort(self, data, n, rows):
+        # Sparse, unsorted and negative ids; 1-D scores, or 2-D ranked row by
+        # row; ``coordinate`` gives few distinct values, -0.0 and 0.0 among them.
+        ids = data.draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n, unique=True))
+        pool = ExemplarPool([Exemplar(id=i, x=np.zeros(1), y=np.zeros(1)) for i in ids])
+        shape = (n,) if rows is None else (rows, n)
+        size = n * (rows or 1)
+        scores = np.array(data.draw(st.lists(coordinate, min_size=size, max_size=size))).reshape(shape)
+        orders = pool.rank(scores)
+        assert orders.shape == shape
+        for s, order in zip(np.atleast_2d(scores), np.atleast_2d(orders)):
+            assert order.tolist() == sorted(range(n), key=lambda i: (-s[i], ids[i]))
+
+    def test_ids_read_only_and_built_once(self):
+        pool = ExemplarPool([Exemplar(id=i, x=np.zeros(1), y=np.zeros(1)) for i in (7, -3, 12)])
+        assert pool.ids.tolist() == [7, -3, 12]
+        assert pool.ids is pool.ids and not pool.ids.flags.writeable
 
 
 class TestPoolValidation:

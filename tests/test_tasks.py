@@ -321,7 +321,7 @@ class TestAssociativeOracle:
 
 class TestBenchmarkGeometry:
     def test_hub_key_dominates_and_values_share_component(self):
-        spec = make_benchmark_task(p=5, d=16, hub_gain=60.0, shared_weight=0.4)
+        spec = make_benchmark_task(p=5, d=16)
         keys = spec.prototypes[:, :8]
         values = spec.prototypes[:, 8:]
         assert np.linalg.norm(keys[0]) == pytest.approx(60.0)
@@ -331,7 +331,7 @@ class TestBenchmarkGeometry:
             assert values[j] @ values[0] == pytest.approx(0.4, abs=1e-12)
 
     def test_tip_values_symmetric(self):
-        spec = make_benchmark_task(p=5, d=16, shared_weight=0.4)
+        spec = make_benchmark_task(p=5, d=16)
         values = spec.prototypes[1:, 8:]
         cross = [values[i] @ values[j] for i in range(4) for j in range(i + 1, 4)]
         assert np.allclose(cross, cross[0])
