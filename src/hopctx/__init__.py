@@ -24,7 +24,6 @@ from .bounds import (
     SeparationReport,
     beta_coefficient,
     error_bound,
-    realized_error,
     separation,
     verify_bound,
 )

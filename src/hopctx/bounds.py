@@ -14,6 +14,9 @@ mismatch); beta * ||z_max|| is the contextual error (crowding by competing
 patterns).  When every pattern duplicates the target (t = M), delta_min has
 no defined value; c is set to 0 by convention, which is harmless because both
 c terms carry the factor M - t = 0.
+
+``verify_patterns`` checks the bound on patterns and needs finite products:
+finite input whose scores u z or norms overflow is rejected with ValueError.
 """
 
 import math
@@ -21,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .retrieval import ContextSet, ContextualHopfield, QueryState, RetrievalResult, retrieval_update
+from .retrieval import ContextSet, ContextualHopfield, QueryState, _require_finite_scores, retrieval_update
 
 __all__ = [
     "SeparationReport",
@@ -29,9 +32,9 @@ __all__ = [
     "BoundViolationError",
     "DUPLICATE_TOL",
     "separation",
-    "realized_error",
     "beta_coefficient",
     "error_bound",
+    "verify_patterns",
     "verify_bound",
     "BOUND_CSV_COLUMNS",
     "bound_report_csv_row",
@@ -75,7 +78,6 @@ class SeparationReport:
     M patterns duplicate the target (t = M).
     """
 
-    target_index: int
     delta_all: np.ndarray
     delta_min: float | None
     duplicate_count: int
@@ -94,7 +96,6 @@ class BoundReport:
     gamma: float
     delta_min: float | None
     realized_error: float | None = None
-    u_star: np.ndarray | None = None
 
 
 def separation(u: np.ndarray, z: np.ndarray, target_index: int) -> SeparationReport:
@@ -118,20 +119,11 @@ def separation(u: np.ndarray, z: np.ndarray, target_index: int) -> SeparationRep
     else:
         delta_min = float(np.nanmin(delta_all))
     return SeparationReport(
-        target_index=target_index,
         delta_all=delta_all,
         delta_min=delta_min,
         duplicate_count=t,
         m=m,
     )
-
-
-def realized_error(result: RetrievalResult, u_star) -> float:
-    """Euclidean distance between the retrieved pattern and the ground truth."""
-    u_star = np.asarray(u_star, dtype=np.float64)
-    if u_star.shape != result.u_new.shape:
-        raise ValueError(f"u_star shape {u_star.shape} != retrieved shape {result.u_new.shape}")
-    return float(np.linalg.norm(result.u_new - u_star))
 
 
 def beta_coefficient(c: float, m: int, t: int) -> float:
@@ -182,6 +174,38 @@ def error_bound(
     )
 
 
+@np.errstate(over="ignore")
+def verify_patterns(u, z, v, u_star, gamma: float, target_index: int) -> BoundReport:
+    """Run one retrieval and check the realized error against its upper bound.
+
+    u, z and v are as in ``retrieval_update``; u_star is the ground-truth
+    pattern and dz = u*^T - z_target.  A violation raises
+    ``BoundViolationError`` carrying the full report; the comparison allows
+    relative slack 1e-9 to absorb softmax rounding.  A score or norm that
+    overflows raises ValueError; a NaN error or bound cannot be checked and
+    counts as a violation; an infinite bound (infinite c) holds for any
+    finite error.
+    """
+    u_star = np.asarray(u_star, dtype=np.float64)
+    if u_star.shape != u.shape:
+        raise ValueError(f"u_star shape {u_star.shape} != query pattern shape {u.shape}")
+    _require_finite_scores(u, z)
+    sep = separation(u, z, target_index)
+    instance_error = float(np.linalg.norm(u_star - z[:, target_index]))
+    z_max_norm = float(np.linalg.norm(z, axis=0).max())
+    _, u_new = retrieval_update(u, z, v, gamma)
+    eps = float(np.linalg.norm(u_new - u_star))
+    # A norm that overflows is bad input; a NaN is left to the violation check.
+    if math.inf in (instance_error, z_max_norm, eps):
+        raise ValueError(f"norms are not finite: ||dz||={instance_error}, ||z_max||={z_max_norm}, eps={eps}")
+    report = replace(error_bound(sep, gamma, instance_error, z_max_norm), realized_error=eps)
+    if not math.isfinite(eps) or math.isnan(report.upper_bound) or (
+        eps > report.upper_bound + 1e-9 * (1.0 + report.upper_bound)
+    ):
+        raise BoundViolationError(report, detail=f"eps={eps!r} bound={report.upper_bound!r}")
+    return report
+
+
 def verify_bound(
     model: ContextualHopfield,
     ctx: ContextSet,
@@ -189,29 +213,9 @@ def verify_bound(
     u_star,
     target_index: int,
 ) -> BoundReport:
-    """Run one retrieval and check the realized error against its upper bound.
-
-    dz is derived from the inputs as u*^T - z_target.  A violation raises
-    ``BoundViolationError`` carrying the full report; the comparison allows
-    relative slack 1e-9 to absorb softmax rounding.  A non-finite error or a
-    NaN bound cannot be checked and counts as a violation; an infinite bound
-    (infinite separation ratio c) holds for any finite error.
-    """
-    u_star = np.asarray(u_star, dtype=np.float64)
-    z = ctx.patterns(model)
-    sep = separation(query.u, z, target_index)
-    dz = u_star - z[:, target_index]
-    instance_error = float(np.linalg.norm(dz))
-    z_max_norm = float(np.linalg.norm(z, axis=0).max())
-    weights, u_new = retrieval_update(query.u, z, ctx.lam.T @ model.xi_k, model.gamma)
-    eps = realized_error(RetrievalResult(u_new=u_new, weights=weights), u_star)
-    report = error_bound(sep, model.gamma, instance_error, z_max_norm)
-    report = replace(report, realized_error=eps, u_star=u_star)
-    if not math.isfinite(eps) or math.isnan(report.upper_bound) or (
-        eps > report.upper_bound + 1e-9 * (1.0 + report.upper_bound)
-    ):
-        raise BoundViolationError(report, detail=f"eps={eps!r} bound={report.upper_bound!r}")
-    return report
+    """``verify_patterns`` on the patterns of a model, a context set and a query."""
+    z, v = ctx.patterns(model), ctx.lam.T @ model.xi_k
+    return verify_patterns(query.u, z, v, u_star, model.gamma, target_index)
 
 
 def bound_report_csv_row(instance_id, report: BoundReport) -> list:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bounds, selection, tasks
-from .retrieval import ContextSet, ContextualHopfield, QueryState
 
 __all__ = [
     "ExperimentConfig",
@@ -267,25 +266,20 @@ def _csv_text(header_comment: str, columns, rows) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _random_bound_instance(rng: np.random.Generator, gamma: float, m: int, dup_fraction: float):
-    """One random retrieval instance with a forced duplicate block."""
+def _random_bound_instance(rng: np.random.Generator, m: int, dup_fraction: float):
+    """One random instance with a forced duplicate block, as the patterns
+    (u, z, v, u_star) that ``verify_bound`` forms from the drawn model."""
     d_q = int(rng.integers(2, 9))
     d_m = d_q + int(rng.integers(0, 3))
-    model = ContextualHopfield(
-        xi_q=rng.standard_normal((d_m, d_q)),
-        xi_k=rng.standard_normal((d_m, d_q)),
-        gamma=gamma,
-    )
+    xi_q = rng.standard_normal((d_m, d_q))
+    xi_k = rng.standard_normal((d_m, d_q))
     n_dup = max(1, int(round(dup_fraction * m)))
-    base = rng.standard_normal((d_m, m))
-    for i in range(1, min(n_dup, m)):
-        base[:, i] = base[:, 0]
-    ctx = ContextSet(base)
-    query = QueryState.from_sigma(rng.standard_normal(d_m), model)
-    z_target = (model.xi_k.T @ base)[:, 0]
-    dz = rng.uniform(0.0, 1.0) * rng.standard_normal(d_q)
-    u_star = z_target + dz
-    return model, ctx, query, u_star
+    lam = rng.standard_normal((d_m, m))
+    lam[:, 1:n_dup] = lam[:, :1]
+    u = rng.standard_normal(d_m) @ xi_q
+    z = xi_k.T @ lam
+    u_star = z[:, 0] + rng.uniform(0.0, 1.0) * rng.standard_normal(d_q)
+    return u, z, lam.T @ xi_k, u_star
 
 
 def run_bound_sweep(config: ExperimentConfig):
@@ -299,27 +293,25 @@ def run_bound_sweep(config: ExperimentConfig):
     reports = []
     rows = []
     max_ratio = 0.0
-    instance_count = 0
     for gi, gamma in enumerate(config.bound_gamma_grid):
         for mi, m in enumerate(config.bound_m_grid):
             for di, frac in enumerate(config.bound_dup_fractions):
                 rng = np.random.default_rng(derive_seed(config.seed, 3, gi, mi, di))
                 for j in range(config.bound_instances):
-                    model, ctx, query, u_star = _random_bound_instance(rng, gamma, int(m), frac)
-                    report = bounds.verify_bound(model, ctx, query, u_star, target_index=0)
+                    u, z, v, u_star = _random_bound_instance(rng, int(m), frac)
+                    report = bounds.verify_patterns(u, z, v, u_star, gamma, target_index=0)
                     instance_id = f"g{gi}-m{mi}-d{di}-{j}"
                     reports.append(report)
                     rows.append(bounds.bound_report_csv_row(instance_id, report))
                     if report.upper_bound > 0:
                         max_ratio = max(max_ratio, report.realized_error / report.upper_bound)
-                    instance_count += 1
-    summary = {"instances": instance_count, "violations": 0, "max_error_to_bound_ratio": max_ratio}
+    summary = {"instances": len(reports), "violations": 0, "max_error_to_bound_ratio": max_ratio}
     csv_text = _csv_text(
         "# hopctx bound-sweep v1",
         bounds.BOUND_CSV_COLUMNS,
         rows,
     )
-    csv_text += f"# summary instances={instance_count} violations=0 max_ratio={max_ratio!r}\n"
+    csv_text += f"# summary instances={len(reports)} violations=0 max_ratio={max_ratio!r}\n"
     return reports, csv_text, summary
 
 

@@ -176,11 +176,19 @@ def retrieval_update(u: np.ndarray, z: np.ndarray, v: np.ndarray, gamma: float) 
     return weights, (weights[..., None, :] @ v)[..., 0, :]
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _require_finite_scores(u: np.ndarray, z: np.ndarray) -> None:
+    """Raise ValueError where finite patterns overflow a score u z (softmax would give NaN)."""
+    if not np.all(np.isfinite(u @ z)):
+        raise ValueError("scores u z are not finite: the query or context patterns overflow float64")
+
+
 def hnc_retrieve(model: ContextualHopfield, ctx: ContextSet, query: QueryState) -> RetrievalResult:
     """Apply the retrieval update (``retrieval_update``) to the query pattern."""
     z = ctx.patterns(model)
     if query.sigma.shape != (model.d_m,):
         raise ValueError(f"query dimension {query.sigma.shape} != d_m={model.d_m}")
+    _require_finite_scores(query.u, z)
     weights, u_new = retrieval_update(query.u, z, ctx.lam.T @ model.xi_k, model.gamma)
     return RetrievalResult(u_new=u_new, weights=weights)
 

@@ -14,8 +14,6 @@ from hopctx import (
     QueryState,
     beta_coefficient,
     error_bound,
-    hnc_retrieve,
-    realized_error,
     separation,
     verify_bound,
 )
@@ -97,25 +95,24 @@ class TestSeparation:
 class TestRealizedError:
     def test_perfect_retrieval_is_zero(self):
         model, ctx, query = identity_instance([[1.0, 0.0]], [1.0, 0.0])
-        result = hnc_retrieve(model, ctx, query)
-        assert realized_error(result, result.u_new) == 0.0
+        assert verify_bound(model, ctx, query, [1.0, 0.0], target_index=0).realized_error == 0.0
 
     def test_unit_offset(self):
         model, ctx, query = identity_instance([[1.0, 0.0]], [1.0, 0.0])
-        result = hnc_retrieve(model, ctx, query)
-        assert realized_error(result, [0.0, 0.0]) == pytest.approx(1.0, abs=1e-15)
+        report = verify_bound(model, ctx, query, [0.0, 0.0], target_index=0)
+        assert report.realized_error == pytest.approx(1.0, abs=1e-15)
 
     def test_two_pattern_example(self):
         # ||(0.73106..., 0.26894...) - (1, 0)||, frozen from a direct norm.
         model, ctx, query = identity_instance([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
-        result = hnc_retrieve(model, ctx, query)
-        assert realized_error(result, [1.0, 0.0]) == pytest.approx(0.3803406055853444, abs=1e-12)
+        report = verify_bound(model, ctx, query, [1.0, 0.0], target_index=0)
+        assert report.realized_error == pytest.approx(0.3803406055853444, abs=1e-12)
 
     def test_rejects_dimension_mismatch(self):
         model, ctx, query = identity_instance([[1.0, 0.0]], [1.0, 0.0])
-        result = hnc_retrieve(model, ctx, query)
-        with pytest.raises(ValueError):
-            realized_error(result, [1.0, 0.0, 0.0])
+        for u_star in ([1.0, 0.0, 0.0], 1.0):
+            with pytest.raises(ValueError, match=r"^u_star shape"):
+                verify_bound(model, ctx, query, u_star, target_index=0)
 
 
 class TestBetaFormula:
@@ -237,14 +234,55 @@ class TestVerifyBound:
         with pytest.raises(ValueError, match=r"^context dimension 4 != d_m=3$"):
             verify_bound(model, ctx, query, [1.0, 0.0, 0.0], target_index=0)
 
-    def test_nan_error_is_a_violation(self):
-        # The score u z overflows to inf, so the softmax weights and the
-        # realized error are NaN; an instance that cannot be evaluated must
-        # not pass.
-        model, ctx, query = identity_instance([[1e200, 0.0], [0.0, 1.0]], [1e200, 0.0])
-        with np.errstate(all="ignore"), pytest.raises(BoundViolationError) as excinfo:
-            verify_bound(model, ctx, query, [1e200, 0.0], target_index=0)
+    def test_nan_error_is_a_violation(self, monkeypatch):
+        # An instance that cannot be evaluated must not pass: a retrieval
+        # that returns NaN is sabotaged in, since finite input cannot produce
+        # one (overflowing input is rejected before the bound check).
+        import hopctx.bounds as bounds_module
+
+        def nan_update(u, z, v, gamma):
+            return np.full(z.shape[1], np.nan), np.full(u.shape, np.nan)
+
+        monkeypatch.setattr(bounds_module, "retrieval_update", nan_update)
+        model, ctx, query = identity_instance([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
+        with pytest.raises(BoundViolationError) as excinfo:
+            bounds_module.verify_bound(model, ctx, query, [1.0, 0.0], target_index=0)
         assert math.isnan(excinfo.value.report.realized_error)
+
+    @pytest.mark.parametrize(
+        "contexts, sigma, u_star",
+        [
+            # u z is inf for one pattern and inf - inf = NaN for the other.
+            ([[1e200, 1e200], [-1e200, 1e200]], [1e200, 1e200], [1e200, 1e200]),
+            # u z overflows to inf for the target.
+            ([[1e200, 0.0], [0.0, 1.0]], [1e200, 0.0], [1e200, 0.0]),
+            # Finite scores and eps = 0, but ||z_max|| overflows: the bound
+            # would read 0 * inf = NaN.
+            ([[1e200, 1e200], [1e200, 1e200]], [1e-200, 0.0], [1e200, 1e200]),
+        ],
+        ids=["scores-inf-and-nan", "score-inf", "norm-inf"],
+    )
+    def test_overflowing_finite_input_is_rejected(self, contexts, sigma, u_star):
+        model, ctx, query = identity_instance(contexts, sigma)
+        with pytest.raises(ValueError, match="not finite"):
+            verify_bound(model, ctx, query, u_star, target_index=0)
+
+    @given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=0, max_value=300))
+    @settings(max_examples=80, deadline=None)
+    def test_large_finite_input_holds_or_is_rejected(self, seed, k):
+        # Scaling an instance by 10^k keeps every input finite; past about
+        # k = 154 its scores or norms overflow.  The verifier must then
+        # reject the input, never report a violation.
+        model, ctx, query, u_star = random_bound_instance(np.random.default_rng(seed))
+        scale = 10.0**k
+        ctx = ContextSet(ctx.lam * scale)
+        query = QueryState.from_sigma(query.sigma * scale, model)
+        try:
+            report = verify_bound(model, ctx, query, u_star * scale, target_index=0)
+        except ValueError as exc:
+            assert "not finite" in str(exc)
+        else:
+            assert report.realized_error <= report.upper_bound + 1e-9 * (1 + report.upper_bound)
 
     def test_violation_error_carries_report(self, monkeypatch):
         # A genuine violation is impossible, so force one by sabotaging the

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hopctx
@@ -71,6 +72,23 @@ def test_retrieve_prints_frozen_example(tmp_path, capsys):
     assert "0.2689414213699951" in out
 
 
+def test_retrieve_overflowing_scores_is_usage_error(tmp_path, capsys):
+    instance = {
+        "xi_q": [[1.0, 0.0], [0.0, 1.0]],
+        "xi_k": [[1.0, 0.0], [0.0, 1.0]],
+        "gamma": 1.0,
+        "sigma": [1e200, 1e200],
+        "contexts": [[1e200, 1e200], [-1e200, 1e200]],
+    }
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    assert cli_main(["retrieve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: scores u z are not finite")
+    assert "Traceback" not in captured.err
+
+
 def test_retrieve_missing_file_is_usage_error(tmp_path):
     assert cli_main(["retrieve", str(tmp_path / "gone.json")]) == 1
 
@@ -84,6 +102,18 @@ def test_bound_sweep_writes_csv(small_config_file, tmp_path, capsys):
     text = out_path.read_text()
     assert text.startswith("# hopctx bound-sweep v1\n")
     assert "violations=0" in capsys.readouterr().out
+
+
+def test_bound_violation_is_invariant_error(monkeypatch, capsys):
+    # Finite input cannot make the retrieval return NaN; sabotage it so the
+    # NaN reaches the bound check, which must end the sweep with exit 2.
+    import hopctx.bounds as bounds_module
+
+    monkeypatch.setattr(bounds_module, "retrieval_update", lambda u, z, v, gamma: (None, u * np.nan))
+    assert cli_main(["bound-sweep", "--set", "bound.instances=1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invariant violation: retrieval error exceeds its upper bound")
 
 
 def test_k_study_writes_csv_and_reruns_identically(small_config_file, tmp_path, capsys):

@@ -7,14 +7,19 @@ import pytest
 
 from hopctx import (
     AssociativeOracle,
+    ContextSet,
+    ContextualHopfield,
     ExperimentConfig,
+    QueryState,
     active_select,
     cosine_score,
     derive_seed,
     run_bound_sweep,
     run_k_study,
     run_strategy_comparison,
+    verify_bound,
 )
+from hopctx.bounds import bound_report_csv_row
 from hopctx.experiments import parse_config_text
 
 
@@ -181,6 +186,37 @@ class TestBoundSweep:
         _, csv_a, _ = run_bound_sweep(config)
         _, csv_b, _ = run_bound_sweep(config)
         assert csv_a == csv_b
+
+    def test_rows_equal_verify_bound_on_the_same_draws(self):
+        # The sweep verifies raw patterns.  Drawing its instances again, in
+        # its order, and verifying them through the model, context and query
+        # objects must give the same CSV rows.
+        config = small_config()
+        config.bound_instances = 5
+        _, csv_text, _ = run_bound_sweep(config)
+        expected = []
+        for gi, gamma in enumerate(config.bound_gamma_grid):
+            for mi, m in enumerate(config.bound_m_grid):
+                for di, frac in enumerate(config.bound_dup_fractions):
+                    rng = np.random.default_rng(derive_seed(config.seed, 3, gi, mi, di))
+                    for j in range(config.bound_instances):
+                        d_q = int(rng.integers(2, 9))
+                        d_m = d_q + int(rng.integers(0, 3))
+                        model = ContextualHopfield(
+                            xi_q=rng.standard_normal((d_m, d_q)),
+                            xi_k=rng.standard_normal((d_m, d_q)),
+                            gamma=gamma,
+                        )
+                        lam = rng.standard_normal((d_m, m))
+                        for i in range(1, max(1, round(frac * m))):
+                            lam[:, i] = lam[:, 0]
+                        ctx = ContextSet(lam)
+                        query = QueryState.from_sigma(rng.standard_normal(d_m), model)
+                        dz = rng.uniform(0.0, 1.0) * rng.standard_normal(d_q)
+                        report = verify_bound(model, ctx, query, ctx.patterns(model)[:, 0] + dz, target_index=0)
+                        row = bound_report_csv_row(f"g{gi}-m{mi}-d{di}-{j}", report)
+                        expected.append(",".join(map(str, row)))
+        assert csv_text.splitlines()[2:-1] == expected
 
 
 class TestGammaMonotonicity:

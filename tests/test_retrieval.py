@@ -118,6 +118,14 @@ class TestRetrieve:
         with pytest.raises(ValueError):
             QueryState.from_sigma([np.inf, 0.0], model)
 
+    def test_rejects_overflowing_scores(self):
+        # Finite entries whose score u z overflows: inf - inf = NaN weights.
+        model = ContextualHopfield.identity(2)
+        ctx = ContextSet(np.array([[1e200, -1e200], [1e200, 1e200]]))
+        query = QueryState.from_sigma([1e200, 1e200], model)
+        with pytest.raises(ValueError, match="scores u z are not finite"):
+            hnc_retrieve(model, ctx, query)
+
     def test_rejects_empty_context(self):
         with pytest.raises(ValueError):
             ContextSet(np.zeros((3, 0)))
