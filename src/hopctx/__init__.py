@@ -30,7 +30,6 @@ from .bounds import (
 from .selection import (
     Exemplar,
     ExemplarPool,
-    ValueEstimate,
     active_select,
     estimate_pool_values,
     random_select,

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .retrieval import ContextSet, ContextualHopfield, QueryState, _require_finite_scores, retrieval_update
+from .retrieval import ContextSet, ContextualHopfield, QueryState, _finite_product, retrieval_update
 
 __all__ = [
     "SeparationReport",
@@ -189,7 +189,7 @@ def verify_patterns(u, z, v, u_star, gamma: float, target_index: int) -> BoundRe
     u_star = np.asarray(u_star, dtype=np.float64)
     if u_star.shape != u.shape:
         raise ValueError(f"u_star shape {u_star.shape} != query pattern shape {u.shape}")
-    _require_finite_scores(u, z)
+    _finite_product(u, z, "scores u z")
     sep = separation(u, z, target_index)
     instance_error = float(np.linalg.norm(u_star - z[:, target_index]))
     z_max_norm = float(np.linalg.norm(z, axis=0).max())
@@ -214,7 +214,7 @@ def verify_bound(
     target_index: int,
 ) -> BoundReport:
     """``verify_patterns`` on the patterns of a model, a context set and a query."""
-    z, v = ctx.patterns(model), ctx.lam.T @ model.xi_k
+    z, v = ctx.patterns(model), _finite_product(ctx.lam.T, model.xi_k, "entries of V = lam^T xi_k")
     return verify_patterns(query.u, z, v, u_star, model.gamma, target_index)
 
 

@@ -75,10 +75,7 @@ def _cmd_compare(args) -> int:
     config = _load_config(args)
     summary, csv_text, json_text = experiments.run_strategy_comparison(config)
     _write_output(config, csv_text)
-    if config.output:
-        Path(config.output + ".json").write_text(json_text)
-    else:
-        sys.stdout.write(json_text)
+    _write_output(config, json_text, ".json")
     return 0
 
 

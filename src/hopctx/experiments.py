@@ -101,6 +101,17 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.task_kind not in tasks.TASK_KINDS:
             raise ValueError(f"task.kind must be one of {list(tasks.TASK_KINDS)}, got {self.task_kind!r}")
+        if self.task_d < 1:
+            raise ValueError(f"task.d must be >= 1, got {self.task_d}")
+        if self.task_prototypes < 1:
+            raise ValueError(f"task.prototypes must be >= 1, got {self.task_prototypes}")
+        if self.task_kind == "key-value-association":
+            # As tasks.make_benchmark_task: x and y split at d/2, one value direction per association.
+            if self.task_prototypes < 2:
+                raise ValueError(f"task.prototypes must be >= 2 for {self.task_kind}, got {self.task_prototypes}")
+            if self.task_d % 2 or self.task_d < 2 * self.task_prototypes:
+                raise ValueError(f"task.d must be even and >= 2 * task.prototypes = {2 * self.task_prototypes} "
+                                 f"for {self.task_kind}, got {self.task_d}")
         if not 0 <= self.task_noise_sigma < math.inf:
             raise ValueError(f"task.noise_sigma must be finite and >= 0, got {self.task_noise_sigma!r}")
         if not self.strategies:
@@ -417,8 +428,6 @@ def run_strategy_comparison(config: ExperimentConfig):
     by_strategy = {}
     for r in records:
         by_strategy.setdefault(r.strategy, []).append(r)
-    for recs in by_strategy.values():
-        recs.sort(key=lambda r: r.trial_index)
 
     random_means = None
     if "random" in by_strategy:
@@ -436,9 +445,10 @@ def run_strategy_comparison(config: ExperimentConfig):
             wins = np.sum(means > random_means) + 0.5 * np.sum(means == random_means)
             entry["win_rate_vs_random"] = float(wins / len(means))
         summary["strategies"][strategy] = entry
+        win_rate = entry.get("win_rate_vs_random")
         rows.append([
             strategy, k, config.trials, repr(entry["mean"]), repr(entry["std"]),
-            repr(entry.get("win_rate_vs_random", "")),
+            "" if win_rate is None else repr(win_rate),
         ])
     csv_text = _csv_text(
         "# hopctx strategy-comparison v1",

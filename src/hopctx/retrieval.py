@@ -38,6 +38,16 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return a
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _finite_product(a: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
+    """a @ b, or a ValueError naming the product where finite factors overflow
+    float64 (an inf entry, or inf - inf = NaN), raised before anything warns."""
+    out = a @ b
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{name} are not finite: finite inputs overflow float64")
+    return out
+
+
 @np.errstate(over="ignore")
 def softmax(scores: np.ndarray, gamma: float = 1.0) -> np.ndarray:
     """softmax(gamma * scores) along the last axis, shifted before scaling.
@@ -118,7 +128,7 @@ class ContextSet:
         """Z = xi_k^T lam; column i is context pattern z_i."""
         if self.lam.shape[0] != model.d_m:
             raise ValueError(f"context dimension {self.lam.shape[0]} != d_m={model.d_m}")
-        return model.xi_k.T @ self.lam
+        return _finite_product(model.xi_k.T, self.lam, "entries of Z = xi_k^T lam")
 
 
 @dataclass(frozen=True)
@@ -135,7 +145,7 @@ class QueryState:
             raise ValueError(f"sigma shape {sigma.shape} != (d_m={model.d_m},)")
         if not np.all(np.isfinite(sigma)):
             raise ValueError("sigma contains non-finite entries")
-        return cls(sigma=sigma, u=sigma @ model.xi_q)
+        return cls(sigma=sigma, u=_finite_product(sigma, model.xi_q, "entries of u = sigma xi_q"))
 
 
 @dataclass(frozen=True)
@@ -176,20 +186,14 @@ def retrieval_update(u: np.ndarray, z: np.ndarray, v: np.ndarray, gamma: float) 
     return weights, (weights[..., None, :] @ v)[..., 0, :]
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _require_finite_scores(u: np.ndarray, z: np.ndarray) -> None:
-    """Raise ValueError where finite patterns overflow a score u z (softmax would give NaN)."""
-    if not np.all(np.isfinite(u @ z)):
-        raise ValueError("scores u z are not finite: the query or context patterns overflow float64")
-
-
 def hnc_retrieve(model: ContextualHopfield, ctx: ContextSet, query: QueryState) -> RetrievalResult:
     """Apply the retrieval update (``retrieval_update``) to the query pattern."""
     z = ctx.patterns(model)
     if query.sigma.shape != (model.d_m,):
         raise ValueError(f"query dimension {query.sigma.shape} != d_m={model.d_m}")
-    _require_finite_scores(query.u, z)
-    weights, u_new = retrieval_update(query.u, z, ctx.lam.T @ model.xi_k, model.gamma)
+    _finite_product(query.u, z, "scores u z")
+    v = _finite_product(ctx.lam.T, model.xi_k, "entries of V = lam^T xi_k")
+    weights, u_new = retrieval_update(query.u, z, v, model.gamma)
     return RetrievalResult(u_new=u_new, weights=weights)
 
 
@@ -201,8 +205,8 @@ def attention_view(model: ContextualHopfield, ctx: ContextSet, query: QueryState
     """
     if ctx.lam.shape[0] != model.d_m:
         raise ValueError(f"context dimension {ctx.lam.shape[0]} != d_m={model.d_m}")
-    q = query.sigma @ model.xi_q
-    k = ctx.lam.T @ model.xi_k
-    v = k @ model.w_v
-    weights = softmax(q @ k.T, model.gamma)
+    q = _finite_product(query.sigma, model.xi_q, "entries of Q = sigma xi_q")
+    k = _finite_product(ctx.lam.T, model.xi_k, "entries of K = lam^T xi_k")
+    v = _finite_product(k, model.w_v, "entries of V = K w_v")
+    weights = softmax(_finite_product(q, k.T, "scores Q K^T"), model.gamma)
     return AttentionView(q=q, k=k, v=v, output=weights @ v)

@@ -27,7 +27,9 @@ pair never contributes.
 The score of exemplar i as the sole context on probe j does not depend on
 the seed, only the probe set does.  ``pool_score_matrix`` therefore scores
 every (i, j) pair once, and ``estimate_pool_values`` turns each seed's probe
-sets into a gather and mean over that matrix.  Metric selection has no
+sets into a gather and mean over that matrix: (values, failures), arrays
+in pool order of mean scores and unscored-probe counts, which
+``active_select`` ranks with ``ExemplarPool.rank``.  Metric selection has no
 randomness: ``metric_rank`` ranks the pool for a batch of queries, which a
 k-study does once per run, slicing the ranking to each K for every trial.
 """
@@ -40,7 +42,6 @@ import numpy as np
 __all__ = [
     "Exemplar",
     "ExemplarPool",
-    "ValueEstimate",
     "sample_prefix",
     "random_select",
     "metric_rank",
@@ -125,16 +126,6 @@ class ExemplarPool:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-@dataclass(frozen=True)
-class ValueEstimate:
-    """Monte-Carlo estimate of an exemplar's value as a single-shot predictor."""
-
-    exemplar_id: int
-    value: float
-    sample_count: int
-    failures: int = 0
 
 
 def sample_prefix(rng: np.random.Generator, n: int, k: int) -> list[int]:
@@ -274,14 +265,16 @@ def estimate_pool_values(
     subsample="all",
     seed: int = 0,
     matrix=None,
-) -> list[ValueEstimate]:
-    """Value estimates for every pool member against one shared probe sample.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Monte-Carlo values of every pool member against one shared probe sample.
 
     A single permutation is drawn per call; each exemplar's probe set is the
     first ``subsample`` entries of that permutation after dropping itself,
     taken in id order.  The scores come from ``matrix``, the (scores, ok)
     pair of ``pool_score_matrix``; pass it to reuse one matrix across seeds,
-    or leave it out to build it here.  Estimates come back in pool order.
+    or leave it out to build it here.  Returns (values, failures) in pool
+    order: pool[i]'s mean score over m probes (float64) and how many of them
+    did not score (int), m = pool.size - 1 for ``"all"``, else ``subsample``.
     """
     _check_subsample(pool, subsample)
     scores, ok = pool_score_matrix(pool, oracle, score_fn) if matrix is None else matrix
@@ -298,12 +291,7 @@ def estimate_pool_values(
     probes = np.broadcast_to(order, (n, n))[order != np.arange(n)[:, None]].reshape(n, n - 1)[:, :m]
     probes = np.take_along_axis(probes, np.argsort(pool.ids[probes], axis=1), axis=1)
     rows = np.arange(n)[:, None]
-    values = scores[rows, probes].mean(axis=1)
-    failures = np.count_nonzero(~ok[rows, probes], axis=1)
-    return [
-        ValueEstimate(exemplar_id=e.id, value=float(v), sample_count=m, failures=int(f))
-        for e, v, f in zip(pool, values, failures)
-    ]
+    return scores[rows, probes].mean(axis=1), np.count_nonzero(~ok[rows, probes], axis=1)
 
 
 def active_select(
@@ -319,6 +307,6 @@ def active_select(
     order.  ``matrix`` is passed on to ``estimate_pool_values``.
     """
     _check_k(pool, k)
-    estimates = estimate_pool_values(pool, oracle, score_fn, subsample=subsample, seed=seed, matrix=matrix)
-    return tuple(pool[i].id for i in pool.rank([v.value for v in estimates])[:k])
+    values, _ = estimate_pool_values(pool, oracle, score_fn, subsample=subsample, seed=seed, matrix=matrix)
+    return tuple(pool[i].id for i in pool.rank(values)[:k])
 

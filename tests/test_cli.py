@@ -89,6 +89,25 @@ def test_retrieve_overflowing_scores_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("instance, product", [
+    # sigma xi_q and xi_k^T lam overflow before any score is formed.
+    ({"xi_q": [[1e200, 0.0], [0.0, 1.0]], "xi_k": [[1e200, 0.0], [0.0, 1.0]],
+      "sigma": [1e200, 0.0], "contexts": [[1e200, 0.0]]}, "u = sigma xi_q"),
+    # The retrieval is finite; attention's value rows K w_v overflow.
+    ({"xi_q": [[1.0, 0.0], [0.0, 1.0]], "xi_k": [[1.0, 0.0], [0.0, 1.0]], "w_v": [[1e200, 0.0], [0.0, 1.0]],
+      "sigma": [1.0, 0.0], "contexts": [[1e200, 0.0]]}, "V = K w_v"),
+], ids=["projections", "attention-values"])
+def test_retrieve_overflowing_product_is_usage_error(tmp_path, capsys, instance, product):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    assert cli_main(["retrieve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: entries of {product} are not finite")
+    assert captured.err.count("error:") == 1
+
+
 def test_retrieve_missing_file_is_usage_error(tmp_path):
     assert cli_main(["retrieve", str(tmp_path / "gone.json")]) == 1
 

@@ -120,11 +120,20 @@ class TestConfig:
         ("bound.instances", ""),
         ("seed", "-1"),
         ("task.kind", "bogus"),
+        ("task.d", "0"),
+        ("task.prototypes", "0"),
+        ("task.d", "4"),
+        ("task.d", "7"),
+        ("task.prototypes", "1"),
     ])
     def test_bad_value_rejected_naming_key(self, key, value):
         mapping = {"k_values": "1", "subsample": "all", key: value}
         with pytest.raises(ValueError, match=rf"^{re.escape(key)} must"):
             ExperimentConfig.from_mapping(mapping)
+
+    def test_zero_d_prototype_task_rejected_naming_key(self):
+        with pytest.raises(ValueError, match=r"^task.d must be >= 1"):
+            ExperimentConfig.from_mapping({"task.kind": "prototype-completion", "task.d": "0"})
 
     def test_boundary_values_accepted(self):
         config = ExperimentConfig.from_mapping({
@@ -132,6 +141,11 @@ class TestConfig:
             "oracle.gamma": "1e-300", "oracle.kind": "remote", "metric": "cosine", "score": "exact-match",
         })
         assert (config.pool_size, config.subsample, config.metric) == (2, 1, "cosine")
+        config = ExperimentConfig.from_mapping({"task.d": "4", "task.prototypes": "2"})
+        assert (config.task_d, config.task_prototypes) == (4, 2)
+        config = ExperimentConfig.from_mapping({"task.kind": "prototype-completion", "task.d": "1",
+                                                "task.prototypes": "1"})
+        assert (config.task_d, config.task_prototypes) == (1, 1)
 
     @pytest.mark.parametrize("endpoint", [
         "http://127.0.0.1:8080/predict", "https://example.com/v1/predict?model=a", "http://[::1]:9/p",
@@ -429,3 +443,11 @@ class TestStrategyComparison:
         summary, _, _ = run_strategy_comparison(config)
         assert 0.0 <= summary["strategies"]["active"]["win_rate_vs_random"] <= 1.0
         assert summary["strategies"]["random"]["win_rate_vs_random"] == 0.5
+
+    def test_win_rate_cell_empty_without_random(self):
+        config = small_config(trials=3, k_values=(2,), strategies=("metric", "active"))
+        summary, csv_text, _ = run_strategy_comparison(config)
+        rows = csv_text.splitlines()[2:]
+        assert [row.split(",")[0] for row in rows] == ["metric", "active"]
+        assert all(row.endswith(",") and row.count(",") == 5 for row in rows)
+        assert all("win_rate_vs_random" not in entry for entry in summary["strategies"].values())

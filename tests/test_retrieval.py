@@ -126,6 +126,23 @@ class TestRetrieve:
         with pytest.raises(ValueError, match="scores u z are not finite"):
             hnc_retrieve(model, ctx, query)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_overflowing_products_naming_them(self):
+        # Finite entries whose products overflow float64 are rejected
+        # before anything warns.
+        big = np.array([[1e200, 0.0], [0.0, 1.0]])
+        model = ContextualHopfield(xi_q=big, xi_k=big)
+        with pytest.raises(ValueError, match=r"^entries of u = sigma xi_q are not finite"):
+            QueryState.from_sigma([1e200, 0.0], model)
+        with pytest.raises(ValueError, match=r"^entries of Z = xi_k\^T lam are not finite"):
+            ContextSet.from_vectors([[1e200, 0.0]]).patterns(model)
+        model = ContextualHopfield.identity(2, w_v=big)
+        ctx = ContextSet.from_vectors([[1e200, 0.0]])
+        query = QueryState.from_sigma([1.0, 0.0], model)
+        assert hnc_retrieve(model, ctx, query).weights.tolist() == [1.0]
+        with pytest.raises(ValueError, match=r"^entries of V = K w_v are not finite"):
+            attention_view(model, ctx, query)
+
     def test_rejects_empty_context(self):
         with pytest.raises(ValueError):
             ContextSet(np.zeros((3, 0)))

@@ -219,30 +219,29 @@ class TestMetricRank:
 class TestValueEstimate:
     def test_constant_score_gives_value_one(self):
         pool, oracle = oracle_pool(6)
-        for est in estimate_pool_values(pool, oracle, lambda y_hat, y: 1.0):
-            assert est.value == 1.0
-            assert est.sample_count == 5
+        values, failures = estimate_pool_values(pool, oracle, lambda y_hat, y: 1.0)
+        assert values.dtype == np.float64 and values.shape == failures.shape == (6,)
+        assert np.all(values == 1.0) and np.all(failures == 0)
 
     def test_pool_of_two_single_term(self):
         pool, oracle = oracle_pool(2)
         e0, e1 = pool[0], pool[1]
-        est = estimate_pool_values(pool, oracle, cosine_score)[0]
+        values, failures = estimate_pool_values(pool, oracle, cosine_score)
         expected = cosine_score(oracle.predict([e0], e1.x), e1.y)
-        assert est.sample_count == 1
-        assert est.value == pytest.approx(expected, abs=1e-15)
+        assert values.shape == (2,) and failures[0] == 0
+        assert values[0] == pytest.approx(expected, abs=1e-15)
 
     def test_full_pool_matches_scripted_mean(self):
         pool, oracle = oracle_pool(20, seed=13)
         e = pool[7]
-        est = estimate_pool_values(pool, oracle, cosine_score, subsample="all")[7]
+        values, failures = estimate_pool_values(pool, oracle, cosine_score, subsample="all")
         scripted = [
             cosine_score(oracle.predict([e], other.x), other.y)
             for other in pool
             if other.id != e.id
         ]
-        assert est.exemplar_id == e.id
-        assert est.sample_count == 19
-        assert est.value == pytest.approx(float(np.mean(scripted)), abs=1e-12)
+        assert len(scripted) == 19 and failures[7] == 0
+        assert values[7] == pytest.approx(float(np.mean(scripted)), abs=1e-12)
 
     def test_oracle_failure_scores_zero_and_counts(self):
         pool, _ = oracle_pool(4)
@@ -251,9 +250,9 @@ class TestValueEstimate:
             def predict(self, exemplars, x):
                 return np.zeros(2)
 
-        for est in estimate_pool_values(pool, BrokenOracle(), cosine_score):
-            assert est.value == 0.0
-            assert est.failures == est.sample_count == 3
+        values, failures = estimate_pool_values(pool, BrokenOracle(), cosine_score)
+        assert np.all(values == 0.0)
+        assert np.issubdtype(failures.dtype, np.integer) and np.all(failures == 3)
 
     def test_rejects_tiny_pool_and_bad_subsample(self):
         pool, oracle = oracle_pool(4)
@@ -267,7 +266,8 @@ class TestValueEstimate:
 class TestActiveSelect:
     def test_pool_of_two_picks_higher_single_term_value(self):
         pool, oracle = oracle_pool(2, seed=3)
-        values = {v.exemplar_id: v.value for v in estimate_pool_values(pool, oracle, cosine_score)}
+        values, _ = estimate_pool_values(pool, oracle, cosine_score)
+        values = {e.id: v for e, v in zip(pool, values)}
         best = max(sorted(values), key=lambda i: values[i])
         assert active_select(pool, 1, oracle, cosine_score) == (best,)
 
@@ -301,22 +301,21 @@ class TestActiveSelect:
 
     def test_shared_probe_within_one_call(self):
         pool, oracle = oracle_pool(10, seed=4)
-        estimates = estimate_pool_values(pool, oracle, cosine_score, subsample=4, seed=9)
+        values, _ = estimate_pool_values(pool, oracle, cosine_score, subsample=4, seed=9)
         shared = reference_prefix(np.random.default_rng(9), 10, 10)
-        for est in estimates:
-            probe_ids = [pool[i].id for i in shared if pool[i].id != est.exemplar_id][:4]
-            e = pool.by_id(est.exemplar_id)
+        for e, value in zip(pool, values):
+            probe_ids = [pool[j].id for j in shared if pool[j].id != e.id][:4]
             expected = np.mean([
                 cosine_score(oracle.predict([e], pool.by_id(pid).x), pool.by_id(pid).y)
                 for pid in probe_ids
             ])
-            assert est.value == pytest.approx(float(expected), abs=1e-12)
+            assert value == pytest.approx(float(expected), abs=1e-12)
 
 
 def reference_pool_values(pool, oracle, score_fn, subsample, seed):
     """The per-probe procedure, one exemplar at a time: shared permutation,
     own position dropped, first ``subsample`` probes in id order, each scored
-    by ``safe_score``.  Returns (value, sample_count, failures) per exemplar."""
+    by ``safe_score``.  Returns (mean, len(pairs), failures) per exemplar."""
     shared = reference_prefix(seed, pool.size, pool.size)
     out = []
     for e in pool:
@@ -353,9 +352,10 @@ class TestPoolScoreMatrix:
         oracle = AssociativeOracle(gamma=float(rng.uniform(0.5, 8.0)), y_dim=3)
         matrix = pool_score_matrix(pool, oracle, fn)
         for seed in seeds:
-            got = estimate_pool_values(pool, oracle, fn, subsample=subsample, seed=seed, matrix=matrix)
-            assert [v.exemplar_id for v in got] == [e.id for e in pool]
-            assert [(v.value, v.sample_count, v.failures) for v in got] == \
+            values, failures = estimate_pool_values(pool, oracle, fn, subsample=subsample, seed=seed, matrix=matrix)
+            assert values.shape == failures.shape == (n,)
+            m = n - 1 if subsample == "all" else subsample
+            assert list(zip(values, [m] * n, failures)) == \
                 reference_pool_values(pool, oracle, fn, subsample, seed)
 
     def test_entries_are_single_exemplar_scores(self):
@@ -376,17 +376,17 @@ class TestPoolScoreMatrix:
                 return np.ones(x.shape[0] + 1) if x[0] > 0.5 else np.ones(x.shape[0])
 
         oracle = RaggedOracle()
-        got = estimate_pool_values(pool, oracle, cosine_score, subsample=4, seed=7)
+        values, failures = estimate_pool_values(pool, oracle, cosine_score, subsample=4, seed=7)
         expected = reference_pool_values(pool, oracle, cosine_score, 4, 7)
-        assert [(v.value, v.sample_count, v.failures) for v in got] == expected
-        assert sum(v.failures for v in got) > 0
+        assert list(zip(values, [4] * pool.size, failures)) == expected
+        assert failures.sum() > 0
 
     def test_default_builds_the_same_matrix(self):
         pool, oracle = oracle_pool(12, seed=5)
         matrix = pool_score_matrix(pool, oracle, cosine_score)
         a = estimate_pool_values(pool, oracle, cosine_score, subsample=5, seed=3)
         b = estimate_pool_values(pool, oracle, cosine_score, subsample=5, seed=3, matrix=matrix)
-        assert a == b
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         assert active_select(pool, 4, oracle, cosine_score, subsample=5, seed=3) == \
             active_select(pool, 4, oracle, cosine_score, subsample=5, seed=3, matrix=matrix)
 
