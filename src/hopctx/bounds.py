@@ -20,7 +20,7 @@ finite input whose scores u z or norms overflow is rejected with ValueError.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,20 +45,10 @@ __all__ = [
 # exactly and float noise must not silently merge patterns.
 DUPLICATE_TOL = 1e-12
 
-# CSV schema for serialized reports (one row per instance).
-BOUND_CSV_COLUMNS = (
-    "instance_id",
-    "M",
-    "t",
-    "gamma",
-    "delta_min",
-    "c",
-    "instance_error",
-    "beta",
-    "z_max_norm",
-    "upper_bound",
-    "realized_error",
-)
+# CSV schema for serialized reports (one row per instance); the columns after
+# M and t are the ``BoundReport`` fields of the same name.
+BOUND_CSV_COLUMNS = ("instance_id", "M", "t", "gamma", "delta_min", "c", "instance_error", "beta",
+                     "z_max_norm", "upper_bound", "realized_error")
 
 
 class BoundViolationError(AssertionError):
@@ -98,6 +88,18 @@ class BoundReport:
     realized_error: float | None = None
 
 
+def _margins(sims: np.ndarray, z: np.ndarray, target_index: int):
+    """The duplicate rule and the margins, for scores sims (B, M) and patterns
+    z (B, d_q, M).  Returns (delta_all, delta_min, t), delta_min NaN at t = M."""
+    m = z.shape[-1]
+    if not 0 <= target_index < m:
+        raise IndexError(f"target_index {target_index} out of range for M={m}")
+    dup = np.all(np.abs(z - z[..., target_index, None]) <= DUPLICATE_TOL, axis=-2)
+    delta_all = np.where(dup, np.nan, sims[..., target_index, None] - sims)
+    # fmin skips the NaN at duplicates, as nanmin does, without its all-NaN warning.
+    return delta_all, np.fmin.reduce(delta_all, axis=-1), dup.sum(axis=-1)
+
+
 def separation(u: np.ndarray, z: np.ndarray, target_index: int) -> SeparationReport:
     """Margins delta_j = u z_i - u z_j of target i against each distinct pattern.
 
@@ -106,130 +108,118 @@ def separation(u: np.ndarray, z: np.ndarray, target_index: int) -> SeparationRep
     per-coordinate equality within ``DUPLICATE_TOL``; delta_min is the
     minimum margin over non-duplicates.
     """
-    m = z.shape[1]
-    if not 0 <= target_index < m:
-        raise IndexError(f"target_index {target_index} out of range for M={m}")
-    target = z[:, target_index]
-    sims = u @ z
-    dup = np.all(np.abs(z - target[:, None]) <= DUPLICATE_TOL, axis=0)
-    t = int(dup.sum())
-    delta_all = np.where(dup, np.nan, sims[target_index] - sims)
-    if t == m:
-        delta_min = None
-    else:
-        delta_min = float(np.nanmin(delta_all))
-    return SeparationReport(
-        delta_all=delta_all,
-        delta_min=delta_min,
-        duplicate_count=t,
-        m=m,
-    )
+    delta_all, delta_min, t = _margins((u @ z)[None], z[None], target_index)
+    t, m = int(t[0]), z.shape[1]
+    return SeparationReport(delta_all[0], None if t == m else float(delta_min[0]), t, m)
 
 
-def beta_coefficient(c: float, m: int, t: int) -> float:
-    """beta = 1 - (1 + c(M-t)/t)^{-1} + c(M-t)."""
-    if t <= 0:
+def beta_coefficient(c, m, t):
+    """beta = 1 - (1 + c(M-t)/t)^{-1} + c(M-t), elementwise over arrays."""
+    if np.any(t <= 0):
         raise ValueError(f"t must be positive, got {t}")
-    if m < t:
+    if np.any(m < t):
         raise ValueError(f"M={m} smaller than duplicate count t={t}")
-    if c < 0:
+    if np.any(c < 0):
         raise ValueError(f"c must be nonnegative, got {c}")
-    if m == t:
-        return 0.0
-    x = c * (m - t) / t
-    return 1.0 - 1.0 / (1.0 + x) + c * (m - t)
-
-
-def error_bound(
-    sep: SeparationReport,
-    gamma: float,
-    instance_error: float,
-    z_max_norm: float,
-) -> BoundReport:
-    """Assemble the bound report from a separation report and instance data."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if instance_error < 0 or z_max_norm < 0:
-        raise ValueError("instance_error and z_max_norm must be nonnegative")
-    if sep.delta_min is None:
-        c = 0.0
-    else:
-        # delta_min < 0 (target not the best-scoring pattern) can push c past
-        # the float range; the bound is then trivially infinite but still valid.
-        try:
-            c = math.exp(-gamma * sep.delta_min)
-        except OverflowError:
-            c = math.inf
-    beta = beta_coefficient(c, sep.m, sep.duplicate_count)
-    return BoundReport(
-        instance_error=float(instance_error),
-        c=c,
-        t=sep.duplicate_count,
-        m=sep.m,
-        beta=beta,
-        z_max_norm=float(z_max_norm),
-        upper_bound=float(instance_error) + beta * float(z_max_norm),
-        gamma=float(gamma),
-        delta_min=sep.delta_min,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = c * (m - t) / t
+        return np.where(m == t, 0.0, 1.0 - 1.0 / (1.0 + x) + c * (m - t))[()]
 
 
 @np.errstate(over="ignore")
-def verify_patterns(u, z, v, u_star, gamma: float, target_index: int) -> BoundReport:
-    """Run one retrieval and check the realized error against its upper bound.
+def _bound_reports(gamma, m: int, t, delta_min, instance_error, z_max_norm, realized_error) -> list:
+    """One ``BoundReport`` per row of the array arguments (delta_min NaN where
+    t = M, which gives c = 0); c = exp(-gamma delta_min) by ``math.exp``."""
+    if gamma <= 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    c = []
+    for e in (-gamma * delta_min).tolist():
+        # delta_min < 0 can push c past the float range: the bound is then infinite but valid.
+        try:
+            c.append(0.0 if math.isnan(e) else math.exp(e))
+        except OverflowError:
+            c.append(math.inf)
+    c = np.array(c)
+    beta = beta_coefficient(c, m, t)
+    upper = instance_error + beta * z_max_norm
+    columns = (a.tolist() for a in (instance_error, c, t, beta, z_max_norm, upper, delta_min))
+    return [BoundReport(ie, ci, ti, m, b, zn, ub, float(gamma), None if ti == m else dm, eps)
+            for ie, ci, ti, b, zn, ub, dm, eps in zip(*columns, realized_error)]
 
-    u, z and v are as in ``retrieval_update``; u_star is the ground-truth
-    pattern and dz = u*^T - z_target.  A violation raises
-    ``BoundViolationError`` carrying the full report; the comparison allows
-    relative slack 1e-9 to absorb softmax rounding.  A score or norm that
-    overflows raises ValueError; a NaN error or bound cannot be checked and
-    counts as a violation; an infinite bound (infinite c) holds for any
-    finite error.
+
+def error_bound(sep: SeparationReport, gamma: float, instance_error: float, z_max_norm: float) -> BoundReport:
+    """Assemble the bound report from a separation report and instance data."""
+    if instance_error < 0 or z_max_norm < 0:
+        raise ValueError("instance_error and z_max_norm must be nonnegative")
+    row = [np.array([math.nan if x is None else x], dtype=np.float64)
+           for x in (sep.delta_min, instance_error, z_max_norm)]
+    return _bound_reports(gamma, sep.m, np.array([sep.duplicate_count]), *row, [None])[0]
+
+
+def _row_norms(d: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of d (B, n), with the bits of ``np.linalg.norm`` of one row."""
+    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+
+
+@np.errstate(over="ignore")
+def _verify_rows(u, z, v, u_star, gamma: float, target_index: int):
+    """The verifier core on a batch, shaped as in ``verify_patterns``.  Returns (reports,
+    fault): fault is None or (row, exception) of the first failing row, reports the rows before it."""
+    with np.errstate(invalid="ignore"):  # inf - inf in overflowing scores: flagged below
+        sims = (u[:, None, :] @ z)[:, 0, :]
+    n = int(np.append(np.isfinite(sims).all(axis=1), False).argmin())  # the first row whose scores overflow
+    fault = None if n == len(u) else (n, ValueError("scores u z are not finite: finite inputs overflow float64"))
+    u, z, v, u_star, sims = u[:n], z[:n], v[:n], u_star[:n], sims[:n]
+    _, delta_min, t = _margins(sims, z, target_index)
+    instance_error = _row_norms(u_star - z[..., target_index])
+    z_max_norm = np.linalg.norm(z, axis=1).max(axis=1)
+    eps = _row_norms(retrieval_update(u, z, v, gamma)[1] - u_star)
+    # A norm that overflows is bad input; a NaN is left to the violation check.
+    norms_ok = (np.stack([instance_error, z_max_norm, eps]) != math.inf).all(axis=0)
+    k = int(np.append(norms_ok, False).argmin())
+    if k < n:
+        fault = (k, ValueError(f"norms are not finite: ||dz||={instance_error[k]}, "
+                               f"||z_max||={z_max_norm[k]}, eps={eps[k]}"))
+    reports = _bound_reports(gamma, z.shape[-1], t[:k], delta_min[:k], instance_error[:k], z_max_norm[:k],
+                             eps[:k].tolist())
+    for i, report in enumerate(reports):
+        e, ub = report.realized_error, report.upper_bound
+        if not math.isfinite(e) or math.isnan(ub) or e > ub + 1e-9 * (1.0 + ub):
+            return reports[:i], (i, BoundViolationError(report, detail=f"eps={e!r} bound={ub!r}"))
+    return reports, fault
+
+
+def verify_patterns(u, z, v, u_star, gamma: float, target_index: int):
+    """Run the retrieval and check the realized error against its upper bound.
+
+    One instance, u (d_q,), z (d_q, M) and v (M, d_q) as in
+    ``retrieval_update``, gives its ``BoundReport``; a batch of one shape,
+    u (B, d_q), z (B, d_q, M) and v (B, M, d_q), a list of B reports.
+    u_star, shaped as u, is the ground truth: dz = u*^T - z_target.  A
+    violation raises ``BoundViolationError`` carrying the full report, with
+    relative slack 1e-9 for softmax rounding.  A score or norm that overflows
+    raises ValueError; a NaN error or bound counts as a violation; an
+    infinite bound (infinite c) holds for any finite error.  A batch raises
+    the error of its first failing row, as a loop over its rows would.
     """
     u_star = np.asarray(u_star, dtype=np.float64)
     if u_star.shape != u.shape:
         raise ValueError(f"u_star shape {u_star.shape} != query pattern shape {u.shape}")
-    _finite_product(u, z, "scores u z")
-    sep = separation(u, z, target_index)
-    instance_error = float(np.linalg.norm(u_star - z[:, target_index]))
-    z_max_norm = float(np.linalg.norm(z, axis=0).max())
-    _, u_new = retrieval_update(u, z, v, gamma)
-    eps = float(np.linalg.norm(u_new - u_star))
-    # A norm that overflows is bad input; a NaN is left to the violation check.
-    if math.inf in (instance_error, z_max_norm, eps):
-        raise ValueError(f"norms are not finite: ||dz||={instance_error}, ||z_max||={z_max_norm}, eps={eps}")
-    report = replace(error_bound(sep, gamma, instance_error, z_max_norm), realized_error=eps)
-    if not math.isfinite(eps) or math.isnan(report.upper_bound) or (
-        eps > report.upper_bound + 1e-9 * (1.0 + report.upper_bound)
-    ):
-        raise BoundViolationError(report, detail=f"eps={eps!r} bound={report.upper_bound!r}")
-    return report
+    one = u.ndim == 1
+    reports, fault = _verify_rows(*((a[None] for a in (u, z, v, u_star)) if one else (u, z, v, u_star)),
+                                  gamma, target_index)
+    if fault is not None:
+        raise fault[1]
+    return reports[0] if one else reports
 
 
-def verify_bound(
-    model: ContextualHopfield,
-    ctx: ContextSet,
-    query: QueryState,
-    u_star,
-    target_index: int,
-) -> BoundReport:
+def verify_bound(model: ContextualHopfield, ctx: ContextSet, query: QueryState, u_star, target_index: int):
     """``verify_patterns`` on the patterns of a model, a context set and a query."""
     z, v = ctx.patterns(model), _finite_product(ctx.lam.T, model.xi_k, "entries of V = lam^T xi_k")
     return verify_patterns(query.u, z, v, u_star, model.gamma, target_index)
 
 
 def bound_report_csv_row(instance_id, report: BoundReport) -> list:
-    """Flatten a report into the documented CSV column order."""
-    return [
-        instance_id,
-        report.m,
-        report.t,
-        repr(report.gamma),
-        "" if report.delta_min is None else repr(report.delta_min),
-        repr(report.c),
-        repr(report.instance_error),
-        repr(report.beta),
-        repr(report.z_max_norm),
-        repr(report.upper_bound),
-        "" if report.realized_error is None else repr(report.realized_error),
-    ]
+    """Flatten a report into the documented CSV column order (None as empty)."""
+    fields = (getattr(report, name) for name in BOUND_CSV_COLUMNS[3:])
+    return [instance_id, report.m, report.t] + ["" if x is None else repr(x) for x in fields]

@@ -1,6 +1,7 @@
 """Separation, realized error, and the retrieval-error upper bound."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from hopctx import (
     separation,
     verify_bound,
 )
-from hopctx.bounds import bound_report_csv_row, BOUND_CSV_COLUMNS
+from hopctx.bounds import BoundReport, bound_report_csv_row, BOUND_CSV_COLUMNS, _verify_rows, verify_patterns
+from hopctx.retrieval import retrieval_update
 
 
 def reference_beta(c, m, t):
@@ -289,11 +291,112 @@ class TestVerifyBound:
         # beta computation and check the diagnostic path.
         import hopctx.bounds as bounds_module
 
-        monkeypatch.setattr(bounds_module, "beta_coefficient", lambda c, m, t: -10.0)
+        monkeypatch.setattr(bounds_module, "beta_coefficient", lambda c, m, t: np.full_like(c, -10.0))
         model, ctx, query = identity_instance([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
         with pytest.raises(BoundViolationError) as excinfo:
             bounds_module.verify_bound(model, ctx, query, [1.0, 0.0], target_index=0)
         assert excinfo.value.report.realized_error > excinfo.value.report.upper_bound
+
+
+def pattern_stack(seed, rows, d_q, m, t):
+    """A stack of instances of one shape, as ``verify_patterns`` takes a batch:
+    u (B, d_q), z (B, d_q, M), v (B, M, d_q), u_star (B, d_q); in each row the
+    first t patterns duplicate the target (index 0)."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((rows, d_q, m))
+    z[:, :, 1:t] = z[:, :, :1]
+    u = rng.standard_normal((rows, d_q))
+    u_star = z[:, :, 0] + rng.uniform(0.0, 1.0, (rows, 1)) * rng.standard_normal((rows, d_q))
+    return u, z, np.ascontiguousarray(z.transpose(0, 2, 1)), u_star
+
+
+def report_bits(report):
+    """Every field of a report, with repr telling apart each float's bits."""
+    return [repr(x) for x in astuple(report)]
+
+
+def first_error_of_loop(u, z, v, u_star, gamma):
+    """(row, exception) that verifying the rows one at a time raises first."""
+    for i in range(len(u)):
+        try:
+            verify_patterns(u[i], z[i], v[i], u_star[i], gamma, target_index=0)
+        except (ValueError, BoundViolationError) as exc:
+            return i, exc
+    return None
+
+
+class TestBatchedVerifier:
+    @given(
+        st.integers(min_value=0, max_value=100_000),
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=9),
+        st.data(),
+        st.sampled_from([0.25, 2.0, 1e4]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_batch_equals_one_row_calls_bitwise(self, seed, rows, d_q, m, data, gamma):
+        # t = M covers delta_min None and c = 0 (always at M = 1); gamma 1e4
+        # with a negative margin gives c = inf and an infinite bound.
+        t = data.draw(st.integers(min_value=1, max_value=m))
+        u, z, v, u_star = pattern_stack(seed, rows, d_q, m, t)
+        batch = verify_patterns(u, z, v, u_star, gamma, target_index=0)
+        assert len(batch) == rows
+        for i, report in enumerate(batch):
+            one = verify_patterns(u[i], z[i], v[i], u_star[i], gamma, target_index=0)
+            assert report_bits(report) == report_bits(one)
+            # The same bits as a scalar evaluation of each term of the bound.
+            sep = separation(u[i], z[i], target_index=0)
+            if sep.delta_min is None:
+                c = 0.0
+            else:
+                try:
+                    c = math.exp(-gamma * sep.delta_min)
+                except OverflowError:
+                    c = math.inf
+            t = sep.duplicate_count
+            beta = 0.0 if t == m else reference_beta(c, m, t)
+            instance_error = float(np.linalg.norm(u_star[i] - z[i][:, 0]))
+            z_max_norm = float(np.linalg.norm(z[i], axis=0).max())
+            _, u_new = retrieval_update(u[i], z[i], v[i], gamma)
+            assert report_bits(report) == report_bits(BoundReport(
+                instance_error, c, t, m, beta, z_max_norm, instance_error + beta * z_max_norm, gamma,
+                sep.delta_min, float(np.linalg.norm(u_new - u_star[i])),
+            ))
+
+    def test_draws_reach_infinite_c(self):
+        u, z, v, u_star = pattern_stack(5, 20, 3, 4, 1)
+        reports = verify_patterns(u, z, v, u_star, 1e4, target_index=0)
+        assert any(r.delta_min < 0 and r.c == math.inf and r.upper_bound == math.inf for r in reports)
+
+    @given(
+        st.integers(min_value=0, max_value=100_000),
+        st.lists(st.sampled_from(["ok", "ok", "score", "norm", "violation"]), min_size=1, max_size=8),
+        st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_batch_raises_the_row_a_loop_raises_first(self, seed, kinds, m):
+        u, z, v, u_star = pattern_stack(seed, len(kinds), 3, m, 1)
+        for i, kind in enumerate(kinds):
+            if kind == "score":  # u z overflows
+                u[i], z[i] = 1e300, z[i] * 1e100
+                v[i] = z[i].T
+            elif kind == "norm":  # ||dz|| overflows, the scores do not
+                u_star[i] = 1e200
+            elif kind == "violation":  # a NaN error cannot be checked
+                v[i] = np.nan
+        reports, fault = _verify_rows(u, z, v, u_star, 2.0, 0)
+        expected = first_error_of_loop(u, z, v, u_star, 2.0)
+        if expected is None:
+            assert fault is None and len(reports) == len(kinds)
+            return
+        row, exc = fault
+        assert row == expected[0] == next(i for i, kind in enumerate(kinds) if kind != "ok")
+        assert (type(exc), str(exc)) == (type(expected[1]), str(expected[1]))
+        assert len(reports) == row
+        with pytest.raises(type(exc)) as excinfo:
+            verify_patterns(u, z, v, u_star, 2.0, target_index=0)
+        assert str(excinfo.value) == str(exc)
 
 
 class TestCsvRow:

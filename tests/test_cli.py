@@ -135,6 +135,16 @@ def test_bound_violation_is_invariant_error(monkeypatch, capsys):
     assert captured.err.startswith("invariant violation: retrieval error exceeds its upper bound")
 
 
+def test_one_dimensional_prototypes_are_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "k.csv"
+    code = cli_main(["k-study", "--set", "task.kind=prototype-completion", "--set", "task.d=1",
+                     "--set", "task.prototypes=3", "--output", str(out_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out_path.exists()
+    assert captured.err.startswith("error: task.d must be >= 2")
+
+
 def test_k_study_writes_csv_and_reruns_identically(small_config_file, tmp_path, capsys):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"

@@ -1,5 +1,6 @@
 """Config parsing and the three experiment runners."""
 
+import math
 import re
 
 import numpy as np
@@ -20,7 +21,7 @@ from hopctx import (
     verify_bound,
 )
 from hopctx.bounds import bound_report_csv_row
-from hopctx.experiments import parse_config_text
+from hopctx.experiments import _random_bound_instance, _verify_cell, parse_config_text
 
 
 def small_config(**overrides):
@@ -135,6 +136,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"^task.d must be >= 1"):
             ExperimentConfig.from_mapping({"task.kind": "prototype-completion", "task.d": "0"})
 
+    @pytest.mark.parametrize("prototypes", ["2", "3"])
+    def test_one_dimensional_prototypes_rejected_naming_key(self, prototypes):
+        # Unit-norm prototypes in d = 1 are +1 or -1, so two or more of them
+        # may coincide: the config says so before any task is drawn.
+        with pytest.raises(ValueError, match=r"^task.d must be >= 2 for prototype-completion"):
+            ExperimentConfig.from_mapping({"task.kind": "prototype-completion", "task.d": "1",
+                                           "task.prototypes": prototypes})
+
     def test_boundary_values_accepted(self):
         config = ExperimentConfig.from_mapping({
             "pool.size": "2", "queries.size": "1", "k_values": "1,2", "subsample": "1",
@@ -201,13 +210,10 @@ class TestBoundSweep:
         _, csv_b, _ = run_bound_sweep(config)
         assert csv_a == csv_b
 
-    def test_rows_equal_verify_bound_on_the_same_draws(self):
-        # The sweep verifies raw patterns.  Drawing its instances again, in
-        # its order, and verifying them through the model, context and query
-        # objects must give the same CSV rows.
-        config = small_config()
-        config.bound_instances = 5
-        _, csv_text, _ = run_bound_sweep(config)
+    @staticmethod
+    def object_path_rows(config):
+        """The sweep's instances drawn again, in its order, and verified one
+        at a time through the model, context and query objects."""
         expected = []
         for gi, gamma in enumerate(config.bound_gamma_grid):
             for mi, m in enumerate(config.bound_m_grid):
@@ -230,7 +236,46 @@ class TestBoundSweep:
                         report = verify_bound(model, ctx, query, ctx.patterns(model)[:, 0] + dz, target_index=0)
                         row = bound_report_csv_row(f"g{gi}-m{mi}-d{di}-{j}", report)
                         expected.append(",".join(map(str, row)))
-        assert csv_text.splitlines()[2:-1] == expected
+        return expected
+
+    def test_rows_equal_verify_bound_on_the_same_draws(self):
+        # The sweep verifies raw patterns, batched per cell and pattern shape;
+        # the per-instance object path must give the same CSV rows.
+        config = small_config()
+        config.bound_instances = 5
+        _, csv_text, _ = run_bound_sweep(config)
+        assert csv_text.splitlines()[2:-1] == self.object_path_rows(config)
+
+    def test_rows_equal_verify_bound_at_single_patterns_and_infinite_c(self):
+        # M = 1 (t = M, no delta_min, c = 0) and a gamma at which a negative
+        # margin sends c, beta and the bound to inf, on the same comparison.
+        config = small_config(bound_gamma_grid=(0.5, 1e4), bound_m_grid=(1, 3, 8),
+                              bound_dup_fractions=(0.0, 1.0), bound_instances=12)
+        reports, csv_text, _ = run_bound_sweep(config)
+        assert csv_text.splitlines()[2:-1] == self.object_path_rows(config)
+        assert any(r.m == 1 and r.delta_min is None and r.c == 0.0 for r in reports)
+        assert any(r.c == math.inf and r.upper_bound == math.inf for r in reports)
+
+    def test_cell_raises_the_first_failing_instance_across_shapes(self):
+        # Each pattern shape is one batch, the shape of draw 0 first.  A fault
+        # late in that batch and an earlier one in another batch: the error
+        # raised is the one of the lowest instance index, as a loop raises.
+        rng = np.random.default_rng(3)
+        draws = [_random_bound_instance(rng, 4, 0.0) for _ in range(40)]
+        shapes = [draw[0].shape for draw in draws]
+        early = next(j for j, shape in enumerate(shapes) if shape != shapes[0])
+        late = next(j for j, shape in enumerate(shapes) if shape == shapes[0] and j > early)
+        u, z, v, u_star = draws[late]
+        draws[late] = (u, z, v, np.full_like(u_star, 1e200))  # ||dz|| overflows
+        u, z, v, u_star = draws[early]
+        draws[early] = (np.full_like(u, 1e300), z * 1e100, v, u_star)  # the scores overflow
+        with pytest.raises(ValueError, match=r"^scores u z are not finite"):
+            _verify_cell(draws, 2.0)
+        draws[early] = (u, z, v, u_star)
+        with pytest.raises(ValueError, match=r"^norms are not finite"):
+            _verify_cell(draws, 2.0)
+        draws[late] = draws[early]
+        assert len(_verify_cell(draws, 2.0)) == 40
 
 
 class TestGammaMonotonicity:
