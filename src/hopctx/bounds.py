@@ -15,8 +15,8 @@ patterns).  When every pattern duplicates the target (t = M), delta_min has
 no defined value; c is set to 0 by convention, which is harmless because both
 c terms carry the factor M - t = 0.
 
-``verify_patterns`` checks the bound on patterns and needs finite products:
-finite input whose scores u z or norms overflow is rejected with ValueError.
+``verify_patterns`` needs finite input and finite products: non-finite input, or
+finite input whose scores u z or norms overflow, is rejected with ValueError.
 """
 
 import math
@@ -167,8 +167,12 @@ def _verify_rows(u, z, v, u_star, gamma: float, target_index: int):
     fault): fault is None or (row, exception) of the first failing row, reports the rows before it."""
     with np.errstate(invalid="ignore"):  # inf - inf in overflowing scores: flagged below
         sims = (u[:, None, :] @ z)[:, 0, :]
-    n = int(np.append(np.isfinite(sims).all(axis=1), False).argmin())  # the first row whose scores overflow
-    fault = None if n == len(u) else (n, ValueError("scores u z are not finite: finite inputs overflow float64"))
+    # Bad input: the first row with a non-finite u, z, v or u_star, or with finite ones whose scores overflow.
+    ok = [np.isfinite(a).all(axis=tuple(range(1, a.ndim))) for a in (u, z, v, u_star, sims)]
+    n = int(np.append(np.logical_and.reduce(ok), False).argmin())
+    names = ", ".join(name for name, rows in zip(("u", "z", "v", "u_star"), ok) if n < len(u) and not rows[n])
+    fault = None if n == len(u) else (n, ValueError(f"{names} not finite: the verifier takes finite input" if names
+                                                    else "scores u z are not finite: finite inputs overflow float64"))
     u, z, v, u_star, sims = u[:n], z[:n], v[:n], u_star[:n], sims[:n]
     _, delta_min, t = _margins(sims, z, target_index)
     instance_error = _row_norms(u_star - z[..., target_index])
@@ -197,10 +201,10 @@ def verify_patterns(u, z, v, u_star, gamma: float, target_index: int):
     u (B, d_q), z (B, d_q, M) and v (B, M, d_q), a list of B reports.
     u_star, shaped as u, is the ground truth: dz = u*^T - z_target.  A
     violation raises ``BoundViolationError`` carrying the full report, with
-    relative slack 1e-9 for softmax rounding.  A score or norm that overflows
-    raises ValueError; a NaN error or bound counts as a violation; an
-    infinite bound (infinite c) holds for any finite error.  A batch raises
-    the error of its first failing row, as a loop over its rows would.
+    relative slack 1e-9 for softmax rounding.  A non-finite u, z, v or u_star,
+    or a score or norm that overflows, raises ValueError; a NaN error or bound
+    is a violation; an infinite bound (infinite c) holds for any finite error.
+    A batch raises the error of its first failing row, as a loop would.
     """
     u_star = np.asarray(u_star, dtype=np.float64)
     if u_star.shape != u.shape:
@@ -220,6 +224,5 @@ def verify_bound(model: ContextualHopfield, ctx: ContextSet, query: QueryState, 
 
 
 def bound_report_csv_row(instance_id, report: BoundReport) -> list:
-    """Flatten a report into the documented CSV column order (None as empty)."""
-    fields = (getattr(report, name) for name in BOUND_CSV_COLUMNS[3:])
-    return [instance_id, report.m, report.t] + ["" if x is None else repr(x) for x in fields]
+    """A report in CSV column order, as raw values: ``csv.writer`` writes floats by repr, None as empty."""
+    return [instance_id, report.m, report.t] + [getattr(report, name) for name in BOUND_CSV_COLUMNS[3:]]

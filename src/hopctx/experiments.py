@@ -280,37 +280,46 @@ def _csv_text(header_comment: str, columns, rows) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _random_bound_instance(rng: np.random.Generator, m: int, dup_fraction: float):
-    """One random instance with a forced duplicate block, as the patterns
-    (u, z, v, u_star) that ``verify_bound`` forms from the drawn model."""
-    d_q = int(rng.integers(2, 9))
-    d_m = d_q + int(rng.integers(0, 3))
-    xi_q = rng.standard_normal((d_m, d_q))
-    xi_k = rng.standard_normal((d_m, d_q))
-    n_dup = max(1, int(round(dup_fraction * m)))
-    lam = rng.standard_normal((d_m, m))
-    lam[:, 1:n_dup] = lam[:, :1]
-    u = rng.standard_normal(d_m) @ xi_q
-    z = xi_k.T @ lam
-    u_star = z[:, 0] + rng.uniform(0.0, 1.0) * rng.standard_normal(d_q)
-    return u, z, lam.T @ xi_k, u_star
+def _draw_row(config: ExperimentConfig, gi: int, mi: int):
+    """Draw sweep row (gamma_grid[gi], m_grid[mi]), its cells in order, as the patterns ``verify_bound`` forms
+    from the drawn model.  Each instance draws d_q, d_m - d_q, one normal block (xi_q, xi_k, lam, sigma),
+    dz's scale and direction.  Yields [row positions, u, z, v, u_star] per d_q, positions ascending."""
+    m, n = int(config.bound_m_grid[mi]), config.bound_instances
+    draws, by_d_q = {}, {}
+    for di, frac in enumerate(config.bound_dup_fractions):
+        rng = np.random.default_rng(derive_seed(config.seed, 3, gi, mi, di))
+        for j in range(n):
+            d_q = int(rng.integers(2, 9))
+            d_m = d_q + int(rng.integers(0, 3))
+            draws.setdefault((d_q, d_m), []).append((di * n + j, max(1, round(frac * m)),
+                                                     rng.standard_normal(d_m * (2 * d_q + m + 1)),
+                                                     rng.random(), rng.standard_normal(d_q)))
+    for (d_q, d_m), group in draws.items():
+        pos, n_dup, block, scale, dz = (np.array(col) for col in zip(*group))
+        xi_q, xi_k, lam, sigma = (a.reshape(len(pos), d_m, -1)
+                                  for a in np.split(block, np.cumsum([d_m * d_q, d_m * d_q, d_m * m]), axis=1))
+        lam = np.where(np.arange(m) < n_dup[:, None, None], lam[..., :1], lam)  # the forced duplicate block
+        z = xi_k.transpose(0, 2, 1) @ lam
+        by_d_q.setdefault(d_q, []).append((pos, (sigma.transpose(0, 2, 1) @ xi_q)[:, 0], z,
+                                           lam.transpose(0, 2, 1) @ xi_k, z[..., 0] + scale[:, None] * dz))
+    for parts in by_d_q.values():
+        group = [np.concatenate(a) for a in zip(*parts)]
+        order = np.argsort(group[0])
+        yield [a[order] for a in group]
 
 
-def _verify_cell(draws: list, gamma: float) -> list:
-    """Verify a cell's draws in one batch per pattern shape.  Returns the
-    reports in draw order, or raises the error of the first failing draw."""
-    groups, reports, faults = {}, [None] * len(draws), []
-    for j, draw in enumerate(draws):
-        groups.setdefault(draw[0].shape, []).append(j)
-    for js in groups.values():
-        rows, fault = bounds._verify_rows(*(np.array([draws[j][k] for j in js]) for k in range(4)), gamma, 0)
-        for j, report in zip(js, rows):
-            reports[j] = report
+def _verify_row(groups: list, gamma: float) -> list:
+    """Verify a row's d_q groups in one batch each.  Returns the reports in row
+    order, or raises the error of the lowest failing row position."""
+    reports, faults = {}, []
+    for pos, *patterns in groups:
+        rows, fault = bounds._verify_rows(*patterns, gamma, 0)
+        reports.update(zip(pos.tolist(), rows))
         if fault is not None:
-            faults.append((js[fault[0]], fault[1]))
+            faults.append((pos[fault[0]], fault[1]))
     if faults:
         raise min(faults, key=lambda f: f[0])[1]
-    return reports
+    return [reports[k] for k in range(len(reports))]
 
 
 def run_bound_sweep(config: ExperimentConfig):
@@ -318,21 +327,17 @@ def run_bound_sweep(config: ExperimentConfig):
 
     Sweeps gamma, context size M, and the forced duplicate fraction t/M;
     every instance's realized error must stay below its upper bound (a
-    violation raises with the first offending instance of its cell).  Each
-    cell's instances are drawn in order, then verified in one batch per
-    pattern shape.  Returns (reports, csv_text, summary).
+    violation raises with the first offending instance of its (gamma, M)
+    row).  Each row's instances are drawn in order, then verified in one
+    batch per d_q.  Returns (reports, csv_text, summary).
     """
-    reports, rows, max_ratio = [], [], 0.0
+    reports, rows, n = [], [], config.bound_instances
     for gi, gamma in enumerate(config.bound_gamma_grid):
-        for mi, m in enumerate(config.bound_m_grid):
-            for di, frac in enumerate(config.bound_dup_fractions):
-                rng = np.random.default_rng(derive_seed(config.seed, 3, gi, mi, di))
-                draws = [_random_bound_instance(rng, int(m), frac) for _ in range(config.bound_instances)]
-                for j, report in enumerate(_verify_cell(draws, gamma)):
-                    reports.append(report)
-                    rows.append(bounds.bound_report_csv_row(f"g{gi}-m{mi}-d{di}-{j}", report))
-                    if report.upper_bound > 0:
-                        max_ratio = max(max_ratio, report.realized_error / report.upper_bound)
+        for mi in range(len(config.bound_m_grid)):
+            row = _verify_row(_draw_row(config, gi, mi), gamma)
+            reports += row
+            rows += [bounds.bound_report_csv_row(f"g{gi}-m{mi}-d{k // n}-{k % n}", r) for k, r in enumerate(row)]
+    max_ratio = max([0.0] + [r.realized_error / r.upper_bound for r in reports if r.upper_bound > 0])
     summary = {"instances": len(reports), "violations": 0, "max_error_to_bound_ratio": max_ratio}
     csv_text = _csv_text("# hopctx bound-sweep v1", bounds.BOUND_CSV_COLUMNS, rows)
     csv_text += f"# summary instances={len(reports)} violations=0 max_ratio={max_ratio!r}\n"

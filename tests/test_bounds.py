@@ -1,5 +1,7 @@
 """Separation, realized error, and the retrieval-error upper bound."""
 
+import csv
+import io
 import math
 from dataclasses import astuple
 
@@ -286,6 +288,16 @@ class TestVerifyBound:
         else:
             assert report.realized_error <= report.upper_bound + 1e-9 * (1 + report.upper_bound)
 
+    @pytest.mark.parametrize("name", ["u", "z", "v", "u_star"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_is_rejected_naming_it(self, name, value):
+        # Bad input, not a violation and not an overflow of finite input.
+        u, z, v, u_star = (a[0].copy() for a in pattern_stack(4, 1, 3, 2, 1))
+        patterns = {"u": u, "z": z, "v": v, "u_star": u_star}
+        patterns[name][0] = value
+        with pytest.raises(ValueError, match=rf"^{name} not finite: the verifier takes finite input$"):
+            verify_patterns(*patterns.values(), 2.0, target_index=0)
+
     def test_violation_error_carries_report(self, monkeypatch):
         # A genuine violation is impossible, so force one by sabotaging the
         # beta computation and check the diagnostic path.
@@ -307,7 +319,7 @@ def pattern_stack(seed, rows, d_q, m, t):
     z[:, :, 1:t] = z[:, :, :1]
     u = rng.standard_normal((rows, d_q))
     u_star = z[:, :, 0] + rng.uniform(0.0, 1.0, (rows, 1)) * rng.standard_normal((rows, d_q))
-    return u, z, np.ascontiguousarray(z.transpose(0, 2, 1)), u_star
+    return u, z, z.transpose(0, 2, 1).copy(), u_star  # a copy: at M = 1 the transpose is contiguous
 
 
 def report_bits(report):
@@ -371,20 +383,22 @@ class TestBatchedVerifier:
 
     @given(
         st.integers(min_value=0, max_value=100_000),
-        st.lists(st.sampled_from(["ok", "ok", "score", "norm", "violation"]), min_size=1, max_size=8),
+        st.lists(st.sampled_from(["ok", "ok", "input", "score", "norm", "violation"]), min_size=1, max_size=8),
         st.integers(min_value=1, max_value=5),
     )
     @settings(max_examples=120, deadline=None)
     def test_batch_raises_the_row_a_loop_raises_first(self, seed, kinds, m):
         u, z, v, u_star = pattern_stack(seed, len(kinds), 3, m, 1)
         for i, kind in enumerate(kinds):
-            if kind == "score":  # u z overflows
+            if kind == "input":  # a NaN input is bad input
+                v[i] = np.nan
+            elif kind == "score":  # u z overflows
                 u[i], z[i] = 1e300, z[i] * 1e100
                 v[i] = z[i].T
             elif kind == "norm":  # ||dz|| overflows, the scores do not
                 u_star[i] = 1e200
-            elif kind == "violation":  # a NaN error cannot be checked
-                v[i] = np.nan
+            elif kind == "violation":  # v is not z^T, so the error is far above the bound on z
+                v[i] = z[i].T + 1e100
         reports, fault = _verify_rows(u, z, v, u_star, 2.0, 0)
         expected = first_error_of_loop(u, z, v, u_star, 2.0)
         if expected is None:
@@ -399,6 +413,12 @@ class TestBatchedVerifier:
         assert str(excinfo.value) == str(exc)
 
 
+def csv_line(row):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(row)
+    return buf.getvalue()
+
+
 class TestCsvRow:
     def test_columns_and_undefined_delta(self):
         col = [1.0, 1.0]
@@ -407,4 +427,19 @@ class TestCsvRow:
         row = bound_report_csv_row("i0", report)
         assert len(row) == len(BOUND_CSV_COLUMNS)
         assert row[0] == "i0"
-        assert row[4] == ""  # delta_min undefined at t = M
+        assert row[4] is None  # delta_min undefined at t = M
+        assert csv_line(row).split(",")[4] == ""
+
+    @pytest.mark.parametrize("report", [
+        BoundReport(0.25, 0.0, 2, 2, 0.0, 1.5, 0.25, 2.0, None, 0.125),  # t = M: delta_min undefined
+        BoundReport(0.1, math.inf, 1, 3, math.inf, 2.0, math.inf, 1e4, -0.3, 0.7),  # c = inf, infinite bound
+        BoundReport(0.1, 1e300, 1, 3, 2e300, 1e10, math.inf, 8.0, -86.3, 0.7),  # only the bound overflows
+        BoundReport(0.1 + 0.2, 0.1353352832366127, 1, 8, 0.9473469826562889, 1.0 / 3.0, 0.6157823275520963,
+                    2.0, 1.0, 0.3),
+    ], ids=["delta-none", "c-inf", "bound-inf", "ordinary"])
+    def test_writer_gives_the_repr_strings(self, report):
+        # csv.writer writes floats by repr and None as an empty field, so raw
+        # values give the bytes of formatting each field by hand.
+        fields = [getattr(report, name) for name in BOUND_CSV_COLUMNS[3:]]
+        by_hand = ",".join(["g0-m1-d2-3", str(report.m), str(report.t)] + ["" if x is None else repr(x) for x in fields])
+        assert csv_line(bound_report_csv_row("g0-m1-d2-3", report)) == by_hand + "\n"

@@ -135,6 +135,21 @@ def test_bound_violation_is_invariant_error(monkeypatch, capsys):
     assert captured.err.startswith("invariant violation: retrieval error exceeds its upper bound")
 
 
+def test_non_finite_bound_input_is_usage_error(monkeypatch, capsys):
+    # A NaN in the drawn ground truth is bad input (exit 1), not a violation.
+    import hopctx.experiments as experiments_module
+
+    draw_row = experiments_module._draw_row
+
+    def nan_ground_truth(config, gi, mi):
+        for pos, u, z, v, u_star in draw_row(config, gi, mi):
+            yield pos, u, z, v, np.full_like(u_star, np.nan)
+
+    monkeypatch.setattr(experiments_module, "_draw_row", nan_ground_truth)
+    assert cli_main(["bound-sweep", "--set", "bound.instances=1"]) == 1
+    assert capsys.readouterr().err.startswith("error: u_star not finite")
+
+
 def test_one_dimensional_prototypes_are_usage_error(tmp_path, capsys):
     out_path = tmp_path / "k.csv"
     code = cli_main(["k-study", "--set", "task.kind=prototype-completion", "--set", "task.d=1",

@@ -1,10 +1,14 @@
 """Config parsing and the three experiment runners."""
 
+import csv
+import io
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopctx import (
     AssociativeOracle,
@@ -21,7 +25,7 @@ from hopctx import (
     verify_bound,
 )
 from hopctx.bounds import bound_report_csv_row
-from hopctx.experiments import _random_bound_instance, _verify_cell, parse_config_text
+from hopctx.experiments import _draw_row, _verify_row, parse_config_text
 
 
 def small_config(**overrides):
@@ -212,9 +216,11 @@ class TestBoundSweep:
 
     @staticmethod
     def object_path_rows(config):
-        """The sweep's instances drawn again, in its order, and verified one
-        at a time through the model, context and query objects."""
-        expected = []
+        """The sweep's instances drawn again, in its order, with eight Generator
+        calls each, verified one at a time through the model, context and query
+        objects and written by ``csv.writer``."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
         for gi, gamma in enumerate(config.bound_gamma_grid):
             for mi, m in enumerate(config.bound_m_grid):
                 for di, frac in enumerate(config.bound_dup_fractions):
@@ -234,13 +240,13 @@ class TestBoundSweep:
                         query = QueryState.from_sigma(rng.standard_normal(d_m), model)
                         dz = rng.uniform(0.0, 1.0) * rng.standard_normal(d_q)
                         report = verify_bound(model, ctx, query, ctx.patterns(model)[:, 0] + dz, target_index=0)
-                        row = bound_report_csv_row(f"g{gi}-m{mi}-d{di}-{j}", report)
-                        expected.append(",".join(map(str, row)))
-        return expected
+                        writer.writerow(bound_report_csv_row(f"g{gi}-m{mi}-d{di}-{j}", report))
+        return buf.getvalue().splitlines()
 
     def test_rows_equal_verify_bound_on_the_same_draws(self):
-        # The sweep verifies raw patterns, batched per cell and pattern shape;
-        # the per-instance object path must give the same CSV rows.
+        # The sweep draws a (gamma, M) row with five Generator calls per
+        # instance and verifies raw patterns, batched per d_q; the
+        # per-instance object path must give the same CSV rows.
         config = small_config()
         config.bound_instances = 5
         _, csv_text, _ = run_bound_sweep(config)
@@ -256,26 +262,68 @@ class TestBoundSweep:
         assert any(r.m == 1 and r.delta_min is None and r.c == 0.0 for r in reports)
         assert any(r.c == math.inf and r.upper_bound == math.inf for r in reports)
 
-    def test_cell_raises_the_first_failing_instance_across_shapes(self):
-        # Each pattern shape is one batch, the shape of draw 0 first.  A fault
-        # late in that batch and an earlier one in another batch: the error
-        # raised is the one of the lowest instance index, as a loop raises.
-        rng = np.random.default_rng(3)
-        draws = [_random_bound_instance(rng, 4, 0.0) for _ in range(40)]
-        shapes = [draw[0].shape for draw in draws]
-        early = next(j for j, shape in enumerate(shapes) if shape != shapes[0])
-        late = next(j for j, shape in enumerate(shapes) if shape == shapes[0] and j > early)
-        u, z, v, u_star = draws[late]
-        draws[late] = (u, z, v, np.full_like(u_star, 1e200))  # ||dz|| overflows
-        u, z, v, u_star = draws[early]
-        draws[early] = (np.full_like(u, 1e300), z * 1e100, v, u_star)  # the scores overflow
-        with pytest.raises(ValueError, match=r"^scores u z are not finite"):
-            _verify_cell(draws, 2.0)
-        draws[early] = (u, z, v, u_star)
-        with pytest.raises(ValueError, match=r"^norms are not finite"):
-            _verify_cell(draws, 2.0)
-        draws[late] = draws[early]
-        assert len(_verify_cell(draws, 2.0)) == 40
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.lists(st.sampled_from([0.5, 2.0, 1e4]), min_size=1, max_size=2, unique=True),
+        st.lists(st.sampled_from([1, 2, 3, 8]), min_size=1, max_size=2, unique=True),
+        st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=1, max_size=2, unique=True),
+        st.integers(min_value=1, max_value=20),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_the_eight_call_stream(self, seed, gammas, ms, fracs, instances):
+        # One normal block per instance in place of four draws, and random()
+        # in place of uniform(0.0, 1.0), keep the stream and the CSV bytes,
+        # across M = 1, full duplication and c = inf at gamma 1e4.
+        config = small_config(seed=seed, bound_gamma_grid=tuple(gammas), bound_m_grid=tuple(ms),
+                              bound_dup_fractions=tuple(fracs), bound_instances=instances)
+        _, csv_text, _ = run_bound_sweep(config)
+        assert csv_text.splitlines()[2:-1] == self.object_path_rows(config)
+
+    def test_row_raises_the_first_failing_instance(self):
+        # A row is verified in one batch per d_q, its cells and d_m groups
+        # mixed.  Of two faults, the error raised is the one of the lower row
+        # position, as a loop over the row's instances raises: across d_q
+        # groups, across d_m groups of one d_q and across the row's cells.
+        m, n = 4, 40
+        config = small_config(bound_m_grid=(m,), bound_dup_fractions=(0.0, 0.5), bound_instances=n)
+        shapes = []  # (d_q, d_m) at each row position, replaying the stream
+        for di in range(2):
+            rng = np.random.default_rng(derive_seed(config.seed, 3, 0, 0, di))
+            for _ in range(n):
+                d_q = int(rng.integers(2, 9))
+                d_m = d_q + int(rng.integers(0, 3))
+                rng.standard_normal(d_m * (2 * d_q + m + 1)), rng.random(), rng.standard_normal(d_q)
+                shapes.append((d_q, d_m))
+        first = {shape: shapes.index(shape) for shape in set(shapes)}
+        # Another d_q than position 0's, before a later instance of position 0's shape.
+        other_d_q = next(k for k, s in enumerate(shapes) if s[0] != shapes[0][0])
+        pairs = [(other_d_q, next(k for k, s in enumerate(shapes) if s == shapes[0] and k > other_d_q))]
+        # Same d_q, a d_m group first seen later than the one of the second fault.
+        pairs.append(next((i, j) for j, b in enumerate(shapes) for i, a in enumerate(shapes[:j])
+                          if a[0] == b[0] and a[1] != b[1] and first[a] > first[b]))
+        # Same shape, in cell 0 and in cell 1.
+        pairs.append(next((i, j) for i in range(n) for j in range(n, 2 * n) if shapes[i] == shapes[j]))
+
+        def row_with_faults(faults):
+            groups = list(_draw_row(config, 0, 0))
+            for k, kind in faults.items():
+                pos, u, z, v, u_star = next(g for g in groups if k in g[0])
+                i = int(np.searchsorted(pos, k))
+                if kind == "score":  # u z overflows
+                    u[i], z[i] = 1e300, z[i] * 1e100
+                    v[i] = z[i].T
+                else:  # ||dz|| overflows, the scores do not
+                    u_star[i] = 1e200
+            return groups
+
+        for i, j in pairs:
+            assert i < j
+            for kinds, message in ((("score", "norm"), r"^scores u z are not finite"),
+                                   (("norm", "score"), r"^norms are not finite")):
+                with pytest.raises(ValueError, match=message):
+                    _verify_row(row_with_faults(dict(zip((i, j), kinds))), 2.0)
+        reports = _verify_row(list(_draw_row(config, 0, 0)), 2.0)
+        assert [r.t for r in reports] == [1] * n + [2] * n  # dup fraction 0.5 of M = 4: t = 2
 
 
 class TestGammaMonotonicity:
