@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .retrieval import ContextSet, ContextualHopfield, QueryState, _finite_product, retrieval_update
+from .retrieval import ContextSet, ContextualHopfield, QueryState, _finite_product, _row_dot, retrieval_update
 
 __all__ = [
     "SeparationReport",
@@ -156,11 +156,6 @@ def error_bound(sep: SeparationReport, gamma: float, instance_error: float, z_ma
     return _bound_reports(gamma, sep.m, np.array([sep.duplicate_count]), *row, [None])[0]
 
 
-def _row_norms(d: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of d (B, n), with the bits of ``np.linalg.norm`` of one row."""
-    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
-
-
 @np.errstate(over="ignore")
 def _verify_rows(u, z, v, u_star, gamma: float, target_index: int):
     """The verifier core on a batch, shaped as in ``verify_patterns``.  Returns (reports,
@@ -175,9 +170,11 @@ def _verify_rows(u, z, v, u_star, gamma: float, target_index: int):
                                                     else "scores u z are not finite: finite inputs overflow float64"))
     u, z, v, u_star, sims = u[:n], z[:n], v[:n], u_star[:n], sims[:n]
     _, delta_min, t = _margins(sims, z, target_index)
-    instance_error = _row_norms(u_star - z[..., target_index])
+    dz = u_star - z[..., target_index]
+    instance_error = np.sqrt(_row_dot(dz, dz))
     z_max_norm = np.linalg.norm(z, axis=1).max(axis=1)
-    eps = _row_norms(retrieval_update(u, z, v, gamma)[1] - u_star)
+    d_eps = retrieval_update(u, z, v, gamma)[1] - u_star
+    eps = np.sqrt(_row_dot(d_eps, d_eps))
     # A norm that overflows is bad input; a NaN is left to the violation check.
     norms_ok = (np.stack([instance_error, z_max_norm, eps]) != math.inf).all(axis=0)
     k = int(np.append(norms_ok, False).argmin())

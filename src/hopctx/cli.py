@@ -8,6 +8,7 @@ such as a remote endpoint, gave no usable prediction).
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -79,19 +80,38 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _read_retrieve_input(payload) -> dict:
+    """The retrieve input's fields as float64 arrays, gamma as a float and
+    contexts as a list of them; a ValueError naming the first field that
+    cannot be read so."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"retrieve input must be a JSON object, got a JSON {type(payload).__name__}")
+    array = functools.partial(np.asarray, dtype=np.float64)
+    readers = {
+        "xi_q": ("a matrix of numbers", array), "xi_k": ("a matrix of numbers", array),
+        "w_v": ("a matrix of numbers", array), "gamma": ("a number", float), "sigma": ("a vector of numbers", array),
+        "contexts": ("a list of number vectors", lambda c: [array(v) for v in c]),
+    }
+    fields = {}
+    for name, (kind, read) in readers.items():
+        if name in payload:
+            try:
+                fields[name] = read(payload[name])
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} must be {kind}, got {json.dumps(payload[name])}") from None
+    return fields
+
+
 def _cmd_retrieve(args) -> int:
     path = Path(args.input)
     if not path.is_file():
         raise FileNotFoundError(f"input file not found: {path}")
-    payload = json.loads(path.read_text())
+    fields = _read_retrieve_input(json.loads(path.read_text()))
     model = retrieval.ContextualHopfield(
-        xi_q=np.asarray(payload["xi_q"], dtype=np.float64),
-        xi_k=np.asarray(payload["xi_k"], dtype=np.float64),
-        gamma=float(payload.get("gamma", 1.0)),
-        w_v=None if "w_v" not in payload else np.asarray(payload["w_v"], dtype=np.float64),
+        xi_q=fields["xi_q"], xi_k=fields["xi_k"], gamma=fields.get("gamma", 1.0), w_v=fields.get("w_v"),
     )
-    ctx = retrieval.ContextSet.from_vectors(payload["contexts"])
-    query = retrieval.QueryState.from_sigma(np.asarray(payload["sigma"], dtype=np.float64), model)
+    ctx = retrieval.ContextSet.from_vectors(fields["contexts"])
+    query = retrieval.QueryState.from_sigma(fields["sigma"], model)
     result = retrieval.hnc_retrieve(model, ctx, query)
     view = retrieval.attention_view(model, ctx, query)
     print("weights:", " ".join(repr(float(w)) for w in result.weights))

@@ -259,13 +259,6 @@ def _build_oracle(config: ExperimentConfig, task: tasks.TaskSpec):
     return tasks.RemoteOracle(config.oracle_endpoint)
 
 
-def _context_scores(oracle, pool, ids, xs, ys, score_fn) -> tuple:
-    """Rounded per-query scores when query j's context is the pool positions
-    ``ids[j]`` (or ``ids`` for every query), in one prediction call."""
-    scores, _ = selection.score_rows(score_fn, selection.predict_rows(oracle, pool, ids, xs), ys)
-    return tuple(round(s, SCORE_DECIMALS) for s in scores.tolist())
-
-
 def _csv_text(header_comment: str, columns, rows) -> str:
     buf = io.StringIO()
     buf.write(header_comment + "\n")
@@ -353,19 +346,19 @@ def run_k_study(config: ExperimentConfig):
     """Mean score of each strategy at each context size K, over seeded trials.
 
     The pool and query set are generated once from the config seed; trials
-    vary only the selection randomness.  Every context is passed to the
-    oracle as pool positions (``selection.predict_rows``), so each scored
-    (strategy, K) is one prediction call over all queries.  When ``active``
-    runs, the pool score matrix (``selection.pool_score_matrix``) is built
-    once per run, and each trial's active values are a gather and mean over
-    it under that trial's probe permutation, ranked once at the largest K and
-    sliced per K (identical to calling the selector per K with the same
-    seed).  This asks the oracle for pool.size^2 single-exemplar predictions
-    once instead of trials * pool.size * subsample.  Metric and instance-best
-    have no randomness: each ranks every query once per run
-    (``selection.metric_rank``; the query score matrix), slices the ranking
-    to each K, and every trial reuses those scores.  Returns
-    (records, csv_text).
+    vary only the selection randomness.  Each strategy's contexts are built
+    once, as pool positions: random and active (trials, 1, K), one context
+    per trial for every query; metric and instance-best, which have no
+    randomness, (1, Q, N), one ranking per query (``selection.metric_rank``;
+    the query score matrix).  Each (strategy, K) is one blocked
+    ``selection.score_contexts`` call on the first K positions of every
+    context, over all trials and queries (a ``predict``-only oracle is asked
+    trial by trial, each over the queries); the trial loop only assembles
+    records.  With ``active``, the pool score matrix is built once per run,
+    and each trial's active values are a gather and mean over it under that
+    trial's probe permutation, ranked once at the largest K (identical to
+    calling the selector per K with the same seed): pool.size^2 predictions
+    once instead of trials * pool.size * subsample.  Returns (records, csv_text).
     """
     task = _build_task(config)
     oracle = _build_oracle(config, task)
@@ -374,51 +367,46 @@ def run_k_study(config: ExperimentConfig):
         task, config.pool_size, derive_seed(config.seed, 1), n_queries=config.queries_size
     )
     xs, ys = np.stack([q.x for q in queries]), np.stack([q.y for q in queries])
-    records = []
+    trials = range(config.trials)
 
-    orders = {}
+    contexts = {}
     if "instance-best" in config.strategies:
-        query_scores, _ = selection.pool_score_matrix(pool, oracle, score_fn, targets=queries)
-        orders["instance-best"] = pool.rank(query_scores.T)
+        query_scores, _ = selection.score_contexts(pool, oracle, score_fn, np.arange(pool.size)[:, None, None], xs, ys)
+        contexts["instance-best"] = pool.rank(query_scores.T)[None]
     if "metric" in config.strategies:
-        orders["metric"], _ = selection.metric_rank(pool, xs, config.metric)
-    per_query = {
-        (strategy, k): _context_scores(oracle, pool, order[:, :k], xs, ys, score_fn)
-        for strategy, order in orders.items()
-        for k in config.k_values
-    }
-
-    pool_scores = None
+        contexts["metric"] = selection.metric_rank(pool, xs, config.metric)[0][None]
     if "active" in config.strategies:
-        pool_scores = selection.pool_score_matrix(pool, oracle, score_fn)
+        matrix = selection.pool_score_matrix(pool, oracle, score_fn)
+        contexts["active"] = np.stack([pool.positions(selection.active_select(
+            pool, max(config.k_values), oracle, score_fn, subsample=config.subsample,
+            seed=derive_seed(config.seed, 2, trial, _STRATEGY_CODES["active"]), matrix=matrix,
+        )) for trial in trials])[:, None]
 
-    for trial in range(config.trials):
+    # (per-query scores, mean) of each context row, per (strategy, K).
+    scored = {}
+    for strategy in config.strategies:
+        for k in config.k_values:
+            if strategy == "random":
+                ids = np.stack([pool.positions(selection.random_select(
+                    pool, k, seed=derive_seed(config.seed, 2, trial, _STRATEGY_CODES["random"], k),
+                )) for trial in trials])[:, None]
+            else:
+                ids = contexts[strategy][..., :k]
+            scores, _ = selection.score_contexts(pool, oracle, score_fn, ids, xs, ys)
+            rounded = [tuple(round(s, SCORE_DECIMALS) for s in row) for row in scores.tolist()]
+            scored[strategy, k] = [(row, float(np.mean(row))) for row in rounded]
+
+    records = []
+    for trial in trials:
         for strategy in config.strategies:
             code = _STRATEGY_CODES[strategy]
-            if strategy == "active":
-                active_seed = derive_seed(config.seed, 2, trial, code)
-                ranking = pool.positions(selection.active_select(
-                    pool, max(config.k_values), oracle, score_fn,
-                    subsample=config.subsample, seed=active_seed, matrix=pool_scores,
-                ))
             for k in config.k_values:
-                trial_seed = derive_seed(config.seed, 2, trial, code, k)
-                if strategy == "random":
-                    ids = pool.positions(selection.random_select(pool, k, seed=trial_seed))
-                    scores = _context_scores(oracle, pool, ids, xs, ys, score_fn)
-                elif strategy == "active":
-                    scores = _context_scores(oracle, pool, ranking[:k], xs, ys, score_fn)
-                    trial_seed = active_seed
-                else:
-                    scores = per_query[strategy, k]
-                records.append(TrialRecord(
-                    trial_index=trial,
-                    trial_seed=trial_seed,
-                    strategy=strategy,
-                    k=k,
-                    mean_score=float(np.mean(scores)),
-                    per_query_scores=tuple(scores),
-                ))
+                by_row = scored[strategy, k]  # one row per trial, or one shared by all trials
+                per_query, mean = by_row[min(trial, len(by_row) - 1)]
+                # Active ranks once per trial at the largest K; the others draw or rank per K.
+                trial_seed = (derive_seed(config.seed, 2, trial, code) if strategy == "active"
+                              else derive_seed(config.seed, 2, trial, code, k))
+                records.append(TrialRecord(trial, trial_seed, strategy, k, mean, per_query))
 
     rows = [
         [r.trial_index, r.trial_seed, r.strategy, r.k, len(r.per_query_scores), repr(r.mean_score)]

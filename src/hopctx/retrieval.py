@@ -166,6 +166,14 @@ class AttentionView:
     output: np.ndarray
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of a (B, n) with the same row of b, as a
+    stacked one-row matmul: it reaches the same BLAS ``ddot`` as a 1-D
+    ``a[i] @ b[i]`` and so matches it bit for bit (``einsum`` and
+    ``(a * b).sum(1)`` sum in another order)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def retrieval_update(u: np.ndarray, z: np.ndarray, v: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """The retrieval update for one query pattern u (d_q,) or a batch of rows.
 

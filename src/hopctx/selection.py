@@ -6,8 +6,14 @@ selection, which ranks exemplars by a Monte-Carlo estimate of how well each
 one predicts the rest of the pool when used as the sole context.  Each
 returns the chosen ids as a tuple, in context order.  The evaluation-only
 "instance best" strategy of the k-study runner ranks exemplars by their true
-per-query score, a ``pool_score_matrix`` with the queries as targets.  A
-query is an ``Exemplar`` too: a labelled (x, y) pair.
+per-query score: each pool exemplar as the sole context, scored on each
+query.  A query is an ``Exemplar`` too: a labelled (x, y) pair.
+
+Scoring: ``score_contexts`` is the one path from contexts of pool positions,
+(B, 1 or T, K), to scores on T targets, in bounded blocks.  The pool and
+instance-best score matrices and each (strategy, K) of a k-study, over all
+trials and queries, are one call each; an oracle with only ``predict`` is
+asked once per (context, target), trial by trial, each over the targets.
 
 Ranking rule: every ranked strategy (metric, active, instance-best) scores
 each pool exemplar and keeps the first K of ``ExemplarPool.rank``, which
@@ -50,7 +56,7 @@ __all__ = [
     "active_select",
 ]
 
-# Most predictions one ``pool_score_matrix`` block asks for at once.
+# Most predictions one ``score_contexts`` block asks for at once.
 POOL_BLOCK_PREDICTIONS = 4096
 
 
@@ -234,28 +240,34 @@ def metric_rank(pool: ExemplarPool, query_xs, metric: str = "euclidean") -> tupl
     return pool.rank(closeness), closeness
 
 
-def pool_score_matrix(pool: ExemplarPool, oracle, score_fn, targets=None) -> tuple[np.ndarray, np.ndarray]:
-    """scores[i, j]: pool[i] as the sole context exemplar, scored on targets[j].
+def score_contexts(pool: ExemplarPool, oracle, score_fn, ids, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """scores[b, t]: context ``ids[b, t]`` (or ``ids[b, 0]`` for every target)
+    predicted on target xs[t] and scored against ys[t].
 
-    ``targets`` holds anything with ``x`` and ``y`` (default: the pool).  The
-    rows are predicted and scored in blocks of whole exemplar rows, at most
-    ``POOL_BLOCK_PREDICTIONS`` predictions per block, each block one
-    ``predict_rows`` call and one batched score: one call for the whole
-    N x T matrix would hold all its predictions and intermediates at once.
-    Returns the scores and their ok mask.  Nothing in it depends on a seed,
-    so one pool matrix serves every trial of a run: the oracle is asked for
-    N^2 predictions once instead of N * subsample per trial.
+    ``ids`` holds contexts of K pool positions, shaped (B, 1 or T, K), for T
+    targets.  The contexts are predicted and scored in blocks of whole rows
+    of B, at most ``POOL_BLOCK_PREDICTIONS`` predictions per block (one row
+    when T is larger), each block one ``predict_rows`` call and one batched
+    score: one call for all B x T would hold all its predictions and
+    intermediates at once.  Returns the (B, T) scores and their ok mask.
     """
-    targets = pool if targets is None else targets
-    xs, ys = np.stack([t.x for t in targets]), np.stack([t.y for t in targets])
-    step = max(1, POOL_BLOCK_PREDICTIONS // len(xs))
+    ids = np.asarray(ids)
+    step = max(1, POOL_BLOCK_PREDICTIONS // len(ys))
     blocks = []
-    for start in range(0, pool.size, step):
-        ids = np.arange(start, min(start + step, pool.size))[:, None, None]
-        blocks.append(score_rows(score_fn, predict_rows(oracle, pool, ids, xs), np.tile(ys, (len(ids), 1))))
-    shape = (pool.size, len(xs))
+    for start in range(0, len(ids), step):
+        block = ids[start:start + step]
+        blocks.append(score_rows(score_fn, predict_rows(oracle, pool, block, xs), np.tile(ys, (len(block), 1))))
+    shape = (len(ids), len(ys))
     return (np.concatenate([s for s, _ in blocks]).reshape(shape),
             np.concatenate([ok for _, ok in blocks]).reshape(shape))
+
+
+def pool_score_matrix(pool: ExemplarPool, oracle, score_fn) -> tuple[np.ndarray, np.ndarray]:
+    """scores[i, j] and its ok mask: pool[i] as the sole context exemplar,
+    scored on pool[j] (``score_contexts``).  Nothing in it depends on a
+    seed, so one pool matrix serves every trial of a run: the oracle is asked
+    for N^2 predictions once instead of N * subsample per trial."""
+    return score_contexts(pool, oracle, score_fn, np.arange(pool.size)[:, None, None], pool.xs, pool.ys)
 
 
 def estimate_pool_values(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .retrieval import retrieval_update
+from .retrieval import _row_dot, retrieval_update
 from .selection import Exemplar, ExemplarPool
 
 __all__ = [
@@ -118,13 +118,6 @@ def _as_pair(y_hat, y):
     if y_hat.shape != y.shape:
         raise ValueError(f"prediction shape {y_hat.shape} != target shape {y.shape}")
     return y_hat, y
-
-
-def _row_dot(a, b) -> np.ndarray:
-    """Per-row dot products as stacked matmul, which reaches the same BLAS
-    ``ddot`` as a 1-D ``a[i] @ b[i]`` and so matches it bit for bit
-    (``einsum`` and ``(a * b).sum(1)`` sum in another order)."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _rows(score_rows):

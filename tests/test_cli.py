@@ -108,6 +108,29 @@ def test_retrieve_overflowing_product_is_usage_error(tmp_path, capsys, instance,
     assert captured.err.count("error:") == 1
 
 
+_IDENTITY_INSTANCE = {"xi_q": [[1.0, 0.0], [0.0, 1.0]], "xi_k": [[1.0, 0.0], [0.0, 1.0]],
+                      "sigma": [1.0, 0.0], "contexts": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("payload, field", [
+    ({**_IDENTITY_INSTANCE, "gamma": None}, "gamma"),
+    ({**_IDENTITY_INSTANCE, "contexts": 5}, "contexts"),
+    ({**_IDENTITY_INSTANCE, "sigma": {"a": 1}}, "sigma"),
+    ([_IDENTITY_INSTANCE], "JSON object"),
+], ids=["null-gamma", "scalar-contexts", "object-sigma", "top-level-array"])
+def test_retrieve_mistyped_field_is_usage_error(tmp_path, payload, field):
+    # Run as a process: a TypeError escaping cli_main would print a traceback.
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(payload))
+    env = dict(os.environ, PYTHONPATH=str(Path(hopctx.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "hopctx.cli", "retrieve", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("error:") == 1
+    assert field in proc.stderr.splitlines()[0]
+
+
 def test_retrieve_missing_file_is_usage_error(tmp_path):
     assert cli_main(["retrieve", str(tmp_path / "gone.json")]) == 1
 

@@ -19,6 +19,7 @@ from hopctx import (
     active_select,
     cosine_score,
     derive_seed,
+    experiments,
     run_bound_sweep,
     run_k_study,
     run_strategy_comparison,
@@ -381,6 +382,29 @@ class TestKStudy:
             rows.clear()
             assert run_k_study(config)[1] == batched_csv
             assert max(rows) > 1  # the k-study predicted through predict_pool
+
+    def test_predict_only_oracle_writes_the_builtin_csv(self, monkeypatch):
+        # An oracle with only ``predict`` (as the remote one) is asked once
+        # per (context, query): per (strategy, K), trial by trial, each over
+        # the queries.  Its predictions must meet the same tiled targets.
+        config = small_config(strategies=("random", "metric", "active", "instance-best"), trials=2,
+                              pool_size=16, queries_size=6, subsample=5)
+        _, builtin_csv = run_k_study(config)
+        build_oracle, calls = experiments._build_oracle, []
+
+        class PredictOnly:
+            def __init__(self, oracle):
+                self.oracle = oracle
+
+            def predict(self, exemplars, x):
+                calls.append(len(exemplars))
+                return self.oracle.predict(exemplars, x)
+
+        monkeypatch.setattr(experiments, "_build_oracle", lambda config, task: PredictOnly(build_oracle(config, task)))
+        assert run_k_study(config)[1] == builtin_csv
+        # The instance-best query matrix, the pool matrix, then each (strategy, K).
+        n, q, ks = config.pool_size, config.queries_size, config.k_values
+        assert calls == [1] * (n * q + n * n) + [k for rows in (2, 1, 2, 1) for k in ks for _ in range(rows * q)]
 
     def test_random_at_full_pool_has_zero_variance(self):
         config = small_config(trials=4, k_values=(30,), strategies=("random",))

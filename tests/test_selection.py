@@ -1,5 +1,7 @@
 """Selection strategies: sampling procedure, ranking rules, value estimates."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,8 @@ from hopctx import (
     negative_error,
     random_select,
 )
-from hopctx.selection import metric_rank, pool_score_matrix, predict_rows, safe_score
+from hopctx import selection
+from hopctx.selection import metric_rank, pool_score_matrix, predict_rows, safe_score, score_contexts
 
 
 def reference_prefix(seed_or_rng, n, k):
@@ -406,6 +409,45 @@ class TestPoolScoreMatrix:
                 estimate_pool_values(pool5, oracle, cosine_score, matrix=bad)
 
 
+class PredictOnly:
+    """An oracle with only the documented ``predict`` of the one it wraps."""
+
+    def __init__(self, oracle):
+        self.predict = oracle.predict
+
+
+class TestScoreContexts:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 10),
+        shape=st.tuples(st.integers(1, 8), st.integers(1, 6), st.integers(1, 4)),
+        per_target=st.booleans(),
+        block=st.one_of(st.none(), st.integers(1, 12)),
+        fn=st.sampled_from([cosine_score, negative_error, exact_match, lambda y_hat, y: float(y_hat[0]) / float(y[0])]),
+        predict_only=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_entries_equal_safe_score_of_one_prediction(self, seed, n, shape, per_target, block, fn, predict_only):
+        # Contexts (B, 1, K) or (B, T, K), repeats allowed; a block size below
+        # B x T splits the batch.  Zero targets make cosine scores and the
+        # custom score fail; a prediction equal to its target scores -0.0.
+        b, t, k = shape
+        rng = np.random.default_rng(seed)
+        pool = ExemplarPool([Exemplar(id=int(i), x=rng.standard_normal(2), y=rng.integers(-1, 2, 3))
+                             for i in rng.permutation(3 * n)[:n]])
+        oracle = AssociativeOracle(gamma=float(rng.uniform(0.5, 8.0)), y_dim=3)
+        ids = rng.integers(n, size=(b, t if per_target else 1, k))
+        xs, ys = rng.standard_normal((t, 2)), rng.integers(-1, 2, (t, 3)).astype(np.float64)
+        with mock.patch.object(selection, "POOL_BLOCK_PREDICTIONS", block or selection.POOL_BLOCK_PREDICTIONS):
+            scores, ok = score_contexts(pool, PredictOnly(oracle) if predict_only else oracle, fn, ids, xs, ys)
+        assert scores.shape == ok.shape == (b, t)
+        for i in range(b):
+            for j in range(t):
+                ctx = ids[i, j if per_target else 0]
+                s, s_ok = safe_score(fn, oracle.predict([pool[c] for c in ctx], xs[j]), ys[j])
+                assert (scores[i, j].tobytes(), ok[i, j]) == (np.float64(s).tobytes(), s_ok)
+
+
 class TestPredictRows:
     def test_predict_only_oracle_is_asked_per_broadcast_row_in_c_order(self):
         pool = vector_pool(4)
@@ -428,11 +470,8 @@ class TestPredictRows:
         ids = np.array([[0, 3, 5], [8, 1, 1]])
         xs = pool.xs[:2] + 0.1
 
-        class PredictOnly:
-            predict = oracle.predict
-
         np.testing.assert_array_equal(
-            predict_rows(oracle, pool, ids, xs), np.stack(predict_rows(PredictOnly(), pool, ids, xs))
+            predict_rows(oracle, pool, ids, xs), np.stack(predict_rows(PredictOnly(oracle), pool, ids, xs))
         )
 
     def test_rejects_empty_context_and_mismatched_query(self):
@@ -447,8 +486,8 @@ def instance_best(pool, query, k, oracle, score_fn):
     """Ids of the k best exemplars on one (x, y) query, ranked the way the
     k-study runner ranks instance-best: the query's column of the score
     matrix, by descending score, ties by ascending id."""
-    target = Exemplar(id=0, x=query[0], y=query[1])
-    scores, _ = pool_score_matrix(pool, oracle, score_fn, targets=[target])
+    x, y = (np.asarray(a, dtype=np.float64)[None] for a in query)
+    scores, _ = score_contexts(pool, oracle, score_fn, np.arange(pool.size)[:, None, None], x, y)
     return tuple(pool[i].id for i in pool.rank(scores[:, 0])[:k])
 
 
