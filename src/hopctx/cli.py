@@ -80,17 +80,27 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _read_contexts(contexts) -> list:
+    vectors = [np.asarray(v, dtype=np.float64) for v in contexts]
+    if not vectors or len({v.shape for v in vectors}) > 1:
+        raise ValueError
+    return vectors
+
+
 def _read_retrieve_input(payload) -> dict:
     """The retrieve input's fields as float64 arrays, gamma as a float and
-    contexts as a list of them; a ValueError naming the first field that
-    cannot be read so."""
+    contexts as a list of them; a ValueError naming the first field that is
+    missing or cannot be read so."""
     if not isinstance(payload, dict):
         raise ValueError(f"retrieve input must be a JSON object, got a JSON {type(payload).__name__}")
+    for name in ("xi_q", "xi_k", "sigma", "contexts"):
+        if name not in payload:
+            raise ValueError(f"{name} is required")
     array = functools.partial(np.asarray, dtype=np.float64)
     readers = {
         "xi_q": ("a matrix of numbers", array), "xi_k": ("a matrix of numbers", array),
         "w_v": ("a matrix of numbers", array), "gamma": ("a number", float), "sigma": ("a vector of numbers", array),
-        "contexts": ("a list of number vectors", lambda c: [array(v) for v in c]),
+        "contexts": ("a non-empty list of equal-length number vectors", _read_contexts),
     }
     fields = {}
     for name, (kind, read) in readers.items():

@@ -369,6 +369,14 @@ def run_k_study(config: ExperimentConfig):
     xs, ys = np.stack([q.x for q in queries]), np.stack([q.y for q in queries])
     trials = range(config.trials)
 
+    # Each strategy's seed per (trial, K): active ranks once per trial at the
+    # largest K, so its seed repeats over K; the others draw or rank per K.
+    seeds = {}
+    for strategy in config.strategies:
+        parts = [(config.seed, 2, trial, _STRATEGY_CODES[strategy]) for trial in trials]
+        seeds[strategy] = ([[derive_seed(*p)] * len(config.k_values) for p in parts] if strategy == "active"
+                           else [[derive_seed(*p, k) for k in config.k_values] for p in parts])
+
     contexts = {}
     if "instance-best" in config.strategies:
         query_scores, _ = selection.score_contexts(pool, oracle, score_fn, np.arange(pool.size)[:, None, None], xs, ys)
@@ -377,19 +385,15 @@ def run_k_study(config: ExperimentConfig):
         contexts["metric"] = selection.metric_rank(pool, xs, config.metric)[0][None]
     if "active" in config.strategies:
         matrix = selection.pool_score_matrix(pool, oracle, score_fn)
-        contexts["active"] = np.stack([pool.positions(selection.active_select(
-            pool, max(config.k_values), oracle, score_fn, subsample=config.subsample,
-            seed=derive_seed(config.seed, 2, trial, _STRATEGY_CODES["active"]), matrix=matrix,
-        )) for trial in trials])[:, None]
+        contexts["active"] = np.stack([selection.active_select(
+            pool, max(config.k_values), matrix, config.subsample, row[0]) for row in seeds["active"]])[:, None]
 
     # (per-query scores, mean) of each context row, per (strategy, K).
     scored = {}
     for strategy in config.strategies:
-        for k in config.k_values:
+        for ki, k in enumerate(config.k_values):
             if strategy == "random":
-                ids = np.stack([pool.positions(selection.random_select(
-                    pool, k, seed=derive_seed(config.seed, 2, trial, _STRATEGY_CODES["random"], k),
-                )) for trial in trials])[:, None]
+                ids = np.stack([selection.random_select(pool, k, row[ki]) for row in seeds["random"]])[:, None]
             else:
                 ids = contexts[strategy][..., :k]
             scores, _ = selection.score_contexts(pool, oracle, score_fn, ids, xs, ys)
@@ -399,14 +403,10 @@ def run_k_study(config: ExperimentConfig):
     records = []
     for trial in trials:
         for strategy in config.strategies:
-            code = _STRATEGY_CODES[strategy]
-            for k in config.k_values:
+            for ki, k in enumerate(config.k_values):
                 by_row = scored[strategy, k]  # one row per trial, or one shared by all trials
                 per_query, mean = by_row[min(trial, len(by_row) - 1)]
-                # Active ranks once per trial at the largest K; the others draw or rank per K.
-                trial_seed = (derive_seed(config.seed, 2, trial, code) if strategy == "active"
-                              else derive_seed(config.seed, 2, trial, code, k))
-                records.append(TrialRecord(trial, trial_seed, strategy, k, mean, per_query))
+                records.append(TrialRecord(trial, seeds[strategy][trial][ki], strategy, k, mean, per_query))
 
     rows = [
         [r.trial_index, r.trial_seed, r.strategy, r.k, len(r.per_query_scores), repr(r.mean_score)]

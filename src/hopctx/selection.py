@@ -4,7 +4,8 @@ Three families are provided: uniform random selection (the baseline),
 metric-based selection of the exemplars closest to a query, and active
 selection, which ranks exemplars by a Monte-Carlo estimate of how well each
 one predicts the rest of the pool when used as the sole context.  Each
-returns the chosen ids as a tuple, in context order.  The evaluation-only
+returns the chosen pool positions as an int array, in context order (ids are
+``pool.ids[positions]``).  The evaluation-only
 "instance best" strategy of the k-study runner ranks exemplars by their true
 per-query score: each pool exemplar as the sole context, scored on each
 query.  A query is an ``Exemplar`` too: a labelled (x, y) pair.
@@ -32,10 +33,11 @@ pair never contributes.
 
 The score of exemplar i as the sole context on probe j does not depend on
 the seed, only the probe set does.  ``pool_score_matrix`` therefore scores
-every (i, j) pair once, and ``estimate_pool_values`` turns each seed's probe
-sets into a gather and mean over that matrix: (values, failures), arrays
-in pool order of mean scores and unscored-probe counts, which
-``active_select`` ranks with ``ExemplarPool.rank``.  Metric selection has no
+every (i, j) pair once, and ``estimate_pool_values`` and ``active_select``
+are pure functions of that matrix: each seed's probe sets are a gather and
+mean over it, (values, failures), arrays in pool order of mean scores and
+unscored-probe counts, which ``active_select`` ranks with
+``ExemplarPool.rank``.  Metric selection has no
 randomness: ``metric_rank`` ranks the pool for a batch of queries, which a
 k-study does once per run, slicing the ranking to each K for every trial.
 """
@@ -77,17 +79,15 @@ class Exemplar:
 
 class ExemplarPool:
     """Ordered pool of exemplars with unique integer ids.  A context drawn
-    from the pool can be given as pool positions (``positions`` maps ids to
-    them); ``ids``, ``xs`` and ``ys`` stack the pool's ids, x and y rows
-    once, read-only.
+    from the pool is given as pool positions; ``ids``, ``xs`` and ``ys``
+    stack the pool's ids, x and y rows once, read-only.
     """
 
     def __init__(self, exemplars):
         self.exemplars = list(exemplars)
         if not self.exemplars:
             raise ValueError("pool must contain at least one exemplar")
-        self._position = {e.id: i for i, e in enumerate(self.exemplars)}
-        if len(self._position) != len(self.exemplars):
+        if len({e.id for e in self.exemplars}) != len(self.exemplars):
             raise ValueError("exemplar ids must be unique within a pool")
 
     @property
@@ -102,13 +102,6 @@ class ExemplarPool:
 
     def __getitem__(self, i) -> Exemplar:
         return self.exemplars[i]
-
-    def by_id(self, exemplar_id: int) -> Exemplar:
-        return self.exemplars[self._position[exemplar_id]]
-
-    def positions(self, ids) -> np.ndarray:
-        """Pool positions of the given exemplar ids, in the given order."""
-        return np.array([self._position[i] for i in ids], dtype=np.intp)
 
     def rank(self, scores) -> np.ndarray:
         """Pool positions by descending score along the last axis, ties by
@@ -207,12 +200,11 @@ def predict_rows(oracle, pool: ExemplarPool, ids, xs):
     return [oracle.predict([pool[i] for i in row], x) for row, x in zip(ids, xs)]
 
 
-def random_select(pool: ExemplarPool, k: int, seed: int) -> tuple:
-    """Ids of k distinct exemplars sampled uniformly without replacement,
-    listed in pool order."""
+def random_select(pool: ExemplarPool, k: int, seed: int) -> np.ndarray:
+    """Pool positions of k distinct exemplars sampled uniformly without
+    replacement, ascending."""
     _check_k(pool, k)
-    rng = np.random.default_rng(seed)
-    return tuple(pool[i].id for i in sorted(sample_prefix(rng, pool.size, k)))
+    return np.sort(sample_prefix(np.random.default_rng(seed), pool.size, k))
 
 
 def metric_rank(pool: ExemplarPool, query_xs, metric: str = "euclidean") -> tuple[np.ndarray, np.ndarray]:
@@ -270,26 +262,19 @@ def pool_score_matrix(pool: ExemplarPool, oracle, score_fn) -> tuple[np.ndarray,
     return score_contexts(pool, oracle, score_fn, np.arange(pool.size)[:, None, None], pool.xs, pool.ys)
 
 
-def estimate_pool_values(
-    pool: ExemplarPool,
-    oracle,
-    score_fn,
-    subsample="all",
-    seed: int = 0,
-    matrix=None,
-) -> tuple[np.ndarray, np.ndarray]:
+def estimate_pool_values(pool: ExemplarPool, matrix, subsample="all", seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo values of every pool member against one shared probe sample.
 
     A single permutation is drawn per call; each exemplar's probe set is the
     first ``subsample`` entries of that permutation after dropping itself,
     taken in id order.  The scores come from ``matrix``, the (scores, ok)
-    pair of ``pool_score_matrix``; pass it to reuse one matrix across seeds,
-    or leave it out to build it here.  Returns (values, failures) in pool
-    order: pool[i]'s mean score over m probes (float64) and how many of them
-    did not score (int), m = pool.size - 1 for ``"all"``, else ``subsample``.
+    pair of ``pool_score_matrix``, so one matrix serves every seed.  Returns
+    (values, failures) in pool order: pool[i]'s mean score over m probes
+    (float64) and how many of them did not score (int), m = pool.size - 1
+    for ``"all"``, else ``subsample``.
     """
     _check_subsample(pool, subsample)
-    scores, ok = pool_score_matrix(pool, oracle, score_fn) if matrix is None else matrix
+    scores, ok = matrix
     n = pool.size
     if np.shape(scores) != (n, n) or np.shape(ok) != (n, n):
         raise ValueError(
@@ -306,19 +291,9 @@ def estimate_pool_values(
     return scores[rows, probes].mean(axis=1), np.count_nonzero(~ok[rows, probes], axis=1)
 
 
-def active_select(
-    pool: ExemplarPool,
-    k: int,
-    oracle,
-    score_fn,
-    subsample="all",
-    seed: int = 0,
-    matrix=None,
-) -> tuple:
-    """Ids of the top-k exemplars by Monte-Carlo value, in ``ExemplarPool.rank``
-    order.  ``matrix`` is passed on to ``estimate_pool_values``.
-    """
+def active_select(pool: ExemplarPool, k: int, matrix, subsample="all", seed: int = 0) -> np.ndarray:
+    """Pool positions of the top-k exemplars by Monte-Carlo value
+    (``estimate_pool_values`` over ``matrix``), in ``ExemplarPool.rank`` order."""
     _check_k(pool, k)
-    values, _ = estimate_pool_values(pool, oracle, score_fn, subsample=subsample, seed=seed, matrix=matrix)
-    return tuple(pool[i].id for i in pool.rank(values)[:k])
-
+    values, _ = estimate_pool_values(pool, matrix, subsample, seed)
+    return pool.rank(values)[:k]

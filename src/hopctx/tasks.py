@@ -88,10 +88,6 @@ class TaskSpec:
         return self.prototypes.shape[0]
 
     @property
-    def x_dim(self) -> int:
-        return self.d
-
-    @property
     def y_dim(self) -> int:
         return self.d if self.kind == "prototype-completion" else self.d // 2
 

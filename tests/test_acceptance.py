@@ -253,7 +253,8 @@ def test_criterion_6_value_estimator():
     oracle = AssociativeOracle(gamma=2.0, y_dim=spec.y_dim)
 
     worst = 0.0
-    full_values, _ = estimate_pool_values(pool, oracle, cosine_score, subsample="all")
+    matrix = pool_score_matrix(pool, oracle, cosine_score)
+    full_values, _ = estimate_pool_values(pool, matrix, subsample="all")
     for e, value in zip(pool, full_values):
         brute = np.mean([
             cosine_score(oracle.predict([e], other.x), other.y)
@@ -263,9 +264,8 @@ def test_criterion_6_value_estimator():
     assert worst <= 1e-12, f"full-pool estimate deviates from brute force by {worst:.2e}"
 
     full = full_values[3]
-    matrix = pool_score_matrix(pool, oracle, cosine_score)
     estimates = np.array([
-        estimate_pool_values(pool, oracle, cosine_score, subsample=8, seed=s, matrix=matrix)[0][3]
+        estimate_pool_values(pool, matrix, subsample=8, seed=s)[0][3]
         for s in range(200)
     ])
     se = estimates.std(ddof=1) / np.sqrt(len(estimates))

@@ -117,7 +117,11 @@ _IDENTITY_INSTANCE = {"xi_q": [[1.0, 0.0], [0.0, 1.0]], "xi_k": [[1.0, 0.0], [0.
     ({**_IDENTITY_INSTANCE, "contexts": 5}, "contexts"),
     ({**_IDENTITY_INSTANCE, "sigma": {"a": 1}}, "sigma"),
     ([_IDENTITY_INSTANCE], "JSON object"),
-], ids=["null-gamma", "scalar-contexts", "object-sigma", "top-level-array"])
+    ({k: v for k, v in _IDENTITY_INSTANCE.items() if k != "xi_q"}, "xi_q"),
+    ({**_IDENTITY_INSTANCE, "contexts": []}, "contexts"),
+    ({**_IDENTITY_INSTANCE, "contexts": [[1.0, 0.0], [1.0]]}, "contexts"),
+], ids=["null-gamma", "scalar-contexts", "object-sigma", "top-level-array", "missing-xi_q", "empty-contexts",
+        "ragged-contexts"])
 def test_retrieve_mistyped_field_is_usage_error(tmp_path, payload, field):
     # Run as a process: a TypeError escaping cli_main would print a traceback.
     path = tmp_path / "instance.json"

@@ -27,6 +27,7 @@ from hopctx import (
 )
 from hopctx.bounds import bound_report_csv_row
 from hopctx.experiments import _draw_row, _verify_row, parse_config_text
+from hopctx.selection import pool_score_matrix
 
 
 def small_config(**overrides):
@@ -431,14 +432,39 @@ class TestKStudy:
         )
         oracle = AssociativeOracle(gamma=config.oracle_gamma, y_dim=task.y_dim)
         active_seed = derive_seed(config.seed, 2, 0, 2)
+        matrix = pool_score_matrix(pool, oracle, cosine_score)
         records, _ = run_k_study(config)
         for k in config.k_values:
-            direct = active_select(pool, k, oracle, cosine_score, subsample=config.subsample,
-                                   seed=active_seed)
+            direct = active_select(pool, k, matrix, subsample=config.subsample, seed=active_seed)
             rec = next(r for r in records if r.k == k)
-            context = [pool.by_id(i) for i in direct]
+            context = [pool[i] for i in direct]
             xs = np.stack([q.x for q in queries])
             y_hats = oracle.predict_many(context, xs)
+            expected = [round(float(cosine_score(y_hat, q.y)), 12) for y_hat, q in zip(y_hats, queries)]
+            assert list(rec.per_query_scores) == expected
+
+    def test_trial_seed_selects_the_scored_context(self):
+        """Each random and active record's trial_seed, passed to its selector,
+        gives the context whose rounded per-query scores it records."""
+        from hopctx import generate_pool, random_select
+        from hopctx.experiments import _build_task
+
+        config = small_config(trials=2, strategies=("random", "active"))
+        task = _build_task(config)
+        pool, queries = generate_pool(
+            task, config.pool_size, derive_seed(config.seed, 1), n_queries=config.queries_size
+        )
+        oracle = AssociativeOracle(gamma=config.oracle_gamma, y_dim=task.y_dim)
+        matrix = pool_score_matrix(pool, oracle, cosine_score)
+        xs = np.stack([q.x for q in queries])
+        records, _ = run_k_study(config)
+        assert len(records) == 2 * 2 * len(config.k_values)
+        for rec in records:
+            if rec.strategy == "random":
+                context = random_select(pool, rec.k, rec.trial_seed)
+            else:
+                context = active_select(pool, rec.k, matrix, config.subsample, rec.trial_seed)
+            y_hats = oracle.predict_many([pool[i] for i in context], xs)
             expected = [round(float(cosine_score(y_hat, q.y)), 12) for y_hat, q in zip(y_hats, queries)]
             assert list(rec.per_query_scores) == expected
 
@@ -457,7 +483,8 @@ class TestKStudy:
         for j, q in enumerate(queries):
             # Brute force: every exemplar as the sole context, sorted by (-score, id).
             scores = {e.id: float(cosine_score(oracle.predict([e], q.x), q.y)) for e in pool}
-            context = [pool.by_id(i) for i in sorted(sorted(scores), key=lambda i: -scores[i])[:2]]
+            by_id = {e.id: e for e in pool}
+            context = [by_id[i] for i in sorted(sorted(scores), key=lambda i: -scores[i])[:2]]
             expected = round(float(cosine_score(oracle.predict(context, q.x), q.y)), 12)
             assert rec.per_query_scores[j] == expected
 

@@ -33,6 +33,15 @@ def reference_prefix(seed_or_rng, n, k):
     return slots[:k]
 
 
+def ids_of(pool, positions):
+    """The ids at the given pool positions, as a tuple."""
+    return tuple(pool.ids[positions].tolist())
+
+
+def exemplar_by_id(pool, exemplar_id):
+    return next(e for e in pool if e.id == exemplar_id)
+
+
 def vector_pool(n, d=2, seed=5):
     rng = np.random.default_rng(seed)
     return ExemplarPool([
@@ -61,22 +70,22 @@ def oracle_pool(n=20, seed=13):
 class TestRandomSelect:
     def test_k_equals_pool_size_returns_everything(self):
         pool = vector_pool(6)
-        assert sorted(random_select(pool, 6, seed=0)) == [e.id for e in pool]
+        assert sorted(ids_of(pool, random_select(pool, 6, seed=0))) == [e.id for e in pool]
 
     def test_deterministic_for_same_seed(self):
         pool = vector_pool(10)
-        a = random_select(pool, 4, seed=99)
-        b = random_select(pool, 4, seed=99)
+        a = ids_of(pool, random_select(pool, 4, seed=99))
+        b = ids_of(pool, random_select(pool, 4, seed=99))
         assert a == b
 
     def test_matches_reference_sampler(self):
         pool = vector_pool(10)
         expected = sorted(pool[i].id for i in reference_prefix(42, 10, 3))
-        assert list(random_select(pool, 3, seed=42)) == expected
+        assert list(ids_of(pool, random_select(pool, 3, seed=42))) == expected
 
     def test_chosen_in_pool_order(self):
         pool = vector_pool(25)
-        chosen = random_select(pool, 10, seed=3)
+        chosen = ids_of(pool, random_select(pool, 10, seed=3))
         positions = [next(i for i, e in enumerate(pool) if e.id == c) for c in chosen]
         assert positions == sorted(positions)
 
@@ -222,14 +231,14 @@ class TestMetricRank:
 class TestValueEstimate:
     def test_constant_score_gives_value_one(self):
         pool, oracle = oracle_pool(6)
-        values, failures = estimate_pool_values(pool, oracle, lambda y_hat, y: 1.0)
+        values, failures = estimate_pool_values(pool, pool_score_matrix(pool, oracle, lambda y_hat, y: 1.0))
         assert values.dtype == np.float64 and values.shape == failures.shape == (6,)
         assert np.all(values == 1.0) and np.all(failures == 0)
 
     def test_pool_of_two_single_term(self):
         pool, oracle = oracle_pool(2)
         e0, e1 = pool[0], pool[1]
-        values, failures = estimate_pool_values(pool, oracle, cosine_score)
+        values, failures = estimate_pool_values(pool, pool_score_matrix(pool, oracle, cosine_score))
         expected = cosine_score(oracle.predict([e0], e1.x), e1.y)
         assert values.shape == (2,) and failures[0] == 0
         assert values[0] == pytest.approx(expected, abs=1e-15)
@@ -237,7 +246,7 @@ class TestValueEstimate:
     def test_full_pool_matches_scripted_mean(self):
         pool, oracle = oracle_pool(20, seed=13)
         e = pool[7]
-        values, failures = estimate_pool_values(pool, oracle, cosine_score, subsample="all")
+        values, failures = estimate_pool_values(pool, pool_score_matrix(pool, oracle, cosine_score), subsample="all")
         scripted = [
             cosine_score(oracle.predict([e], other.x), other.y)
             for other in pool
@@ -253,26 +262,28 @@ class TestValueEstimate:
             def predict(self, exemplars, x):
                 return np.zeros(2)
 
-        values, failures = estimate_pool_values(pool, BrokenOracle(), cosine_score)
+        values, failures = estimate_pool_values(pool, pool_score_matrix(pool, BrokenOracle(), cosine_score))
         assert np.all(values == 0.0)
         assert np.issubdtype(failures.dtype, np.integer) and np.all(failures == 3)
 
     def test_rejects_tiny_pool_and_bad_subsample(self):
         pool, oracle = oracle_pool(4)
         solo = ExemplarPool([pool[0]])
+        solo_matrix, matrix = pool_score_matrix(solo, oracle, cosine_score), pool_score_matrix(pool, oracle, cosine_score)
         with pytest.raises(ValueError):
-            estimate_pool_values(solo, oracle, cosine_score)
+            estimate_pool_values(solo, solo_matrix)
         with pytest.raises(ValueError):
-            estimate_pool_values(pool, oracle, cosine_score, subsample=4)
+            estimate_pool_values(pool, matrix, subsample=4)
 
 
 class TestActiveSelect:
     def test_pool_of_two_picks_higher_single_term_value(self):
         pool, oracle = oracle_pool(2, seed=3)
-        values, _ = estimate_pool_values(pool, oracle, cosine_score)
+        matrix = pool_score_matrix(pool, oracle, cosine_score)
+        values, _ = estimate_pool_values(pool, matrix)
         values = {e.id: v for e, v in zip(pool, values)}
         best = max(sorted(values), key=lambda i: values[i])
-        assert active_select(pool, 1, oracle, cosine_score) == (best,)
+        assert ids_of(pool, active_select(pool, 1, matrix)) == (best,)
 
     def test_dominant_exemplar_ranks_first(self):
         target = np.array([1.0, 0.0])
@@ -280,11 +291,11 @@ class TestActiveSelect:
         exemplars.append(Exemplar(id=5, x=np.array([1.0, 0.0]), y=np.array([-1.0, 0.0])))
         pool = ExemplarPool(exemplars)
         oracle = AssociativeOracle(gamma=4.0, y_dim=2)
-        assert active_select(pool, 1, oracle, cosine_score)[0] != 5
+        assert ids_of(pool, active_select(pool, 1, pool_score_matrix(pool, oracle, cosine_score)))[0] != 5
 
     def test_matches_independent_rerun_of_documented_procedure(self):
         pool, oracle = oracle_pool(20, seed=13)
-        chosen = active_select(pool, 5, oracle, cosine_score, subsample=10, seed=13)
+        chosen = ids_of(pool, active_select(pool, 5, pool_score_matrix(pool, oracle, cosine_score), subsample=10, seed=13))
         shared = reference_prefix(np.random.default_rng(13), 20, 20)
         values = {}
         for e in pool:
@@ -298,18 +309,19 @@ class TestActiveSelect:
     def test_full_subsample_invariant_to_pool_order(self):
         pool, oracle = oracle_pool(10, seed=2)
         reversed_pool = ExemplarPool(list(pool)[::-1])
-        a = active_select(pool, 3, oracle, cosine_score, subsample="all", seed=0)
-        b = active_select(reversed_pool, 3, oracle, cosine_score, subsample="all", seed=0)
+        a = ids_of(pool, active_select(pool, 3, pool_score_matrix(pool, oracle, cosine_score), subsample="all", seed=0))
+        b = ids_of(reversed_pool, active_select(reversed_pool, 3, pool_score_matrix(reversed_pool, oracle, cosine_score),
+                                                subsample="all", seed=0))
         assert a == b
 
     def test_shared_probe_within_one_call(self):
         pool, oracle = oracle_pool(10, seed=4)
-        values, _ = estimate_pool_values(pool, oracle, cosine_score, subsample=4, seed=9)
+        values, _ = estimate_pool_values(pool, pool_score_matrix(pool, oracle, cosine_score), subsample=4, seed=9)
         shared = reference_prefix(np.random.default_rng(9), 10, 10)
         for e, value in zip(pool, values):
             probe_ids = [pool[j].id for j in shared if pool[j].id != e.id][:4]
             expected = np.mean([
-                cosine_score(oracle.predict([e], pool.by_id(pid).x), pool.by_id(pid).y)
+                cosine_score(oracle.predict([e], exemplar_by_id(pool, pid).x), exemplar_by_id(pool, pid).y)
                 for pid in probe_ids
             ])
             assert value == pytest.approx(float(expected), abs=1e-12)
@@ -355,7 +367,7 @@ class TestPoolScoreMatrix:
         oracle = AssociativeOracle(gamma=float(rng.uniform(0.5, 8.0)), y_dim=3)
         matrix = pool_score_matrix(pool, oracle, fn)
         for seed in seeds:
-            values, failures = estimate_pool_values(pool, oracle, fn, subsample=subsample, seed=seed, matrix=matrix)
+            values, failures = estimate_pool_values(pool, matrix, subsample=subsample, seed=seed)
             assert values.shape == failures.shape == (n,)
             m = n - 1 if subsample == "all" else subsample
             assert list(zip(values, [m] * n, failures)) == \
@@ -379,7 +391,7 @@ class TestPoolScoreMatrix:
                 return np.ones(x.shape[0] + 1) if x[0] > 0.5 else np.ones(x.shape[0])
 
         oracle = RaggedOracle()
-        values, failures = estimate_pool_values(pool, oracle, cosine_score, subsample=4, seed=7)
+        values, failures = estimate_pool_values(pool, pool_score_matrix(pool, oracle, cosine_score), subsample=4, seed=7)
         expected = reference_pool_values(pool, oracle, cosine_score, 4, 7)
         assert list(zip(values, [4] * pool.size, failures)) == expected
         assert failures.sum() > 0
@@ -387,11 +399,11 @@ class TestPoolScoreMatrix:
     def test_default_builds_the_same_matrix(self):
         pool, oracle = oracle_pool(12, seed=5)
         matrix = pool_score_matrix(pool, oracle, cosine_score)
-        a = estimate_pool_values(pool, oracle, cosine_score, subsample=5, seed=3)
-        b = estimate_pool_values(pool, oracle, cosine_score, subsample=5, seed=3, matrix=matrix)
+        a = estimate_pool_values(pool, pool_score_matrix(pool, oracle, cosine_score), subsample=5, seed=3)
+        b = estimate_pool_values(pool, matrix, subsample=5, seed=3)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-        assert active_select(pool, 4, oracle, cosine_score, subsample=5, seed=3) == \
-            active_select(pool, 4, oracle, cosine_score, subsample=5, seed=3, matrix=matrix)
+        assert ids_of(pool, active_select(pool, 4, pool_score_matrix(pool, oracle, cosine_score), subsample=5, seed=3)) == \
+            ids_of(pool, active_select(pool, 4, matrix, subsample=5, seed=3))
 
     def test_rejects_matrix_of_another_pool(self):
         # An 8-exemplar pool's matrix passed with a pool of its last 5
@@ -400,13 +412,13 @@ class TestPoolScoreMatrix:
         oracle = AssociativeOracle(gamma=2.0, y_dim=2)
         matrix8 = pool_score_matrix(pool8, oracle, cosine_score)
         pool5 = ExemplarPool(list(pool8)[3:])
-        assert active_select(pool5, 2, oracle, cosine_score, subsample=2, seed=7) == (6, 3)
-        with pytest.raises(ValueError, match="matrix"):
-            active_select(pool5, 2, oracle, cosine_score, subsample=2, seed=7, matrix=matrix8)
         scores, ok = pool_score_matrix(pool5, oracle, cosine_score)
+        assert ids_of(pool5, active_select(pool5, 2, (scores, ok), subsample=2, seed=7)) == (6, 3)
+        with pytest.raises(ValueError, match="matrix"):
+            active_select(pool5, 2, matrix8, subsample=2, seed=7)
         for bad in ((scores, ok[:, :4]), (scores[:4], ok), (scores.ravel(), ok)):
             with pytest.raises(ValueError, match="matrix"):
-                estimate_pool_values(pool5, oracle, cosine_score, matrix=bad)
+                estimate_pool_values(pool5, bad)
 
 
 class PredictOnly:
@@ -495,7 +507,7 @@ class TestInstanceBest:
     def test_identical_exemplar_chosen(self):
         pool, oracle = oracle_pool(10, seed=6)
         target = pool[3]
-        chosen = pool.by_id(instance_best(pool, (target.x, target.y), 1, oracle, cosine_score)[0])
+        chosen = exemplar_by_id(pool, instance_best(pool, (target.x, target.y), 1, oracle, cosine_score)[0])
         assert cosine_score(oracle.predict([chosen], target.x), target.y) == pytest.approx(1.0, abs=1e-12)
 
     def test_all_equal_scores_tie_break_to_smallest_ids(self):
@@ -521,14 +533,14 @@ class TestInstanceBest:
             query_x = rng.standard_normal(2)
             query_y = rng.standard_normal(2)
             best = instance_best(pool, (query_x, query_y), 1, oracle, cosine_score)
-            best_score = cosine_score(oracle.predict([pool.by_id(best[0])], query_x), query_y)
+            best_score = cosine_score(oracle.predict([exemplar_by_id(pool, best[0])], query_x), query_y)
             rivals = [
-                random_select(pool, 1, seed=3)[0],
+                ids_of(pool, random_select(pool, 1, seed=3))[0],
                 metric_top(pool, 1, query_x)[0],
-                active_select(pool, 1, oracle, cosine_score)[0],
+                ids_of(pool, active_select(pool, 1, pool_score_matrix(pool, oracle, cosine_score)))[0],
             ]
             for rival in rivals:
-                rival_score = cosine_score(oracle.predict([pool.by_id(rival)], query_x), query_y)
+                rival_score = cosine_score(oracle.predict([exemplar_by_id(pool, rival)], query_x), query_y)
                 assert best_score >= rival_score - 1e-12
 
 

@@ -153,9 +153,9 @@ class TestTaskSpec:
 
     def test_dimensions_per_kind(self):
         completion = make_task("prototype-completion", 6, 3, 0.05, seed=1)
-        assert completion.x_dim == 6 and completion.y_dim == 6
+        assert completion.d == 6 and completion.y_dim == 6
         kv = make_benchmark_task(p=5, d=16)
-        assert kv.x_dim == 16 and kv.y_dim == 8
+        assert kv.d == 16 and kv.y_dim == 8
 
 
 class TestGeneratePool:
