@@ -17,6 +17,7 @@ c terms carry the factor M - t = 0.
 
 ``verify_patterns`` needs finite input and finite products: non-finite input, or
 finite input whose scores u z or norms overflow, is rejected with ValueError.
+It and ``error_bound`` reject a gamma that is not finite and > 0 the same way.
 """
 
 import math
@@ -130,8 +131,6 @@ def beta_coefficient(c, m, t):
 def _bound_reports(gamma, m: int, t, delta_min, instance_error, z_max_norm, realized_error) -> list:
     """One ``BoundReport`` per row of the array arguments (delta_min NaN where
     t = M, which gives c = 0); c = exp(-gamma delta_min) by ``math.exp``."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
     c = []
     for e in (-gamma * delta_min).tolist():
         # delta_min < 0 can push c past the float range: the bound is then infinite but valid.
@@ -149,6 +148,8 @@ def _bound_reports(gamma, m: int, t, delta_min, instance_error, z_max_norm, real
 
 def error_bound(sep: SeparationReport, gamma: float, instance_error: float, z_max_norm: float) -> BoundReport:
     """Assemble the bound report from a separation report and instance data."""
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
     if instance_error < 0 or z_max_norm < 0:
         raise ValueError("instance_error and z_max_norm must be nonnegative")
     row = [np.array([math.nan if x is None else x], dtype=np.float64)
@@ -160,6 +161,8 @@ def error_bound(sep: SeparationReport, gamma: float, instance_error: float, z_ma
 def _verify_rows(u, z, v, u_star, gamma: float, target_index: int):
     """The verifier core on a batch, shaped as in ``verify_patterns``.  Returns (reports,
     fault): fault is None or (row, exception) of the first failing row, reports the rows before it."""
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
     with np.errstate(invalid="ignore"):  # inf - inf in overflowing scores: flagged below
         sims = (u[:, None, :] @ z)[:, 0, :]
     # Bad input: the first row with a non-finite u, z, v or u_star, or with finite ones whose scores overflow.

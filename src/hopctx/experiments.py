@@ -260,6 +260,7 @@ def _build_oracle(config: ExperimentConfig, task: tasks.TaskSpec):
 
 
 def _csv_text(header_comment: str, columns, rows) -> str:
+    """Rows hold raw values: ``csv.writer`` writes floats by repr, None as an empty field."""
     buf = io.StringIO()
     buf.write(header_comment + "\n")
     writer = csv.writer(buf, lineterminator="\n")
@@ -409,7 +410,7 @@ def run_k_study(config: ExperimentConfig):
                 records.append(TrialRecord(trial, seeds[strategy][trial][ki], strategy, k, mean, per_query))
 
     rows = [
-        [r.trial_index, r.trial_seed, r.strategy, r.k, len(r.per_query_scores), repr(r.mean_score)]
+        [r.trial_index, r.trial_seed, r.strategy, r.k, len(r.per_query_scores), r.mean_score]
         for r in records
     ]
     csv_text = _csv_text(
@@ -451,11 +452,7 @@ def run_strategy_comparison(config: ExperimentConfig):
             wins = np.sum(means > random_means) + 0.5 * np.sum(means == random_means)
             entry["win_rate_vs_random"] = float(wins / len(means))
         summary["strategies"][strategy] = entry
-        win_rate = entry.get("win_rate_vs_random")
-        rows.append([
-            strategy, k, config.trials, repr(entry["mean"]), repr(entry["std"]),
-            "" if win_rate is None else repr(win_rate),
-        ])
+        rows.append([strategy, k, config.trials, entry["mean"], entry["std"], entry.get("win_rate_vs_random")])
     csv_text = _csv_text(
         "# hopctx strategy-comparison v1",
         ("strategy", "k", "trials", "mean", "std", "win_rate_vs_random"),

@@ -43,7 +43,7 @@ def _finite_product(a: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
     """a @ b, or a ValueError naming the product where finite factors overflow
     float64 (an inf entry, or inf - inf = NaN), raised before anything warns."""
     out = a @ b
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} are not finite: finite inputs overflow float64")
     return out
 
@@ -181,7 +181,7 @@ def retrieval_update(u: np.ndarray, z: np.ndarray, v: np.ndarray, gamma: float) 
     scaling, so finite where gamma * u z overflows) and u_new = weights v, a
     convex combination of context patterns.  z (d_q x M) holds the context
     patterns as columns and v (M x d_q) the same patterns as rows.  Returns
-    (weights, u_new).
+    (weights, u_new).  Scores u z that overflow float64 raise ValueError.
 
     v is its own argument, not ``z.T``: callers pass the rows computed as
     such (lam^T xi_k), which can differ from (xi_k^T lam)^T in the last bit,
@@ -190,7 +190,7 @@ def retrieval_update(u: np.ndarray, z: np.ndarray, v: np.ndarray, gamma: float) 
     makes the same BLAS call as a 1-D u and a row's bits do not depend on how
     many rows share the call.
     """
-    weights = softmax((u[..., None, :] @ z)[..., 0, :], gamma)
+    weights = softmax(_finite_product(u[..., None, :], z, "scores u z")[..., 0, :], gamma)
     return weights, (weights[..., None, :] @ v)[..., 0, :]
 
 
@@ -199,7 +199,6 @@ def hnc_retrieve(model: ContextualHopfield, ctx: ContextSet, query: QueryState) 
     z = ctx.patterns(model)
     if query.sigma.shape != (model.d_m,):
         raise ValueError(f"query dimension {query.sigma.shape} != d_m={model.d_m}")
-    _finite_product(query.u, z, "scores u z")
     v = _finite_product(ctx.lam.T, model.xi_k, "entries of V = lam^T xi_k")
     weights, u_new = retrieval_update(query.u, z, v, model.gamma)
     return RetrievalResult(u_new=u_new, weights=weights)

@@ -14,7 +14,9 @@ Scoring: ``score_contexts`` is the one path from contexts of pool positions,
 (B, 1 or T, K), to scores on T targets, in bounded blocks.  The pool and
 instance-best score matrices and each (strategy, K) of a k-study, over all
 trials and queries, are one call each; an oracle with only ``predict`` is
-asked once per (context, target), trial by trial, each over the targets.
+asked once per (context, target), trial by trial, each over the targets.  The
+safe-score rule is applied once, in ``score_rows``: a prediction that cannot
+be scored, or scores non-finite, counts 0 and is not ok.
 
 Ranking rule: every ranked strategy (metric, active, instance-best) scores
 each pool exemplar and keeps the first K of ``ExemplarPool.rank``, which
@@ -161,19 +163,25 @@ def safe_score(score_fn, y_hat, y) -> tuple[float, bool]:
 
 
 def score_rows(score_fn, y_hats, ys) -> tuple[np.ndarray, np.ndarray]:
-    """Scores and ok flags of each prediction row against its target row.
+    """Scores and ok flags of each prediction row against its target row, by
+    the ``safe_score`` rule: unscorable or non-finite scores 0, not ok.
 
-    A score function with a ``rows`` form (every built-in score) scores the
-    whole batch in one call; any other callable, or predictions that do not
-    form one float array (ragged rows from a duck-typed oracle), go row by
-    row through ``safe_score``.  Both give the same bits.
+    Predictions and targets are stacked as float64.  A score function with a
+    ``rows`` kernel (every built-in score) scores the whole (n, d) batch in
+    one call; any other callable, or predictions that do not stack to the
+    targets' shape (ragged rows from a duck-typed oracle), go row by row
+    through ``safe_score``.  Both give the same bits.
     """
-    rows = getattr(score_fn, "rows", None)
-    if rows is not None:
-        try:
-            return rows(y_hats, ys)
-        except (ValueError, TypeError):
-            pass
+    kernel = getattr(score_fn, "rows", None)
+    try:
+        y_hats, ys = (np.ascontiguousarray(a, dtype=np.float64) for a in (y_hats, ys))
+    except (ValueError, TypeError):
+        kernel = None
+    if kernel is not None and y_hats.ndim == 2 and y_hats.shape == ys.shape:
+        with np.errstate(all="ignore"):
+            scores = kernel(y_hats, ys)
+        ok = np.isfinite(scores)
+        return np.where(ok, scores, 0.0), ok
     pairs = [safe_score(score_fn, y_hat, y) for y_hat, y in zip(y_hats, ys)]
     return np.array([s for s, _ in pairs], dtype=np.float64), np.array([ok for _, ok in pairs], dtype=bool)
 
@@ -213,22 +221,27 @@ def metric_rank(pool: ExemplarPool, query_xs, metric: str = "euclidean") -> tupl
     Returns (orders, closeness), both (Q, N): ``orders`` is
     ``pool.rank(closeness)``.  Each row is computed on its own
     (no Q x N matrix product), so its bits do not depend on the batch.
+    Closeness that overflows float64 raises ValueError naming the metric.
     """
     query_xs = np.asarray(query_xs, dtype=np.float64)
     xs = pool.xs
     if query_xs.shape[1:] != xs.shape[1:]:
         raise ValueError(f"query shape {query_xs.shape[1:]} does not match pool x shape {xs.shape[1:]}")
-    if metric == "euclidean":
-        rows = [-np.linalg.norm(xs - q, axis=1) for q in query_xs]
-    elif metric == "cosine":
-        xn = np.linalg.norm(xs, axis=1)
-        qns = [np.linalg.norm(q) for q in query_xs]
-        if 0.0 in qns or np.any(xn == 0.0):
-            raise ValueError("cosine metric undefined for zero vectors")
-        rows = [(xs @ q) / (xn * qn) for q, qn in zip(query_xs, qns)]
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if metric == "euclidean":
+            rows = [-np.linalg.norm(xs - q, axis=1) for q in query_xs]
+        elif metric == "cosine":
+            xn = np.linalg.norm(xs, axis=1)
+            qns = [np.linalg.norm(q) for q in query_xs]
+            if 0.0 in qns or np.any(xn == 0.0):
+                raise ValueError("cosine metric undefined for zero vectors")
+            rows = [(xs @ q) / (xn * qn) for q, qn in zip(query_xs, qns)]
+        else:
+            raise ValueError(f"unknown metric {metric!r}")
     closeness = np.array(rows)
+    # An overflowing cosine norm can give a finite, wrong closeness of 0, so its norms are checked too.
+    if not np.isfinite(closeness).all() or (metric == "cosine" and not np.isfinite(np.append(xn, qns)).all()):
+        raise ValueError(f"{metric} closeness is not finite: finite inputs overflow float64")
     return pool.rank(closeness), closeness
 
 

@@ -6,6 +6,8 @@ to x, and y stays the clean completion of the chosen prototype.  Predictors
 are "completion oracles": anything with ``predict(context_exemplars, x)``,
 optionally with a batched ``predict_pool(pool, ids, xs)`` that takes each
 context as pool positions (``selection.predict_rows`` uses it when present).
+Each built-in score is a scalar function with a bare batched ``rows``
+kernel; ``selection.score_rows`` applies the safe-score rule to either form.
 The built-in oracle answers by associative retrieval over the context pairs
 themselves, so every experiment runs fully locally; an HTTP adapter lets a
 remote predictor stand in behind the same interface.
@@ -39,6 +41,10 @@ __all__ = [
 
 
 TASK_KINDS = ("prototype-completion", "key-value-association")
+
+# ``RemoteOracle``: seconds allowed per connect or read, and retries after a failed attempt.
+REMOTE_TIMEOUT_S = 10.0
+REMOTE_MAX_RETRIES = 2
 
 
 @dataclass(frozen=True)
@@ -116,24 +122,6 @@ def _as_pair(y_hat, y):
     return y_hat, y
 
 
-def _rows(score_rows):
-    """Wrap a rows kernel with the ``safe_score`` contract: a shape mismatch
-    or a non-finite result scores 0 and is not ok."""
-
-    def rows(y_hats, ys) -> tuple[np.ndarray, np.ndarray]:
-        y_hats = np.ascontiguousarray(y_hats, dtype=np.float64)
-        ys = np.ascontiguousarray(ys, dtype=np.float64)
-        if y_hats.shape != ys.shape or y_hats.ndim != 2:
-            n = ys.shape[0] if ys.ndim else 0
-            return np.zeros(n), np.zeros(n, dtype=bool)
-        with np.errstate(all="ignore"):
-            scores, ok = score_rows(y_hats, ys)
-        ok &= np.isfinite(scores)
-        return np.where(ok, scores, 0.0), ok
-
-    return rows
-
-
 def cosine_score(y_hat, y) -> float:
     """(1 + cos(y_hat, y)) / 2, in [0, 1].  Undefined for zero vectors."""
     y_hat, y = _as_pair(y_hat, y)
@@ -145,9 +133,9 @@ def cosine_score(y_hat, y) -> float:
 
 
 def _cosine_rows(y_hats, ys):
+    # A zero-norm row divides by 0 or NaN, so its score is never finite.
     nh, ny = np.sqrt(_row_dot(y_hats, y_hats)), np.sqrt(_row_dot(ys, ys))
-    cos = _row_dot(y_hats, ys) / (nh * ny)
-    return (1.0 + cos) / 2.0, (nh != 0.0) & (ny != 0.0)
+    return (1.0 + _row_dot(y_hats, ys) / (nh * ny)) / 2.0
 
 
 def exact_match(y_hat, y) -> float:
@@ -157,7 +145,7 @@ def exact_match(y_hat, y) -> float:
 
 
 def _exact_match_rows(y_hats, ys):
-    return (y_hats == ys).all(axis=1).astype(np.float64), np.ones(len(ys), dtype=bool)
+    return (y_hats == ys).all(axis=1).astype(np.float64)
 
 
 def negative_error(y_hat, y) -> float:
@@ -168,14 +156,14 @@ def negative_error(y_hat, y) -> float:
 
 def _negative_error_rows(y_hats, ys):
     diff = y_hats - ys
-    return -np.sqrt(_row_dot(diff, diff)), np.ones(len(ys), dtype=bool)
+    return -np.sqrt(_row_dot(diff, diff))
 
 
-# Rows form of each score: (n, d) predictions and targets in, (n,) scores and
-# an ok mask out, bitwise equal to ``selection.safe_score`` row by row.
-cosine_score.rows = _rows(_cosine_rows)
-exact_match.rows = _rows(_exact_match_rows)
-negative_error.rows = _rows(_negative_error_rows)
+# Rows kernel of each score, run by ``selection.score_rows``: (n, d) float64
+# predictions and targets in, (n,) scores out, non-finite where undefined.
+cosine_score.rows = _cosine_rows
+exact_match.rows = _exact_match_rows
+negative_error.rows = _negative_error_rows
 
 SCORE_TAGS = {
     "cosine-score": cosine_score,
@@ -295,16 +283,14 @@ class RemoteOracle:
     Response body: {"prediction": [...]}
     Each attempt opens one connection and asks the server to close it
     (``Connection: close``).  A transport error or a non-2xx status is retried
-    up to ``max_retries`` times; a non-finite input, a malformed body, a
+    up to ``REMOTE_MAX_RETRIES`` times; a non-finite input, a malformed body, a
     prediction whose length differs from the context's y, or exhausted
     retries raise ``OracleFailure``.
     """
 
-    def __init__(self, endpoint: str, timeout: float = 10.0, max_retries: int = 2):
+    def __init__(self, endpoint: str):
         self.endpoint = endpoint
         self._scheme, self._host, self._port, self._path = split_endpoint(endpoint)
-        self.timeout = float(timeout)
-        self.max_retries = int(max_retries)
         self._request_counter = 0
 
     def predict(self, context_exemplars, x) -> np.ndarray:
@@ -331,8 +317,8 @@ class RemoteOracle:
             http.client.HTTPSConnection if self._scheme == "https" else http.client.HTTPConnection
         )
         last_error = None
-        for _ in range(self.max_retries + 1):
-            conn = connection_class(self._host, self._port, timeout=self.timeout)
+        for _ in range(REMOTE_MAX_RETRIES + 1):
+            conn = connection_class(self._host, self._port, timeout=REMOTE_TIMEOUT_S)
             try:
                 conn.request("POST", self._path, body=data, headers=headers)
                 resp = conn.getresponse()

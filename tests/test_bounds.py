@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -180,6 +181,19 @@ class TestErrorBound:
             error_bound(sep, gamma=0.0, instance_error=0.1, z_max_norm=1.0)
         with pytest.raises(ValueError):
             error_bound(sep, gamma=1.0, instance_error=-0.1, z_max_norm=1.0)
+
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_gamma_not_finite_and_positive(self, gamma):
+        # A tie (delta_min = 0, M = 2, t = 1), bounded by 1.5 at gamma = 2: a
+        # NaN gamma must not pass as c = 0 and a bound of 0, nor an inf one warn.
+        u, z = np.array([1.0, 0.0]), np.array([[1.0, 1.0], [0.0, 1e-3]])
+        assert error_bound(separation(u, z, 0), 2.0, 0.0, 1.0).upper_bound == 1.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="gamma must be finite and positive"):
+                error_bound(separation(u, z, 0), gamma, 0.0, 1.0)
+            with pytest.raises(ValueError, match="gamma must be finite and positive"):
+                verify_patterns(u, z, np.ascontiguousarray(z.T), u, gamma, 0)
 
 
 class TestVerifyBound:

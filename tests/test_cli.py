@@ -89,6 +89,27 @@ def test_retrieve_overflowing_scores_is_usage_error(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("settings, message", [
+    # The built-in oracle's scores u z overflow.
+    (["task.noise_sigma=1e200"], "error: scores u z are not finite"),
+    # The metric ranking's closeness overflows before any prediction is made.
+    (["task.noise_sigma=1e160", "strategies=metric"], "error: euclidean closeness is not finite"),
+], ids=["oracle-scores", "metric-closeness"])
+def test_k_study_overflowing_scores_is_usage_error(tmp_path, settings, message):
+    # Run as a process with RuntimeWarning as an error: numpy must not warn
+    # first, and no record may be written with the overflow scored as 0.
+    env = dict(os.environ, PYTHONPATH=str(Path(hopctx.__file__).resolve().parents[1]),
+               PYTHONWARNINGS="error::RuntimeWarning")
+    out = tmp_path / "out.csv"
+    sets = [arg for s in settings + ["trials=1", "k_values=2"] for arg in ("--set", s)]
+    proc = subprocess.run([sys.executable, "-m", "hopctx.cli", "k-study", *sets, "--output", str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("error:") == 1 and message in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("instance, product", [
     # sigma xi_q and xi_k^T lam overflow before any score is formed.

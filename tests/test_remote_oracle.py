@@ -106,15 +106,18 @@ def test_non_json_body_raises(stub_server):
         oracle.predict([], np.zeros(2))
 
 
-def test_server_error_raises_after_retries(stub_server):
-    oracle = RemoteOracle(stub_server + "/error", max_retries=1)
+def test_server_error_raises_after_retries(stub_server, monkeypatch):
+    monkeypatch.setattr(hopctx.tasks, "REMOTE_MAX_RETRIES", 1)
+    oracle = RemoteOracle(stub_server + "/error")
     with pytest.raises(OracleFailure) as excinfo:
         oracle.predict([], np.zeros(2))
     assert "500" in str(excinfo.value)
 
 
-def test_unreachable_endpoint_raises():
-    oracle = RemoteOracle("http://127.0.0.1:1/predict", timeout=0.2, max_retries=0)
+def test_unreachable_endpoint_raises(monkeypatch):
+    monkeypatch.setattr(hopctx.tasks, "REMOTE_TIMEOUT_S", 0.2)
+    monkeypatch.setattr(hopctx.tasks, "REMOTE_MAX_RETRIES", 0)
+    oracle = RemoteOracle("http://127.0.0.1:1/predict")
     with pytest.raises(OracleFailure):
         oracle.predict([], np.zeros(2))
 
@@ -141,9 +144,10 @@ def test_loopback_matches_builtin(stub_server):
 
 
 @pytest.mark.parametrize("route", ["/drop", "/garbage"])
-def test_failed_attempt_is_retried(stub_server, route):
+def test_failed_attempt_is_retried(stub_server, route, monkeypatch):
     StubHandler.seen.clear()
-    oracle = RemoteOracle(stub_server + route, max_retries=1)
+    monkeypatch.setattr(hopctx.tasks, "REMOTE_MAX_RETRIES", 1)
+    oracle = RemoteOracle(stub_server + route)
     e = Exemplar(id=0, x=np.zeros(2), y=np.zeros(3))
     np.testing.assert_array_equal(oracle.predict([e], np.zeros(2)), [1.0, 2.0, 3.0])
     assert StubHandler.seen == [route, route]

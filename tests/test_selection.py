@@ -227,6 +227,17 @@ class TestMetricRank:
         with pytest.raises(ValueError):
             metric_rank(vector_pool(4), np.array([[1.0, 0.0], [0.0, 0.0]]), "cosine")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("metric, query", [
+        ("euclidean", [1e200, -1e200]),  # (x - q)^2 overflows to inf
+        ("cosine", [1.0, 1.0]),  # ||x|| overflows while x . q stays finite: a closeness of 0, not 1
+    ])
+    def test_overflowing_closeness_is_rejected(self, metric, query):
+        pool = ExemplarPool([Exemplar(id=0, x=[1e200, 1e200], y=np.zeros(1)),
+                             Exemplar(id=1, x=[1.0, 0.0], y=np.zeros(1))])
+        with pytest.raises(ValueError, match=f"{metric} closeness is not finite"):
+            metric_rank(pool, np.array([query]), metric)
+
 
 class TestValueEstimate:
     def test_constant_score_gives_value_one(self):

@@ -74,8 +74,8 @@ class TestScoreFunctions:
 
 
 def assert_rows_equal_safe_score(fn, y_hats, ys):
-    """The rows form equals ``safe_score`` row by row, bit for bit."""
-    scores, ok = fn.rows(y_hats, ys)
+    """The batched rows kernel equals ``safe_score`` row by row, bit for bit."""
+    scores, ok = score_rows(fn, y_hats, ys)
     expected = [safe_score(fn, y_hat, y) for y_hat, y in zip(y_hats, ys)]
     assert scores.dtype == np.float64 and scores.shape == (len(ys),)
     assert scores.tobytes() == np.array([s for s, _ in expected], dtype=np.float64).tobytes()
@@ -113,17 +113,31 @@ class TestScoreRows:
     def test_shape_mismatch_scores_zero_not_ok(self, fn):
         y_hats, ys = np.ones((4, 3)), np.ones((4, 2))
         assert_rows_equal_safe_score(fn, y_hats, ys)
-        scores, ok = fn.rows(y_hats, ys)
+        scores, ok = score_rows(fn, y_hats, ys)
         assert not ok.any() and not scores.any()
 
     def test_zero_and_perfect_rows(self):
         y = np.array([[1.0, 0.0], [0.0, 0.0], [3.0, 4.0]])
-        scores, ok = cosine_score.rows(y, y)
+        scores, ok = score_rows(cosine_score, y, y)
         assert scores.tolist() == [1.0, 0.0, 1.0] and ok.tolist() == [True, False, True]
-        scores, ok = negative_error.rows(y, y)
+        scores, ok = score_rows(negative_error, y, y)
         assert scores.tolist() == [0.0, 0.0, 0.0] and ok.all()
-        scores, ok = exact_match.rows(y, y[::-1])
+        scores, ok = score_rows(exact_match, y, y[::-1])
         assert scores.tolist() == [0.0, 1.0, 0.0] and ok.all()
+
+    def test_user_kernel_non_finite_rows_score_zero_not_ok(self):
+        # A user score with its own rows kernel: a NaN or inf entry is the
+        # undefined case, as the scalar form's ZeroDivisionError or inf is.
+        def ratio(y_hat, y):
+            return float(y_hat[0]) / float(y[0])
+
+        ratio.rows = lambda y_hats, ys: y_hats[:, 0] / ys[:, 0]
+        y_hats = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-2.0, 0.0], [np.inf, 0.0]])
+        ys = np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 1.0], [4.0, 3.0], [1.0, 0.0]])
+        assert_rows_equal_safe_score(ratio, y_hats, ys)
+        scores, ok = score_rows(ratio, y_hats, ys)
+        assert scores.tolist() == [0.5, 0.0, 0.0, -0.5, 0.0]
+        assert ok.tolist() == [True, False, False, True, False]
 
 
 class TestTaskSpec:
