@@ -255,7 +255,7 @@ def cli_main(argv=None) -> int:
     except tasks.OracleFailure as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return ORACLE_ERROR
-    except (FileNotFoundError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:  # OSError: an unreadable config, an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return USAGE_ERROR

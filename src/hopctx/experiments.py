@@ -1,6 +1,10 @@
 """Experiment runners: bound-verification sweeps, context-size studies, and
 strategy comparisons, all driven by a flat key=value config.
 
+``ExperimentConfig``'s fields are the config schema: each key is a field
+name, and files, ``--set`` flags (through ``from_mapping``) and direct
+construction all convert and check values in its ``__post_init__``.
+
 Every run is a pure function of (config, seed).  Sub-seeds are derived
 through ``derive_seed`` so trials can be computed in any order without
 changing output bytes; per-query scores are recorded rounded to 12 decimals
@@ -12,7 +16,10 @@ import io
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+import numbers
+import operator
+from dataclasses import dataclass, fields, replace
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -40,10 +47,14 @@ def derive_seed(*parts) -> int:
 
 @dataclass
 class ExperimentConfig:
-    """All experiment knobs, with the documented config-file keys.
+    """All experiment knobs.  The fields are the config schema: a key is its
+    field's name, with the first ``_`` a ``.`` after a section name
+    (``task_noise_sigma`` is ``task.noise_sigma``, ``k_values`` stays).
 
     File format: one ``key = value`` pair per line, ``#`` comments; list
-    values are comma-separated.  Flag overrides replace file values.
+    values are comma-separated.  Flag overrides replace file values.  Every
+    construction converts each field by its annotation (text is parsed, any
+    other value must already be of that type), then checks the values.
     """
 
     task_kind: str = "key-value-association"
@@ -57,44 +68,24 @@ class ExperimentConfig:
     oracle_gamma: float = 2.0
     score: str = "cosine-score"
     metric: str = "euclidean"
-    strategies: tuple = ("random", "active", "instance-best")
-    k_values: tuple = (1, 2, 4, 8, 16)
+    strategies: tuple[str, ...] = ("random", "active", "instance-best")
+    k_values: tuple[int, ...] = (1, 2, 4, 8, 16)
     trials: int = 100
     seed: int = 0
-    subsample: object = 100
+    subsample: int | str = 100
     output: str = ""
-    bound_gamma_grid: tuple = (0.5, 2.0, 8.0)
-    bound_m_grid: tuple = (2, 8, 32)
-    bound_dup_fractions: tuple = (0.0, 0.5, 1.0)
+    bound_gamma_grid: tuple[float, ...] = (0.5, 2.0, 8.0)
+    bound_m_grid: tuple[int, ...] = (2, 8, 32)
+    bound_dup_fractions: tuple[float, ...] = (0.0, 0.5, 1.0)
     bound_instances: int = 100
 
-    KEYS = {
-        "task.kind": ("task_kind", str),
-        "task.d": ("task_d", int),
-        "task.prototypes": ("task_prototypes", int),
-        "task.noise_sigma": ("task_noise_sigma", float),
-        "pool.size": ("pool_size", int),
-        "queries.size": ("queries_size", int),
-        "oracle.kind": ("oracle_kind", str),
-        "oracle.endpoint": ("oracle_endpoint", str),
-        "oracle.gamma": ("oracle_gamma", float),
-        "score": ("score", str),
-        "metric": ("metric", str),
-        "strategies": ("strategies", "str_list"),
-        "k_values": ("k_values", "int_list"),
-        "trials": ("trials", int),
-        "seed": ("seed", int),
-        "subsample": ("subsample", "subsample"),
-        "output": ("output", str),
-        "bound.gamma_grid": ("bound_gamma_grid", "float_list"),
-        "bound.m_grid": ("bound_m_grid", "int_list"),
-        "bound.dup_fractions": ("bound_dup_fractions", "float_list"),
-        "bound.instances": ("bound_instances", int),
-    }
-
     def __post_init__(self):
-        self.strategies = tuple(self.strategies)
-        self.k_values = tuple(int(k) for k in self.k_values)
+        for key, (name, kind, item) in _FIELDS.items():
+            raw = getattr(self, name)
+            try:
+                setattr(self, name, _convert(raw, kind, item))
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {raw!r}") from None
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
@@ -131,8 +122,6 @@ class ExperimentConfig:
             raise ValueError(f"k_values must be strictly ascending (no repeats), got {self.k_values}")
         if any(k < 1 or k > self.pool_size for k in self.k_values):
             raise ValueError("every k must satisfy 1 <= k <= pool.size")
-        if self.subsample != "all":
-            self.subsample = int(self.subsample)
         unknown = set(self.strategies) - set(_STRATEGY_CODES)
         if unknown:
             raise ValueError(f"unknown strategies: {sorted(unknown)}")
@@ -160,54 +149,53 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
-        kwargs = {}
-        for key, raw in mapping.items():
-            if key not in cls.KEYS:
+        for key in mapping:
+            if key not in _FIELDS:
                 raise ValueError(f"unknown config key {key!r}")
-            attr, kind = cls.KEYS[key]
-            try:
-                kwargs[attr] = _convert(raw, kind)
-            except ValueError:
-                raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {raw!r}") from None
-        return cls(**kwargs)
+        return cls(**{_FIELDS[key][0]: raw for key, raw in mapping.items()})
 
     def as_mapping(self) -> dict:
         out = {}
-        for key, (attr, kind) in self.KEYS.items():
-            value = getattr(self, attr)
-            if kind in ("str_list", "int_list", "float_list"):
-                value = ",".join(str(v) for v in value)
-            out[key] = str(value)
+        for key, (name, *_) in _FIELDS.items():
+            value = getattr(self, name)
+            out[key] = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
         return out
 
 
-# What a value of each convertible kind must be, for the error message.
+# Config key -> (field name, annotation, a tuple annotation's item or None), in field order.
+# Built once: the conversion runs on every construction.
+_FIELDS = {
+    (f.name.replace("_", ".", 1) if f.name.split("_")[0] in ("task", "pool", "queries", "oracle", "bound")
+     else f.name): (f.name, f.type, get_args(f.type)[0] if get_origin(f.type) is tuple else None)
+    for f in fields(ExperimentConfig)
+}
+
+# What a value of each field annotation must be, for the error message.
 _KIND_NAMES = {
-    int: "an integer", float: "a number", "subsample": "'all' or an integer",
-    "int_list": "a comma-separated list of integers", "float_list": "a comma-separated list of numbers",
+    int: "an integer", float: "a number", str: "a string", int | str: "'all' or an integer",
+    tuple[int, ...]: "a comma-separated list of integers", tuple[float, ...]: "a comma-separated list of numbers",
+    tuple[str, ...]: "a comma-separated list of strings",
 }
 
 
-def _convert(raw, kind):
-    if not isinstance(raw, str):
-        return raw
-    raw = raw.strip()
-    if kind is str:
-        return raw
-    if kind is int:
-        return int(raw)
-    if kind is float:
+def _convert(raw, kind, item=None):
+    """``raw`` as a value of annotation ``kind`` (a tuple of ``item``s if
+    ``item`` is given).  Text is parsed, a tuple's items comma-separated; any
+    other value must already be of ``kind``: a tuple kind takes a sequence of
+    its items, a float kind any real number."""
+    if item is not None:
+        items = [p for p in raw.split(",") if p.strip()] if isinstance(raw, str) else raw
+        return tuple(_convert(x, item) for x in items)
+    if isinstance(raw, str):
+        raw = raw.strip()
+        if kind is str or kind == int | str and raw == "all":
+            return raw
+        return float(raw) if kind is float else int(raw)
+    if kind is float and isinstance(raw, (float, numbers.Real)):  # float first: skips the ABC check
         return float(raw)
-    if kind == "subsample":
-        return "all" if raw == "all" else int(raw)
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if kind == "str_list":
-        return tuple(parts)
-    if kind == "int_list":
-        return tuple(int(p) for p in parts)
-    if kind == "float_list":
-        return tuple(float(p) for p in parts)
-    raise ValueError(f"unhandled config type {kind!r}")
+    if kind in (str, float):
+        raise TypeError
+    return operator.index(raw)
 
 
 def parse_config_text(text: str) -> dict:
@@ -278,7 +266,7 @@ def _draw_row(config: ExperimentConfig, gi: int, mi: int):
     """Draw sweep row (gamma_grid[gi], m_grid[mi]), its cells in order, as the patterns ``verify_bound`` forms
     from the drawn model.  Each instance draws d_q, d_m - d_q, one normal block (xi_q, xi_k, lam, sigma),
     dz's scale and direction.  Yields [row positions, u, z, v, u_star] per d_q, positions ascending."""
-    m, n = int(config.bound_m_grid[mi]), config.bound_instances
+    m, n = config.bound_m_grid[mi], config.bound_instances
     draws, by_d_q = {}, {}
     for di, frac in enumerate(config.bound_dup_fractions):
         rng = np.random.default_rng(derive_seed(config.seed, 3, gi, mi, di))

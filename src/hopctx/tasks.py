@@ -86,7 +86,7 @@ class TaskSpec:
                 warnings.warn(
                     f"min prototype distance {min(dists):.4g} <= 4*noise_sigma; "
                     "latent patterns may be hard to tell apart",
-                    stacklevel=2,
+                    stacklevel=3,  # the code that built the TaskSpec, past the generated __init__
                 )
 
     @property
@@ -284,8 +284,8 @@ class RemoteOracle:
     Each attempt opens one connection and asks the server to close it
     (``Connection: close``).  A transport error or a non-2xx status is retried
     up to ``REMOTE_MAX_RETRIES`` times; a non-finite input, a malformed body, a
-    prediction whose length differs from the context's y, or exhausted
-    retries raise ``OracleFailure``.
+    prediction whose length differs from the context's y or that does not fit
+    float64, or exhausted retries raise ``OracleFailure``.
     """
 
     def __init__(self, endpoint: str):
@@ -347,7 +347,10 @@ class RemoteOracle:
                     f"request {request_id}: prediction has length {len(prediction)}, "
                     f"context y has length {len(context_exemplars[0].y)}"
                 )
-            return np.asarray(prediction, dtype=np.float64)
+            try:
+                return np.asarray(prediction, dtype=np.float64)
+            except OverflowError as exc:  # an integer beyond the float64 range
+                raise OracleFailure(f"request {request_id}: 'prediction' does not fit float64 ({exc})") from exc
         raise OracleFailure(f"request {request_id}: no successful response ({last_error})")
 
 

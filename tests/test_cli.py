@@ -56,6 +56,19 @@ def test_bad_config_key_is_usage_error(tmp_path):
     assert cli_main(["bound-sweep", "--config", str(path)]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["k-study", "--set", "trials=1", "--set", "pool.size=20", "--set", "queries.size=5", "--set", "subsample=5"],
+    ["bound-sweep", "--set", "bound.instances=1"],
+], ids=["k-study", "bound-sweep"])
+def test_output_to_a_directory_is_usage_error(tmp_path, capsys, argv):
+    # The run completes; writing its CSV to a directory fails with an OSError.
+    assert cli_main([*argv, "--output", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and str(tmp_path) in errors[0]
+    assert "Traceback" not in err
+
+
 def test_retrieve_prints_frozen_example(tmp_path, capsys):
     instance = {
         "xi_q": [[1.0, 0.0], [0.0, 1.0]],

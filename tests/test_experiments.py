@@ -4,6 +4,8 @@ import csv
 import io
 import math
 import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +139,31 @@ class TestConfig:
         mapping = {"k_values": "1", "subsample": "all", key: value}
         with pytest.raises(ValueError, match=rf"^{re.escape(key)} must"):
             ExperimentConfig.from_mapping(mapping)
+
+    @pytest.mark.parametrize("field, value, expected", [
+        ("pool_size", "abc", ValueError("pool.size must be an integer")),
+        ("trials", 2.5, ValueError("trials must be an integer")),
+        ("k_values", (1, 2.5), ValueError("k_values must be a comma-separated list of integers")),
+        ("output", None, ValueError("output must be a string")),
+        ("strategies", "random,metric", ("random", "metric")),
+        ("task_d", "16", 16),
+    ])
+    def test_direct_construction_converts_as_a_file_does(self, field, value, expected):
+        if isinstance(expected, ValueError):
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(expected))}"):
+                ExperimentConfig(**{field: value})
+        else:
+            got = getattr(ExperimentConfig(**{field: value}), field)
+            assert (got, type(got)) == (expected, type(expected))
+
+    def test_keys_are_field_names_as_documented(self):
+        # A key is its field's name with the first "_" a "." after a section
+        # name; README lists every key, in field order.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        documented = readme.split("Keys (defaults printed by `hopctx selftest`):")[1].split("```")[1].split()
+        keys = list(ExperimentConfig().as_mapping())
+        assert len(keys) == 21 and keys == documented
+        assert [key.replace(".", "_") for key in keys] == [f.name for f in fields(ExperimentConfig)]
 
     def test_zero_d_prototype_task_rejected_naming_key(self):
         with pytest.raises(ValueError, match=r"^task.d must be >= 1"):

@@ -25,7 +25,7 @@ from hopctx import (
 
 class StubHandler(BaseHTTPRequestHandler):
     """Routes: /echo fixed prediction, /predict builtin-backed, /malformed,
-    /error 500, /notjson, /drop and /garbage (on every odd-numbered attempt
+    /error 500, /notjson, /huge (an integer beyond float64), /drop and /garbage (on every odd-numbered attempt
     close the connection unanswered, or after a line that is no HTTP status
     line; echo on the others).  ``seen`` lists the path of every POST
     received."""
@@ -50,6 +50,8 @@ class StubHandler(BaseHTTPRequestHandler):
             ]
             pred = self.oracle.predict(exemplars, np.array(body["query"]))
             self._reply(200, {"prediction": pred.tolist()})
+        elif self.path == "/huge":
+            self._reply(200, {"prediction": [10**400, 0]})
         elif self.path == "/malformed":
             self._reply(200, {"result": "oops"})
         elif self.path == "/notjson":
@@ -129,6 +131,12 @@ def test_wrong_length_prediction_raises(stub_server):
     with pytest.raises(OracleFailure) as excinfo:
         oracle.predict([e], np.zeros(2))
     assert "length 3" in str(excinfo.value)
+
+
+def test_prediction_beyond_float64_raises(stub_server):
+    oracle = RemoteOracle(stub_server + "/huge")
+    with pytest.raises(OracleFailure, match=r"^request 1: 'prediction' does not fit float64"):
+        oracle.predict([], np.zeros(2))
 
 
 def test_loopback_matches_builtin(stub_server):

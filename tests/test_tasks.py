@@ -165,6 +165,13 @@ class TestTaskSpec:
         with pytest.warns(UserWarning):
             TaskSpec(kind="prototype-completion", d=2, prototypes=protos, noise_sigma=0.2)
 
+    def test_close_prototypes_warning_points_at_the_caller(self):
+        # Not at the dataclass-generated __init__, whose file is "<string>".
+        protos = np.array([[1.0, 0.0], [1.0, 0.3]])
+        with pytest.warns(UserWarning, match="min prototype distance") as record:
+            TaskSpec(kind="prototype-completion", d=2, prototypes=protos, noise_sigma=0.2)
+        assert [w.filename for w in record] == [__file__]
+
     def test_dimensions_per_kind(self):
         completion = make_task("prototype-completion", 6, 3, 0.05, seed=1)
         assert completion.d == 6 and completion.y_dim == 6
