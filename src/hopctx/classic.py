@@ -34,6 +34,11 @@ class ClassicHopfield:
         self.neuron_count = weights.shape[0]
 
 
+def _sign(h, s):
+    """+1 or -1 by the sign of the local field h; s where h is exactly 0."""
+    return np.where(h > 0, 1.0, np.where(h < 0, -1.0, s))
+
+
 def classic_store(patterns) -> ClassicHopfield:
     """Build a network storing the given +/-1 patterns via the Hebbian rule."""
     patterns = [_check_binary(p) for p in patterns]
@@ -43,10 +48,8 @@ def classic_store(patterns) -> ClassicHopfield:
     for p in patterns:
         if p.shape[0] != n:
             raise ValueError(f"pattern length {p.shape[0]} != {n}")
-    w = np.zeros((n, n))
-    for p in patterns:
-        w += np.outer(p, p)
-    w /= n
+    m = np.stack(patterns)
+    w = m.T @ m / n  # exact: every entry is a sum of +/-1 products
     np.fill_diagonal(w, 0.0)
     return ClassicHopfield(w)
 
@@ -80,22 +83,12 @@ def classic_update(
         raise ValueError(f"unknown schedule {schedule!r}")
     w = net.weights
     for _ in range(max_sweeps):
+        start = state.copy()
         if schedule == "sequential":
-            changed = False
             for i in range(net.neuron_count):
-                h = w[i] @ state
-                if h > 0 and state[i] != 1.0:
-                    state[i] = 1.0
-                    changed = True
-                elif h < 0 and state[i] != -1.0:
-                    state[i] = -1.0
-                    changed = True
-            if not changed:
-                return state, True
+                state[i] = _sign(w[i] @ state, state[i])
         else:
-            h = w @ state
-            new_state = np.where(h > 0, 1.0, np.where(h < 0, -1.0, state))
-            if np.array_equal(new_state, state):
-                return state, True
-            state = new_state
+            state = _sign(w @ state, state)
+        if np.array_equal(state, start):
+            return state, True
     return state, False

@@ -22,7 +22,9 @@ INVARIANT_ERROR = 2
 ORACLE_ERROR = 3
 
 
-def _load_config(args) -> experiments.ExperimentConfig:
+def _load_config(args, suffixes=("",)) -> experiments.ExperimentConfig:
+    """The config of the file and flags.  Its output paths (``output`` plus
+    each suffix) are checked here, before the run: none may be a directory."""
     mapping = {}
     if args.config:
         path = Path(args.config)
@@ -38,7 +40,11 @@ def _load_config(args) -> experiments.ExperimentConfig:
         mapping["seed"] = str(args.seed)
     if args.output is not None:
         mapping["output"] = args.output
-    return experiments.ExperimentConfig.from_mapping(mapping)
+    config = experiments.ExperimentConfig.from_mapping(mapping)
+    for suffix in suffixes:
+        if config.output and Path(config.output + suffix).is_dir():
+            raise IsADirectoryError(f"output path is a directory: {config.output + suffix}")
+    return config
 
 
 def _write_output(config, text: str, suffix: str = "") -> None:
@@ -73,7 +79,7 @@ def _cmd_k_study(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = _load_config(args)
+    config = _load_config(args, ("", ".json"))
     summary, csv_text, json_text = experiments.run_strategy_comparison(config)
     _write_output(config, csv_text)
     _write_output(config, json_text, ".json")
@@ -255,9 +261,8 @@ def cli_main(argv=None) -> int:
     except tasks.OracleFailure as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)
         return ORACLE_ERROR
-    except (OSError, ValueError, KeyError) as exc:  # OSError: an unreadable config, an unwritable output
+    except (OSError, ValueError) as exc:  # OSError: an unreadable config, an unwritable output
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
         return USAGE_ERROR
 
 

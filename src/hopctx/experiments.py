@@ -3,7 +3,8 @@ strategy comparisons, all driven by a flat key=value config.
 
 ``ExperimentConfig``'s fields are the config schema: each key is a field
 name, and files, ``--set`` flags (through ``from_mapping``) and direct
-construction all convert and check values in its ``__post_init__``.
+construction all convert and check values in its ``__post_init__``.  A
+config is frozen; ``dataclasses.replace`` varies it and checks it again.
 
 Every run is a pure function of (config, seed).  Sub-seeds are derived
 through ``derive_seed`` so trials can be computed in any order without
@@ -45,7 +46,7 @@ def derive_seed(*parts) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """All experiment knobs.  The fields are the config schema: a key is its
     field's name, with the first ``_`` a ``.`` after a section name
@@ -83,7 +84,7 @@ class ExperimentConfig:
         for key, (name, kind, item) in _FIELDS.items():
             raw = getattr(self, name)
             try:
-                setattr(self, name, _convert(raw, kind, item))
+                object.__setattr__(self, name, _convert(raw, kind, item))
             except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {raw!r}") from None
         if self.trials < 1:
@@ -420,18 +421,12 @@ def run_strategy_comparison(config: ExperimentConfig):
     json_text)."""
     k = config.k_values[0]
     records, _ = run_k_study(replace(config, k_values=(k,)))
-    by_strategy = {}
-    for r in records:
-        by_strategy.setdefault(r.strategy, []).append(r)
-
-    random_means = None
-    if "random" in by_strategy:
-        random_means = np.array([r.mean_score for r in by_strategy["random"]])
+    trial_means = {s: np.array([r.mean_score for r in records if r.strategy == s]) for s in config.strategies}
+    random_means = trial_means.get("random")
 
     summary = {"k": k, "trials": config.trials, "strategies": {}}
     rows = []
-    for strategy in config.strategies:
-        means = np.array([r.mean_score for r in by_strategy[strategy]])
+    for strategy, means in trial_means.items():
         entry = {
             "mean": float(means.mean()),
             "std": float(means.std(ddof=1)) if len(means) > 1 else 0.0,

@@ -84,7 +84,7 @@ class TaskSpec:
                 raise ValueError("prototypes must be pairwise distinct")
             if min(dists) <= 4 * self.noise_sigma:
                 warnings.warn(
-                    f"min prototype distance {min(dists):.4g} <= 4*noise_sigma; "
+                    f"min prototype distance {min(dists):.4g} <= 4*noise_sigma (noise_sigma={self.noise_sigma!r}); "
                     "latent patterns may be hard to tell apart",
                     stacklevel=3,  # the code that built the TaskSpec, past the generated __init__
                 )
@@ -442,15 +442,12 @@ def generate_pool(
     if n_queries < 0:
         raise ValueError("n_queries must be nonnegative")
     rng = np.random.default_rng(seed)
-    exemplars = []
-    for i in range(n):
+
+    def draw(i: int) -> Exemplar:
         latent = int(rng.integers(spec.p))
         x, y = spec.sample(latent, rng)
-        exemplars.append(Exemplar(id=i, x=x, y=y, latent_id=latent))
-    queries = []
-    for j in range(n_queries):
-        latent = int(rng.integers(spec.p))
-        x, y = spec.sample(latent, rng)
-        queries.append(Exemplar(id=j, x=x, y=y, latent_id=latent))
-    return ExemplarPool(exemplars), queries
+        return Exemplar(id=i, x=x, y=y, latent_id=latent)
+
+    pool = ExemplarPool([draw(i) for i in range(n)])
+    return pool, [draw(j) for j in range(n_queries)]
 

@@ -12,9 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopctx import (
+    AssociativeOracle,
     BoundViolationError,
     ContextSet,
     ContextualHopfield,
+    Exemplar,
+    ExemplarPool,
     QueryState,
     beta_coefficient,
     error_bound,
@@ -349,6 +352,36 @@ def first_error_of_loop(u, z, v, u_star, gamma):
         except (ValueError, BoundViolationError) as exc:
             return i, exc
     return None
+
+
+class TestBuiltinPrediction:
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=10),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=12),
+        st.floats(min_value=0.1, max_value=50.0),
+        st.floats(min_value=1e-2, max_value=30.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_prediction_is_a_bound_instance(self, seed, n, d_x, d_y, k, gamma, scale):
+        # A context of K pool positions (repeats allowed) over a pool that may
+        # hold exact duplicates; u = (x, 0) and u* = (x_i, y) for the
+        # best-scoring context pattern i.  The y block of u_new - u* is the
+        # prediction error, so it is at most the realized error.
+        rng = np.random.default_rng(seed)
+        rows = scale * rng.standard_normal((n, d_x + d_y))[rng.integers(0, n, n)]
+        pool = ExemplarPool([Exemplar(id=j, x=r[:d_x], y=r[d_x:]) for j, r in enumerate(rows)])
+        ids = rng.integers(0, n, k)
+        x, y = scale * rng.standard_normal(d_x), scale * rng.standard_normal(d_y)
+        v = np.hstack([pool.xs, pool.ys])[ids]
+        z = np.ascontiguousarray(v.T)
+        u = np.concatenate([x, np.zeros(d_y)])
+        i = int(np.argmax(u @ z))
+        report = verify_patterns(u, z, v, np.concatenate([v[i, :d_x], y]), gamma, i)
+        y_hat = AssociativeOracle(gamma=gamma, y_dim=d_y).predict_pool(pool, ids, x)
+        assert np.linalg.norm(y_hat - y) <= report.realized_error
 
 
 class TestBatchedVerifier:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hopctx import ClassicHopfield, classic_energy, classic_store, classic_update
 
@@ -16,6 +18,70 @@ def hebbian_reference(patterns):
                 continue
             w[i, j] = sum(p[i] * p[j] for p in patterns) / n
     return w
+
+
+def hebbian_outer_sum(patterns):
+    """Hebbian weights as a loop of outer products, divided by N once."""
+    n = len(patterns[0])
+    w = np.zeros((n, n))
+    for p in patterns:
+        w += np.outer(p, p)
+    w /= n
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def update_reference(w, state, schedule, max_sweeps):
+    """The sign rule neuron by neuron (sequential) or as one masked step
+    (synchronous); a zero field keeps the state.  Returns (state, converged)."""
+    state = np.array(state, dtype=np.float64)
+    for _ in range(max_sweeps):
+        if schedule == "sequential":
+            changed = False
+            for i in range(len(state)):
+                h = w[i] @ state
+                if h > 0 and state[i] != 1.0:
+                    state[i] = 1.0
+                    changed = True
+                elif h < 0 and state[i] != -1.0:
+                    state[i] = -1.0
+                    changed = True
+            if not changed:
+                return state, True
+        else:
+            h = w @ state
+            new_state = np.where(h > 0, 1.0, np.where(h < 0, -1.0, state))
+            if np.array_equal(new_state, state):
+                return state, True
+            state = new_state
+    return state, False
+
+
+@st.composite
+def patterns_and_state(draw):
+    """1-4 stored patterns and a start state of one even length N: two
+    patterns with an even N can give a neuron a local field of exactly 0."""
+    n = 2 * draw(st.integers(min_value=1, max_value=8))
+    signs = st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n)
+    return np.array(draw(st.lists(signs, min_size=1, max_size=4))), np.array(draw(signs))
+
+
+class TestReferenceForms:
+    # Neuron 0 of these two patterns has an all-zero weight row, so a zero field at every step.
+    @example((np.array([[-1.0, 1.0, 1.0, 1.0], [-1.0, -1.0, -1.0, -1.0]]), np.array([-1.0, 1.0, -1.0, 1.0])),
+             "sequential", 2)
+    @example((np.array([[-1.0, 1.0, 1.0, 1.0], [-1.0, -1.0, -1.0, -1.0]]), np.array([-1.0, 1.0, -1.0, 1.0])),
+             "synchronous", 2)
+    @given(patterns_and_state(), st.sampled_from(["sequential", "synchronous"]), st.sampled_from([1, 2, 100]))
+    @settings(max_examples=300, deadline=None)
+    def test_store_and_update_equal_the_loop_forms_bit_for_bit(self, case, schedule, max_sweeps):
+        patterns, start = case
+        net = classic_store(patterns)
+        assert net.weights.tobytes() == hebbian_outer_sum(patterns).tobytes()
+        state, converged = classic_update(net, start, schedule=schedule, max_sweeps=max_sweeps)
+        ref_state, ref_converged = update_reference(net.weights, start, schedule, max_sweeps)
+        assert state.tobytes() == ref_state.tobytes()
+        assert converged == ref_converged
 
 
 class TestStore:

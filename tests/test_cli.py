@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import hopctx
+from hopctx import experiments
 from hopctx.cli import cli_main
 
 
@@ -61,12 +62,44 @@ def test_bad_config_key_is_usage_error(tmp_path):
     ["bound-sweep", "--set", "bound.instances=1"],
 ], ids=["k-study", "bound-sweep"])
 def test_output_to_a_directory_is_usage_error(tmp_path, capsys, argv):
-    # The run completes; writing its CSV to a directory fails with an OSError.
+    # The output path is checked before the run: a directory fails with an OSError.
     assert cli_main([*argv, "--output", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and str(tmp_path) in errors[0]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, suffix", [
+    ("k-study", ""), ("bound-sweep", ""), ("compare", ""), ("compare", ".json"),
+])
+def test_output_directory_is_found_before_the_run(tmp_path, capsys, monkeypatch, command, suffix):
+    def not_called(config):
+        raise AssertionError("the runner was called")
+
+    for name in ("run_k_study", "run_bound_sweep", "run_strategy_comparison"):
+        monkeypatch.setattr(experiments, name, not_called)
+    out = tmp_path / "out.csv"
+    directory = Path(f"{out}{suffix}")
+    directory.mkdir()
+    assert cli_main([command, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(directory) in err
+    assert list(tmp_path.iterdir()) == [directory]  # compare wrote no CSV either
+
+
+def test_runtime_error_is_one_stderr_line(capsys):
+    assert cli_main(["k-study", "--set", "bogus=1"]) == 1
+    assert capsys.readouterr().err == "error: unknown config key 'bogus'\n"
+
+
+def test_key_error_is_a_bug_with_a_traceback(monkeypatch):
+    def broken(config):
+        raise KeyError("strategy")
+
+    monkeypatch.setattr(experiments, "run_k_study", broken)
+    with pytest.raises(KeyError, match="strategy"):
+        cli_main(["k-study"])
 
 
 def test_retrieve_prints_frozen_example(tmp_path, capsys):

@@ -4,7 +4,7 @@ import csv
 import io
 import math
 import re
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +202,14 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"^oracle.endpoint must be set"):
             run_k_study(config)
 
+    def test_fields_are_frozen_and_replace_rechecks(self):
+        config = ExperimentConfig()
+        for f in fields(ExperimentConfig):
+            with pytest.raises(FrozenInstanceError):
+                setattr(config, f.name, getattr(config, f.name))
+        with pytest.raises(ValueError, match=r"^bound\.instances must be >= 1"):
+            replace(config, bound_instances=0)
+
     def test_mapping_roundtrip(self):
         config = ExperimentConfig()
         back = ExperimentConfig.from_mapping(config.as_mapping())
@@ -214,11 +222,8 @@ class TestConfig:
 
 class TestBoundSweep:
     def test_full_duplication_cell_bound_equals_instance_error(self):
-        config = small_config()
-        config.bound_gamma_grid = (1.0,)
-        config.bound_m_grid = (4,)
-        config.bound_dup_fractions = (1.0,)
-        config.bound_instances = 25
+        config = small_config(bound_gamma_grid=(1.0,), bound_m_grid=(4,), bound_dup_fractions=(1.0,),
+                              bound_instances=25)
         reports, csv_text, summary = run_bound_sweep(config)
         assert summary["violations"] == 0
         for r in reports:
@@ -226,8 +231,7 @@ class TestBoundSweep:
             assert r.upper_bound == r.instance_error
 
     def test_default_grid_row_count_and_summary(self):
-        config = small_config()
-        config.bound_instances = 5
+        config = small_config(bound_instances=5)
         reports, csv_text, summary = run_bound_sweep(config)
         assert summary["instances"] == len(reports) == 3 * 3 * 3 * 5
         lines = csv_text.strip().splitlines()
@@ -237,8 +241,7 @@ class TestBoundSweep:
         assert len(lines) == 2 + len(reports) + 1
 
     def test_byte_identical_reruns(self):
-        config = small_config()
-        config.bound_instances = 10
+        config = small_config(bound_instances=10)
         _, csv_a, _ = run_bound_sweep(config)
         _, csv_b, _ = run_bound_sweep(config)
         assert csv_a == csv_b
@@ -276,8 +279,7 @@ class TestBoundSweep:
         # The sweep draws a (gamma, M) row with five Generator calls per
         # instance and verifies raw patterns, batched per d_q; the
         # per-instance object path must give the same CSV rows.
-        config = small_config()
-        config.bound_instances = 5
+        config = small_config(bound_instances=5)
         _, csv_text, _ = run_bound_sweep(config)
         assert csv_text.splitlines()[2:-1] == self.object_path_rows(config)
 

@@ -172,6 +172,11 @@ class TestTaskSpec:
             TaskSpec(kind="prototype-completion", d=2, prototypes=protos, noise_sigma=0.2)
         assert [w.filename for w in record] == [__file__]
 
+    def test_close_prototypes_warning_names_the_noise(self):
+        # Unit-norm prototypes are at most 2 apart, so noise 1.0 is close.
+        with pytest.warns(UserWarning, match=r"<= 4\*noise_sigma \(noise_sigma=1\.0\)"):
+            make_task("prototype-completion", 2, 3, 1.0, seed=0)
+
     def test_dimensions_per_kind(self):
         completion = make_task("prototype-completion", 6, 3, 0.05, seed=1)
         assert completion.d == 6 and completion.y_dim == 6
