@@ -24,7 +24,8 @@ ORACLE_ERROR = 3
 
 def _load_config(args, suffixes=("",)) -> experiments.ExperimentConfig:
     """The config of the file and flags.  Its output paths (``output`` plus
-    each suffix) are checked here, before the run: none may be a directory."""
+    each suffix) are checked here, before the run: none may be a directory,
+    nor have an existing ancestor that is not one."""
     mapping = {}
     if args.config:
         path = Path(args.config)
@@ -41,6 +42,11 @@ def _load_config(args, suffixes=("",)) -> experiments.ExperimentConfig:
     if args.output is not None:
         mapping["output"] = args.output
     config = experiments.ExperimentConfig.from_mapping(mapping)
+    if config.output:
+        # Every suffix only extends the last component, so the ancestors are shared.
+        blocked = next((p for p in Path(config.output).parents if p.exists() and not p.is_dir()), None)
+        if blocked is not None:
+            raise NotADirectoryError(f"output path {config.output}: {blocked} is not a directory")
     for suffix in suffixes:
         if config.output and Path(config.output + suffix).is_dir():
             raise IsADirectoryError(f"output path is a directory: {config.output + suffix}")

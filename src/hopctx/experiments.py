@@ -41,6 +41,25 @@ SCORE_DECIMALS = 12
 _STRATEGY_CODES = {"random": 0, "metric": 1, "active": 2, "instance-best": 3}
 
 
+def _round_scores(scores) -> np.ndarray:
+    """``round(s, SCORE_DECIMALS)`` of every entry, bit for bit.
+
+    ``round`` rounds the exact s * 10^12 to an integer N and returns the float
+    nearest N / 10^12.  For |s| < 9e3, p = s * 10^12 is below 2^53 in size,
+    so rint(p) / 10^12 is one correctly rounded division of integers; rint(p)
+    is N unless forming p moved it across a half, which cannot happen where
+    frac(p) is more than 4 ulp(p) from 0.5.  Every other entry (a near tie,
+    |s| >= 9e3, a non-finite score) takes ``round``.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    small = np.abs(scores) < 9e3
+    p = np.where(small, scores, 0.0) * 10.0**SCORE_DECIMALS
+    fast = small & (np.abs(p - np.floor(p) - 0.5) > 4 * np.abs(np.spacing(p)))
+    rounded = np.rint(p) / 10.0**SCORE_DECIMALS
+    rounded[~fast] = [round(float(s), SCORE_DECIMALS) for s in scores[~fast]]
+    return rounded
+
+
 def derive_seed(*parts) -> int:
     """Deterministic child seed from integer parts (order-sensitive)."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
@@ -387,8 +406,8 @@ def run_k_study(config: ExperimentConfig):
             else:
                 ids = contexts[strategy][..., :k]
             scores, _ = selection.score_contexts(pool, oracle, score_fn, ids, xs, ys)
-            rounded = [tuple(round(s, SCORE_DECIMALS) for s in row) for row in scores.tolist()]
-            scored[strategy, k] = [(row, float(np.mean(row))) for row in rounded]
+            rounded = _round_scores(scores)
+            scored[strategy, k] = list(zip(map(tuple, rounded.tolist()), rounded.mean(axis=1).tolist()))
 
     records = []
     for trial in trials:

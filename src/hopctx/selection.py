@@ -27,11 +27,13 @@ Sampling procedure (used everywhere randomness is needed, so results can be
 reproduced by an independent implementation): draw from
 ``numpy.random.default_rng(seed)`` and take a Fisher-Yates prefix -- for
 i = 0..k-1, swap position i with position i + rng.integers(n - i), then keep
-the first k slots.  ``estimate_pool_values`` (behind ``active_select``)
-draws one shared permutation from ``seed`` and gives every exemplar the first
-``subsample`` entries of that permutation after removing the exemplar itself,
-so all values are estimated against the same probe set and the estimand's own
-pair never contributes.
+the first k slots.  ``sample_prefix`` draws the k offsets in one array call,
+``rng.integers(n - arange(k))``, whose values, and the stream state it leaves,
+equal those of the k scalar calls.  ``estimate_pool_values`` (behind
+``active_select``) draws one shared permutation from ``seed`` and gives every
+exemplar the first ``subsample`` entries of that permutation after removing
+the exemplar itself, so all values are estimated against the same probe set
+and the estimand's own pair never contributes.
 
 The score of exemplar i as the sole context on probe j does not depend on
 the seed, only the probe set does.  ``pool_score_matrix`` therefore scores
@@ -132,8 +134,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def sample_prefix(rng: np.random.Generator, n: int, k: int) -> list[int]:
     """First k slots of a Fisher-Yates shuffle of range(n) on the given stream."""
     idx = list(range(n))
-    for i in range(k):
-        j = i + int(rng.integers(n - i))
+    for i, j in enumerate((np.arange(k) + rng.integers(n - np.arange(k))).tolist()):
         idx[i], idx[j] = idx[j], idx[i]
     return idx[:k]
 
@@ -296,10 +297,13 @@ def estimate_pool_values(pool: ExemplarPool, matrix, subsample="all", seed: int 
         )
     order = np.array(sample_prefix(np.random.default_rng(seed), n, n))
     m = n - 1 if subsample == "all" else subsample
-    # Row i: the permutation without position i, cut to m probes, put in id
+    # Row i: the permutation without position i, cut to m probes, that is
+    # order[:m + 1] less i if i is in order[:m], else less order[m]; put in id
     # order so each mean sums in the same order whatever the pool order.
-    probes = np.broadcast_to(order, (n, n))[order != np.arange(n)[:, None]].reshape(n, n - 1)[:, :m]
-    probes = np.take_along_axis(probes, np.argsort(pool.ids[probes], axis=1), axis=1)
+    head = order[:m + 1][np.argsort(pool.ids[order[:m + 1]])]
+    dropped = np.full(n, order[m])
+    dropped[order[:m]] = order[:m]
+    probes = np.broadcast_to(head, (n, m + 1))[head != dropped[:, None]].reshape(n, m)
     rows = np.arange(n)[:, None]
     return scores[rows, probes].mean(axis=1), np.count_nonzero(~ok[rows, probes], axis=1)
 

@@ -88,6 +88,30 @@ def test_output_directory_is_found_before_the_run(tmp_path, capsys, monkeypatch,
     assert list(tmp_path.iterdir()) == [directory]  # compare wrote no CSV either
 
 
+@pytest.mark.parametrize("command", ["k-study", "compare"])
+def test_output_under_a_file_is_found_before_the_run(tmp_path, command):
+    # An output whose ancestor is a regular file cannot be made: one error
+    # line naming both, exit 1, before the runner is called.
+    blocker = tmp_path / "notes.txt"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" / "out.csv"
+    script = (
+        "import sys\n"
+        "from hopctx import cli, experiments\n"
+        "def not_called(config):\n"
+        "    sys.exit('the runner was called')\n"
+        "for name in ('run_k_study', 'run_bound_sweep', 'run_strategy_comparison'):\n"
+        "    setattr(experiments, name, not_called)\n"
+        "sys.exit(cli.cli_main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(hopctx.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, command, "--output", str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: output path {out}: {blocker} is not a directory\n"
+    assert blocker.read_text() == "kept\n" and list(tmp_path.iterdir()) == [blocker]
+
+
 def test_runtime_error_is_one_stderr_line(capsys):
     assert cli_main(["k-study", "--set", "bogus=1"]) == 1
     assert capsys.readouterr().err == "error: unknown config key 'bogus'\n"

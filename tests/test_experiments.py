@@ -374,6 +374,47 @@ class TestGammaMonotonicity:
         assert bounds_by_gamma[0] >= bounds_by_gamma[1] >= bounds_by_gamma[2]
 
 
+def _near_tie(k, ulps):
+    """A value ``ulps`` floats away from the 12-decimal tie (k + 0.5) / 1e12."""
+    bits = np.float64((k + 0.5) / 1e12).view(np.int64) + ulps
+    return float(bits.view(np.float64))
+
+
+# Scores the k-study rounds: cosine-like [0, 1), negative errors, values that
+# take the fallback (|s| >= 9e3), tiny values and +-0.0, near ties, any finite.
+ROUNDING_CASES = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(-1e4, 0.0),
+    st.builds(lambda s, sign: sign * s, st.floats(9e3, 1.7e308), st.sampled_from([1.0, -1.0])),
+    st.floats(-1e-9, 1e-9),
+    st.sampled_from([0.0, -0.0]),
+    st.builds(_near_tie, st.integers(-9 * 10**15, 9 * 10**15), st.integers(-4, 4)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestRoundScores:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda q: st.lists(
+        st.lists(ROUNDING_CASES, min_size=q, max_size=q), min_size=1, max_size=4)))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bit_equal_to_round(self, rows):
+        # int64 views tell -0.0 from 0.0; no finite score may warn.
+        rounded = experiments._round_scores(np.array(rows))
+        expected = np.array([[round(s, 12) for s in row] for row in rows])
+        assert np.array_equal(rounded.view(np.int64), expected.view(np.int64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), q=st.integers(1, 400),
+           scale=st.sampled_from([1.0, -1e4]))
+    def test_row_means_equal_mean_of_each_row(self, seed, rows, q, scale):
+        # The k-study takes each row's mean over the rounded array; it must be
+        # the mean of that row's tuple of scores, as recorded.
+        rounded = experiments._round_scores(scale * np.random.default_rng(seed).random((rows, q)))
+        for row, mean in zip(rounded.tolist(), rounded.mean(axis=1).tolist()):
+            assert mean == float(np.mean(tuple(row)))
+
+
 class TestKStudy:
     def test_mean_matches_per_query_scores_exactly(self):
         records, _ = run_k_study(small_config(trials=2))

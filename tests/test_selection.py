@@ -106,6 +106,22 @@ class TestRandomSelect:
         assert np.all(np.abs(counts - 800) < 100)
 
 
+class TestSamplePrefix:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 1000), seed=st.integers(0, 2**64 - 1), before=st.integers(0, 2))
+    def test_matches_scalar_loop_and_leaves_same_state(self, data, n, seed, before):
+        # The k bounds are drawn in one array call: its values, and where it
+        # leaves the stream, must be the scalar loop's.  numpy's algorithm for
+        # array bounds is an implementation detail, pinned here.  ``before``
+        # scalar draws leave half a 64-bit output buffered in some examples.
+        k = data.draw(st.integers(0, n))
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for gen in (rng, ref):
+            gen.integers(1000, size=before)
+        assert selection.sample_prefix(rng, n, k) == reference_prefix(ref, n, k)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def metric_top(pool, k, query_x, metric="euclidean"):
     """Ids of the k closest exemplars, from a one-query ``metric_rank``."""
     orders, _ = metric_rank(pool, [query_x], metric)
@@ -352,6 +368,36 @@ def reference_pool_values(pool, oracle, score_fn, subsample, seed):
         pairs = [safe_score(score_fn, oracle.predict([e], o.x), o.y) for o in probe]
         out.append((float(np.mean([s for s, _ in pairs])), len(pairs), sum(not ok for _, ok in pairs)))
     return out
+
+
+def reference_values_from_matrix(pool, scores, ok, subsample, seed):
+    """Per-row loop over a pool score matrix: the shared permutation without
+    the row's own position, cut to m probes, in id order, then ``np.mean``."""
+    shared = reference_prefix(seed, pool.size, pool.size)
+    m = pool.size - 1 if subsample == "all" else subsample
+    values, failures = [], []
+    for i in range(pool.size):
+        probes = sorted([j for j in shared if j != i][:m], key=lambda j: pool[j].id)
+        values.append(np.mean(scores[i, probes]))
+        failures.append(sum(not ok[i, j] for j in probes))
+    return np.array(values), np.array(failures)
+
+
+class TestValuesFromMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1), probe_seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["one", "n-2", "n-1", "all"]))
+    def test_matches_per_row_loop(self, n, seed, probe_seed, kind):
+        # No oracle: random scores and ok mask, sparse shuffled ids.
+        rng = np.random.default_rng(seed)
+        ids = rng.choice(10**6, size=n, replace=False)
+        pool = ExemplarPool([Exemplar(id=int(i), x=np.zeros(1), y=np.zeros(1)) for i in ids])
+        scores, ok = rng.standard_normal((n, n)), rng.random((n, n)) < 0.9
+        subsample = {"one": 1, "n-2": max(1, n - 2), "n-1": n - 1, "all": "all"}[kind]
+        values, failures = estimate_pool_values(pool, (scores, ok), subsample, probe_seed)
+        expected_values, expected_failures = reference_values_from_matrix(pool, scores, ok, subsample, probe_seed)
+        assert np.array_equal(values.view(np.int64), expected_values.view(np.int64))
+        assert np.array_equal(failures, expected_failures)
 
 
 class TestPoolScoreMatrix:
