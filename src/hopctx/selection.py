@@ -187,25 +187,35 @@ def score_rows(score_fn, y_hats, ys) -> tuple[np.ndarray, np.ndarray]:
     return np.array([s for s, _ in pairs], dtype=np.float64), np.array([ok for _, ok in pairs], dtype=bool)
 
 
+def _broadcast_rows(ids, xs):
+    """The rows of a batch of pool-indexed contexts, one per broadcast row.
+
+    ``ids[..., :K]`` holds each context as K pool positions and ``xs[..., :d_x]``
+    the query rows; their leading axes broadcast to ``batch``.  Returns the
+    (n, K) positions, the (n, d_x) float64 query rows, flattened in C order,
+    and ``batch``.
+    """
+    ids, xs = np.asarray(ids), np.asarray(xs, dtype=np.float64)
+    batch = np.broadcast_shapes(ids.shape[:-1], xs.shape[:-1])
+    return (np.broadcast_to(ids, batch + ids.shape[-1:]).reshape(-1, ids.shape[-1]),
+            np.broadcast_to(xs, batch + xs.shape[-1:]).reshape(-1, xs.shape[-1]), batch)
+
+
 def predict_rows(oracle, pool: ExemplarPool, ids, xs):
     """Predictions for every row of a batch of pool-indexed contexts.
 
-    ``ids[..., :K]`` holds each context as K pool positions and ``xs[..., :d_x]``
-    the query rows; their leading axes broadcast, and the predictions come
-    back one per broadcast row, flattened in C order.  An oracle with a
-    batched ``predict_pool`` (the built-in one) answers the whole batch in
-    one call; an oracle that defines only ``predict`` (the documented
-    interface) is asked once per row, in that order, and the predictions
-    come back as a list.
+    The predictions come back one per broadcast row of ``ids`` and ``xs``,
+    in the C order of ``_broadcast_rows``.  An oracle with a batched
+    ``predict_pool`` (the built-in and the remote one) answers the whole
+    batch in one call; an oracle that defines only ``predict`` (the
+    documented interface) is asked once per row, in that order, and the
+    predictions come back as a list.
     """
     predict_pool = getattr(oracle, "predict_pool", None)
     if predict_pool is not None:
         y_hats = predict_pool(pool, ids, xs)
         return y_hats.reshape(-1, y_hats.shape[-1])
-    ids, xs = np.asarray(ids), np.asarray(xs, dtype=np.float64)
-    batch = np.broadcast_shapes(ids.shape[:-1], xs.shape[:-1])
-    ids = np.broadcast_to(ids, batch + ids.shape[-1:]).reshape(-1, ids.shape[-1])
-    xs = np.broadcast_to(xs, batch + xs.shape[-1:]).reshape(-1, xs.shape[-1])
+    ids, xs, _ = _broadcast_rows(ids, xs)
     return [oracle.predict([pool[i] for i in row], x) for row, x in zip(ids, xs)]
 
 

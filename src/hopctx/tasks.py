@@ -10,7 +10,8 @@ Each built-in score is a scalar function with a bare batched ``rows``
 kernel; ``selection.score_rows`` applies the safe-score rule to either form.
 The built-in oracle answers by associative retrieval over the context pairs
 themselves, so every experiment runs fully locally; an HTTP adapter lets a
-remote predictor stand in behind the same interface.
+remote predictor stand in behind the same interface, ``predict_pool``
+included: it sends one request per row, up to ``REMOTE_IN_FLIGHT`` at once.
 """
 
 import json
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .retrieval import _row_dot, retrieval_update
-from .selection import Exemplar, ExemplarPool
+from .selection import Exemplar, ExemplarPool, _broadcast_rows
 
 __all__ = [
     "TaskSpec",
@@ -45,6 +46,11 @@ TASK_KINDS = ("prototype-completion", "key-value-association")
 # ``RemoteOracle``: seconds allowed per connect or read, and retries after a failed attempt.
 REMOTE_TIMEOUT_S = 10.0
 REMOTE_MAX_RETRIES = 2
+# Most ``RemoteOracle.predict_pool`` requests in flight at once.  Each waits
+# in the server's listen backlog until accepted: at most 4 fits the default
+# backlog of 5 of a one-thread ``http.server``, where a full queue drops the
+# connection attempt and costs a 1 s retransmit.
+REMOTE_IN_FLIGHT = 4
 
 
 @dataclass(frozen=True)
@@ -286,6 +292,11 @@ class RemoteOracle:
     up to ``REMOTE_MAX_RETRIES`` times; a non-finite input, a malformed body, a
     prediction whose length differs from the context's y or that does not fit
     float64, or exhausted retries raise ``OracleFailure``.
+
+    ``predict`` sends one request.  ``predict_pool`` sends one per broadcast
+    row of a batch of pool-indexed contexts, with up to ``REMOTE_IN_FLIGHT``
+    in flight, and returns them in row order.  Requests are numbered from 1
+    per oracle, in row order within a batch, and a failure names its number.
     """
 
     def __init__(self, endpoint: str):
@@ -294,13 +305,48 @@ class RemoteOracle:
         self._request_counter = 0
 
     def predict(self, context_exemplars, x) -> np.ndarray:
+        self._request_counter += 1
+        return self._post(list(context_exemplars), x, self._request_counter)
+
+    def predict_pool(self, pool: ExemplarPool, ids, xs) -> np.ndarray:
+        """Predictions of the contexts ``ids[..., :K]`` (pool positions) on
+        the query rows ``xs[..., :d_x]``, their leading axes broadcast: shape
+        (*batch, d_y).  Row r is ``predict([pool[i] for i in ids[r]], xs[r])``
+        as request r + 1 of the batch.  The first failing row in row order
+        raises its ``OracleFailure``; once any row has failed, no row not yet
+        sent is sent."""
+        # Imported here, as http.client is: only a remote batch needs them.
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        ids, xs, batch = _broadcast_rows(ids, xs)
+        first = self._request_counter
+        self._request_counter += len(ids)
+        stop = threading.Event()
+
+        def post(r):
+            if stop.is_set():
+                return None  # a row has failed; its error is raised instead
+            try:
+                return self._post([pool[i] for i in ids[r]], xs[r], first + r + 1)
+            except BaseException:
+                stop.set()
+                raise
+
+        executor = ThreadPoolExecutor(max_workers=REMOTE_IN_FLIGHT)
+        try:
+            predictions = list(executor.map(post, range(len(ids))))
+        finally:
+            # Also when the caller is interrupted: rows not yet sent stay unsent.
+            stop.set()
+            executor.shutdown(cancel_futures=True)
+        return np.array(predictions, dtype=np.float64).reshape(batch + pool.ys.shape[1:])
+
+    def _post(self, context_exemplars, x, request_id) -> np.ndarray:
         # Imported here, not at module level, so that runs with a local oracle
         # never load the HTTP stack (http.client, ssl, email, ...).
         import http.client
 
-        context_exemplars = list(context_exemplars)
-        self._request_counter += 1
-        request_id = self._request_counter
         body = {
             "exemplars": [
                 {"x": np.asarray(e.x, dtype=float).tolist(), "y": np.asarray(e.y, dtype=float).tolist()}

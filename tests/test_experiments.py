@@ -29,7 +29,7 @@ from hopctx import (
 )
 from hopctx.bounds import bound_report_csv_row
 from hopctx.experiments import _draw_row, _verify_row, parse_config_text
-from hopctx.selection import pool_score_matrix
+from hopctx.selection import _broadcast_rows, pool_score_matrix
 
 
 def small_config(**overrides):
@@ -440,10 +440,7 @@ class TestKStudy:
         rows = []
 
         def one_row_per_call(self, pool, ids, xs):
-            ids, xs = np.asarray(ids), np.asarray(xs)
-            batch = np.broadcast_shapes(ids.shape[:-1], xs.shape[:-1])
-            ids_rows = np.broadcast_to(ids, batch + ids.shape[-1:]).reshape(-1, ids.shape[-1])
-            xs_rows = np.broadcast_to(xs, batch + xs.shape[-1:]).reshape(-1, xs.shape[-1])
+            ids_rows, xs_rows, batch = _broadcast_rows(ids, xs)
             out = np.stack([batched(self, pool, i, x[None, :])[0] for i, x in zip(ids_rows, xs_rows)])
             rows.append(len(out))
             return out.reshape(batch + out.shape[-1:])
@@ -455,7 +452,7 @@ class TestKStudy:
             assert max(rows) > 1  # the k-study predicted through predict_pool
 
     def test_predict_only_oracle_writes_the_builtin_csv(self, monkeypatch):
-        # An oracle with only ``predict`` (as the remote one) is asked once
+        # An oracle with only ``predict`` (a duck-typed one) is asked once
         # per (context, query): per (strategy, K), trial by trial, each over
         # the queries.  Its predictions must meet the same tiled targets.
         config = small_config(strategies=("random", "metric", "active", "instance-best"), trials=2,

@@ -2,9 +2,11 @@
 
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -197,3 +199,59 @@ def test_remote_predict_does_not_import_requests(stub_server):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "['http.client']"
+
+
+def _pool_and_queries():
+    spec = make_benchmark_task(p=3, d=8, noise_sigma=0.1)
+    return generate_pool(spec, 12, seed=9, n_queries=4)
+
+
+@pytest.mark.parametrize("per_target", [False, True], ids=["(B,1,K)", "(B,T,K)"])
+def test_predict_pool_equals_predict_row_by_row(stub_server, per_target):
+    pool, queries = _pool_and_queries()
+    xs = np.stack([q.x for q in queries])
+    t = len(xs) if per_target else 1
+    rng = np.random.default_rng(3)
+    ids = np.stack([rng.permutation(pool.size)[:3] for _ in range(5 * t)]).reshape(5, t, 3)
+    oracle = RemoteOracle(stub_server + "/predict")
+    got = oracle.predict_pool(pool, ids, xs)
+    assert got.shape == (5, len(xs), 4)
+    one_at_a_time = RemoteOracle(stub_server + "/predict")
+    for b in range(5):
+        for q, x in enumerate(xs):
+            context = [pool[i] for i in ids[b, q if per_target else 0]]
+            np.testing.assert_array_equal(got[b, q], one_at_a_time.predict(context, x))
+    # The batch used request ids 1..n, so the next request is n + 1.
+    n = 5 * len(xs)
+    with pytest.raises(OracleFailure, match=rf"^request {n + 1}: input is not finite"):
+        oracle.predict([pool[0]], np.full(pool.xs.shape[1], np.nan))
+
+
+def test_predict_pool_sends_nothing_after_a_stalled_row(monkeypatch):
+    monkeypatch.setattr(hopctx.tasks, "REMOTE_TIMEOUT_S", 0.2)
+    monkeypatch.setattr(hopctx.tasks, "REMOTE_MAX_RETRIES", 0)
+    pool, _ = _pool_and_queries()
+    ids = np.arange(20)[:, None, None] % pool.size
+    threads = threading.active_count()
+    with socket.socket() as stalled:
+        stalled.bind(("127.0.0.1", 0))
+        stalled.listen(32)  # the kernel completes connections; nothing answers
+        oracle = RemoteOracle(f"http://127.0.0.1:{stalled.getsockname()[1]}/predict")
+        t0 = time.perf_counter()
+        with pytest.raises(OracleFailure, match=r"^request 1: no successful response"):
+            oracle.predict_pool(pool, ids, pool.xs[:1])
+        elapsed = time.perf_counter() - t0
+    # One row's budget is 0.2 s.  Sending every row, REMOTE_IN_FLIGHT at a
+    # time, would take 20 / REMOTE_IN_FLIGHT = 5 budgets.
+    assert elapsed < 2 * 0.2
+    assert threading.active_count() == threads
+
+
+def test_predict_pool_stops_sending_after_a_failed_row(stub_server, monkeypatch):
+    monkeypatch.setattr(hopctx.tasks, "REMOTE_MAX_RETRIES", 1)
+    StubHandler.seen.clear()
+    pool, _ = _pool_and_queries()
+    oracle = RemoteOracle(stub_server + "/error")
+    with pytest.raises(OracleFailure, match=r"^request 1: .*status 500"):
+        oracle.predict_pool(pool, np.arange(20)[:, None, None] % pool.size, pool.xs[:1])
+    assert 0 < len(StubHandler.seen) <= hopctx.tasks.REMOTE_IN_FLIGHT * (hopctx.tasks.REMOTE_MAX_RETRIES + 1)
