@@ -365,11 +365,11 @@ def run_k_study(config: ExperimentConfig):
     asked row by row, trial by trial, each over the queries; the remote one
     sends those rows' requests up to ``tasks.REMOTE_IN_FLIGHT`` at a time);
     the trial loop only assembles records.  With ``active``, the pool score
-    matrix is built once per run, and each trial's active values are a
-    gather and mean over it under that trial's probe permutation, ranked once
-    at the largest K (identical to calling the selector per K with the same
-    seed): pool.size^2 predictions once instead of trials * pool.size *
-    subsample.  Returns (records, csv_text).
+    matrix is built once per run, and every trial's active values are
+    gathered from it at once, each under its trial's probe permutation, and
+    ranked in one call at the largest K (identical to calling the selector
+    per trial and K with the same seed): pool.size^2 predictions once instead
+    of trials * pool.size * subsample.  Returns (records, csv_text).
     """
     task = _build_task(config)
     oracle = _build_oracle(config, task)
@@ -396,8 +396,8 @@ def run_k_study(config: ExperimentConfig):
         contexts["metric"] = selection.metric_rank(pool, xs, config.metric)[0][None]
     if "active" in config.strategies:
         matrix = selection.pool_score_matrix(pool, oracle, score_fn)
-        contexts["active"] = np.stack([selection.active_select(
-            pool, max(config.k_values), matrix, config.subsample, row[0]) for row in seeds["active"]])[:, None]
+        values, _ = selection._pool_values(pool, matrix, config.subsample, [row[0] for row in seeds["active"]])
+        contexts["active"] = pool.rank(values)[:, None, :max(config.k_values)]
 
     # (per-query scores, mean) of each context row, per (strategy, K).
     scored = {}

@@ -41,7 +41,10 @@ every (i, j) pair once, and ``estimate_pool_values`` and ``active_select``
 are pure functions of that matrix: each seed's probe sets are a gather and
 mean over it, (values, failures), arrays in pool order of mean scores and
 unscored-probe counts, which ``active_select`` ranks with
-``ExemplarPool.rank``.  Metric selection has no
+``ExemplarPool.rank``.  A k-study gathers every trial's values at once,
+in blocks of whole seeds, and ranks them in one ``ExemplarPool.rank``
+call; each row has the bits of ``estimate_pool_values`` at that trial's
+seed.  Metric selection has no
 randomness: ``metric_rank`` ranks the pool for a batch of queries, which a
 k-study does once per run, slicing the ranking to each K for every trial.
 """
@@ -64,6 +67,8 @@ __all__ = [
 
 # Most predictions one ``score_contexts`` block asks for at once.
 POOL_BLOCK_PREDICTIONS = 4096
+# Most probe scores one block of value estimates gathers at once.
+VALUE_BLOCK_PROBES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -84,7 +89,8 @@ class Exemplar:
 class ExemplarPool:
     """Ordered pool of exemplars with unique integer ids.  A context drawn
     from the pool is given as pool positions; ``ids``, ``xs`` and ``ys``
-    stack the pool's ids, x and y rows once, read-only.
+    stack the pool's ids, x and y rows once, read-only, and ``pairs`` the
+    (x, y) rows side by side.
     """
 
     def __init__(self, exemplars):
@@ -124,6 +130,10 @@ class ExemplarPool:
     @functools.cached_property
     def ys(self) -> np.ndarray:
         return _read_only(np.stack([e.y for e in self.exemplars]))
+
+    @functools.cached_property
+    def pairs(self) -> np.ndarray:
+        return _read_only(np.hstack([self.xs, self.ys]))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -297,6 +307,16 @@ def estimate_pool_values(pool: ExemplarPool, matrix, subsample="all", seed: int 
     (float64) and how many of them did not score (int), m = pool.size - 1
     for ``"all"``, else ``subsample``.
     """
+    values, failures = _pool_values(pool, matrix, subsample, [seed])
+    return values[0], failures[0]
+
+
+def _pool_values(pool: ExemplarPool, matrix, subsample, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """``estimate_pool_values`` for each of ``seeds``, stacked: (values,
+    failures), each (len(seeds), pool.size).  Each block of whole seeds, at
+    most ``VALUE_BLOCK_PROBES`` probes, is one gather of matrix columns, one
+    select that drops each row's excluded probe and one mean over the last
+    axis, so a row's bits do not depend on the block."""
     _check_subsample(pool, subsample)
     scores, ok = matrix
     n = pool.size
@@ -305,17 +325,29 @@ def estimate_pool_values(pool: ExemplarPool, matrix, subsample="all", seed: int 
             f"matrix must hold ({n}, {n}) scores and ok mask for this pool, "
             f"got {np.shape(scores)} and {np.shape(ok)}"
         )
-    order = np.array(sample_prefix(np.random.default_rng(seed), n, n))
     m = n - 1 if subsample == "all" else subsample
-    # Row i: the permutation without position i, cut to m probes, that is
-    # order[:m + 1] less i if i is in order[:m], else less order[m]; put in id
-    # order so each mean sums in the same order whatever the pool order.
-    head = order[:m + 1][np.argsort(pool.ids[order[:m + 1]])]
-    dropped = np.full(n, order[m])
-    dropped[order[:m]] = order[:m]
-    probes = np.broadcast_to(head, (n, m + 1))[head != dropped[:, None]].reshape(n, m)
-    rows = np.arange(n)[:, None]
-    return scores[rows, probes].mean(axis=1), np.count_nonzero(~ok[rows, probes], axis=1)
+    step = max(1, VALUE_BLOCK_PROBES // (n * m))
+    rows, not_ok = np.arange(n), ~ok
+    values, failures = [], []
+    for start in range(0, len(seeds), step):
+        orders = np.array([sample_prefix(np.random.default_rng(seed), n, n) for seed in seeds[start:start + step]])
+        # Row (t, i): permutation t without position i, cut to m probes, that
+        # is orders[t, :m + 1] less i if i is in orders[t, :m], else less
+        # orders[t, m]; put in id order so each mean sums in the same order
+        # whatever the pool order.  Each permutation's m + 1 head columns are
+        # gathered once, and each row drops its one column by a select.
+        head = orders[:, :m + 1]
+        head = np.take_along_axis(head, np.argsort(pool.ids[head], axis=1), axis=1)
+        dropped = np.repeat(orders[:, m:m + 1], n, axis=1)
+        np.put_along_axis(dropped, orders[:, :m], orders[:, :m], axis=1)
+        slot = np.empty_like(dropped)  # slot[t, j]: where pool[j] sits in head[t]
+        np.put_along_axis(slot, head, np.arange(m + 1), axis=1)
+        before = np.arange(m) < np.take_along_axis(slot, dropped, axis=1).T[..., None]
+        columns = scores[:, head]
+        values.append(np.where(before, columns[..., :m], columns[..., 1:]).mean(axis=-1).T)
+        # Counts are exact: the head's unscored entries less the dropped one's.
+        failures.append(np.count_nonzero(not_ok[:, head], axis=-1).T - not_ok[rows, dropped])
+    return np.concatenate(values), np.concatenate(failures)
 
 
 def active_select(pool: ExemplarPool, k: int, matrix, subsample="all", seed: int = 0) -> np.ndarray:

@@ -103,17 +103,6 @@ class TaskSpec:
     def y_dim(self) -> int:
         return self.d if self.kind == "prototype-completion" else self.d // 2
 
-    def sample(self, latent_id: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """One (x, y) draw for the given latent prototype."""
-        proto = self.prototypes[latent_id]
-        if self.kind == "prototype-completion":
-            x = proto + self.noise_sigma * rng.standard_normal(self.d)
-            return x, proto.copy()
-        half = self.d // 2
-        key, value = proto[:half], proto[half:]
-        x = np.concatenate([key + self.noise_sigma * rng.standard_normal(half), np.zeros(half)])
-        return x, value.copy()
-
 
 # ---------------------------------------------------------------------------
 # Score functions (higher is better)
@@ -246,7 +235,7 @@ class AssociativeOracle:
             raise ValueError(f"ids must hold at least one pool position per context, got shape {ids.shape}")
         if xs.ndim < 1 or pool.xs.shape[1:] != xs.shape[-1:]:
             raise ValueError("context exemplar dimensions do not match the query")
-        return self._retrieve(np.hstack([pool.xs, pool.ys]), ids, xs)
+        return self._retrieve(pool.pairs, ids, xs)
 
     def _retrieve(self, pairs, ids, xs) -> np.ndarray:
         """y-blocks of the retrieval over the patterns ``pairs[ids]``.  With
@@ -480,20 +469,34 @@ def generate_pool(
     """Draw a training pool and test queries i.i.d. from the task law.
 
     Prototypes are chosen uniformly; the pool is drawn first, then the
-    queries, from one stream seeded by ``seed``.  Pool exemplars and queries
-    are each numbered from 0.
+    queries, from one stream seeded by ``seed``.  Each draw takes
+    ``rng.integers(spec.p)`` for its prototype, then
+    ``rng.standard_normal(w)`` for its x-noise, w = d/2 for
+    ``key-value-association`` and d otherwise (a buffered 32-bit integer draw
+    sits between the normals, so the draws are not merged).  The arithmetic,
+    elementwise and so the same bits as one draw at a time, is then done once
+    for all rows.  Pool exemplars and queries are each numbered from 0.
     """
     if n < 2:
         raise ValueError("pool size must be at least 2")
     if n_queries < 0:
         raise ValueError("n_queries must be nonnegative")
     rng = np.random.default_rng(seed)
+    half = spec.d // 2
+    w = half if spec.kind == "key-value-association" else spec.d
+    latents, noise = np.empty(n + n_queries, dtype=np.intp), np.empty((n + n_queries, w))
+    for i in range(n + n_queries):
+        latents[i] = rng.integers(spec.p)
+        rng.standard_normal(out=noise[i])
+    protos = spec.prototypes[latents]
+    if spec.kind == "prototype-completion":
+        xs, ys = protos + spec.noise_sigma * noise, protos
+    else:
+        xs = np.concatenate([protos[:, :half] + spec.noise_sigma * noise, np.zeros((n + n_queries, half))], axis=1)
+        ys = protos[:, half:]
+    draws = list(zip(xs, ys, latents.tolist()))
 
-    def draw(i: int) -> Exemplar:
-        latent = int(rng.integers(spec.p))
-        x, y = spec.sample(latent, rng)
-        return Exemplar(id=i, x=x, y=y, latent_id=latent)
+    def numbered(rows):
+        return [Exemplar(id=i, x=x, y=y, latent_id=latent) for i, (x, y, latent) in enumerate(rows)]
 
-    pool = ExemplarPool([draw(i) for i in range(n)])
-    return pool, [draw(j) for j in range(n_queries)]
-
+    return ExemplarPool(numbered(draws[:n])), numbered(draws[n:])

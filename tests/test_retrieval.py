@@ -196,6 +196,43 @@ class TestBatchInvariance:
             context = [pool[i] for i in (ids if shared else ids[j])]
             np.testing.assert_array_equal(got[j], oracle.predict(context, xs[j]))
 
+    @given(
+        st.integers(min_value=0, max_value=100_000),
+        st.sampled_from([(), (7,), (30,), (5, 7)]),
+        st.booleans(),
+        st.floats(min_value=0.0, exclude_min=True, max_value=1e300),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_one_pattern_equals_softmax_mix(self, seed, batch, shared, gamma):
+        # With M = 1 the update skips the softmax and the weighted sum; its
+        # bits must equal that formula's, signed zeros included (1.0 * -0.0
+        # summed from 0 is +0.0).
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 33))
+
+        def signed_zeros(a):
+            return np.where(rng.random(a.shape) < 0.3, np.copysign(0.0, a), a)
+
+        u = signed_zeros(rng.standard_normal(batch + (d,)))
+        v = signed_zeros(rng.standard_normal((1, d) if shared else batch + (1, d)))
+        z = np.ascontiguousarray(np.swapaxes(v, -1, -2))
+        weights, u_new = retrieval_update(u, z, v, gamma)
+        ref_weights = softmax((u[..., None, :] @ z)[..., 0, :], gamma)
+        ref_u_new = (ref_weights[..., None, :] @ v)[..., 0, :]
+        assert weights.shape == ref_weights.shape == batch + (1,)
+        assert np.all(weights == 1.0)
+        assert weights.tobytes() == ref_weights.tobytes()
+        assert u_new.shape == ref_u_new.shape == batch + (d,)
+        assert u_new.tobytes() == ref_u_new.tobytes()
+
+    def test_one_pattern_overflowing_scores_raise(self):
+        v = np.array([[1e200, 1e200]])
+        for u in (np.array([1e200, 1e200]), np.full((3, 2), 1e200)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="scores u z"):
+                    retrieval_update(u, v.T.copy(), v, 1.0)
+
     def test_pool_score_matrix_blocks_equal_one_call_per_exemplar(self):
         rng = np.random.default_rng(4)
         n = 70

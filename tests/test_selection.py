@@ -399,6 +399,33 @@ class TestValuesFromMatrix:
         assert np.array_equal(values.view(np.int64), expected_values.view(np.int64))
         assert np.array_equal(failures, expected_failures)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+           seeds=st.lists(st.integers(0, 2**32 - 1), min_size=4, max_size=9),
+           kind=st.sampled_from(["one", "n-1", "all"]), block=st.integers(1, 3), discrete=st.booleans())
+    def test_seed_blocks_equal_per_seed_calls(self, n, seed, seeds, kind, block, discrete):
+        # The k-study's active gather: several seeds per gather, blocks of
+        # ``block`` seeds so the seeds cross block boundaries, sparse shuffled
+        # ids, and (discrete scores) tied values that rank by id.
+        rng = np.random.default_rng(seed)
+        ids = rng.choice(10**6, size=n, replace=False)
+        pool = ExemplarPool([Exemplar(id=int(i), x=np.zeros(1), y=np.zeros(1)) for i in ids])
+        scores = rng.integers(0, 3, (n, n)).astype(np.float64) if discrete else rng.standard_normal((n, n))
+        ok = rng.random((n, n)) < 0.9
+        subsample = {"one": 1, "n-1": n - 1, "all": "all"}[kind]
+        m = n - 1 if subsample == "all" else subsample
+        with mock.patch.object(selection, "VALUE_BLOCK_PROBES", block * n * m):
+            values, failures = selection._pool_values(pool, (scores, ok), subsample, seeds)
+        assert values.shape == failures.shape == (len(seeds), n)
+        orders = pool.rank(values)
+        for t, probe_seed in enumerate(seeds):
+            one_values, one_failures = estimate_pool_values(pool, (scores, ok), subsample, probe_seed)
+            expected_values, expected_failures = reference_values_from_matrix(pool, scores, ok, subsample, probe_seed)
+            for expected in (one_values, expected_values):
+                assert np.array_equal(values[t].view(np.int64), expected.view(np.int64))
+            assert np.array_equal(failures[t], one_failures) and np.array_equal(failures[t], expected_failures)
+            assert np.array_equal(orders[t], active_select(pool, n, (scores, ok), subsample, probe_seed))
+
 
 class TestPoolScoreMatrix:
     @given(
@@ -621,6 +648,11 @@ class TestPoolRank:
         pool = ExemplarPool([Exemplar(id=i, x=np.zeros(1), y=np.zeros(1)) for i in (7, -3, 12)])
         assert pool.ids.tolist() == [7, -3, 12]
         assert pool.ids is pool.ids and not pool.ids.flags.writeable
+
+    def test_pairs_read_only_and_built_once(self):
+        pool = ExemplarPool([Exemplar(id=i, x=np.full(2, i), y=np.ones(1)) for i in (7, -3, 12)])
+        assert pool.pairs.tolist() == [[7, 7, 1], [-3, -3, 1], [12, 12, 1]]
+        assert pool.pairs is pool.pairs and not pool.pairs.flags.writeable
 
 
 class TestPoolValidation:

@@ -38,6 +38,24 @@ def reference_single_retrieval(exemplars, x, gamma):
     return u_new[len(x):]
 
 
+def reference_pool(spec, n, seed, n_queries):
+    """The draw one exemplar at a time: a prototype index, then its x-noise."""
+    rng = np.random.default_rng(seed)
+
+    def draw(i):
+        latent = int(rng.integers(spec.p))
+        proto = spec.prototypes[latent]
+        if spec.kind == "prototype-completion":
+            x, y = proto + spec.noise_sigma * rng.standard_normal(spec.d), proto.copy()
+        else:
+            half = spec.d // 2
+            x = np.concatenate([proto[:half] + spec.noise_sigma * rng.standard_normal(half), np.zeros(half)])
+            y = proto[half:].copy()
+        return Exemplar(id=i, x=x, y=y, latent_id=latent)
+
+    return [draw(i) for i in range(n)], [draw(j) for j in range(n_queries)]
+
+
 class TestScoreFunctions:
     def test_exact_match(self):
         y = np.array([1.0, 2.0])
@@ -220,6 +238,23 @@ class TestGeneratePool:
             assert e.x.shape == (8,)
             np.testing.assert_array_equal(e.x[4:], np.zeros(4))
             np.testing.assert_array_equal(e.y, spec.prototypes[e.latent_id][4:])
+
+    @pytest.mark.parametrize("kind", ["prototype-completion", "key-value-association"])
+    @pytest.mark.parametrize("noise", [0.0, 0.1, 3.0])
+    @pytest.mark.parametrize("n_queries", [0, 7])
+    @pytest.mark.parametrize("seed", [0, 90125])
+    def test_draw_replays_the_one_at_a_time_draw(self, kind, noise, n_queries, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # noise 3.0 is close to the prototype gap
+            spec = make_task(kind, 8, 4, noise, seed=seed)
+        pool, queries = generate_pool(spec, 23, seed, n_queries=n_queries)
+        ref_pool, ref_queries = reference_pool(spec, 23, seed, n_queries)
+        assert len(pool) == 23 and len(queries) == n_queries
+        for got, ref in zip(list(pool) + queries, ref_pool + ref_queries):
+            assert got.id == ref.id
+            assert type(got.latent_id) is int and got.latent_id == ref.latent_id
+            assert got.x.dtype == ref.x.dtype and got.x.tobytes() == ref.x.tobytes()
+            assert got.y.dtype == ref.y.dtype and got.y.tobytes() == ref.y.tobytes()
 
     def test_rejects_tiny_pool(self):
         spec = make_task("prototype-completion", 4, 1, 0.0, seed=2)
