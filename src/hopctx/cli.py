@@ -99,10 +99,14 @@ def _read_contexts(contexts) -> list:
     return vectors
 
 
+def _holds_bool(value) -> bool:
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
+
+
 def _read_retrieve_input(payload) -> dict:
     """The retrieve input's fields as float64 arrays, gamma as a float and
     contexts as a list of them; a ValueError naming the first field that is
-    missing or cannot be read so."""
+    missing or cannot be read so.  A JSON true or false is not a number."""
     if not isinstance(payload, dict):
         raise ValueError(f"retrieve input must be a JSON object, got a JSON {type(payload).__name__}")
     for name in ("xi_q", "xi_k", "sigma", "contexts"):
@@ -118,6 +122,8 @@ def _read_retrieve_input(payload) -> dict:
     for name, (kind, read) in readers.items():
         if name in payload:
             try:
+                if _holds_bool(payload[name]):
+                    raise TypeError
                 fields[name] = read(payload[name])
             except (TypeError, ValueError):
                 raise ValueError(f"{name} must be {kind}, got {json.dumps(payload[name])}") from None

@@ -202,7 +202,7 @@ def _convert(raw, kind, item=None):
     """``raw`` as a value of annotation ``kind`` (a tuple of ``item``s if
     ``item`` is given).  Text is parsed, a tuple's items comma-separated; any
     other value must already be of ``kind``: a tuple kind takes a sequence of
-    its items, a float kind any real number."""
+    its items, a float kind any real number.  A bool is none of these."""
     if item is not None:
         items = [p for p in raw.split(",") if p.strip()] if isinstance(raw, str) else raw
         return tuple(_convert(x, item) for x in items)
@@ -211,11 +211,9 @@ def _convert(raw, kind, item=None):
         if kind is str or kind == int | str and raw == "all":
             return raw
         return float(raw) if kind is float else int(raw)
-    if kind is float and isinstance(raw, (float, numbers.Real)):  # float first: skips the ABC check
-        return float(raw)
-    if kind in (str, float):
-        raise TypeError
-    return operator.index(raw)
+    if isinstance(raw, bool) or kind is str or kind is float and not isinstance(raw, (float, numbers.Real)):
+        raise TypeError  # float first: skips the ABC check
+    return float(raw) if kind is float else operator.index(raw)
 
 
 def parse_config_text(text: str) -> dict:
@@ -377,7 +375,7 @@ def run_k_study(config: ExperimentConfig):
     pool, queries = tasks.generate_pool(
         task, config.pool_size, derive_seed(config.seed, 1), n_queries=config.queries_size
     )
-    xs, ys = np.stack([q.x for q in queries]), np.stack([q.y for q in queries])
+    xs, ys = queries.xs, queries.ys
     trials = range(config.trials)
 
     # Each strategy's seed per (trial, K): active ranks once per trial at the

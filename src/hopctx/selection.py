@@ -8,7 +8,9 @@ returns the chosen pool positions as an int array, in context order (ids are
 ``pool.ids[positions]``).  The evaluation-only
 "instance best" strategy of the k-study runner ranks exemplars by their true
 per-query score: each pool exemplar as the sole context, scored on each
-query.  A query is an ``Exemplar`` too: a labelled (x, y) pair.
+query.  A pool stores its rows as arrays (``ExemplarPool.xs``, ``ys``), and
+a query set is a pool too; ``pool[i]`` builds an ``Exemplar``, a labelled
+(x, y) pair, only for an oracle's ``predict(context, x)``.
 
 Scoring: ``score_contexts`` is the one path from contexts of pool positions,
 (B, 1 or T, K), to scores on T targets, in bounded blocks.  The pool and
@@ -38,18 +40,14 @@ and the estimand's own pair never contributes.
 The score of exemplar i as the sole context on probe j does not depend on
 the seed, only the probe set does.  ``pool_score_matrix`` therefore scores
 every (i, j) pair once, and ``estimate_pool_values`` and ``active_select``
-are pure functions of that matrix: each seed's probe sets are a gather and
-mean over it, (values, failures), arrays in pool order of mean scores and
-unscored-probe counts, which ``active_select`` ranks with
-``ExemplarPool.rank``.  A k-study gathers every trial's values at once,
-in blocks of whole seeds, and ranks them in one ``ExemplarPool.rank``
-call; each row has the bits of ``estimate_pool_values`` at that trial's
-seed.  Metric selection has no
-randomness: ``metric_rank`` ranks the pool for a batch of queries, which a
-k-study does once per run, slicing the ranking to each K for every trial.
+are pure functions of that matrix: a seed's values and unscored-probe
+counts are a gather and mean over it.  A k-study gathers every trial's
+values at once and ranks them in one ``ExemplarPool.rank`` call, each row
+with the bits of ``estimate_pool_values`` at that trial's seed.  Metric
+selection has no randomness: ``metric_rank`` ranks the pool for a batch of
+queries, once per k-study run, and each K slices that ranking.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,53 +85,49 @@ class Exemplar:
 
 
 class ExemplarPool:
-    """Ordered pool of exemplars with unique integer ids.  A context drawn
-    from the pool is given as pool positions; ``ids``, ``xs`` and ``ys``
-    stack the pool's ids, x and y rows once, read-only, and ``pairs`` the
-    (x, y) rows side by side.
-    """
+    """Ordered pool of exemplars with unique integer ids, kept as arrays: the
+    read-only ``ids``, x rows ``xs``, y rows ``ys`` and (x, y) rows ``pairs``,
+    built once.  A context drawn from the pool is given as pool positions.
+    ``pool[i]`` (and iteration) builds row i's ``Exemplar``, its ``latent_id``
+    as given, for an oracle's ``predict(context, x)``."""
 
     def __init__(self, exemplars):
-        self.exemplars = list(exemplars)
-        if not self.exemplars:
+        exemplars = list(exemplars)
+        if not exemplars:
             raise ValueError("pool must contain at least one exemplar")
-        if len({e.id for e in self.exemplars}) != len(self.exemplars):
+        if len({e.id for e in exemplars}) != len(exemplars):
             raise ValueError("exemplar ids must be unique within a pool")
+        self._set_rows(np.array([e.id for e in exemplars]), np.stack([e.x for e in exemplars]),
+                       np.stack([e.y for e in exemplars]), [e.latent_id for e in exemplars])
 
-    @property
-    def size(self) -> int:
-        return len(self.exemplars)
+    @classmethod
+    def _of_rows(cls, xs, ys, latent_ids) -> "ExemplarPool":
+        """A pool of the given float64 x and y rows, numbered from 0, unchecked:
+        it may be empty, as a query set may."""
+        return cls.__new__(cls)._set_rows(np.arange(len(xs)), xs, ys, latent_ids)
+
+    def _set_rows(self, ids, xs, ys, latent_ids) -> "ExemplarPool":
+        self.ids, self.xs, self.ys = (_read_only(np.ascontiguousarray(a)) for a in (ids, xs, ys))
+        self.pairs = _read_only(np.hstack([self.xs, self.ys]))
+        self._latent_ids = tuple(latent_ids)
+        return self
 
     def __len__(self) -> int:
-        return len(self.exemplars)
+        return len(self.ids)
+
+    size = property(__len__)
 
     def __iter__(self):
-        return iter(self.exemplars)
+        return map(self.__getitem__, range(len(self.ids)))
 
     def __getitem__(self, i) -> Exemplar:
-        return self.exemplars[i]
+        return Exemplar(id=self.ids[i].item(), x=self.xs[i], y=self.ys[i], latent_id=self._latent_ids[i])
 
     def rank(self, scores) -> np.ndarray:
         """Pool positions by descending score along the last axis, ties by
         ascending id (-0.0 and 0.0 tie); ``scores[..., i]`` scores pool[i]."""
         scores = np.asarray(scores)
         return np.lexsort((np.broadcast_to(self.ids, scores.shape), -scores), axis=-1)
-
-    @functools.cached_property
-    def ids(self) -> np.ndarray:
-        return _read_only(np.array([e.id for e in self.exemplars]))
-
-    @functools.cached_property
-    def xs(self) -> np.ndarray:
-        return _read_only(np.stack([e.x for e in self.exemplars]))
-
-    @functools.cached_property
-    def ys(self) -> np.ndarray:
-        return _read_only(np.stack([e.y for e in self.exemplars]))
-
-    @functools.cached_property
-    def pairs(self) -> np.ndarray:
-        return _read_only(np.hstack([self.xs, self.ys]))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -157,9 +151,10 @@ def _check_k(pool: ExemplarPool, k: int) -> None:
 def _check_subsample(pool: ExemplarPool, subsample) -> None:
     if pool.size < 2:
         raise ValueError("pool too small: value estimation needs at least 2 exemplars")
-    if subsample != "all":
-        if not 1 <= subsample <= pool.size - 1:
-            raise ValueError(f"subsample={subsample} out of range [1, {pool.size - 1}]")
+    in_range = (isinstance(subsample, (int, np.integer)) and not isinstance(subsample, bool)
+                and 1 <= subsample <= pool.size - 1)
+    if not in_range and not (isinstance(subsample, str) and subsample == "all"):
+        raise ValueError(f"subsample must be 'all' or an integer in [1, {pool.size - 1}], got {subsample!r}")
 
 
 def safe_score(score_fn, y_hat, y) -> tuple[float, bool]:

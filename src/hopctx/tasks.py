@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .retrieval import _row_dot, retrieval_update
-from .selection import Exemplar, ExemplarPool, _broadcast_rows
+from .selection import ExemplarPool, _broadcast_rows
 
 __all__ = [
     "TaskSpec",
@@ -294,8 +294,9 @@ class RemoteOracle:
         self._request_counter = 0
 
     def predict(self, context_exemplars, x) -> np.ndarray:
+        context = list(context_exemplars)
         self._request_counter += 1
-        return self._post(list(context_exemplars), x, self._request_counter)
+        return self._post([e.x for e in context], [e.y for e in context], x, self._request_counter)
 
     def predict_pool(self, pool: ExemplarPool, ids, xs) -> np.ndarray:
         """Predictions of the contexts ``ids[..., :K]`` (pool positions) on
@@ -317,7 +318,7 @@ class RemoteOracle:
             if stop.is_set():
                 return None  # a row has failed; its error is raised instead
             try:
-                return self._post([pool[i] for i in ids[r]], xs[r], first + r + 1)
+                return self._post(pool.xs[ids[r]], pool.ys[ids[r]], xs[r], first + r + 1)
             except BaseException:
                 stop.set()
                 raise
@@ -331,15 +332,15 @@ class RemoteOracle:
             executor.shutdown(cancel_futures=True)
         return np.array(predictions, dtype=np.float64).reshape(batch + pool.ys.shape[1:])
 
-    def _post(self, context_exemplars, x, request_id) -> np.ndarray:
+    def _post(self, context_xs, context_ys, x, request_id) -> np.ndarray:
         # Imported here, not at module level, so that runs with a local oracle
         # never load the HTTP stack (http.client, ssl, email, ...).
         import http.client
 
         body = {
             "exemplars": [
-                {"x": np.asarray(e.x, dtype=float).tolist(), "y": np.asarray(e.y, dtype=float).tolist()}
-                for e in context_exemplars
+                {"x": np.asarray(cx, dtype=float).tolist(), "y": np.asarray(cy, dtype=float).tolist()}
+                for cx, cy in zip(context_xs, context_ys)
             ],
             "query": np.asarray(x, dtype=float).tolist(),
         }
@@ -377,10 +378,10 @@ class RemoteOracle:
                 isinstance(v, (int, float)) and not isinstance(v, bool) for v in prediction
             ):
                 raise OracleFailure(f"request {request_id}: 'prediction' is not a numeric list")
-            if context_exemplars and len(prediction) != len(context_exemplars[0].y):
+            if len(context_ys) and len(prediction) != len(context_ys[0]):
                 raise OracleFailure(
                     f"request {request_id}: prediction has length {len(prediction)}, "
-                    f"context y has length {len(context_exemplars[0].y)}"
+                    f"context y has length {len(context_ys[0])}"
                 )
             try:
                 return np.asarray(prediction, dtype=np.float64)
@@ -465,7 +466,7 @@ def generate_pool(
     n: int,
     seed: int,
     n_queries: int = 0,
-) -> tuple[ExemplarPool, list[Exemplar]]:
+) -> tuple[ExemplarPool, ExemplarPool]:
     """Draw a training pool and test queries i.i.d. from the task law.
 
     Prototypes are chosen uniformly; the pool is drawn first, then the
@@ -475,7 +476,9 @@ def generate_pool(
     ``key-value-association`` and d otherwise (a buffered 32-bit integer draw
     sits between the normals, so the draws are not merged).  The arithmetic,
     elementwise and so the same bits as one draw at a time, is then done once
-    for all rows.  Pool exemplars and queries are each numbered from 0.
+    for all rows.  Returns the pool and the queries as two pools of those
+    arrays, each numbered from 0 (the query pool is empty when n_queries is
+    0); ``pool[i]`` builds an ``Exemplar`` with its ``latent_id``.
     """
     if n < 2:
         raise ValueError("pool size must be at least 2")
@@ -494,9 +497,5 @@ def generate_pool(
     else:
         xs = np.concatenate([protos[:, :half] + spec.noise_sigma * noise, np.zeros((n + n_queries, half))], axis=1)
         ys = protos[:, half:]
-    draws = list(zip(xs, ys, latents.tolist()))
-
-    def numbered(rows):
-        return [Exemplar(id=i, x=x, y=y, latent_id=latent) for i, (x, y, latent) in enumerate(rows)]
-
-    return ExemplarPool(numbered(draws[:n])), numbered(draws[n:])
+    pool_rows, query_rows = slice(n), slice(n, None)
+    return tuple(ExemplarPool._of_rows(xs[s], ys[s], latents[s].tolist()) for s in (pool_rows, query_rows))

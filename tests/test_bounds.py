@@ -41,7 +41,9 @@ def identity_instance(lam_columns, sigma, gamma=1.0):
     return model, ctx, query
 
 
-def random_bound_instance(rng):
+def random_bound_instance(rng, exact=False):
+    """A random bound instance; with ``exact``, u* = z_target (dz = 0), so the
+    bound is its contextual term alone.  ``exact`` leaves the draws as they are."""
     d_q = int(rng.integers(2, 9))
     d_m = d_q + int(rng.integers(0, 3))
     model = ContextualHopfield(
@@ -57,8 +59,8 @@ def random_bound_instance(rng):
     ctx = ContextSet(lam)
     query = QueryState.from_sigma(rng.standard_normal(d_m), model)
     z_target = ctx.patterns(model)[:, 0]
-    u_star = z_target + rng.uniform(0.0, 1.0) * rng.standard_normal(d_q)
-    return model, ctx, query, u_star
+    dz = rng.uniform(0.0, 1.0) * rng.standard_normal(d_q)
+    return model, ctx, query, z_target + (0.0 if exact else dz)
 
 
 class TestSeparation:
@@ -241,12 +243,14 @@ class TestVerifyBound:
             report = verify_bound(model, ctx, query, u_star, target_index=0)
             assert report.realized_error <= report.upper_bound + 1e-9 * (1 + report.upper_bound)
 
-    @given(st.integers(min_value=0, max_value=100_000))
+    @given(st.integers(min_value=0, max_value=100_000), st.booleans())
     @settings(max_examples=80, deadline=None)
-    def test_bound_holds_property(self, seed):
+    def test_bound_holds_property(self, seed, exact):
         rng = np.random.default_rng(seed)
-        model, ctx, query, u_star = random_bound_instance(rng)
-        verify_bound(model, ctx, query, u_star, target_index=0)
+        model, ctx, query, u_star = random_bound_instance(rng, exact)
+        report = verify_bound(model, ctx, query, u_star, target_index=0)
+        if exact:
+            assert report.instance_error == 0.0
 
     def test_rejects_context_of_wrong_dimension(self):
         model = ContextualHopfield.identity(3)
@@ -327,15 +331,18 @@ class TestVerifyBound:
         assert excinfo.value.report.realized_error > excinfo.value.report.upper_bound
 
 
-def pattern_stack(seed, rows, d_q, m, t):
+def pattern_stack(seed, rows, d_q, m, t, exact=()):
     """A stack of instances of one shape, as ``verify_patterns`` takes a batch:
     u (B, d_q), z (B, d_q, M), v (B, M, d_q), u_star (B, d_q); in each row the
-    first t patterns duplicate the target (index 0)."""
+    first t patterns duplicate the target (index 0).  Rows listed in ``exact``
+    have u* = z_target (dz = 0), with the draws otherwise as they are."""
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((rows, d_q, m))
     z[:, :, 1:t] = z[:, :, :1]
     u = rng.standard_normal((rows, d_q))
-    u_star = z[:, :, 0] + rng.uniform(0.0, 1.0, (rows, 1)) * rng.standard_normal((rows, d_q))
+    dz = rng.uniform(0.0, 1.0, (rows, 1)) * rng.standard_normal((rows, d_q))
+    dz[list(exact)] = 0.0
+    u_star = z[:, :, 0] + dz
     return u, z, z.transpose(0, 2, 1).copy(), u_star  # a copy: at M = 1 the transpose is contiguous
 
 
@@ -398,7 +405,8 @@ class TestBatchedVerifier:
         # t = M covers delta_min None and c = 0 (always at M = 1); gamma 1e4
         # with a negative margin gives c = inf and an infinite bound.
         t = data.draw(st.integers(min_value=1, max_value=m))
-        u, z, v, u_star = pattern_stack(seed, rows, d_q, m, t)
+        exact = data.draw(st.sets(st.integers(min_value=0, max_value=rows - 1)))
+        u, z, v, u_star = pattern_stack(seed, rows, d_q, m, t, exact)
         batch = verify_patterns(u, z, v, u_star, gamma, target_index=0)
         assert len(batch) == rows
         for i, report in enumerate(batch):
@@ -416,6 +424,7 @@ class TestBatchedVerifier:
             t = sep.duplicate_count
             beta = 0.0 if t == m else reference_beta(c, m, t)
             instance_error = float(np.linalg.norm(u_star[i] - z[i][:, 0]))
+            assert instance_error == 0.0 or i not in exact
             z_max_norm = float(np.linalg.norm(z[i], axis=0).max())
             _, u_new = retrieval_update(u[i], z[i], v[i], gamma)
             assert report_bits(report) == report_bits(BoundReport(

@@ -211,8 +211,11 @@ _IDENTITY_INSTANCE = {"xi_q": [[1.0, 0.0], [0.0, 1.0]], "xi_k": [[1.0, 0.0], [0.
     ({k: v for k, v in _IDENTITY_INSTANCE.items() if k != "xi_q"}, "xi_q"),
     ({**_IDENTITY_INSTANCE, "contexts": []}, "contexts"),
     ({**_IDENTITY_INSTANCE, "contexts": [[1.0, 0.0], [1.0]]}, "contexts"),
+    ({**_IDENTITY_INSTANCE, "gamma": True}, "gamma"),
+    ({**_IDENTITY_INSTANCE, "sigma": [True, 0]}, "sigma"),
+    ({**_IDENTITY_INSTANCE, "contexts": [[1.0, 0.0], [0.0, False]]}, "contexts"),
 ], ids=["null-gamma", "scalar-contexts", "object-sigma", "top-level-array", "missing-xi_q", "empty-contexts",
-        "ragged-contexts"])
+        "ragged-contexts", "bool-gamma", "bool-sigma", "bool-contexts"])
 def test_retrieve_mistyped_field_is_usage_error(tmp_path, payload, field):
     # Run as a process: a TypeError escaping cli_main would print a traceback.
     path = tmp_path / "instance.json"
@@ -359,7 +362,8 @@ def test_local_commands_do_not_import_http_stack(small_config_file, tmp_path):
         "assert cli_main(['bound-sweep', '--config', cfg, '--output', out + '/b.csv']) == 0\n"
         "assert cli_main(['k-study', '--config', cfg, '--set', 'trials=1',\n"
         "                 '--output', out + '/k.csv']) == 0\n"
-        "print(sorted(m for m in ('http.client', 'requests', 'urllib3') if m in sys.modules))\n"
+        # numpy.ma too: it is loaded by np.unique, for one, and raises every run's peak memory.
+        "print(sorted(m for m in ('http.client', 'requests', 'urllib3', 'numpy.ma') if m in sys.modules))\n"
     )
     path = [str(Path(hopctx.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))

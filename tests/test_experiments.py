@@ -134,6 +134,12 @@ class TestConfig:
         ("task.d", "4"),
         ("task.d", "7"),
         ("task.prototypes", "1"),
+        # A bool is not a number, though Python counts it as one.
+        ("trials", True),
+        ("task.noise_sigma", True),
+        ("oracle.gamma", True),
+        ("k_values", (True, 2)),
+        ("subsample", True),
     ])
     def test_bad_value_rejected_naming_key(self, key, value):
         mapping = {"k_values": "1", "subsample": "all", key: value}

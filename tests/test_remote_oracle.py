@@ -26,26 +26,30 @@ from hopctx import (
 
 
 class StubHandler(BaseHTTPRequestHandler):
-    """Routes: /echo fixed prediction, /predict builtin-backed, /malformed,
-    /error 500, /notjson, /huge (an integer beyond float64), /drop and /garbage (on every odd-numbered attempt
-    close the connection unanswered, or after a line that is no HTTP status
-    line; echo on the others).  ``seen`` lists the path of every POST
-    received."""
+    """Routes: /echo fixed prediction, /predict builtin-backed, /record as
+    /predict, /malformed, /error 500, /notjson, /huge (an integer beyond float64), /drop and /garbage (on every
+    odd-numbered attempt close the connection unanswered, or after a line that
+    is no HTTP status line; echo on the others).  ``seen`` lists the path of
+    every POST received, ``recorded`` the raw body of every POST to /record."""
 
     oracle = AssociativeOracle(gamma=2.0, y_dim=4)
     seen = []
+    recorded = []
 
     def do_POST(self):
         self.seen.append(self.path)
         length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length)) if length else {}
+        raw = self.rfile.read(length) if length else b""
+        if self.path == "/record":
+            self.recorded.append(raw)
+        body = json.loads(raw) if raw else {}
         if self.path in ("/drop", "/garbage") and self.seen.count(self.path) % 2 == 1:
             if self.path == "/garbage":
                 self.wfile.write(b"garbage\r\n")
             self.close_connection = True
         elif self.path in ("/echo", "/drop", "/garbage"):
             self._reply(200, {"prediction": [1.0, 2.0, 3.0]})
-        elif self.path == "/predict":
+        elif self.path in ("/predict", "/record"):
             exemplars = [
                 Exemplar(id=i, x=np.array(e["x"]), y=np.array(e["y"]))
                 for i, e in enumerate(body["exemplars"])
@@ -255,3 +259,27 @@ def test_predict_pool_stops_sending_after_a_failed_row(stub_server, monkeypatch)
     with pytest.raises(OracleFailure, match=r"^request 1: .*status 500"):
         oracle.predict_pool(pool, np.arange(20)[:, None, None] % pool.size, pool.xs[:1])
     assert 0 < len(StubHandler.seen) <= hopctx.tasks.REMOTE_IN_FLIGHT * (hopctx.tasks.REMOTE_MAX_RETRIES + 1)
+
+
+def test_predict_pool_sends_the_bytes_of_predict(stub_server):
+    # Rows arrive in any order (several are in flight), so the bodies are
+    # compared sorted; each holds its context and query, so equal sorted
+    # lists are the same body per row.
+    pool, queries = _pool_and_queries()
+    rng = np.random.default_rng(5)
+    ids = np.stack([rng.permutation(pool.size)[:3] for _ in range(3)])[:, None]  # (3, 1, K)
+    StubHandler.recorded.clear()
+    RemoteOracle(stub_server + "/record").predict_pool(pool, ids, queries.xs)
+    batch = sorted(StubHandler.recorded)
+    StubHandler.recorded.clear()
+    one_at_a_time = RemoteOracle(stub_server + "/record")
+    documented = []
+    for row in ids[:, 0]:
+        for x in queries.xs:
+            context = [pool[i] for i in row]
+            one_at_a_time.predict(context, x)
+            documented.append(json.dumps({
+                "exemplars": [{"x": e.x.tolist(), "y": e.y.tolist()} for e in context], "query": x.tolist(),
+            }).encode())
+    assert len(batch) == len(ids) * len(queries)
+    assert batch == sorted(StubHandler.recorded) == sorted(documented)

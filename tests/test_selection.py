@@ -15,6 +15,9 @@ from hopctx import (
     cosine_score,
     estimate_pool_values,
     exact_match,
+    generate_pool,
+    make_benchmark_task,
+    make_task,
     negative_error,
     random_select,
 )
@@ -301,6 +304,22 @@ class TestValueEstimate:
             estimate_pool_values(solo, solo_matrix)
         with pytest.raises(ValueError):
             estimate_pool_values(pool, matrix, subsample=4)
+
+    @pytest.mark.parametrize("subsample", ["ALL", None, 2.5, True, False, 0, 4, np.int64(4), "2"])
+    def test_bad_subsample_is_a_value_error_naming_it(self, subsample):
+        pool, oracle = oracle_pool(4)
+        matrix = pool_score_matrix(pool, oracle, cosine_score)
+        for select in (lambda: estimate_pool_values(pool, matrix, subsample),
+                       lambda: active_select(pool, 2, matrix, subsample)):
+            with pytest.raises(ValueError, match=r"^subsample must be 'all' or an integer in \[1, 3\], got "):
+                select()
+
+    def test_numpy_integer_subsample_equals_int(self):
+        pool, oracle = oracle_pool(4)
+        matrix = pool_score_matrix(pool, oracle, cosine_score)
+        a = estimate_pool_values(pool, matrix, np.int64(2), seed=5)
+        b = estimate_pool_values(pool, matrix, 2, seed=5)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 class TestActiveSelect:
@@ -666,3 +685,63 @@ class TestPoolValidation:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
             ExemplarPool([])
+
+
+def sparse_exemplars():
+    """Ids out of order, negative and far apart; latent ids None or not."""
+    rng = np.random.default_rng(11)
+    return [Exemplar(id=i, x=rng.standard_normal(3), y=rng.standard_normal(2), latent_id=latent)
+            for i, latent in zip((40, -7, 3, 1000, -1), (None, 2, None, 0, 5))]
+
+
+POOL_CASES = {
+    "sparse-ids": lambda: ExemplarPool(sparse_exemplars()),
+    "key-value-pool": lambda: generate_pool(make_benchmark_task(p=3, d=8), 12, seed=4, n_queries=5)[0],
+    "key-value-queries": lambda: generate_pool(make_benchmark_task(p=3, d=8), 12, seed=4, n_queries=5)[1],
+    "prototype-pool": lambda: generate_pool(make_task("prototype-completion", 6, 3, 0.2, seed=1), 9, seed=2)[0],
+}
+
+
+class TestPoolRows:
+    @pytest.mark.parametrize("case", sorted(POOL_CASES))
+    def test_pool_of_its_exemplars_has_the_same_rows(self, case):
+        pool = POOL_CASES[case]()
+        rebuilt = ExemplarPool(list(pool))
+        for name in ("ids", "xs", "ys", "pairs"):
+            a, b = getattr(pool, name), getattr(rebuilt, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+            for arr in (a, b):
+                assert not arr.flags.writeable and arr.flags.c_contiguous
+        assert [e.latent_id for e in rebuilt] == [e.latent_id for e in pool]
+        assert len(rebuilt) == len(pool) == pool.size
+
+    @pytest.mark.parametrize("case", sorted(POOL_CASES))
+    def test_arrays_cannot_be_written(self, case):
+        pool = POOL_CASES[case]()
+        for arr in (pool.ids, pool.xs, pool.ys, pool.pairs, pool[0].x, pool[0].y):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_row_is_the_exemplar_given(self):
+        given = sparse_exemplars()
+        pool = ExemplarPool(given)
+        for i, g in enumerate(given):
+            for e in (pool[i], list(pool)[i], pool[i - len(given)]):
+                assert (type(e.id), e.id, e.latent_id) == (int, g.id, g.latent_id)
+                assert e.x.tobytes() == g.x.tobytes() and e.y.tobytes() == g.y.tobytes()
+        with pytest.raises(IndexError):
+            pool[len(given)]
+
+    def test_generated_rows_are_numbered_from_zero_with_their_latents(self):
+        spec = make_benchmark_task(p=3, d=8)
+        pool, queries = generate_pool(spec, 12, seed=4, n_queries=5)
+        for part in (pool, queries):
+            assert part.ids.tolist() == list(range(len(part)))
+            assert all(type(e.latent_id) is int and 0 <= e.latent_id < spec.p for e in part)
+            # Each y row is its latent prototype's value block.
+            assert all(np.array_equal(e.y, spec.prototypes[e.latent_id, 4:]) for e in part)
+
+    def test_no_queries_is_an_empty_query_pool(self):
+        _, queries = generate_pool(make_benchmark_task(p=3, d=8), 12, seed=4)
+        assert len(queries) == 0 and list(queries) == []
+        assert queries.xs.shape == (0, 8) and queries.ys.shape == (0, 4)

@@ -250,7 +250,7 @@ class TestGeneratePool:
         pool, queries = generate_pool(spec, 23, seed, n_queries=n_queries)
         ref_pool, ref_queries = reference_pool(spec, 23, seed, n_queries)
         assert len(pool) == 23 and len(queries) == n_queries
-        for got, ref in zip(list(pool) + queries, ref_pool + ref_queries):
+        for got, ref in zip(list(pool) + list(queries), ref_pool + ref_queries):
             assert got.id == ref.id
             assert type(got.latent_id) is int and got.latent_id == ref.latent_id
             assert got.x.dtype == ref.x.dtype and got.x.tobytes() == ref.x.tobytes()
