@@ -167,11 +167,11 @@ class AttentionView:
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product of each row of a (B, n) with the same row of b, as a
-    stacked one-row matmul: it reaches the same BLAS ``ddot`` as a 1-D
-    ``a[i] @ b[i]`` and so matches it bit for bit (``einsum`` and
-    ``(a * b).sum(1)`` sum in another order)."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    """Dot product of each row of a (..., n) with its row of b, their leading
+    axes broadcast, as a stacked one-row matmul: it reaches the same BLAS
+    ``ddot`` as a 1-D ``a[i] @ b[i]`` and so matches it bit for bit
+    (``einsum`` and ``(a * b).sum(-1)`` sum in another order)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def retrieval_update(u: np.ndarray, z: np.ndarray, v: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -193,12 +193,13 @@ def retrieval_update(u: np.ndarray, z: np.ndarray, v: np.ndarray, gamma: float) 
     With one context pattern (M = 1) the weight is exactly 1: the shifted
     score is 0 and exp(gamma * 0) / 1 = 1.0 for every finite score and finite
     gamma > 0.  The scores are still formed, so an overflowing u z still
-    raises, and u_new is v's row itself plus 0.0, which has the bits of the
-    product 1.0 * v: BLAS sums from 0, so it gives +0.0 for a -0.0 entry.
+    raises, and u_new is a read-only view of v's rows plus 0.0 repeated over
+    the query rows: x + 0.0 has the bits of the product 1.0 * x, since BLAS
+    sums from 0 and so gives +0.0 for a -0.0 entry.
     """
     scores = _finite_product(u[..., None, :], z, "scores u z")[..., 0, :]
     if scores.shape[-1] == 1:
-        return np.ones_like(scores), np.broadcast_to(v[..., 0, :], scores.shape[:-1] + v.shape[-1:]) + 0.0
+        return np.ones_like(scores), np.broadcast_to(v[..., 0, :] + 0.0, scores.shape[:-1] + v.shape[-1:])
     weights = softmax(scores, gamma)
     return weights, (weights[..., None, :] @ v)[..., 0, :]
 
@@ -210,7 +211,7 @@ def hnc_retrieve(model: ContextualHopfield, ctx: ContextSet, query: QueryState) 
         raise ValueError(f"query dimension {query.sigma.shape} != d_m={model.d_m}")
     v = _finite_product(ctx.lam.T, model.xi_k, "entries of V = lam^T xi_k")
     weights, u_new = retrieval_update(query.u, z, v, model.gamma)
-    return RetrievalResult(u_new=u_new, weights=weights)
+    return RetrievalResult(u_new=u_new if u_new.flags.writeable else u_new.copy(), weights=weights)
 
 
 def attention_view(model: ContextualHopfield, ctx: ContextSet, query: QueryState) -> AttentionView:

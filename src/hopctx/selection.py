@@ -12,13 +12,9 @@ query.  A pool stores its rows as arrays (``ExemplarPool.xs``, ``ys``), and
 a query set is a pool too; ``pool[i]`` builds an ``Exemplar``, a labelled
 (x, y) pair, only for an oracle's ``predict(context, x)``.
 
-Scoring: ``score_contexts`` is the one path from contexts of pool positions,
-(B, 1 or T, K), to scores on T targets, in bounded blocks.  The pool and
-instance-best score matrices and each (strategy, K) of a k-study, over all
-trials and queries, are one call each; an oracle with only ``predict`` is
-asked once per (context, target), trial by trial, each over the targets.  The
-safe-score rule is applied once, in ``score_rows``: a prediction that cannot
-be scored, or scores non-finite, counts 0 and is not ok.
+Scoring: ``score_contexts`` is the one path from contexts of pool positions
+to scores, and ``score_rows`` applies the safe-score rule once: a prediction
+that cannot be scored, or scores non-finite, counts 0 and is not ok.
 
 Ranking rule: every ranked strategy (metric, active, instance-best) scores
 each pool exemplar and keeps the first K of ``ExemplarPool.rank``, which
@@ -41,11 +37,7 @@ The score of exemplar i as the sole context on probe j does not depend on
 the seed, only the probe set does.  ``pool_score_matrix`` therefore scores
 every (i, j) pair once, and ``estimate_pool_values`` and ``active_select``
 are pure functions of that matrix: a seed's values and unscored-probe
-counts are a gather and mean over it.  A k-study gathers every trial's
-values at once and ranks them in one ``ExemplarPool.rank`` call, each row
-with the bits of ``estimate_pool_values`` at that trial's seed.  Metric
-selection has no randomness: ``metric_rank`` ranks the pool for a batch of
-queries, once per k-study run, and each K slices that ranking.
+counts are a gather and mean over it.
 """
 
 from dataclasses import dataclass
@@ -63,7 +55,7 @@ __all__ = [
     "active_select",
 ]
 
-# Most predictions one ``score_contexts`` block asks for at once.
+# Most (context, target) scores one ``score_contexts`` block holds at once.
 POOL_BLOCK_PREDICTIONS = 4096
 # Most probe scores one block of value estimates gathers at once.
 VALUE_BLOCK_PROBES = 1 << 18
@@ -172,24 +164,33 @@ def score_rows(score_fn, y_hats, ys) -> tuple[np.ndarray, np.ndarray]:
     """Scores and ok flags of each prediction row against its target row, by
     the ``safe_score`` rule: unscorable or non-finite scores 0, not ok.
 
-    Predictions and targets are stacked as float64.  A score function with a
-    ``rows`` kernel (every built-in score) scores the whole (n, d) batch in
-    one call; any other callable, or predictions that do not stack to the
-    targets' shape (ragged rows from a duck-typed oracle), go row by row
+    Predictions (..., d) and targets (..., d) are float64 rows whose leading
+    axes broadcast to the shape of the result.  A score function with a
+    ``rows`` kernel (every built-in score) scores them in one call, each
+    axis that an input repeats (stride 0) cut to length 1 first, so a
+    repeated prediction's own terms (its norm) are formed once.  Any other
+    callable, or predictions that do not stack (ragged rows from a
+    duck-typed oracle) or differ from the targets in length, go pair by pair
     through ``safe_score``.  Both give the same bits.
     """
     kernel = getattr(score_fn, "rows", None)
     try:
-        y_hats, ys = (np.ascontiguousarray(a, dtype=np.float64) for a in (y_hats, ys))
+        y_hats, ys = (np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (y_hats, ys))
+        batch = np.broadcast_shapes(y_hats.shape[:-1], ys.shape[:-1]) if y_hats.ndim >= 2 else None
     except (ValueError, TypeError):
-        kernel = None
-    if kernel is not None and y_hats.ndim == 2 and y_hats.shape == ys.shape:
+        kernel, batch = None, None
+    if batch is not None and kernel is not None and y_hats.shape[-1] == ys.shape[-1]:
+        y_hats, ys = (np.ascontiguousarray(a[tuple(slice(None, 1) if s == 0 else slice(None) for s in a.strides[:-1])])
+                      for a in (y_hats, ys))
         with np.errstate(all="ignore"):
-            scores = kernel(y_hats, ys)
+            scores = np.broadcast_to(kernel(y_hats, ys), batch)
         ok = np.isfinite(scores)
         return np.where(ok, scores, 0.0), ok
+    if batch is not None:  # each prediction row against its target row
+        y_hats, ys = (np.broadcast_to(a, batch + a.shape[-1:]).reshape((-1,) + a.shape[-1:]) for a in (y_hats, ys))
     pairs = [safe_score(score_fn, y_hat, y) for y_hat, y in zip(y_hats, ys)]
-    return np.array([s for s, _ in pairs], dtype=np.float64), np.array([ok for _, ok in pairs], dtype=bool)
+    return (np.array([s for s, _ in pairs], dtype=np.float64).reshape(batch or -1),
+            np.array([ok for _, ok in pairs], dtype=bool).reshape(batch or -1))
 
 
 def _broadcast_rows(ids, xs):
@@ -209,17 +210,15 @@ def _broadcast_rows(ids, xs):
 def predict_rows(oracle, pool: ExemplarPool, ids, xs):
     """Predictions for every row of a batch of pool-indexed contexts.
 
-    The predictions come back one per broadcast row of ``ids`` and ``xs``,
-    in the C order of ``_broadcast_rows``.  An oracle with a batched
-    ``predict_pool`` (the built-in and the remote one) answers the whole
-    batch in one call; an oracle that defines only ``predict`` (the
-    documented interface) is asked once per row, in that order, and the
-    predictions come back as a list.
+    An oracle with a batched ``predict_pool`` (the built-in and the remote
+    one) answers the whole batch in one call, shaped (*batch, d_y).  An
+    oracle that defines only ``predict`` (the documented interface) is asked
+    once per broadcast row of ``ids`` and ``xs``, in the C order of
+    ``_broadcast_rows``, and the predictions come back as a list.
     """
     predict_pool = getattr(oracle, "predict_pool", None)
     if predict_pool is not None:
-        y_hats = predict_pool(pool, ids, xs)
-        return y_hats.reshape(-1, y_hats.shape[-1])
+        return predict_pool(pool, ids, xs)
     ids, xs, _ = _broadcast_rows(ids, xs)
     return [oracle.predict([pool[i] for i in row], x) for row, x in zip(ids, xs)]
 
@@ -267,20 +266,21 @@ def score_contexts(pool: ExemplarPool, oracle, score_fn, ids, xs, ys) -> tuple[n
 
     ``ids`` holds contexts of K pool positions, shaped (B, 1 or T, K), for T
     targets.  The contexts are predicted and scored in blocks of whole rows
-    of B, at most ``POOL_BLOCK_PREDICTIONS`` predictions per block (one row
-    when T is larger), each block one ``predict_rows`` call and one batched
-    score: one call for all B x T would hold all its predictions and
-    intermediates at once.  Returns the (B, T) scores and their ok mask.
+    of B, at most ``POOL_BLOCK_PREDICTIONS`` scores per block (one row when
+    T is larger, or for an oracle with only ``predict``), each block one
+    ``predict_rows`` call and one ``score_rows`` call against the targets:
+    one call for all B x T would hold all its scores and intermediates at
+    once.  The built-in oracle predicts a (B, 1, 1) context once per row of
+    B and repeats it over the targets.  Returns the (B, T) scores and their
+    ok mask.
     """
     ids = np.asarray(ids)
-    step = max(1, POOL_BLOCK_PREDICTIONS // len(ys))
-    blocks = []
-    for start in range(0, len(ids), step):
-        block = ids[start:start + step]
-        blocks.append(score_rows(score_fn, predict_rows(oracle, pool, block, xs), np.tile(ys, (len(block), 1))))
+    step = max(1, POOL_BLOCK_PREDICTIONS // len(ys)) if getattr(oracle, "predict_pool", None) else 1
+    blocks = [score_rows(score_fn, predict_rows(oracle, pool, ids[start:start + step], xs), ys)
+              for start in range(0, len(ids), step)]
     shape = (len(ids), len(ys))
-    return (np.concatenate([s for s, _ in blocks]).reshape(shape),
-            np.concatenate([ok for _, ok in blocks]).reshape(shape))
+    return (np.concatenate([s for s, _ in blocks], axis=None).reshape(shape),
+            np.concatenate([ok for _, ok in blocks], axis=None).reshape(shape))
 
 
 def pool_score_matrix(pool: ExemplarPool, oracle, score_fn) -> tuple[np.ndarray, np.ndarray]:

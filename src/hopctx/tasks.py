@@ -140,7 +140,7 @@ def exact_match(y_hat, y) -> float:
 
 
 def _exact_match_rows(y_hats, ys):
-    return (y_hats == ys).all(axis=1).astype(np.float64)
+    return (y_hats == ys).all(axis=-1).astype(np.float64)
 
 
 def negative_error(y_hat, y) -> float:
@@ -154,8 +154,9 @@ def _negative_error_rows(y_hats, ys):
     return -np.sqrt(_row_dot(diff, diff))
 
 
-# Rows kernel of each score, run by ``selection.score_rows``: (n, d) float64
-# predictions and targets in, (n,) scores out, non-finite where undefined.
+# Rows kernel of each score, run by ``selection.score_rows``: float64
+# predictions and targets (..., d) in, their leading axes broadcast, and one
+# score per broadcast row out, non-finite where undefined.
 cosine_score.rows = _cosine_rows
 exact_match.rows = _exact_match_rows
 negative_error.rows = _negative_error_rows
@@ -222,13 +223,14 @@ class AssociativeOracle:
             if e.x.shape != xs.shape[1:] or e.y.shape != (d_y,):
                 raise ValueError("context exemplar dimensions do not match the query")
         pairs = np.stack([np.concatenate([e.x, e.y]) for e in context_exemplars])
-        return self._retrieve(pairs, np.arange(len(pairs)), xs)
+        y_hats = self._retrieve(pairs, np.arange(len(pairs)), xs)
+        return y_hats if y_hats.flags.writeable else y_hats.copy()
 
     def predict_pool(self, pool: ExemplarPool, ids, xs) -> np.ndarray:
         """Predictions of the contexts ``ids[..., :K]`` (pool positions) on
         the query rows ``xs[..., :d_x]``, their leading axes broadcast: shape
-        (*batch, d_y).  Row r equals ``predict([pool[i] for i in ids[r]],
-        xs[r])`` bit for bit."""
+        (*batch, d_y), a read-only view for one-exemplar contexts.  Row r
+        equals ``predict([pool[i] for i in ids[r]], xs[r])`` bit for bit."""
         ids = np.asarray(ids, dtype=np.intp)
         xs = np.asarray(xs, dtype=np.float64)
         if ids.ndim < 1 or ids.shape[-1] < 1:
@@ -337,11 +339,12 @@ class RemoteOracle:
         # never load the HTTP stack (http.client, ssl, email, ...).
         import http.client
 
+        # A (K, d) float64 array converts in one call, a list row by row (``predict``'s rows may be ragged).
+        context_xs, context_ys = (rows.tolist() if isinstance(rows, np.ndarray) else
+                                  [np.asarray(r, dtype=float).tolist() for r in rows]
+                                  for rows in (context_xs, context_ys))
         body = {
-            "exemplars": [
-                {"x": np.asarray(cx, dtype=float).tolist(), "y": np.asarray(cy, dtype=float).tolist()}
-                for cx, cy in zip(context_xs, context_ys)
-            ],
+            "exemplars": [{"x": cx, "y": cy} for cx, cy in zip(context_xs, context_ys)],
             "query": np.asarray(x, dtype=float).tolist(),
         }
         try:

@@ -540,13 +540,20 @@ class TestScoreContexts:
         block=st.one_of(st.none(), st.integers(1, 12)),
         fn=st.sampled_from([cosine_score, negative_error, exact_match, lambda y_hat, y: float(y_hat[0]) / float(y[0])]),
         predict_only=st.booleans(),
+        one_exemplar=st.booleans(),
     )
-    @settings(max_examples=80, deadline=None)
-    def test_entries_equal_safe_score_of_one_prediction(self, seed, n, shape, per_target, block, fn, predict_only):
-        # Contexts (B, 1, K) or (B, T, K), repeats allowed; a block size below
-        # B x T splits the batch.  Zero targets make cosine scores and the
-        # custom score fail; a prediction equal to its target scores -0.0.
+    @settings(max_examples=120, deadline=None)
+    def test_entries_equal_safe_score_of_one_prediction(self, seed, n, shape, per_target, block, fn, predict_only,
+                                                        one_exemplar):
+        # Contexts (B, 1, K) or (B, T, K), repeats allowed, and half the time
+        # (B, 1, 1), whose prediction the built-in oracle repeats over the
+        # targets; a block size below B x T splits the batch.  Zero targets,
+        # and zero y rows predicted by one-exemplar contexts, make cosine
+        # scores and the custom score fail; a prediction equal to its target
+        # scores -0.0.
         b, t, k = shape
+        if one_exemplar:
+            k, per_target = 1, False
         rng = np.random.default_rng(seed)
         pool = ExemplarPool([Exemplar(id=int(i), x=rng.standard_normal(2), y=rng.integers(-1, 2, 3))
                              for i in rng.permutation(3 * n)[:n]])

@@ -127,6 +127,40 @@ class TestScoreRows:
         with np.errstate(all="ignore"):
             assert_rows_equal_safe_score(fn, wider[:, 3:], ys)
 
+    @pytest.mark.parametrize("fn", SCORE_FNS + [lambda y_hat, y: float(y_hat[0]) / float(y[0])],
+                             ids=lambda f: f.__name__)
+    @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 6), t=st.integers(1, 6), d=st.integers(1, 8),
+           repeated=st.sampled_from([(1,), (0,), (0, 1)]), broadcast_targets=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_repeated_predictions_score_as_their_copies(self, fn, seed, b, t, d, repeated, broadcast_targets):
+        # Predictions (B, T, d) that repeat along some leading axes (stride
+        # 0), as predict_pool returns one-exemplar predictions, score with
+        # the bits and flags of materialised copies and of safe_score pair by
+        # pair.  Rows draw zero norms, exact copies, NaN/inf and magnitudes
+        # whose norms overflow; the custom score raises ZeroDivisionError on
+        # a zero first entry.
+        rng = np.random.default_rng(seed)
+        shape = tuple(1 if axis in repeated else n for axis, n in enumerate((b, t)))
+        wider = rng.standard_normal(shape + (d + 2,)) * 10.0 ** rng.uniform(-3.0, 300.0, size=shape + (1,))
+        distinct = wider[..., 2:]  # a column slice, as the oracle's y block is
+        ys = rng.standard_normal((t, d)) * 10.0 ** rng.uniform(-3.0, 300.0, size=(t, 1))
+        kind = rng.integers(0, 7, size=shape)
+        distinct[kind == 1] = 0.0
+        distinct[kind == 2, 0] = np.nan
+        distinct[kind == 3, -1] = np.inf
+        ys[rng.integers(0, 5, size=t) == 1] = 0.0
+        copies = rng.integers(0, 4, size=t) == 1
+        ys[copies] = np.broadcast_to(distinct, (b, t, d))[0, copies]
+        y_hats = np.broadcast_to(distinct, (b, t, d))
+        targets = np.broadcast_to(ys, (b, t, d)) if broadcast_targets else ys
+        with np.errstate(all="ignore"):
+            scores, ok = score_rows(fn, y_hats, targets)
+            want_scores, want_ok = score_rows(fn, np.ascontiguousarray(y_hats), np.ascontiguousarray(targets))
+            expected = [safe_score(fn, y_hats[i, j], ys[j]) for i in range(b) for j in range(t)]
+        assert scores.shape == ok.shape == (b, t)
+        assert scores.tobytes() == want_scores.tobytes() == np.array([s for s, _ in expected]).tobytes()
+        assert ok.ravel().tolist() == want_ok.ravel().tolist() == [flag for _, flag in expected]
+
     @pytest.mark.parametrize("fn", SCORE_FNS, ids=lambda f: f.__name__)
     def test_shape_mismatch_scores_zero_not_ok(self, fn):
         y_hats, ys = np.ones((4, 3)), np.ones((4, 2))
@@ -298,6 +332,28 @@ class TestAssociativeOracle:
         batch = oracle.predict_many(context, np.stack([q.x for q in queries]))
         for row, q in zip(batch, queries):
             np.testing.assert_allclose(row, oracle.predict(context, q.x), atol=1e-13)
+
+    def test_one_exemplar_results_are_writable_and_own_their_memory(self):
+        # predict_pool may repeat a one-exemplar prediction over its query
+        # rows as a read-only view; the public one-context results may not.
+        pool, queries = generate_pool(make_benchmark_task(p=4, d=8), 10, seed=5, n_queries=4)
+        context, oracle = [pool[3]], AssociativeOracle(gamma=2.0)
+        d = pool.pairs.shape[1]
+        model = ContextualHopfield.identity(d, gamma=2.0)
+        ctx = ContextSet(pool.pairs[3][:, None])
+        query = QueryState.from_sigma(np.concatenate([queries.xs[0], np.zeros(d - queries.xs.shape[1])]), model)
+        results = {
+            "predict": oracle.predict(context, queries.xs[0]),
+            "predict_many": oracle.predict_many(context, queries.xs),
+            "hnc_retrieve": hnc_retrieve(model, ctx, query).u_new,
+        }
+        for name, got in results.items():
+            assert got.flags.writeable, name
+            for owner in (pool.xs, pool.ys, pool.pairs, context[0].x, context[0].y, ctx.lam, query.u):
+                assert not np.shares_memory(got, owner), name
+        many = results["predict_many"]
+        many[0] = np.nan  # each row is its own
+        assert not np.isnan(many[1:]).any()
 
     def test_determinism_bit_identical(self):
         spec = make_benchmark_task(p=4, d=8)
