@@ -359,11 +359,15 @@ def run_k_study(config: ExperimentConfig):
     randomness, (1, Q, N), one ranking per query (``selection.metric_rank``;
     the query score matrix).  Each (strategy, K) is one blocked
     ``selection.score_contexts`` call on the first K positions of every
-    context, over all trials and queries; the trial loop only assembles
-    records.  With ``active``, the pool score matrix is built once per run,
-    and every trial's active values are gathered from it and ranked in one
-    call at the largest K (identical to calling the selector per trial and K
-    with the same seed).  Returns (records, csv_text).
+    context, over all trials and queries (an oracle with only ``predict`` is
+    asked row by row, trial by trial, each over the queries; the remote one
+    sends those rows' requests up to ``tasks.REMOTE_IN_FLIGHT`` at a time);
+    the trial loop only assembles records.  With ``active``, the pool score
+    matrix is built once per run, and every trial's active values are
+    gathered from it at once, each under its trial's probe permutation, and
+    ranked in one call at the largest K (identical to calling the selector
+    per trial and K with the same seed): pool.size^2 scores once instead of
+    trials * pool.size * subsample.  Returns (records, csv_text).
     """
     task = _build_task(config)
     oracle = _build_oracle(config, task)

@@ -193,15 +193,25 @@ def retrieval_update(u: np.ndarray, z: np.ndarray, v: np.ndarray, gamma: float) 
     With one context pattern (M = 1) the weight is exactly 1: the shifted
     score is 0 and exp(gamma * 0) / 1 = 1.0 for every finite score and finite
     gamma > 0.  The scores are still formed, so an overflowing u z still
-    raises, and u_new is a read-only view of v's rows plus 0.0 repeated over
-    the query rows: x + 0.0 has the bits of the product 1.0 * x, since BLAS
-    sums from 0 and so gives +0.0 for a -0.0 entry.
+    raises, and u_new is v's row itself plus 0.0, which has the bits of the
+    product 1.0 * v: BLAS sums from 0, so it gives +0.0 for a -0.0 entry.
     """
     scores = _finite_product(u[..., None, :], z, "scores u z")[..., 0, :]
     if scores.shape[-1] == 1:
-        return np.ones_like(scores), np.broadcast_to(v[..., 0, :] + 0.0, scores.shape[:-1] + v.shape[-1:])
+        return np.ones_like(scores), np.broadcast_to(v[..., 0, :], scores.shape[:-1] + v.shape[-1:]) + 0.0
     weights = softmax(scores, gamma)
     return weights, (weights[..., None, :] @ v)[..., 0, :]
+
+
+def _retrieval_update_view(u, z, v, gamma):
+    """``retrieval_update``, except that with M = 1 u_new is a read-only view:
+    v's rows plus 0.0, formed once and repeated over the query rows.  Only
+    ``AssociativeOracle.predict_pool`` returns it, for its scores to form
+    each repeated prediction's norm once."""
+    if v.shape[-2] != 1:
+        return retrieval_update(u, z, v, gamma)
+    scores = _finite_product(u[..., None, :], z, "scores u z")[..., 0, :]
+    return np.ones_like(scores), np.broadcast_to(v[..., 0, :] + 0.0, scores.shape[:-1] + v.shape[-1:])
 
 
 def hnc_retrieve(model: ContextualHopfield, ctx: ContextSet, query: QueryState) -> RetrievalResult:
@@ -211,7 +221,7 @@ def hnc_retrieve(model: ContextualHopfield, ctx: ContextSet, query: QueryState) 
         raise ValueError(f"query dimension {query.sigma.shape} != d_m={model.d_m}")
     v = _finite_product(ctx.lam.T, model.xi_k, "entries of V = lam^T xi_k")
     weights, u_new = retrieval_update(query.u, z, v, model.gamma)
-    return RetrievalResult(u_new=u_new if u_new.flags.writeable else u_new.copy(), weights=weights)
+    return RetrievalResult(u_new=u_new, weights=weights)
 
 
 def attention_view(model: ContextualHopfield, ctx: ContextSet, query: QueryState) -> AttentionView:

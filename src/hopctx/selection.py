@@ -12,9 +12,13 @@ query.  A pool stores its rows as arrays (``ExemplarPool.xs``, ``ys``), and
 a query set is a pool too; ``pool[i]`` builds an ``Exemplar``, a labelled
 (x, y) pair, only for an oracle's ``predict(context, x)``.
 
-Scoring: ``score_contexts`` is the one path from contexts of pool positions
-to scores, and ``score_rows`` applies the safe-score rule once: a prediction
-that cannot be scored, or scores non-finite, counts 0 and is not ok.
+Scoring: ``score_contexts`` is the one path from contexts of pool positions,
+(B, 1 or T, K), to scores on T targets, in bounded blocks.  The pool and
+instance-best score matrices and each (strategy, K) of a k-study, over all
+trials and queries, are one call each; an oracle with only ``predict`` is
+asked once per (context, target), trial by trial, each over the targets.  The
+safe-score rule is applied once, in ``score_rows``: a prediction that cannot
+be scored, or scores non-finite, counts 0 and is not ok.
 
 Ranking rule: every ranked strategy (metric, active, instance-best) scores
 each pool exemplar and keeps the first K of ``ExemplarPool.rank``, which
@@ -37,7 +41,11 @@ The score of exemplar i as the sole context on probe j does not depend on
 the seed, only the probe set does.  ``pool_score_matrix`` therefore scores
 every (i, j) pair once, and ``estimate_pool_values`` and ``active_select``
 are pure functions of that matrix: a seed's values and unscored-probe
-counts are a gather and mean over it.
+counts are a gather and mean over it.  A k-study gathers every trial's
+values at once and ranks them in one ``ExemplarPool.rank`` call, each row
+with the bits of ``estimate_pool_values`` at that trial's seed.  Metric
+selection has no randomness: ``metric_rank`` ranks the pool for a batch of
+queries, once per k-study run, and each K slices that ranking.
 """
 
 from dataclasses import dataclass
@@ -164,33 +172,41 @@ def score_rows(score_fn, y_hats, ys) -> tuple[np.ndarray, np.ndarray]:
     """Scores and ok flags of each prediction row against its target row, by
     the ``safe_score`` rule: unscorable or non-finite scores 0, not ok.
 
-    Predictions (..., d) and targets (..., d) are float64 rows whose leading
-    axes broadcast to the shape of the result.  A score function with a
-    ``rows`` kernel (every built-in score) scores them in one call, each
-    axis that an input repeats (stride 0) cut to length 1 first, so a
-    repeated prediction's own terms (its norm) are formed once.  Any other
-    callable, or predictions that do not stack (ragged rows from a
-    duck-typed oracle) or differ from the targets in length, go pair by pair
-    through ``safe_score``.  Both give the same bits.
+    Predictions and targets are stacked as float64.  When they stack to one
+    shape (..., d), either of them possibly a broadcast view, a score
+    function with a ``rows`` kernel (every built-in score) scores the whole
+    batch in one call: each leading axis that an input repeats (stride 0)
+    is cut to length 1 first, so a repeated prediction's own terms (its
+    norm) are formed once, and the scores have the inputs' leading shape.
+    Any other callable scores them pair by pair through ``safe_score``.
+    Predictions that do not stack to the targets' shape (ragged or
+    mis-shaped rows from a duck-typed oracle) go pair by pair too, each row
+    against the target row beside it, with flat results.  Both give the
+    same bits.
     """
     kernel = getattr(score_fn, "rows", None)
     try:
-        y_hats, ys = (np.atleast_1d(np.asarray(a, dtype=np.float64)) for a in (y_hats, ys))
-        batch = np.broadcast_shapes(y_hats.shape[:-1], ys.shape[:-1]) if y_hats.ndim >= 2 else None
+        y_hats, ys = (np.asarray(a, dtype=np.float64) for a in (y_hats, ys))
+        batch = y_hats.shape[:-1] if y_hats.ndim >= 2 and y_hats.shape == ys.shape else None
     except (ValueError, TypeError):
-        kernel, batch = None, None
-    if batch is not None and kernel is not None and y_hats.shape[-1] == ys.shape[-1]:
-        y_hats, ys = (np.ascontiguousarray(a[tuple(slice(None, 1) if s == 0 else slice(None) for s in a.strides[:-1])])
-                      for a in (y_hats, ys))
+        batch = None
+    if batch is not None and kernel is not None:
+        y_hats, ys = (np.ascontiguousarray(_distinct(a)) for a in (y_hats, ys))
         with np.errstate(all="ignore"):
             scores = np.broadcast_to(kernel(y_hats, ys), batch)
         ok = np.isfinite(scores)
         return np.where(ok, scores, 0.0), ok
-    if batch is not None:  # each prediction row against its target row
-        y_hats, ys = (np.broadcast_to(a, batch + a.shape[-1:]).reshape((-1,) + a.shape[-1:]) for a in (y_hats, ys))
+    if batch is not None:
+        y_hats, ys = (a.reshape(-1, a.shape[-1]) for a in (y_hats, ys))
     pairs = [safe_score(score_fn, y_hat, y) for y_hat, y in zip(y_hats, ys)]
     return (np.array([s for s, _ in pairs], dtype=np.float64).reshape(batch or -1),
             np.array([ok for _, ok in pairs], dtype=bool).reshape(batch or -1))
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """``a`` with each leading axis that repeats one entry (stride 0) cut to
+    length 1."""
+    return a[tuple(slice(0, 1) if stride == 0 else slice(None) for stride in a.strides[:-1])]
 
 
 def _broadcast_rows(ids, xs):
@@ -266,18 +282,24 @@ def score_contexts(pool: ExemplarPool, oracle, score_fn, ids, xs, ys) -> tuple[n
 
     ``ids`` holds contexts of K pool positions, shaped (B, 1 or T, K), for T
     targets.  The contexts are predicted and scored in blocks of whole rows
-    of B, at most ``POOL_BLOCK_PREDICTIONS`` scores per block (one row when
-    T is larger, or for an oracle with only ``predict``), each block one
-    ``predict_rows`` call and one ``score_rows`` call against the targets:
+    of B, each block one ``predict_rows`` call and one ``score_rows`` call:
     one call for all B x T would hold all its scores and intermediates at
-    once.  The built-in oracle predicts a (B, 1, 1) context once per row of
-    B and repeats it over the targets.  Returns the (B, T) scores and their
-    ok mask.
+    once.  With ``predict_pool`` a block holds at most
+    ``POOL_BLOCK_PREDICTIONS`` scores (one row when T is larger), its (rows,
+    T, d_y) predictions scored against the targets repeated over the rows
+    as a view; the built-in oracle repeats a one-exemplar prediction over
+    the targets the same way, so it is predicted once per row of B.  With
+    only ``predict`` a block is one row, its T predictions scored against
+    the T targets.  Returns the (B, T) scores and their ok mask.
     """
-    ids = np.asarray(ids)
-    step = max(1, POOL_BLOCK_PREDICTIONS // len(ys)) if getattr(oracle, "predict_pool", None) else 1
-    blocks = [score_rows(score_fn, predict_rows(oracle, pool, ids[start:start + step], xs), ys)
-              for start in range(0, len(ids), step)]
+    ids, ys = np.asarray(ids), np.asarray(ys, dtype=np.float64)
+    pooled = getattr(oracle, "predict_pool", None) is not None
+    step = max(1, POOL_BLOCK_PREDICTIONS // len(ys)) if pooled else 1
+    blocks = []
+    for start in range(0, len(ids), step):
+        block = ids[start:start + step]
+        targets = np.broadcast_to(ys, (len(block),) + ys.shape) if pooled else ys
+        blocks.append(score_rows(score_fn, predict_rows(oracle, pool, block, xs), targets))
     shape = (len(ids), len(ys))
     return (np.concatenate([s for s, _ in blocks], axis=None).reshape(shape),
             np.concatenate([ok for _, ok in blocks], axis=None).reshape(shape))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .retrieval import _row_dot, retrieval_update
+from .retrieval import _retrieval_update_view, _row_dot, retrieval_update
 from .selection import ExemplarPool, _broadcast_rows
 
 __all__ = [
@@ -223,8 +223,7 @@ class AssociativeOracle:
             if e.x.shape != xs.shape[1:] or e.y.shape != (d_y,):
                 raise ValueError("context exemplar dimensions do not match the query")
         pairs = np.stack([np.concatenate([e.x, e.y]) for e in context_exemplars])
-        y_hats = self._retrieve(pairs, np.arange(len(pairs)), xs)
-        return y_hats if y_hats.flags.writeable else y_hats.copy()
+        return self._retrieve(pairs, np.arange(len(pairs)), xs, retrieval_update)
 
     def predict_pool(self, pool: ExemplarPool, ids, xs) -> np.ndarray:
         """Predictions of the contexts ``ids[..., :K]`` (pool positions) on
@@ -237,19 +236,21 @@ class AssociativeOracle:
             raise ValueError(f"ids must hold at least one pool position per context, got shape {ids.shape}")
         if xs.ndim < 1 or pool.xs.shape[1:] != xs.shape[-1:]:
             raise ValueError("context exemplar dimensions do not match the query")
-        return self._retrieve(pool.pairs, ids, xs)
+        return self._retrieve(pool.pairs, ids, xs, _retrieval_update_view)
 
-    def _retrieve(self, pairs, ids, xs) -> np.ndarray:
+    def _retrieve(self, pairs, ids, xs, update) -> np.ndarray:
         """y-blocks of the retrieval over the patterns ``pairs[ids]``.  With
         identity projections the query patterns are the (x, 0) embeddings
         and the context patterns the (x, y) pairs themselves.  Each row's v
         (K, d) and z (d, K) are C-contiguous, so each row makes the same
-        BLAS call however the batch is shaped."""
+        BLAS call however the batch is shaped.  ``update`` is
+        ``retrieval_update`` or, for ``predict_pool``, its form that repeats
+        a one-exemplar prediction as a read-only view."""
         v = pairs[ids]
         z = np.ascontiguousarray(np.swapaxes(v, -1, -2))
         d_x = xs.shape[-1]
         sigmas = np.concatenate([xs, np.zeros(xs.shape[:-1] + (pairs.shape[1] - d_x,))], axis=-1)
-        _, u_new = retrieval_update(sigmas, z, v, self.gamma)
+        _, u_new = update(sigmas, z, v, self.gamma)
         return u_new[..., d_x:]
 
 
@@ -339,12 +340,11 @@ class RemoteOracle:
         # never load the HTTP stack (http.client, ssl, email, ...).
         import http.client
 
-        # A (K, d) float64 array converts in one call, a list row by row (``predict``'s rows may be ragged).
-        context_xs, context_ys = (rows.tolist() if isinstance(rows, np.ndarray) else
-                                  [np.asarray(r, dtype=float).tolist() for r in rows]
-                                  for rows in (context_xs, context_ys))
         body = {
-            "exemplars": [{"x": cx, "y": cy} for cx, cy in zip(context_xs, context_ys)],
+            "exemplars": [
+                {"x": np.asarray(cx, dtype=float).tolist(), "y": np.asarray(cy, dtype=float).tolist()}
+                for cx, cy in zip(context_xs, context_ys)
+            ],
             "query": np.asarray(x, dtype=float).tolist(),
         }
         try:

@@ -499,6 +499,23 @@ class TestPoolScoreMatrix:
         assert list(zip(values, [4] * pool.size, failures)) == expected
         assert failures.sum() > 0
 
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_predictions_with_an_extra_axis_score_zero_not_ok(self, n):
+        # A duck-typed oracle without predict_many that returns (1, d_y)
+        # rows: none of them scores, at any number of targets.
+        pool, _ = oracle_pool(n, seed=2)
+
+        class RowOracle:
+            def predict(self, exemplars, x):
+                return np.ones((1, 2))
+
+        for fn in (cosine_score, negative_error, exact_match):
+            scores, ok = pool_score_matrix(pool, RowOracle(), fn)
+            assert scores.shape == ok.shape == (n, n)
+            assert not ok.any() and not scores.any()
+            assert np.array_equal(score_contexts(pool, RowOracle(), fn, np.zeros((1, 1, 1), int), pool.xs[:1],
+                                                 pool.ys[:1])[1], [[False]])
+
     def test_default_builds_the_same_matrix(self):
         pool, oracle = oracle_pool(12, seed=5)
         matrix = pool_score_matrix(pool, oracle, cosine_score)

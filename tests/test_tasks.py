@@ -152,7 +152,9 @@ class TestScoreRows:
         copies = rng.integers(0, 4, size=t) == 1
         ys[copies] = np.broadcast_to(distinct, (b, t, d))[0, copies]
         y_hats = np.broadcast_to(distinct, (b, t, d))
-        targets = np.broadcast_to(ys, (b, t, d)) if broadcast_targets else ys
+        targets = np.broadcast_to(ys, (b, t, d))  # as score_contexts passes them
+        if not broadcast_targets:
+            targets = targets.copy()
         with np.errstate(all="ignore"):
             scores, ok = score_rows(fn, y_hats, targets)
             want_scores, want_ok = score_rows(fn, np.ascontiguousarray(y_hats), np.ascontiguousarray(targets))
@@ -160,6 +162,16 @@ class TestScoreRows:
         assert scores.shape == ok.shape == (b, t)
         assert scores.tobytes() == want_scores.tobytes() == np.array([s for s, _ in expected]).tobytes()
         assert ok.ravel().tolist() == want_ok.ravel().tolist() == [flag for _, flag in expected]
+
+    @pytest.mark.parametrize("fn", SCORE_FNS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_extra_prediction_axis_scores_zero_not_ok(self, fn, t):
+        # (T, 1, d) predictions against (T, d) targets are not broadcast:
+        # each (1, d) row is scored against its target, unscorable, flat.
+        y_hats, ys = np.ones((t, 1, 2)), np.ones((t, 2))
+        scores, ok = score_rows(fn, y_hats, ys)
+        assert scores.shape == ok.shape == (t,)
+        assert not ok.any() and not scores.any()
 
     @pytest.mark.parametrize("fn", SCORE_FNS, ids=lambda f: f.__name__)
     def test_shape_mismatch_scores_zero_not_ok(self, fn):
