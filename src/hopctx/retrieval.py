@@ -188,18 +188,9 @@ def retrieval_update(u: np.ndarray, z: np.ndarray, v: np.ndarray, gamma: float) 
     and a C-contiguous v, since a transposed view reaches BLAS by another
     path.  Both products are stacked one-row matmuls, so every row of a batch
     makes the same BLAS call as a 1-D u and a row's bits do not depend on how
-    many rows share the call.
-
-    With one context pattern (M = 1) the weight is exactly 1: the shifted
-    score is 0 and exp(gamma * 0) / 1 = 1.0 for every finite score and finite
-    gamma > 0.  The scores are still formed, so an overflowing u z still
-    raises, and u_new is v's row itself plus 0.0, which has the bits of the
-    product 1.0 * v: BLAS sums from 0, so it gives +0.0 for a -0.0 entry.
+    many rows share the call.  The one formula serves every M.
     """
-    scores = _finite_product(u[..., None, :], z, "scores u z")[..., 0, :]
-    if scores.shape[-1] == 1:
-        return np.ones_like(scores), np.broadcast_to(v[..., 0, :], scores.shape[:-1] + v.shape[-1:]) + 0.0
-    weights = softmax(scores, gamma)
+    weights = softmax(_finite_product(u[..., None, :], z, "scores u z")[..., 0, :], gamma)
     return weights, (weights[..., None, :] @ v)[..., 0, :]
 
 
@@ -207,7 +198,11 @@ def _retrieval_update_view(u, z, v, gamma):
     """``retrieval_update``, except that with M = 1 u_new is a read-only view:
     v's rows plus 0.0, formed once and repeated over the query rows.  Only
     ``AssociativeOracle.predict_pool`` returns it, for its scores to form
-    each repeated prediction's norm once."""
+    each repeated prediction's norm once.  The bits are the formula's: the
+    shifted score is 0, so the weight exp(gamma * 0) / 1 is exactly 1.0 for
+    every finite score and finite gamma > 0 (the scores are still formed, so
+    an overflowing u z still raises), and v's row plus 0.0 has the bits of
+    1.0 * v: BLAS sums from 0, so it gives +0.0 for a -0.0 entry."""
     if v.shape[-2] != 1:
         return retrieval_update(u, z, v, gamma)
     scores = _finite_product(u[..., None, :], z, "scores u z")[..., 0, :]

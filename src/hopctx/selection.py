@@ -269,7 +269,7 @@ def metric_rank(pool: ExemplarPool, query_xs, metric: str = "euclidean") -> tupl
             rows = [(xs @ q) / (xn * qn) for q, qn in zip(query_xs, qns)]
         else:
             raise ValueError(f"unknown metric {metric!r}")
-    closeness = np.array(rows)
+    closeness = np.array(rows).reshape(len(query_xs), len(xs))
     # An overflowing cosine norm can give a finite, wrong closeness of 0, so its norms are checked too.
     if not np.isfinite(closeness).all() or (metric == "cosine" and not np.isfinite(np.append(xn, qns)).all()):
         raise ValueError(f"{metric} closeness is not finite: finite inputs overflow float64")
@@ -290,9 +290,13 @@ def score_contexts(pool: ExemplarPool, oracle, score_fn, ids, xs, ys) -> tuple[n
     as a view; the built-in oracle repeats a one-exemplar prediction over
     the targets the same way, so it is predicted once per row of B.  With
     only ``predict`` a block is one row, its T predictions scored against
-    the T targets.  Returns the (B, T) scores and their ok mask.
+    the T targets.  Returns the (B, T) scores and their ok mask, empty
+    (no oracle call) when B or T is 0.
     """
     ids, ys = np.asarray(ids), np.asarray(ys, dtype=np.float64)
+    shape = (len(ids), len(ys))
+    if 0 in shape:
+        return np.zeros(shape), np.zeros(shape, dtype=bool)
     pooled = getattr(oracle, "predict_pool", None) is not None
     step = max(1, POOL_BLOCK_PREDICTIONS // len(ys)) if pooled else 1
     blocks = []
@@ -300,7 +304,6 @@ def score_contexts(pool: ExemplarPool, oracle, score_fn, ids, xs, ys) -> tuple[n
         block = ids[start:start + step]
         targets = np.broadcast_to(ys, (len(block),) + ys.shape) if pooled else ys
         blocks.append(score_rows(score_fn, predict_rows(oracle, pool, block, xs), targets))
-    shape = (len(ids), len(ys))
     return (np.concatenate([s for s, _ in blocks], axis=None).reshape(shape),
             np.concatenate([ok for _, ok in blocks], axis=None).reshape(shape))
 

@@ -195,9 +195,10 @@ class AssociativeOracle:
 
     ``predict_pool`` is the batched form: every context is a set of pool
     positions, gathered from the pool's stacked x and y rows, and the whole
-    batch is one ``retrieval_update`` call.  ``predict_many`` (one context,
-    many queries) and ``predict`` (one of each) are front-ends over the same
-    embedding and kernel, and every row of any of them has the same bits.
+    batch is one ``_retrieval_update_view`` call.  ``predict_many`` (one
+    context, many queries) and ``predict`` (one of each) are front-ends over
+    the same embedding and ``retrieval_update``, and every row of any of
+    them has the same bits.
     """
 
     def __init__(self, gamma: float = 1.0, y_dim: int | None = None):

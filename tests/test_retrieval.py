@@ -19,7 +19,7 @@ from hopctx import (
     hnc_retrieve,
     softmax,
 )
-from hopctx.retrieval import retrieval_update
+from hopctx.retrieval import _retrieval_update_view, retrieval_update
 from hopctx.selection import POOL_BLOCK_PREDICTIONS, pool_score_matrix, score_rows
 
 
@@ -173,7 +173,7 @@ class TestBatchInvariance:
 
     @given(
         st.integers(min_value=0, max_value=100_000),
-        st.integers(min_value=1, max_value=16),
+        st.one_of(st.just(1), st.integers(min_value=1, max_value=16)),
         st.integers(min_value=1, max_value=64),
         st.booleans(),
     )
@@ -181,6 +181,8 @@ class TestBatchInvariance:
     def test_pool_prediction_rows_equal_predict(self, seed, k, n, shared):
         # Contexts as pool positions, one per query row (n, K) or one for
         # all rows (K,): each row equals predict on that context and query.
+        # For K = 1 (half the examples) that compares predict_pool's
+        # one-pattern view with the softmax formula predict runs.
         rng = np.random.default_rng(seed)
         d_x, d_y = int(rng.integers(1, 9)), int(rng.integers(1, 9))
         pool = ExemplarPool([
@@ -199,39 +201,46 @@ class TestBatchInvariance:
     @given(
         st.integers(min_value=0, max_value=100_000),
         st.sampled_from([(), (7,), (30,), (5, 7)]),
-        st.booleans(),
+        st.sampled_from(["shared", "own", "repeated"]),
         st.floats(min_value=0.0, exclude_min=True, max_value=1e300),
     )
     @settings(max_examples=150, deadline=None)
-    def test_one_pattern_equals_softmax_mix(self, seed, batch, shared, gamma):
-        # With M = 1 the update skips the softmax and the weighted sum; its
-        # bits must equal that formula's, signed zeros included (1.0 * -0.0
-        # summed from 0 is +0.0).
+    def test_one_pattern_equals_softmax_mix(self, seed, batch, patterns, gamma):
+        # With M = 1 the view skips the softmax and the weighted sum; its
+        # bits must equal the formula's, signed zeros included (1.0 * -0.0
+        # summed from 0 is +0.0).  Patterns are one for every query row
+        # ("shared"), one per row ("own"), or one per row of the first axis
+        # and repeated over the rest ("repeated"); u_new must repeat each
+        # over the query axes as a read-only view with stride 0.
         rng = np.random.default_rng(seed)
         d = int(rng.integers(1, 33))
 
         def signed_zeros(a):
             return np.where(rng.random(a.shape) < 0.3, np.copysign(0.0, a), a)
 
+        v_batch = {"shared": (), "own": batch, "repeated": batch[:1] + (1,) * len(batch[1:])}[patterns]
         u = signed_zeros(rng.standard_normal(batch + (d,)))
-        v = signed_zeros(rng.standard_normal((1, d) if shared else batch + (1, d)))
+        v = signed_zeros(rng.standard_normal(v_batch + (1, d)))
         z = np.ascontiguousarray(np.swapaxes(v, -1, -2))
-        weights, u_new = retrieval_update(u, z, v, gamma)
-        ref_weights = softmax((u[..., None, :] @ z)[..., 0, :], gamma)
-        ref_u_new = (ref_weights[..., None, :] @ v)[..., 0, :]
+        weights, u_new = _retrieval_update_view(u, z, v, gamma)
+        ref_weights, ref_u_new = retrieval_update(u, z, v, gamma)
         assert weights.shape == ref_weights.shape == batch + (1,)
         assert np.all(weights == 1.0)
         assert weights.tobytes() == ref_weights.tobytes()
         assert u_new.shape == ref_u_new.shape == batch + (d,)
         assert u_new.tobytes() == ref_u_new.tobytes()
+        assert not u_new.flags.writeable and ref_u_new.flags.writeable
+        v_axes = (1,) * (len(batch) - len(v_batch)) + v_batch
+        assert all(u_new.strides[a] == 0 for a, n in enumerate(v_axes) if n == 1)
 
     def test_one_pattern_overflowing_scores_raise(self):
         v = np.array([[1e200, 1e200]])
-        for u in (np.array([1e200, 1e200]), np.full((3, 2), 1e200)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValueError, match="scores u z"):
-                    retrieval_update(u, v.T.copy(), v, 1.0)
+        for update in (retrieval_update, _retrieval_update_view):
+            for u in (np.array([1e200, 1e200]), np.full((3, 2), 1e200)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match="scores u z"):
+                        update(u, v.T.copy(), v, 1.0)
 
     def test_pool_score_matrix_blocks_equal_one_call_per_exemplar(self):
         rng = np.random.default_rng(4)

@@ -242,6 +242,12 @@ class TestMetricRank:
         zero = closeness[closeness == 0.0]
         assert zero.size and (metric == "cosine" or np.all(np.signbit(zero)))
 
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_no_queries_give_empty_rows(self, metric):
+        orders, closeness = metric_rank(vector_pool(4), np.zeros((0, 2)), metric)
+        assert orders.shape == closeness.shape == (0, 4)
+        assert orders.dtype == np.intp and closeness.dtype == np.float64
+
     def test_cosine_rejects_a_zero_query_anywhere_in_the_batch(self):
         with pytest.raises(ValueError):
             metric_rank(vector_pool(4), np.array([[1.0, 0.0], [0.0, 0.0]]), "cosine")
@@ -585,6 +591,18 @@ class TestScoreContexts:
                 ctx = ids[i, j if per_target else 0]
                 s, s_ok = safe_score(fn, oracle.predict([pool[c] for c in ctx], xs[j]), ys[j])
                 assert (scores[i, j].tobytes(), ok[i, j]) == (np.float64(s).tobytes(), s_ok)
+
+    @pytest.mark.parametrize("predict_only", [False, True])
+    @pytest.mark.parametrize("b, t", [(3, 0), (0, 4), (0, 0)])
+    def test_no_contexts_or_no_targets_give_empty_scores(self, predict_only, b, t):
+        pool, oracle = oracle_pool(6)
+        unused = AssertionError("the oracle was asked for an empty batch")
+        with mock.patch.object(AssociativeOracle, "predict", side_effect=unused), \
+                mock.patch.object(AssociativeOracle, "predict_pool", side_effect=unused):
+            scores, ok = score_contexts(pool, PredictOnly(oracle) if predict_only else oracle, cosine_score,
+                                        np.zeros((b, 1, 2), dtype=int), pool.xs[:t], pool.ys[:t])
+        assert scores.shape == ok.shape == (b, t)
+        assert scores.dtype == np.float64 and ok.dtype == bool
 
 
 class TestPredictRows:
