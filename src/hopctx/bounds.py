@@ -120,7 +120,7 @@ def beta_coefficient(c, m, t):
         raise ValueError(f"t must be positive, got {t}")
     if np.any(m < t):
         raise ValueError(f"M={m} smaller than duplicate count t={t}")
-    if np.any(c < 0):
+    if not np.all(c >= 0):
         raise ValueError(f"c must be nonnegative, got {c}")
     with np.errstate(over="ignore", invalid="ignore"):
         x = c * (m - t) / t
@@ -150,8 +150,8 @@ def error_bound(sep: SeparationReport, gamma: float, instance_error: float, z_ma
     """Assemble the bound report from a separation report and instance data."""
     if not 0 < gamma < math.inf:
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
-    if instance_error < 0 or z_max_norm < 0:
-        raise ValueError("instance_error and z_max_norm must be nonnegative")
+    if not (0 <= instance_error < math.inf and 0 <= z_max_norm < math.inf):
+        raise ValueError("instance_error and z_max_norm must be finite and nonnegative")
     row = [np.array([math.nan if x is None else x], dtype=np.float64)
            for x in (sep.delta_min, instance_error, z_max_norm)]
     return _bound_reports(gamma, sep.m, np.array([sep.duplicate_count]), *row, [None])[0]

@@ -99,14 +99,17 @@ def _read_contexts(contexts) -> list:
     return vectors
 
 
-def _holds_bool(value) -> bool:
-    return isinstance(value, bool) or isinstance(value, list) and any(map(_holds_bool, value))
+def _all_numbers(value) -> bool:
+    """Whether every leaf of a JSON value is a number: not a string, null or true/false."""
+    if isinstance(value, list):
+        return all(map(_all_numbers, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _read_retrieve_input(payload) -> dict:
     """The retrieve input's fields as float64 arrays, gamma as a float and
     contexts as a list of them; a ValueError naming the first field that is
-    missing or cannot be read so.  A JSON true or false is not a number."""
+    missing or cannot be read so.  Every value must be a JSON number."""
     if not isinstance(payload, dict):
         raise ValueError(f"retrieve input must be a JSON object, got a JSON {type(payload).__name__}")
     for name in ("xi_q", "xi_k", "sigma", "contexts"):
@@ -122,7 +125,7 @@ def _read_retrieve_input(payload) -> dict:
     for name, (kind, read) in readers.items():
         if name in payload:
             try:
-                if _holds_bool(payload[name]):
+                if not _all_numbers(payload[name]):
                     raise TypeError
                 fields[name] = read(payload[name])
             except (TypeError, ValueError):

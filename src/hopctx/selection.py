@@ -12,13 +12,16 @@ query.  A pool stores its rows as arrays (``ExemplarPool.xs``, ``ys``), and
 a query set is a pool too; ``pool[i]`` builds an ``Exemplar``, a labelled
 (x, y) pair, only for an oracle's ``predict(context, x)``.
 
-Scoring: ``score_contexts`` is the one path from contexts of pool positions,
-(B, 1 or T, K), to scores on T targets, in bounded blocks.  The pool and
-instance-best score matrices and each (strategy, K) of a k-study, over all
-trials and queries, are one call each; an oracle with only ``predict`` is
-asked once per (context, target), trial by trial, each over the targets.  The
-safe-score rule is applied once, in ``score_rows``: a prediction that cannot
-be scored, or scores non-finite, counts 0 and is not ok.
+Scoring: ``score_contexts`` is the one place an oracle is asked, for
+contexts of pool positions, (B, 1 or T, K), scored on T targets.  The pool
+and instance-best score matrices and each (strategy, K) of a k-study, over
+all trials and queries, are one call each.  An oracle with ``predict_pool``
+answers in bounded blocks, each scored by ``score_rows``, which takes
+predictions and targets of one shape (..., d) and raises ValueError on any
+other; an oracle with only ``predict`` is asked once per (context, target),
+each prediction scored by ``safe_score`` as it comes.  Both apply the
+safe-score rule: a prediction that cannot be scored, or scores non-finite,
+counts 0 and is not ok.
 
 Ranking rule: every ranked strategy (metric, active, instance-best) scores
 each pool exemplar and keeps the first K of ``ExemplarPool.rank``, which
@@ -172,35 +175,34 @@ def score_rows(score_fn, y_hats, ys) -> tuple[np.ndarray, np.ndarray]:
     """Scores and ok flags of each prediction row against its target row, by
     the ``safe_score`` rule: unscorable or non-finite scores 0, not ok.
 
-    Predictions and targets are stacked as float64.  When they stack to one
-    shape (..., d), either of them possibly a broadcast view, a score
-    function with a ``rows`` kernel (every built-in score) scores the whole
-    batch in one call: each leading axis that an input repeats (stride 0)
-    is cut to length 1 first, so a repeated prediction's own terms (its
-    norm) are formed once, and the scores have the inputs' leading shape.
-    Any other callable scores them pair by pair through ``safe_score``.
-    Predictions that do not stack to the targets' shape (ragged or
-    mis-shaped rows from a duck-typed oracle) go pair by pair too, each row
-    against the target row beside it, with flat results.  Both give the
-    same bits.
+    Predictions and targets are read as float64 and must have one shape
+    (..., d), either of them possibly a broadcast view; any other input
+    raises ValueError.  A score function with a ``rows`` kernel (every
+    built-in score) scores the whole batch in one call: each leading axis
+    that an input repeats (stride 0) is cut to length 1 first, so a repeated
+    prediction's own terms (its norm) are formed once.  Any other callable
+    scores them pair by pair through ``safe_score``, with the same bits.
+    The scores have the inputs' leading shape.
     """
-    kernel = getattr(score_fn, "rows", None)
-    try:
-        y_hats, ys = (np.asarray(a, dtype=np.float64) for a in (y_hats, ys))
-        batch = y_hats.shape[:-1] if y_hats.ndim >= 2 and y_hats.shape == ys.shape else None
-    except (ValueError, TypeError):
-        batch = None
-    if batch is not None and kernel is not None:
-        y_hats, ys = (np.ascontiguousarray(_distinct(a)) for a in (y_hats, ys))
-        with np.errstate(all="ignore"):
-            scores = np.broadcast_to(kernel(y_hats, ys), batch)
-        ok = np.isfinite(scores)
-        return np.where(ok, scores, 0.0), ok
-    if batch is not None:
-        y_hats, ys = (a.reshape(-1, a.shape[-1]) for a in (y_hats, ys))
+    y_hats, ys = (np.asarray(a, dtype=np.float64) for a in (y_hats, ys))
+    if y_hats.shape != ys.shape or y_hats.ndim == 0:
+        raise ValueError(f"predictions {y_hats.shape} and targets {ys.shape} must have one shape (..., d)")
+    batch, kernel = ys.shape[:-1], getattr(score_fn, "rows", None)
+    if kernel is None:
+        return _score_pairs(score_fn, y_hats.reshape(-1, ys.shape[-1]), ys.reshape(-1, ys.shape[-1]), batch)
+    y_hats, ys = (np.ascontiguousarray(_distinct(a)) for a in (y_hats, ys))
+    with np.errstate(all="ignore"):
+        scores = np.broadcast_to(kernel(y_hats, ys), batch)
+    ok = np.isfinite(scores)
+    return np.where(ok, scores, 0.0), ok
+
+
+def _score_pairs(score_fn, y_hats, ys, shape) -> tuple[np.ndarray, np.ndarray]:
+    """``safe_score`` of each prediction against the target beside it, in
+    order, as (scores, ok) arrays of ``shape``."""
     pairs = [safe_score(score_fn, y_hat, y) for y_hat, y in zip(y_hats, ys)]
-    return (np.array([s for s, _ in pairs], dtype=np.float64).reshape(batch or -1),
-            np.array([ok for _, ok in pairs], dtype=bool).reshape(batch or -1))
+    return (np.array([s for s, _ in pairs], dtype=np.float64).reshape(shape),
+            np.array([ok for _, ok in pairs], dtype=bool).reshape(shape))
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -221,22 +223,6 @@ def _broadcast_rows(ids, xs):
     batch = np.broadcast_shapes(ids.shape[:-1], xs.shape[:-1])
     return (np.broadcast_to(ids, batch + ids.shape[-1:]).reshape(-1, ids.shape[-1]),
             np.broadcast_to(xs, batch + xs.shape[-1:]).reshape(-1, xs.shape[-1]), batch)
-
-
-def predict_rows(oracle, pool: ExemplarPool, ids, xs):
-    """Predictions for every row of a batch of pool-indexed contexts.
-
-    An oracle with a batched ``predict_pool`` (the built-in and the remote
-    one) answers the whole batch in one call, shaped (*batch, d_y).  An
-    oracle that defines only ``predict`` (the documented interface) is asked
-    once per broadcast row of ``ids`` and ``xs``, in the C order of
-    ``_broadcast_rows``, and the predictions come back as a list.
-    """
-    predict_pool = getattr(oracle, "predict_pool", None)
-    if predict_pool is not None:
-        return predict_pool(pool, ids, xs)
-    ids, xs, _ = _broadcast_rows(ids, xs)
-    return [oracle.predict([pool[i] for i in row], x) for row, x in zip(ids, xs)]
 
 
 def random_select(pool: ExemplarPool, k: int, seed: int) -> np.ndarray:
@@ -281,31 +267,32 @@ def score_contexts(pool: ExemplarPool, oracle, score_fn, ids, xs, ys) -> tuple[n
     predicted on target xs[t] and scored against ys[t].
 
     ``ids`` holds contexts of K pool positions, shaped (B, 1 or T, K), for T
-    targets.  The contexts are predicted and scored in blocks of whole rows
-    of B, each block one ``predict_rows`` call and one ``score_rows`` call:
-    one call for all B x T would hold all its scores and intermediates at
-    once.  With ``predict_pool`` a block holds at most
-    ``POOL_BLOCK_PREDICTIONS`` scores (one row when T is larger), its (rows,
-    T, d_y) predictions scored against the targets repeated over the rows
-    as a view; the built-in oracle repeats a one-exemplar prediction over
-    the targets the same way, so it is predicted once per row of B.  With
-    only ``predict`` a block is one row, its T predictions scored against
-    the T targets.  Returns the (B, T) scores and their ok mask, empty
-    (no oracle call) when B or T is 0.
+    targets.  An oracle with ``predict_pool`` (the built-in and the remote
+    one) is asked in blocks of whole rows of B, at most
+    ``POOL_BLOCK_PREDICTIONS`` scores each (one row when T is larger), so no
+    call holds all B x T scores and intermediates at once; each block's
+    (rows, T, d_y) predictions go to ``score_rows`` against the targets
+    repeated over the rows as a view.  The built-in oracle repeats a
+    one-exemplar prediction over the targets the same way, so it is
+    predicted once per row of B.  An oracle with only ``predict`` is asked
+    once per (context, target), in C order, and each prediction, of any
+    shape, is scored by ``safe_score`` as it comes.  Returns the (B, T)
+    scores and their ok mask, empty (no oracle call) when B or T is 0.
     """
     ids, ys = np.asarray(ids), np.asarray(ys, dtype=np.float64)
     shape = (len(ids), len(ys))
     if 0 in shape:
         return np.zeros(shape), np.zeros(shape, dtype=bool)
-    pooled = getattr(oracle, "predict_pool", None) is not None
-    step = max(1, POOL_BLOCK_PREDICTIONS // len(ys)) if pooled else 1
-    blocks = []
-    for start in range(0, len(ids), step):
-        block = ids[start:start + step]
-        targets = np.broadcast_to(ys, (len(block),) + ys.shape) if pooled else ys
-        blocks.append(score_rows(score_fn, predict_rows(oracle, pool, block, xs), targets))
-    return (np.concatenate([s for s, _ in blocks], axis=None).reshape(shape),
-            np.concatenate([ok for _, ok in blocks], axis=None).reshape(shape))
+    predict_pool = getattr(oracle, "predict_pool", None)
+    if predict_pool is None:
+        ids, xs, batch = _broadcast_rows(ids, xs)
+        predictions = (oracle.predict([pool[i] for i in row], x) for row, x in zip(ids, xs))
+        return _score_pairs(score_fn, predictions, np.broadcast_to(ys, batch + ys.shape[1:]).reshape(-1, ys.shape[-1]),
+                            shape)
+    step = max(1, POOL_BLOCK_PREDICTIONS // len(ys))
+    blocks = [ids[start:start + step] for start in range(0, len(ids), step)]
+    scored = [score_rows(score_fn, predict_pool(pool, b, xs), np.broadcast_to(ys, (len(b),) + ys.shape)) for b in blocks]
+    return tuple(map(np.concatenate, zip(*scored)))
 
 
 def pool_score_matrix(pool: ExemplarPool, oracle, score_fn) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,7 @@ vectors: the prototype is chosen uniformly, isotropic Gaussian noise is added
 to x, and y stays the clean completion of the chosen prototype.  Predictors
 are "completion oracles": anything with ``predict(context_exemplars, x)``,
 optionally with a batched ``predict_pool(pool, ids, xs)`` that takes each
-context as pool positions (``selection.predict_rows`` uses it when present).
+context as pool positions (``selection.score_contexts`` uses it when present).
 Each built-in score is a scalar function with a bare batched ``rows``
 kernel; ``selection.score_rows`` applies the safe-score rule to either form.
 The built-in oracle answers by associative retrieval over the context pairs
@@ -69,8 +69,8 @@ class TaskSpec:
 
     def __post_init__(self):
         protos = np.asarray(self.prototypes, dtype=np.float64)
-        if protos.ndim != 2 or protos.shape[0] < 1:
-            raise ValueError("prototypes must be a (P, d) matrix with P >= 1")
+        if protos.ndim != 2 or protos.shape[0] < 1 or not np.isfinite(protos).all():
+            raise ValueError("prototypes must be a finite (P, d) matrix with P >= 1")
         if protos.shape[1] != self.d:
             raise ValueError(f"prototype dimension {protos.shape[1]} != d={self.d}")
         if self.kind not in TASK_KINDS:

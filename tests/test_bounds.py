@@ -153,6 +153,14 @@ class TestBetaFormula:
         with pytest.raises(ValueError):
             beta_coefficient(-0.1, 3, 1)
 
+    @pytest.mark.parametrize("c", [math.nan, -1.0, [0.5, math.nan]])
+    def test_rejects_c_nan_or_negative(self, c):
+        with pytest.raises(ValueError, match="c must be nonnegative"):
+            beta_coefficient(np.array(c), 3, 1)
+
+    def test_infinite_c_is_valid(self):
+        assert beta_coefficient(math.inf, 3, 1) == math.inf
+
 
 class TestErrorBound:
     def test_full_duplication_gives_instance_error(self):
@@ -186,6 +194,14 @@ class TestErrorBound:
             error_bound(sep, gamma=0.0, instance_error=0.1, z_max_norm=1.0)
         with pytest.raises(ValueError):
             error_bound(sep, gamma=1.0, instance_error=-0.1, z_max_norm=1.0)
+
+    @pytest.mark.parametrize("field", ["instance_error", "z_max_norm"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_rejects_norms_not_finite_and_nonnegative(self, field, value):
+        # Neither a NaN nor an infinite bound comes out of input that cannot be evaluated.
+        sep = separation(np.ones(2), np.eye(2), 0)
+        with pytest.raises(ValueError, match="instance_error and z_max_norm must be finite and nonnegative"):
+            error_bound(sep, 1.0, **{"instance_error": 1.0, "z_max_norm": 1.0, field: value})
 
     @pytest.mark.parametrize("gamma", [math.inf, math.nan, 0.0, -1.0])
     def test_rejects_gamma_not_finite_and_positive(self, gamma):

@@ -123,6 +123,20 @@ class TestStore:
         with pytest.raises(ValueError):
             classic_store([np.array([1.0, -1.0]), np.array([1.0, -1.0, 1.0])])
 
+    def test_rejects_pattern_not_1d(self):
+        with pytest.raises(ValueError, match="expected 1-D state vector"):
+            classic_store([np.ones((2, 2))])
+
+    @pytest.mark.parametrize("weights, message", [
+        (np.zeros(3), "square"),
+        (np.zeros((2, 3)), "square"),
+        (np.array([[0.0, 1.0], [2.0, 0.0]]), "symmetric"),
+        (np.array([[1.0, 0.0], [0.0, 0.0]]), "zero diagonal"),
+    ], ids=["1d", "rectangular", "asymmetric", "diagonal"])
+    def test_network_rejects_bad_weights(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            ClassicHopfield(weights)
+
 
 class TestUpdate:
     def test_stored_pattern_is_fixed_point(self):
@@ -206,6 +220,12 @@ class TestEnergy:
                 energy = new_energy
                 if converged:
                     break
+
+    def test_rejects_wrong_state_shape(self):
+        net = classic_store([np.array([1.0, -1.0, 1.0])])
+        for state in (np.ones(2), np.ones((1, 3))):
+            with pytest.raises(ValueError, match="does not match N=3"):
+                classic_energy(net, state)
 
 
 class TestCapacity:

@@ -214,8 +214,14 @@ _IDENTITY_INSTANCE = {"xi_q": [[1.0, 0.0], [0.0, 1.0]], "xi_k": [[1.0, 0.0], [0.
     ({**_IDENTITY_INSTANCE, "gamma": True}, "gamma"),
     ({**_IDENTITY_INSTANCE, "sigma": [True, 0]}, "sigma"),
     ({**_IDENTITY_INSTANCE, "contexts": [[1.0, 0.0], [0.0, False]]}, "contexts"),
+    ({**_IDENTITY_INSTANCE, "gamma": "2"}, "gamma"),
+    ({**_IDENTITY_INSTANCE, "sigma": ["1", 0]}, "sigma"),
+    ({**_IDENTITY_INSTANCE, "xi_k": [[1.0, "0"], [0.0, 1.0]]}, "xi_k"),
+    ({**_IDENTITY_INSTANCE, "contexts": [[1.0, 0.0], ["0", 1.0]]}, "contexts"),
+    ({**_IDENTITY_INSTANCE, "w_v": None}, "w_v"),
 ], ids=["null-gamma", "scalar-contexts", "object-sigma", "top-level-array", "missing-xi_q", "empty-contexts",
-        "ragged-contexts", "bool-gamma", "bool-sigma", "bool-contexts"])
+        "ragged-contexts", "bool-gamma", "bool-sigma", "bool-contexts", "string-gamma", "string-sigma",
+        "string-xi_k", "string-contexts", "null-w_v"])
 def test_retrieve_mistyped_field_is_usage_error(tmp_path, payload, field):
     # Run as a process: a TypeError escaping cli_main would print a traceback.
     path = tmp_path / "instance.json"

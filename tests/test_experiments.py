@@ -108,6 +108,7 @@ class TestConfig:
         ("task.noise_sigma", "inf"),
         ("task.noise_sigma", "-0.1"),
         ("bound.instances", "0"),
+        ("trials", "0"),
         ("bound.gamma_grid", ""),
         ("bound.m_grid", ""),
         ("bound.dup_fractions", ""),

@@ -272,6 +272,25 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             ContextualHopfield(xi_q=np.eye(3), xi_k=np.eye(3), w_v=np.ones((2, 2)))
 
+    def test_rejects_matrices_not_2d(self):
+        with pytest.raises(ValueError, match="xi_q must be 2-D"):
+            ContextualHopfield(xi_q=np.ones(3), xi_k=np.eye(3))
+        with pytest.raises(ValueError, match="lam must be 2-D"):
+            ContextSet(lam=np.ones(3))
+
+    def test_rejects_query_and_context_of_another_dimension(self):
+        model = ContextualHopfield.identity(2)
+        ctx = ContextSet.from_vectors([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="sigma shape"):
+            QueryState.from_sigma([1.0, 0.0, 0.0], model)
+        # A query built for a 3-dimensional model, put to a 2-dimensional one.
+        query = QueryState.from_sigma([1.0, 0.0, 0.0], ContextualHopfield.identity(3))
+        with pytest.raises(ValueError, match="query dimension"):
+            hnc_retrieve(model, ctx, query)
+        wide = ContextSet.from_vectors([[1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="context dimension"):
+            attention_view(model, wide, QueryState.from_sigma([1.0, 0.0], model))
+
 
 class TestAttentionView:
     def test_identity_value_map_equals_retrieval(self):

@@ -22,7 +22,7 @@ from hopctx import (
     random_select,
 )
 from hopctx import selection
-from hopctx.selection import metric_rank, pool_score_matrix, predict_rows, safe_score, score_contexts
+from hopctx.selection import metric_rank, pool_score_matrix, safe_score, score_contexts
 
 
 def reference_prefix(seed_or_rng, n, k):
@@ -605,31 +605,56 @@ class TestScoreContexts:
         assert scores.dtype == np.float64 and ok.dtype == bool
 
 
-class TestPredictRows:
     def test_predict_only_oracle_is_asked_per_broadcast_row_in_c_order(self):
+        # Each prediction is scored against its own target before the next
+        # is asked for.
         pool = vector_pool(4)
         calls = []
 
         class RecordingOracle:
             def predict(self, exemplars, x):
-                calls.append(([e.id for e in exemplars], x.tolist()))
+                calls.append(("predict", [e.id for e in exemplars], x.tolist()))
                 return np.array([float(len(calls))])
 
-        ids = np.array([[[0, 1]], [[2, 3]]])  # (2, 1, K): broadcast against 3 queries
-        xs = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-        got = predict_rows(RecordingOracle(), pool, ids, xs)
-        assert [c[0] for c in calls] == [[0, 1]] * 3 + [[2, 3]] * 3
-        assert [c[1] for c in calls] == xs.tolist() * 2
-        assert np.array_equal(np.stack(got), np.arange(1.0, 7.0)[:, None])
+        def score(y_hat, y):
+            calls.append(("score", y_hat.tolist(), y.tolist()))
+            return float(y_hat[0])
 
-    def test_batched_oracle_rows_match_the_fallback(self):
+        ids = np.array([[[0, 1]], [[2, 3]]])  # (2, 1, K): broadcast against 3 targets
+        xs, ys = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), np.array([[4.0], [5.0], [6.0]])
+        scores, ok = score_contexts(pool, RecordingOracle(), score, ids, xs, ys)
+        predicts, scored = calls[::2], calls[1::2]
+        assert [c[:2] for c in predicts] == [("predict", [0, 1])] * 3 + [("predict", [2, 3])] * 3
+        assert [c[2] for c in predicts] == xs.tolist() * 2
+        assert scored == [("score", [2.0 * r + 1.0], ys[r % 3].tolist()) for r in range(6)]
+        assert scores.tolist() == [[1.0, 3.0, 5.0], [7.0, 9.0, 11.0]] and ok.all()
+
+    @pytest.mark.parametrize("fn", [cosine_score, negative_error, exact_match, lambda y_hat, y: float(y_hat[0])])
+    @pytest.mark.parametrize("ids", [[[[0, 3, 5]], [[8, 1, 1]]], [[[0, 3], [5, 5]], [[8, 1], [2, 7]]], [[[4]], [[6]]]])
+    def test_predict_only_scores_equal_predict_pool_scores(self, fn, ids):
         pool, oracle = oracle_pool(9, seed=4)
-        ids = np.array([[0, 3, 5], [8, 1, 1]])
-        xs = pool.xs[:2] + 0.1
+        xs, ys = pool.xs[:2] + 0.1, np.array([[1.0, 0.5], [0.0, 0.0]])  # cosine fails on the zero target
+        scores, ok = score_contexts(pool, oracle, fn, np.array(ids), xs, ys)
+        only_scores, only_ok = score_contexts(pool, PredictOnly(oracle), fn, np.array(ids), xs, ys)
+        assert scores.tobytes() == only_scores.tobytes() and np.array_equal(ok, only_ok)
 
-        np.testing.assert_array_equal(
-            predict_rows(oracle, pool, ids, xs), np.stack(predict_rows(PredictOnly(oracle), pool, ids, xs))
-        )
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_mis_shaped_pool_predictions_raise(self, t):
+        # A predict_pool whose output has an extra axis is not scored as
+        # zeros: score_rows names both shapes.
+        pool, oracle = oracle_pool(5)
+
+        class ExtraAxisOracle:
+            def predict_pool(self, pool, ids, xs):
+                return oracle.predict_pool(pool, ids, xs)[..., None, :]
+
+        with pytest.raises(ValueError, match=rf"\(2, {t}, 1, 2\) and targets \(2, {t}, 2\)"):
+            score_contexts(pool, ExtraAxisOracle(), cosine_score, np.zeros((2, 1, 1), int), pool.xs[:t], pool.ys[:t])
+
+
+class TestPredictRows:
+    """``predict_pool``, which predicts the rows of pool-indexed contexts,
+    rejects contexts without positions and queries of another dimension."""
 
     def test_rejects_empty_context_and_mismatched_query(self):
         pool, oracle = oracle_pool(5)

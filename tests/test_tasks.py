@@ -165,20 +165,22 @@ class TestScoreRows:
 
     @pytest.mark.parametrize("fn", SCORE_FNS, ids=lambda f: f.__name__)
     @pytest.mark.parametrize("t", [1, 3])
-    def test_extra_prediction_axis_scores_zero_not_ok(self, fn, t):
-        # (T, 1, d) predictions against (T, d) targets are not broadcast:
-        # each (1, d) row is scored against its target, unscorable, flat.
-        y_hats, ys = np.ones((t, 1, 2)), np.ones((t, 2))
-        scores, ok = score_rows(fn, y_hats, ys)
-        assert scores.shape == ok.shape == (t,)
-        assert not ok.any() and not scores.any()
+    def test_extra_prediction_axis_raises(self, fn, t):
+        # (T, 1, d) predictions against (T, d) targets are not broadcast,
+        # nor scored as zeros: the error names both shapes.
+        with pytest.raises(ValueError, match=rf"\({t}, 1, 2\) and targets \({t}, 2\)"):
+            score_rows(fn, np.ones((t, 1, 2)), np.ones((t, 2)))
 
-    @pytest.mark.parametrize("fn", SCORE_FNS, ids=lambda f: f.__name__)
-    def test_shape_mismatch_scores_zero_not_ok(self, fn):
-        y_hats, ys = np.ones((4, 3)), np.ones((4, 2))
-        assert_rows_equal_safe_score(fn, y_hats, ys)
-        scores, ok = score_rows(fn, y_hats, ys)
-        assert not ok.any() and not scores.any()
+    @pytest.mark.parametrize("fn", SCORE_FNS + [lambda y_hat, y: 0.25], ids=lambda f: f.__name__)
+    def test_shape_mismatch_raises(self, fn):
+        with pytest.raises(ValueError, match=r"\(4, 3\) and targets \(4, 2\)"):
+            score_rows(fn, np.ones((4, 3)), np.ones((4, 2)))
+
+    @pytest.mark.parametrize("y_hats, ys", [([[1.0, 0.0], [1.0]], [[1.0, 0.0], [1.0, 0.0]]), (1.0, 1.0)],
+                             ids=["ragged", "scalar"])
+    def test_ragged_or_scalar_input_raises(self, y_hats, ys):
+        with pytest.raises(ValueError):
+            score_rows(cosine_score, y_hats, ys)
 
     def test_zero_and_perfect_rows(self):
         y = np.array([[1.0, 0.0], [0.0, 0.0], [3.0, 4.0]])
@@ -205,6 +207,12 @@ class TestScoreRows:
 
 
 class TestTaskSpec:
+    @pytest.mark.parametrize("prototypes", [np.ones(3), np.zeros((0, 3)), [[np.nan, 0.0], [1.0, 0.0]],
+                                            [[np.inf, 0.0], [1.0, 0.0]]], ids=["1d", "empty", "nan", "inf"])
+    def test_rejects_prototypes_not_a_finite_matrix(self, prototypes):
+        with pytest.raises(ValueError, match="prototypes must be a finite"):
+            TaskSpec("prototype-completion", 2, prototypes, 0.1)
+
     def test_rejects_bad_kind_and_dims(self):
         protos = np.eye(3)
         with pytest.raises(ValueError):
@@ -306,6 +314,15 @@ class TestGeneratePool:
         spec = make_task("prototype-completion", 4, 1, 0.0, seed=2)
         with pytest.raises(ValueError):
             generate_pool(spec, 1, seed=0)
+
+    def test_rejects_negative_query_count(self):
+        spec = make_task("prototype-completion", 4, 1, 0.0, seed=2)
+        with pytest.raises(ValueError, match="n_queries"):
+            generate_pool(spec, 4, seed=0, n_queries=-1)
+
+    def test_make_task_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown task kind"):
+            make_task("regression", 4, 2, 0.1)
 
 
 class TestAssociativeOracle:
@@ -447,6 +464,16 @@ class TestAssociativeOracle:
             with pytest.raises(ValueError, match="^gamma must"):
                 AssociativeOracle(gamma=gamma)
 
+    def test_predict_many_rejects_bad_queries_and_exemplars(self):
+        e = Exemplar(id=0, x=np.array([0.4, -0.2]), y=np.array([0.9, 0.1]))
+        oracle = AssociativeOracle(gamma=3.0)
+        with pytest.raises(ValueError, match="expected a \\(n, d_x\\) batch"):
+            oracle.predict_many([e], np.ones(2))
+        with pytest.raises(ValueError, match="context exemplar dimensions"):
+            oracle.predict_many([e], np.ones((1, 3)))
+        with pytest.raises(ValueError, match="context exemplar dimensions"):
+            oracle.predict_many([e, Exemplar(id=1, x=np.ones(2), y=np.ones(3))], np.ones((1, 2)))
+
 
 class TestBenchmarkGeometry:
     def test_hub_key_dominates_and_values_share_component(self):
@@ -468,3 +495,14 @@ class TestBenchmarkGeometry:
     def test_rejects_undersized_dimension(self):
         with pytest.raises(ValueError):
             make_benchmark_task(p=5, d=8)
+
+    def test_rejects_one_association_or_odd_dimension(self):
+        with pytest.raises(ValueError, match="at least 2 associations"):
+            make_benchmark_task(p=1, d=16)
+        with pytest.raises(ValueError, match="even d"):
+            make_benchmark_task(p=3, d=15)
+
+    def test_two_associations_have_one_rare_value(self):
+        # p = 2: one rare value, its single simplex direction the unit vector.
+        values = make_benchmark_task(p=2, d=4).prototypes[:, 2:]
+        np.testing.assert_array_equal(values, [[1.0, 0.0], [0.4, np.sqrt(1.0 - 0.4**2)]])
