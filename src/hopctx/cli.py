@@ -109,7 +109,7 @@ def _all_numbers(value) -> bool:
 def _read_retrieve_input(payload) -> dict:
     """The retrieve input's fields as float64 arrays, gamma as a float and
     contexts as a list of them; a ValueError naming the first field that is
-    missing or cannot be read so.  Every value must be a JSON number."""
+    missing or cannot be read so.  Every value must be a JSON number that fits float64."""
     if not isinstance(payload, dict):
         raise ValueError(f"retrieve input must be a JSON object, got a JSON {type(payload).__name__}")
     for name in ("xi_q", "xi_k", "sigma", "contexts"):
@@ -128,7 +128,7 @@ def _read_retrieve_input(payload) -> dict:
                 if not _all_numbers(payload[name]):
                     raise TypeError
                 fields[name] = read(payload[name])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ValueError(f"{name} must be {kind}, got {json.dumps(payload[name])}") from None
     return fields
 

@@ -219,9 +219,11 @@ _IDENTITY_INSTANCE = {"xi_q": [[1.0, 0.0], [0.0, 1.0]], "xi_k": [[1.0, 0.0], [0.
     ({**_IDENTITY_INSTANCE, "xi_k": [[1.0, "0"], [0.0, 1.0]]}, "xi_k"),
     ({**_IDENTITY_INSTANCE, "contexts": [[1.0, 0.0], ["0", 1.0]]}, "contexts"),
     ({**_IDENTITY_INSTANCE, "w_v": None}, "w_v"),
+    ({**_IDENTITY_INSTANCE, "gamma": 10**400}, "gamma"),
+    ({**_IDENTITY_INSTANCE, "xi_q": [[10**400, 0.0], [0.0, 1.0]]}, "xi_q"),
 ], ids=["null-gamma", "scalar-contexts", "object-sigma", "top-level-array", "missing-xi_q", "empty-contexts",
         "ragged-contexts", "bool-gamma", "bool-sigma", "bool-contexts", "string-gamma", "string-sigma",
-        "string-xi_k", "string-contexts", "null-w_v"])
+        "string-xi_k", "string-contexts", "null-w_v", "overflowing-gamma", "overflowing-xi_q"])
 def test_retrieve_mistyped_field_is_usage_error(tmp_path, payload, field):
     # Run as a process: a TypeError escaping cli_main would print a traceback.
     path = tmp_path / "instance.json"

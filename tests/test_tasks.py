@@ -213,6 +213,10 @@ class TestTaskSpec:
         with pytest.raises(ValueError, match="prototypes must be a finite"):
             TaskSpec("prototype-completion", 2, prototypes, 0.1)
 
+    def test_make_task_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown task kind"):
+            make_task("regression", 4, 2, 0.1)
+
     def test_rejects_bad_kind_and_dims(self):
         protos = np.eye(3)
         with pytest.raises(ValueError):
@@ -319,10 +323,6 @@ class TestGeneratePool:
         spec = make_task("prototype-completion", 4, 1, 0.0, seed=2)
         with pytest.raises(ValueError, match="n_queries"):
             generate_pool(spec, 4, seed=0, n_queries=-1)
-
-    def test_make_task_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown task kind"):
-            make_task("regression", 4, 2, 0.1)
 
 
 class TestAssociativeOracle:
