@@ -108,7 +108,6 @@ class TestConfig:
         ("task.noise_sigma", "inf"),
         ("task.noise_sigma", "-0.1"),
         ("bound.instances", "0"),
-        ("trials", "0"),
         ("bound.gamma_grid", ""),
         ("bound.m_grid", ""),
         ("bound.dup_fractions", ""),
@@ -141,6 +140,7 @@ class TestConfig:
         ("oracle.gamma", True),
         ("k_values", (True, 2)),
         ("subsample", True),
+        ("trials", "0"),
     ])
     def test_bad_value_rejected_naming_key(self, key, value):
         mapping = {"k_values": "1", "subsample": "all", key: value}
