@@ -38,7 +38,6 @@ __all__ = [
     "verify_patterns",
     "verify_bound",
     "BOUND_CSV_COLUMNS",
-    "bound_report_csv_row",
 ]
 
 # Per-coordinate tolerance for treating two context patterns as duplicates.
@@ -47,9 +46,11 @@ __all__ = [
 DUPLICATE_TOL = 1e-12
 
 # CSV schema for serialized reports (one row per instance); the columns after
-# M and t are the ``BoundReport`` fields of the same name.
+# M and t are the ``BoundReport`` fields of the same name.  ``_COLUMNS`` are
+# those of ``_verify_rows``, one entry per row (delta_min NaN where t = M).
 BOUND_CSV_COLUMNS = ("instance_id", "M", "t", "gamma", "delta_min", "c", "instance_error", "beta",
                      "z_max_norm", "upper_bound", "realized_error")
+_COLUMNS = BOUND_CSV_COLUMNS[2:3] + BOUND_CSV_COLUMNS[4:]
 
 
 class BoundViolationError(AssertionError):
@@ -107,8 +108,10 @@ def separation(u: np.ndarray, z: np.ndarray, target_index: int) -> SeparationRep
     u is the query pattern and z the context patterns as columns
     (``ContextSet.patterns``).  Duplicates of the target are detected by
     per-coordinate equality within ``DUPLICATE_TOL``; delta_min is the
-    minimum margin over non-duplicates.
+    minimum margin over non-duplicates.  A non-finite u or z raises ValueError.
     """
+    if not (np.isfinite(u).all() and np.isfinite(z).all()):
+        raise ValueError("u or z not finite: separation takes finite input")
     delta_all, delta_min, t = _margins((u @ z)[None], z[None], target_index)
     t, m = int(t[0]), z.shape[1]
     return SeparationReport(delta_all[0], None if t == m else float(delta_min[0]), t, m)
@@ -128,9 +131,9 @@ def beta_coefficient(c, m, t):
 
 
 @np.errstate(over="ignore")
-def _bound_reports(gamma, m: int, t, delta_min, instance_error, z_max_norm, realized_error) -> list:
-    """One ``BoundReport`` per row of the array arguments (delta_min NaN where
-    t = M, which gives c = 0); c = exp(-gamma delta_min) by ``math.exp``."""
+def _bound_columns(gamma, m: int, t, delta_min, instance_error, z_max_norm, realized_error) -> dict:
+    """The columns ``_COLUMNS`` of the rows of the array arguments (delta_min NaN where t = M, which gives
+    c = 0); c = exp(-gamma delta_min) by ``math.exp``."""
     c = []
     for e in (-gamma * delta_min).tolist():
         # delta_min < 0 can push c past the float range: the bound is then infinite but valid.
@@ -140,10 +143,14 @@ def _bound_reports(gamma, m: int, t, delta_min, instance_error, z_max_norm, real
             c.append(math.inf)
     c = np.array(c)
     beta = beta_coefficient(c, m, t)
-    upper = instance_error + beta * z_max_norm
-    columns = (a.tolist() for a in (instance_error, c, t, beta, z_max_norm, upper, delta_min))
-    return [BoundReport(ie, ci, ti, m, b, zn, ub, float(gamma), None if ti == m else dm, eps)
-            for ie, ci, ti, b, zn, ub, dm, eps in zip(*columns, realized_error)]
+    upper_bound = instance_error + beta * z_max_norm
+    return dict(zip(_COLUMNS, (t, delta_min, c, instance_error, beta, z_max_norm, upper_bound, realized_error)))
+
+
+def _reports(columns: dict, gamma, m: int) -> list:
+    """One ``BoundReport`` per row of the columns ``_COLUMNS``."""
+    return [BoundReport(ie, c, t, m, b, zn, ub, float(gamma), None if t == m else dm, eps)
+            for t, dm, c, ie, b, zn, ub, eps in zip(*(columns[name].tolist() for name in _COLUMNS))]
 
 
 def error_bound(sep: SeparationReport, gamma: float, instance_error: float, z_max_norm: float) -> BoundReport:
@@ -152,15 +159,19 @@ def error_bound(sep: SeparationReport, gamma: float, instance_error: float, z_ma
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
     if not (0 <= instance_error < math.inf and 0 <= z_max_norm < math.inf):
         raise ValueError("instance_error and z_max_norm must be finite and nonnegative")
+    if sep.duplicate_count < sep.m and (sep.delta_min is None or math.isnan(sep.delta_min)):
+        raise ValueError(f"delta_min must be a number when t < M, got {sep.delta_min}")
     row = [np.array([math.nan if x is None else x], dtype=np.float64)
            for x in (sep.delta_min, instance_error, z_max_norm)]
-    return _bound_reports(gamma, sep.m, np.array([sep.duplicate_count]), *row, [None])[0]
+    return _reports(_bound_columns(gamma, sep.m, np.array([sep.duplicate_count]), *row, np.array([None])),
+                    gamma, sep.m)[0]
 
 
 @np.errstate(over="ignore")
 def _verify_rows(u, z, v, u_star, gamma: float, target_index: int):
-    """The verifier core on a batch, shaped as in ``verify_patterns``.  Returns (reports,
-    fault): fault is None or (row, exception) of the first failing row, reports the rows before it."""
+    """The verifier core on a batch, shaped as in ``verify_patterns``.  Returns (columns, fault): fault is
+    None or (row, exception) of the first failing row, and columns maps each name of ``_COLUMNS`` to an
+    array over the rows before that row (over every row when fault is None)."""
     if not 0 < gamma < math.inf:
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
     with np.errstate(invalid="ignore"):  # inf - inf in overflowing scores: flagged below
@@ -184,13 +195,14 @@ def _verify_rows(u, z, v, u_star, gamma: float, target_index: int):
     if k < n:
         fault = (k, ValueError(f"norms are not finite: ||dz||={instance_error[k]}, "
                                f"||z_max||={z_max_norm[k]}, eps={eps[k]}"))
-    reports = _bound_reports(gamma, z.shape[-1], t[:k], delta_min[:k], instance_error[:k], z_max_norm[:k],
-                             eps[:k].tolist())
-    for i, report in enumerate(reports):
-        e, ub = report.realized_error, report.upper_bound
-        if not math.isfinite(e) or math.isnan(ub) or e > ub + 1e-9 * (1.0 + ub):
-            return reports[:i], (i, BoundViolationError(report, detail=f"eps={e!r} bound={ub!r}"))
-    return reports, fault
+    eps, m = eps[:k], z.shape[-1]
+    columns = _bound_columns(gamma, m, t[:k], delta_min[:k], instance_error[:k], z_max_norm[:k], eps)
+    ub = columns["upper_bound"]
+    i = int(np.append(~np.isfinite(eps) | np.isnan(ub) | (eps > ub + 1e-9 * (1.0 + ub)), True).argmax())
+    if i < k:
+        report = _reports(columns, gamma, m)[i]
+        fault = (i, BoundViolationError(report, detail=f"eps={report.realized_error!r} bound={report.upper_bound!r}"))
+    return {name: a[:i] for name, a in columns.items()}, fault
 
 
 def verify_patterns(u, z, v, u_star, gamma: float, target_index: int):
@@ -210,10 +222,11 @@ def verify_patterns(u, z, v, u_star, gamma: float, target_index: int):
     if u_star.shape != u.shape:
         raise ValueError(f"u_star shape {u_star.shape} != query pattern shape {u.shape}")
     one = u.ndim == 1
-    reports, fault = _verify_rows(*((a[None] for a in (u, z, v, u_star)) if one else (u, z, v, u_star)),
+    columns, fault = _verify_rows(*((a[None] for a in (u, z, v, u_star)) if one else (u, z, v, u_star)),
                                   gamma, target_index)
     if fault is not None:
         raise fault[1]
+    reports = _reports(columns, gamma, z.shape[-1])
     return reports[0] if one else reports
 
 
@@ -222,7 +235,3 @@ def verify_bound(model: ContextualHopfield, ctx: ContextSet, query: QueryState, 
     z, v = ctx.patterns(model), _finite_product(ctx.lam.T, model.xi_k, "entries of V = lam^T xi_k")
     return verify_patterns(query.u, z, v, u_star, model.gamma, target_index)
 
-
-def bound_report_csv_row(instance_id, report: BoundReport) -> list:
-    """A report in CSV column order, as raw values: ``csv.writer`` writes floats by repr, None as empty."""
-    return [instance_id, report.m, report.t] + [getattr(report, name) for name in BOUND_CSV_COLUMNS[3:]]

@@ -296,8 +296,9 @@ def _draw_row(config: ExperimentConfig, gi: int, mi: int):
                                                      rng.random(), rng.standard_normal(d_q)))
     for (d_q, d_m), group in draws.items():
         pos, n_dup, block, scale, dz = (np.array(col) for col in zip(*group))
-        xi_q, xi_k, lam, sigma = (a.reshape(len(pos), d_m, -1)
-                                  for a in np.split(block, np.cumsum([d_m * d_q, d_m * d_q, d_m * m]), axis=1))
+        q, k = d_m * d_q, d_m * (2 * d_q + m)  # where xi_k and sigma start
+        xi_q, xi_k, lam, sigma = (block[:, i:j].reshape(len(pos), d_m, -1)
+                                  for i, j in ((0, q), (q, 2 * q), (2 * q, k), (k, None)))
         lam = np.where(np.arange(m) < n_dup[:, None, None], lam[..., :1], lam)  # the forced duplicate block
         z = xi_k.transpose(0, 2, 1) @ lam
         by_d_q.setdefault(d_q, []).append((pos, (sigma.transpose(0, 2, 1) @ xi_q)[:, 0], z,
@@ -308,18 +309,19 @@ def _draw_row(config: ExperimentConfig, gi: int, mi: int):
         yield [a[order] for a in group]
 
 
-def _verify_row(groups: list, gamma: float) -> list:
-    """Verify a row's d_q groups in one batch each.  Returns the reports in row
-    order, or raises the error of the lowest failing row position."""
-    reports, faults = {}, []
+def _verify_row(groups: list, gamma: float) -> dict:
+    """Verify a row's d_q groups in one batch each.  Returns the verifier's columns
+    in row order, or raises the error of the lowest failing row position."""
+    parts, faults = [], []
     for pos, *patterns in groups:
-        rows, fault = bounds._verify_rows(*patterns, gamma, 0)
-        reports.update(zip(pos.tolist(), rows))
+        columns, fault = bounds._verify_rows(*patterns, gamma, 0)
+        parts.append((pos, columns))
         if fault is not None:
             faults.append((pos[fault[0]], fault[1]))
     if faults:
         raise min(faults, key=lambda f: f[0])[1]
-    return [reports[k] for k in range(len(reports))]
+    order = np.argsort(np.concatenate([pos for pos, _ in parts]))
+    return {name: np.concatenate([columns[name] for _, columns in parts])[order] for name in bounds._COLUMNS}
 
 
 def run_bound_sweep(config: ExperimentConfig):
@@ -329,19 +331,23 @@ def run_bound_sweep(config: ExperimentConfig):
     every instance's realized error must stay below its upper bound (a
     violation raises with the first offending instance of its (gamma, M)
     row).  Each row's instances are drawn in order, then verified in one
-    batch per d_q.  Returns (reports, csv_text, summary).
+    batch per d_q.  Returns (columns, csv_text, summary): columns maps each
+    CSV column name to an array in row order (delta_min NaN where t = M).
     """
-    reports, rows, n = [], [], config.bound_instances
+    parts, n = [], config.bound_instances
     for gi, gamma in enumerate(config.bound_gamma_grid):
-        for mi in range(len(config.bound_m_grid)):
+        for mi, m in enumerate(config.bound_m_grid):
             row = _verify_row(_draw_row(config, gi, mi), gamma)
-            reports += row
-            rows += [bounds.bound_report_csv_row(f"g{gi}-m{mi}-d{k // n}-{k % n}", r) for k, r in enumerate(row)]
-    max_ratio = max([0.0] + [r.realized_error / r.upper_bound for r in reports if r.upper_bound > 0])
-    summary = {"instances": len(reports), "violations": 0, "max_error_to_bound_ratio": max_ratio}
-    csv_text = _csv_text("# hopctx bound-sweep v1", bounds.BOUND_CSV_COLUMNS, rows)
-    csv_text += f"# summary instances={len(reports)} violations=0 max_ratio={max_ratio!r}\n"
-    return reports, csv_text, summary
+            ids = np.array([f"g{gi}-m{mi}-d{k // n}-{k % n}" for k in range(len(row["t"]))])
+            parts.append({"instance_id": ids, "M": np.full(len(ids), m), "gamma": np.full(len(ids), gamma), **row})
+    columns = {name: np.concatenate([p[name] for p in parts]) for name in bounds.BOUND_CSV_COLUMNS}
+    ub = columns["upper_bound"]
+    max_ratio = float((columns["realized_error"][ub > 0] / ub[ub > 0]).max(initial=0.0))
+    summary = {"instances": len(ub), "violations": 0, "max_error_to_bound_ratio": max_ratio}
+    rows = {**columns, "delta_min": np.where(columns["t"] == columns["M"], None, columns["delta_min"])}
+    csv_text = _csv_text("# hopctx bound-sweep v1", bounds.BOUND_CSV_COLUMNS, zip(*(a.tolist() for a in rows.values())))
+    csv_text += f"# summary instances={len(ub)} violations=0 max_ratio={max_ratio!r}\n"
+    return columns, csv_text, summary
 
 
 # ---------------------------------------------------------------------------

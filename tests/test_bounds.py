@@ -4,11 +4,11 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hopctx import (
@@ -18,13 +18,15 @@ from hopctx import (
     ContextualHopfield,
     Exemplar,
     ExemplarPool,
+    ExperimentConfig,
     QueryState,
     beta_coefficient,
     error_bound,
+    run_bound_sweep,
     separation,
     verify_bound,
 )
-from hopctx.bounds import BoundReport, bound_report_csv_row, BOUND_CSV_COLUMNS, _verify_rows, verify_patterns
+from hopctx.bounds import BoundReport, BOUND_CSV_COLUMNS, _COLUMNS, _verify_rows, verify_patterns
 from hopctx.retrieval import retrieval_update
 
 
@@ -95,6 +97,18 @@ class TestSeparation:
         model, ctx, query = identity_instance([base, base + 1e-9], [1.0, 0.0])
         sep = separation(query.u, ctx.patterns(model), target_index=0)
         assert sep.duplicate_count == 1
+
+    @pytest.mark.parametrize("name", ["u", "z"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_input(self, name, value):
+        # u = (inf, 0) against two orthogonal patterns once warned twice and
+        # read delta_min = NaN with t = 1 < M = 2.
+        patterns = {"u": np.array([1.0, 0.0]), "z": np.eye(2)}
+        patterns[name].flat[0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"^u or z not finite: separation takes finite input$"):
+                separation(patterns["u"], patterns["z"], target_index=0)
 
     def test_rejects_out_of_range_index(self):
         model, ctx, query = identity_instance([[1.0, 0.0]], [1.0, 0.0])
@@ -202,6 +216,18 @@ class TestErrorBound:
         sep = separation(np.ones(2), np.eye(2), 0)
         with pytest.raises(ValueError, match="instance_error and z_max_norm must be finite and nonnegative"):
             error_bound(sep, 1.0, **{"instance_error": 1.0, "z_max_norm": 1.0, field: value})
+
+    @pytest.mark.parametrize("delta_min", [math.nan, None])
+    def test_rejects_missing_margin_below_full_duplication(self, delta_min):
+        # With t < M a margin that could not be evaluated gives no bound: as
+        # c = 0 it would make the bound the instance error alone.
+        from hopctx.bounds import SeparationReport
+
+        sep = SeparationReport(np.array([math.nan, math.nan]), delta_min, 1, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"^delta_min must be a number when t < M, got "):
+                error_bound(sep, 1.0, instance_error=0.0, z_max_norm=1.0)
 
     @pytest.mark.parametrize("gamma", [math.inf, math.nan, 0.0, -1.0])
     def test_rejects_gamma_not_finite_and_positive(self, gamma):
@@ -471,36 +497,128 @@ class TestBatchedVerifier:
                 u_star[i] = 1e200
             elif kind == "violation":  # v is not z^T, so the error is far above the bound on z
                 v[i] = z[i].T + 1e100
-        reports, fault = _verify_rows(u, z, v, u_star, 2.0, 0)
+        columns, fault = _verify_rows(u, z, v, u_star, 2.0, 0)
+        assert list(columns) == list(_COLUMNS)
         expected = first_error_of_loop(u, z, v, u_star, 2.0)
         if expected is None:
-            assert fault is None and len(reports) == len(kinds)
+            assert fault is None and all(len(a) == len(kinds) for a in columns.values())
             return
         row, exc = fault
         assert row == expected[0] == next(i for i, kind in enumerate(kinds) if kind != "ok")
         assert (type(exc), str(exc)) == (type(expected[1]), str(expected[1]))
-        assert len(reports) == row
+        assert all(len(a) == row for a in columns.values())
         with pytest.raises(type(exc)) as excinfo:
             verify_patterns(u, z, v, u_star, 2.0, target_index=0)
         assert str(excinfo.value) == str(exc)
 
+    @given(
+        st.integers(min_value=0, max_value=100_000),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=2, max_value=5),
+        st.data(),
+        st.sampled_from(["nan-error", "nan-bound", "excess", "inf-bound"]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_vectorized_check_flags_the_row_a_loop_flags(self, seed, rows, m, data, kind):
+        # A mutant puts into one row, found by its values so that a batch and a
+        # one-row call both hit it, a NaN error, a NaN bound, an error 1e-6
+        # above a bound below 100 (its slack is at most 1.01e-7), or an
+        # infinite bound.  The first three must raise at that row with the
+        # report of verify_patterns on the row alone; an infinite bound holds.
+        import hopctx.bounds as bounds_module
 
-def csv_line(row):
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(row)
-    return buf.getvalue()
+        u, z, v, u_star = pattern_stack(seed, rows, 3, m, 1)
+        clean = verify_patterns(u, z, v, u_star, 2.0, target_index=0)
+        marked = [i for i, r in enumerate(clean) if kind != "excess" or r.upper_bound < 100.0]
+        assume(marked)
+        row = data.draw(st.sampled_from(marked))
+        offset = np.eye(3)[0] * (clean[row].upper_bound + 1e-6)
+
+        def mutant_update(u_, z_, v_, gamma):
+            weights, u_new = retrieval_update(u_, z_, v_, gamma)
+            hit = (u_ == u[row]).all(axis=-1)
+            u_new[hit] = np.nan if kind == "nan-error" else u_star[row] + offset
+            return weights, u_new
+
+        def mutant_beta(c, m_, t):
+            beta = np.array(beta_coefficient(c, m_, t), dtype=np.float64)
+            beta[c == clean[row].c] = np.nan if kind == "nan-bound" else np.inf
+            return beta
+
+        with pytest.MonkeyPatch.context() as mp:
+            if kind in ("nan-error", "excess"):
+                mp.setattr(bounds_module, "retrieval_update", mutant_update)
+            else:
+                mp.setattr(bounds_module, "beta_coefficient", mutant_beta)
+            columns, fault = _verify_rows(u, z, v, u_star, 2.0, 0)
+            expected = first_error_of_loop(u, z, v, u_star, 2.0)
+            if kind == "inf-bound":
+                assert fault is None and expected is None
+                assert columns["upper_bound"][row] == math.inf and math.isfinite(columns["realized_error"][row])
+                return
+            with pytest.raises(BoundViolationError) as excinfo:
+                verify_patterns(u, z, v, u_star, 2.0, target_index=0)
+        (i, exc), (j, one) = fault, expected
+        assert i == j == row and isinstance(exc, BoundViolationError)
+        assert report_bits(exc.report) == report_bits(one.report) == report_bits(excinfo.value.report)
+        assert str(exc) == str(one) == str(excinfo.value)
+        assert all(len(a) == row for a in columns.values())
+
+    @given(
+        st.integers(min_value=0, max_value=100_000),
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=9),
+        st.data(),
+        st.sampled_from([0.25, 2.0, 1e4]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_columns_equal_the_one_row_reports_bitwise(self, seed, rows, d_q, m, data, gamma):
+        # The columns hold each one-row report's fields, bit for bit; delta_min
+        # is NaN where the report's is None (t = M, always at M = 1).  dz = 0
+        # rows and c = inf at gamma 1e4 are among the draws.
+        t = data.draw(st.integers(min_value=1, max_value=m))
+        exact = data.draw(st.sets(st.integers(min_value=0, max_value=rows - 1)))
+        u, z, v, u_star = pattern_stack(seed, rows, d_q, m, t, exact)
+        columns, fault = _verify_rows(u, z, v, u_star, gamma, 0)
+        assert fault is None and list(columns) == list(_COLUMNS)
+        assert columns["t"].dtype.kind == "i" and all(a.dtype == np.float64 for a in list(columns.values())[1:])
+        reports = [verify_patterns(u[i], z[i], v[i], u_star[i], gamma, target_index=0) for i in range(rows)]
+        field_names = [f.name for f in fields(BoundReport)]
+        for name, column in columns.items():
+            one_row = [astuple(r)[field_names.index(name)] for r in reports]
+            assert [repr(x) for x in column.tolist()] == [repr(math.nan if x is None else x) for x in one_row]
+        assert all(r.m == m and r.gamma == gamma for r in reports)
+
+
+def sweep_row_of(report, monkeypatch):
+    """The CSV line ``run_bound_sweep`` writes for a one-instance sweep whose
+    verifier columns are the fields of ``report`` (delta_min None as NaN)."""
+    import hopctx.experiments as experiments_module
+
+    columns = {name: np.array([math.nan if getattr(report, name) is None else getattr(report, name)])
+               for name in _COLUMNS}
+    monkeypatch.setattr(experiments_module, "_verify_row", lambda groups, gamma: columns)
+    config = ExperimentConfig(bound_gamma_grid=(report.gamma,), bound_m_grid=(report.m,),
+                              bound_dup_fractions=(0.0,), bound_instances=1)
+    _, csv_text, summary = run_bound_sweep(config)
+    assert summary["instances"] == 1
+    return csv_text.splitlines()[2] + "\n"
 
 
 class TestCsvRow:
     def test_columns_and_undefined_delta(self):
-        col = [1.0, 1.0]
-        model, ctx, query = identity_instance([col, col], [0.5, 0.5])
-        report = verify_bound(model, ctx, query, [1.0, 1.0], target_index=0)
-        row = bound_report_csv_row("i0", report)
-        assert len(row) == len(BOUND_CSV_COLUMNS)
-        assert row[0] == "i0"
-        assert row[4] is None  # delta_min undefined at t = M
-        assert csv_line(row).split(",")[4] == ""
+        # t = M in every instance of a fully duplicated cell: delta_min is
+        # undefined, NaN in the columns and an empty CSV field.
+        config = ExperimentConfig(bound_gamma_grid=(1.0,), bound_m_grid=(3,), bound_dup_fractions=(1.0,),
+                                  bound_instances=4)
+        columns, csv_text, _ = run_bound_sweep(config)
+        assert list(columns) == list(BOUND_CSV_COLUMNS)
+        assert columns["instance_id"].tolist() == [f"g0-m0-d0-{j}" for j in range(4)]
+        assert (columns["t"] == 3).all() and np.isnan(columns["delta_min"]).all()
+        rows = list(csv.reader(io.StringIO(csv_text)))[2:-1]
+        assert [len(r) for r in rows] == [len(BOUND_CSV_COLUMNS)] * 4
+        assert [r[4] for r in rows] == [""] * 4
 
     @pytest.mark.parametrize("report", [
         BoundReport(0.25, 0.0, 2, 2, 0.0, 1.5, 0.25, 2.0, None, 0.125),  # t = M: delta_min undefined
@@ -509,9 +627,10 @@ class TestCsvRow:
         BoundReport(0.1 + 0.2, 0.1353352832366127, 1, 8, 0.9473469826562889, 1.0 / 3.0, 0.6157823275520963,
                     2.0, 1.0, 0.3),
     ], ids=["delta-none", "c-inf", "bound-inf", "ordinary"])
-    def test_writer_gives_the_repr_strings(self, report):
-        # csv.writer writes floats by repr and None as an empty field, so raw
-        # values give the bytes of formatting each field by hand.
-        fields = [getattr(report, name) for name in BOUND_CSV_COLUMNS[3:]]
-        by_hand = ",".join(["g0-m1-d2-3", str(report.m), str(report.t)] + ["" if x is None else repr(x) for x in fields])
-        assert csv_line(bound_report_csv_row("g0-m1-d2-3", report)) == by_hand + "\n"
+    def test_writer_gives_the_repr_strings(self, report, monkeypatch):
+        # The sweep writes .tolist() columns with csv.writer: floats by repr,
+        # and delta_min None (an empty field) where t = M.  That gives the
+        # bytes of formatting each field by hand.
+        values = [getattr(report, name) for name in BOUND_CSV_COLUMNS[3:]]
+        by_hand = ",".join(["g0-m0-d0-0", str(report.m), str(report.t)] + ["" if x is None else repr(x) for x in values])
+        assert sweep_row_of(report, monkeypatch) == by_hand + "\n"

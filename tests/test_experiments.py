@@ -27,7 +27,7 @@ from hopctx import (
     run_strategy_comparison,
     verify_bound,
 )
-from hopctx.bounds import bound_report_csv_row
+from hopctx.bounds import BOUND_CSV_COLUMNS
 from hopctx.experiments import _draw_row, _verify_row, parse_config_text
 from hopctx.selection import _broadcast_rows, pool_score_matrix
 
@@ -231,21 +231,22 @@ class TestBoundSweep:
     def test_full_duplication_cell_bound_equals_instance_error(self):
         config = small_config(bound_gamma_grid=(1.0,), bound_m_grid=(4,), bound_dup_fractions=(1.0,),
                               bound_instances=25)
-        reports, csv_text, summary = run_bound_sweep(config)
+        columns, csv_text, summary = run_bound_sweep(config)
         assert summary["violations"] == 0
-        for r in reports:
-            assert r.t == r.m == 4
-            assert r.upper_bound == r.instance_error
+        assert (columns["t"] == 4).all() and (columns["M"] == 4).all()
+        assert (columns["upper_bound"] == columns["instance_error"]).all()
 
     def test_default_grid_row_count_and_summary(self):
         config = small_config(bound_instances=5)
-        reports, csv_text, summary = run_bound_sweep(config)
-        assert summary["instances"] == len(reports) == 3 * 3 * 3 * 5
+        columns, csv_text, summary = run_bound_sweep(config)
+        assert summary["instances"] == 3 * 3 * 3 * 5
+        assert list(columns) == list(BOUND_CSV_COLUMNS)
+        assert all(len(a) == summary["instances"] for a in columns.values())
         lines = csv_text.strip().splitlines()
         assert lines[0] == "# hopctx bound-sweep v1"
         assert lines[1].startswith("instance_id,M,t,gamma,")
         assert lines[-1].startswith("# summary")
-        assert len(lines) == 2 + len(reports) + 1
+        assert len(lines) == 2 + summary["instances"] + 1
 
     def test_byte_identical_reruns(self):
         config = small_config(bound_instances=10)
@@ -279,7 +280,8 @@ class TestBoundSweep:
                         query = QueryState.from_sigma(rng.standard_normal(d_m), model)
                         dz = rng.uniform(0.0, 1.0) * rng.standard_normal(d_q)
                         report = verify_bound(model, ctx, query, ctx.patterns(model)[:, 0] + dz, target_index=0)
-                        writer.writerow(bound_report_csv_row(f"g{gi}-m{mi}-d{di}-{j}", report))
+                        writer.writerow([f"g{gi}-m{mi}-d{di}-{j}", report.m, report.t]
+                                        + [getattr(report, name) for name in BOUND_CSV_COLUMNS[3:]])
         return buf.getvalue().splitlines()
 
     def test_rows_equal_verify_bound_on_the_same_draws(self):
@@ -295,10 +297,11 @@ class TestBoundSweep:
         # margin sends c, beta and the bound to inf, on the same comparison.
         config = small_config(bound_gamma_grid=(0.5, 1e4), bound_m_grid=(1, 3, 8),
                               bound_dup_fractions=(0.0, 1.0), bound_instances=12)
-        reports, csv_text, _ = run_bound_sweep(config)
+        columns, csv_text, _ = run_bound_sweep(config)
         assert csv_text.splitlines()[2:-1] == self.object_path_rows(config)
-        assert any(r.m == 1 and r.delta_min is None and r.c == 0.0 for r in reports)
-        assert any(r.c == math.inf and r.upper_bound == math.inf for r in reports)
+        assert np.any((columns["M"] == 1) & (columns["t"] == 1) & np.isnan(columns["delta_min"])
+                      & (columns["c"] == 0.0))
+        assert np.any((columns["c"] == math.inf) & (columns["upper_bound"] == math.inf))
 
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
@@ -360,8 +363,8 @@ class TestBoundSweep:
                                    (("norm", "score"), r"^norms are not finite")):
                 with pytest.raises(ValueError, match=message):
                     _verify_row(row_with_faults(dict(zip((i, j), kinds))), 2.0)
-        reports = _verify_row(list(_draw_row(config, 0, 0)), 2.0)
-        assert [r.t for r in reports] == [1] * n + [2] * n  # dup fraction 0.5 of M = 4: t = 2
+        columns = _verify_row(list(_draw_row(config, 0, 0)), 2.0)
+        assert columns["t"].tolist() == [1] * n + [2] * n  # dup fraction 0.5 of M = 4: t = 2
 
 
 class TestGammaMonotonicity:
