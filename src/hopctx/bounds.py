@@ -108,11 +108,12 @@ def separation(u: np.ndarray, z: np.ndarray, target_index: int) -> SeparationRep
     u is the query pattern and z the context patterns as columns
     (``ContextSet.patterns``).  Duplicates of the target are detected by
     per-coordinate equality within ``DUPLICATE_TOL``; delta_min is the
-    minimum margin over non-duplicates.  A non-finite u or z raises ValueError.
+    minimum margin over non-duplicates.  A non-finite u or z, or scores u z
+    that overflow float64, raise ValueError.
     """
     if not (np.isfinite(u).all() and np.isfinite(z).all()):
         raise ValueError("u or z not finite: separation takes finite input")
-    delta_all, delta_min, t = _margins((u @ z)[None], z[None], target_index)
+    delta_all, delta_min, t = _margins(_finite_product(u, z, "scores u z")[None], z[None], target_index)
     t, m = int(t[0]), z.shape[1]
     return SeparationReport(delta_all[0], None if t == m else float(delta_min[0]), t, m)
 

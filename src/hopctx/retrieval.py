@@ -194,21 +194,6 @@ def retrieval_update(u: np.ndarray, z: np.ndarray, v: np.ndarray, gamma: float) 
     return weights, (weights[..., None, :] @ v)[..., 0, :]
 
 
-def _retrieval_update_view(u, z, v, gamma):
-    """``retrieval_update``, except that with M = 1 u_new is a read-only view:
-    v's rows plus 0.0, formed once and repeated over the query rows.  Only
-    ``AssociativeOracle.predict_pool`` returns it, for its scores to form
-    each repeated prediction's norm once.  The bits are the formula's: the
-    shifted score is 0, so the weight exp(gamma * 0) / 1 is exactly 1.0 for
-    every finite score and finite gamma > 0 (the scores are still formed, so
-    an overflowing u z still raises), and v's row plus 0.0 has the bits of
-    1.0 * v: BLAS sums from 0, so it gives +0.0 for a -0.0 entry."""
-    if v.shape[-2] != 1:
-        return retrieval_update(u, z, v, gamma)
-    scores = _finite_product(u[..., None, :], z, "scores u z")[..., 0, :]
-    return np.ones_like(scores), np.broadcast_to(v[..., 0, :] + 0.0, scores.shape[:-1] + v.shape[-1:])
-
-
 def hnc_retrieve(model: ContextualHopfield, ctx: ContextSet, query: QueryState) -> RetrievalResult:
     """Apply the retrieval update (``retrieval_update``) to the query pattern."""
     z = ctx.patterns(model)

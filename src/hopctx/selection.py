@@ -89,8 +89,8 @@ class Exemplar:
 
 class ExemplarPool:
     """Ordered pool of exemplars with unique integer ids, kept as arrays: the
-    read-only ``ids``, x rows ``xs``, y rows ``ys`` and (x, y) rows ``pairs``,
-    built once.  A context drawn from the pool is given as pool positions.
+    read-only ``ids``, x rows ``xs`` and y rows ``ys``, built once.  A
+    context drawn from the pool is given as pool positions.
     ``pool[i]`` (and iteration) builds row i's ``Exemplar``, its ``latent_id``
     as given, for an oracle's ``predict(context, x)``."""
 
@@ -111,7 +111,6 @@ class ExemplarPool:
 
     def _set_rows(self, ids, xs, ys, latent_ids) -> "ExemplarPool":
         self.ids, self.xs, self.ys = (_read_only(np.ascontiguousarray(a)) for a in (ids, xs, ys))
-        self.pairs = _read_only(np.hstack([self.xs, self.ys]))
         self._latent_ids = tuple(latent_ids)
         return self
 
@@ -163,7 +162,8 @@ def _check_subsample(pool: ExemplarPool, subsample) -> None:
 def safe_score(score_fn, y_hat, y) -> tuple[float, bool]:
     """Score a prediction, mapping malformed outputs to 0 instead of aborting."""
     try:
-        s = float(score_fn(y_hat, y))
+        with np.errstate(all="ignore"):
+            s = float(score_fn(y_hat, y))
     except (ValueError, TypeError, ZeroDivisionError):
         return 0.0, False
     if not np.isfinite(s):

@@ -8,10 +8,11 @@ optionally with a batched ``predict_pool(pool, ids, xs)`` that takes each
 context as pool positions (``selection.score_contexts`` uses it when present).
 Each built-in score is a scalar function with a bare batched ``rows``
 kernel; ``selection.score_rows`` applies the safe-score rule to either form.
-The built-in oracle answers by associative retrieval over the context pairs
-themselves, so every experiment runs fully locally; an HTTP adapter lets a
-remote predictor stand in behind the same interface, ``predict_pool``
-included: it sends one request per row, up to ``REMOTE_IN_FLIGHT`` at once.
+The built-in oracle answers by associative retrieval over the context (x, y)
+pairs themselves (one exemplar gets weight 1, so it skips the softmax), so
+every experiment runs fully locally; an HTTP adapter lets a remote predictor
+stand in behind the same interface, ``predict_pool`` included: it sends one
+request per row, up to ``REMOTE_IN_FLIGHT`` at once.
 """
 
 import json
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .retrieval import _retrieval_update_view, _row_dot, retrieval_update
+from .retrieval import _finite_product, _row_dot, retrieval_update
 from .selection import ExemplarPool, _broadcast_rows
 
 __all__ = [
@@ -194,11 +195,10 @@ class AssociativeOracle:
     for that case).
 
     ``predict_pool`` is the batched form: every context is a set of pool
-    positions, gathered from the pool's stacked x and y rows, and the whole
-    batch is one ``_retrieval_update_view`` call.  ``predict_many`` (one
+    positions, gathered from the pool's x and y rows.  ``predict_many`` (one
     context, many queries) and ``predict`` (one of each) are front-ends over
-    the same embedding and ``retrieval_update``, and every row of any of
-    them has the same bits.
+    the same ``_retrieve``, which skips the softmax for a one-exemplar
+    context, and every row of any of them has the same bits.
     """
 
     def __init__(self, gamma: float = 1.0, y_dim: int | None = None):
@@ -223,8 +223,8 @@ class AssociativeOracle:
         for e in context_exemplars:
             if e.x.shape != xs.shape[1:] or e.y.shape != (d_y,):
                 raise ValueError("context exemplar dimensions do not match the query")
-        pairs = np.stack([np.concatenate([e.x, e.y]) for e in context_exemplars])
-        return self._retrieve(pairs, np.arange(len(pairs)), xs, retrieval_update)
+        cxs, cys = np.stack([e.x for e in context_exemplars]), np.stack([e.y for e in context_exemplars])
+        return self._retrieve(cxs, cys, np.arange(len(cxs)), xs).copy()
 
     def predict_pool(self, pool: ExemplarPool, ids, xs) -> np.ndarray:
         """Predictions of the contexts ``ids[..., :K]`` (pool positions) on
@@ -237,22 +237,24 @@ class AssociativeOracle:
             raise ValueError(f"ids must hold at least one pool position per context, got shape {ids.shape}")
         if xs.ndim < 1 or pool.xs.shape[1:] != xs.shape[-1:]:
             raise ValueError("context exemplar dimensions do not match the query")
-        return self._retrieve(pool.pairs, ids, xs, _retrieval_update_view)
+        return self._retrieve(pool.xs, pool.ys, ids, xs)
 
-    def _retrieve(self, pairs, ids, xs, update) -> np.ndarray:
-        """y-blocks of the retrieval over the patterns ``pairs[ids]``.  With
-        identity projections the query patterns are the (x, 0) embeddings
-        and the context patterns the (x, y) pairs themselves.  Each row's v
-        (K, d) and z (d, K) are C-contiguous, so each row makes the same
-        BLAS call however the batch is shaped.  ``update`` is
-        ``retrieval_update`` or, for ``predict_pool``, its form that repeats
-        a one-exemplar prediction as a read-only view."""
-        v = pairs[ids]
+    def _retrieve(self, cxs, cys, ids, xs) -> np.ndarray:
+        """y-blocks of the retrieval over the contexts ``ids[..., :K]``: the
+        patterns v are the (x, y) rows of ``cxs`` and ``cys``, the queries the
+        (x, 0) rows, and each row's v and z = v^T are C-contiguous, so each row
+        makes the same BLAS call however the batch is shaped.  With K = 1 the
+        weight is exp(gamma * 0) / 1 = 1.0 exactly for every finite score
+        (still formed, so an overflowing u z raises): the prediction is y plus
+        0.0, the bits of 1.0 * y (BLAS sums from 0, so -0.0 gives +0.0),
+        formed once and repeated over the query rows as a read-only view."""
+        v = np.hstack([cxs, cys])[ids]
         z = np.ascontiguousarray(np.swapaxes(v, -1, -2))
-        d_x = xs.shape[-1]
-        sigmas = np.concatenate([xs, np.zeros(xs.shape[:-1] + (pairs.shape[1] - d_x,))], axis=-1)
-        _, u_new = update(sigmas, z, v, self.gamma)
-        return u_new[..., d_x:]
+        sigmas = np.concatenate([xs, np.zeros(xs.shape[:-1] + cys.shape[-1:])], axis=-1)
+        if ids.shape[-1] > 1:
+            return retrieval_update(sigmas, z, v, self.gamma)[1][..., xs.shape[-1]:]
+        scores = _finite_product(sigmas[..., None, :], z, "scores u z")[..., 0, :]
+        return np.broadcast_to(cys[ids[..., 0]] + 0.0, scores.shape[:-1] + cys.shape[-1:])
 
 
 def split_endpoint(endpoint: str) -> tuple[str, str, int | None, str]:
@@ -283,8 +285,8 @@ class RemoteOracle:
     Each attempt opens one connection and asks the server to close it
     (``Connection: close``).  A transport error or a non-2xx status is retried
     up to ``REMOTE_MAX_RETRIES`` times; a non-finite input, a malformed body, a
-    prediction whose length differs from the context's y or that does not fit
-    float64, or exhausted retries raise ``OracleFailure``.
+    prediction whose length differs from the context's y or that is not finite
+    in float64, or exhausted retries raise ``OracleFailure``.
 
     ``predict`` sends one request.  ``predict_pool`` sends one per broadcast
     row of a batch of pool-indexed contexts, with up to ``REMOTE_IN_FLIGHT``
@@ -388,9 +390,12 @@ class RemoteOracle:
                     f"context y has length {len(context_ys[0])}"
                 )
             try:
-                return np.asarray(prediction, dtype=np.float64)
+                prediction = np.asarray(prediction, dtype=np.float64)
             except OverflowError as exc:  # an integer beyond the float64 range
                 raise OracleFailure(f"request {request_id}: 'prediction' does not fit float64 ({exc})") from exc
+            if not np.isfinite(prediction).all():  # NaN, Infinity or a float literal such as 1e400
+                raise OracleFailure(f"request {request_id}: 'prediction' is not finite")
+            return prediction
         raise OracleFailure(f"request {request_id}: no successful response ({last_error})")
 
 

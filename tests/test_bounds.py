@@ -110,6 +110,15 @@ class TestSeparation:
             with pytest.raises(ValueError, match=r"^u or z not finite: separation takes finite input$"):
                 separation(patterns["u"], patterns["z"], target_index=0)
 
+    def test_rejects_overflowing_scores(self):
+        # Finite u and z whose scores u z overflow are rejected with the
+        # verifier's message, before anything warns, not reported as an
+        # infinite margin that error_bound would turn into a bound of 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"^scores u z are not finite"):
+                separation(np.array([1e200, 0.0]), np.array([[1e200, 0.0], [0.0, 1.0]]), 0)
+
     def test_rejects_out_of_range_index(self):
         model, ctx, query = identity_instance([[1.0, 0.0]], [1.0, 0.0])
         with pytest.raises(IndexError):

@@ -25,9 +25,18 @@ from hopctx import (
 )
 
 
+# Bodies that Python's json module parses, to a NaN or an infinite entry.
+NON_FINITE_BODIES = {
+    "/nan": b'{"prediction": [NaN, 1.0]}',
+    "/neginf": b'{"prediction": [-Infinity, 1.0]}',
+    "/overflow": b'{"prediction": [1e400, 1.0]}',
+}
+
+
 class StubHandler(BaseHTTPRequestHandler):
     """Routes: /echo fixed prediction, /predict builtin-backed, /record as
-    /predict, /malformed, /error 500, /notjson, /huge (an integer beyond float64), /drop and /garbage (on every
+    /predict, /malformed, /error 500, /notjson, /huge (an integer beyond float64), /nan, /neginf and
+    /overflow (a NaN, -Infinity or 1e400 prediction entry), /drop and /garbage (on every
     odd-numbered attempt close the connection unanswered, or after a line that
     is no HTTP status line; echo on the others).  ``seen`` lists the path of
     every POST received, ``recorded`` the raw body of every POST to /record."""
@@ -58,6 +67,8 @@ class StubHandler(BaseHTTPRequestHandler):
             self._reply(200, {"prediction": pred.tolist()})
         elif self.path == "/huge":
             self._reply(200, {"prediction": [10**400, 0]})
+        elif self.path in NON_FINITE_BODIES:
+            self._reply(200, raw=NON_FINITE_BODIES[self.path])
         elif self.path == "/malformed":
             self._reply(200, {"result": "oops"})
         elif self.path == "/notjson":
@@ -69,8 +80,8 @@ class StubHandler(BaseHTTPRequestHandler):
         else:
             self._reply(500, {"error": "boom"})
 
-    def _reply(self, status, payload):
-        body = json.dumps(payload).encode()
+    def _reply(self, status, payload=None, raw=None):
+        body = json.dumps(payload).encode() if raw is None else raw
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -143,6 +154,15 @@ def test_prediction_beyond_float64_raises(stub_server):
     oracle = RemoteOracle(stub_server + "/huge")
     with pytest.raises(OracleFailure, match=r"^request 1: 'prediction' does not fit float64"):
         oracle.predict([], np.zeros(2))
+
+
+@pytest.mark.parametrize("route", sorted(NON_FINITE_BODIES))
+def test_non_finite_prediction_raises(stub_server, route):
+    # A non-finite prediction would score 0 unnoticed: it is a failed call.
+    oracle = RemoteOracle(stub_server + route)
+    e = Exemplar(id=0, x=np.zeros(2), y=np.zeros(2))
+    with pytest.raises(OracleFailure, match=r"^request 1: 'prediction' is not finite"):
+        oracle.predict([e], np.zeros(2))
 
 
 def test_loopback_matches_builtin(stub_server):

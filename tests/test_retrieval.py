@@ -19,7 +19,7 @@ from hopctx import (
     hnc_retrieve,
     softmax,
 )
-from hopctx.retrieval import _retrieval_update_view, retrieval_update
+from hopctx.retrieval import retrieval_update
 from hopctx.selection import POOL_BLOCK_PREDICTIONS, pool_score_matrix, score_rows
 
 
@@ -181,8 +181,8 @@ class TestBatchInvariance:
     def test_pool_prediction_rows_equal_predict(self, seed, k, n, shared):
         # Contexts as pool positions, one per query row (n, K) or one for
         # all rows (K,): each row equals predict on that context and query.
-        # For K = 1 (half the examples) that compares predict_pool's
-        # one-pattern view with the softmax formula predict runs.
+        # For K = 1 (half the examples) both take the one-exemplar shortcut,
+        # which test_one_pattern_equals_softmax_mix checks against the formula.
         rng = np.random.default_rng(seed)
         d_x, d_y = int(rng.integers(1, 9)), int(rng.integers(1, 9))
         pool = ExemplarPool([
@@ -205,42 +205,55 @@ class TestBatchInvariance:
         st.floats(min_value=0.0, exclude_min=True, max_value=1e300),
     )
     @settings(max_examples=150, deadline=None)
-    def test_one_pattern_equals_softmax_mix(self, seed, batch, patterns, gamma):
-        # With M = 1 the view skips the softmax and the weighted sum; its
-        # bits must equal the formula's, signed zeros included (1.0 * -0.0
-        # summed from 0 is +0.0).  Patterns are one for every query row
-        # ("shared"), one per row ("own"), or one per row of the first axis
-        # and repeated over the rest ("repeated"); u_new must repeat each
-        # over the query axes as a read-only view with stride 0.
+    def test_one_pattern_equals_softmax_mix(self, seed, batch, contexts, gamma):
+        # With one exemplar the oracle skips the softmax and the weighted
+        # sum; its bits must equal the y-block of the formula's, signed zeros
+        # included (1.0 * -0.0 summed from 0 is +0.0).  Contexts are one for
+        # every query row ("shared"), one per row ("own"), or one per row of
+        # the first axis and repeated over the rest ("repeated"); the
+        # prediction must repeat each over the query axes as a read-only view
+        # with stride 0.
         rng = np.random.default_rng(seed)
-        d = int(rng.integers(1, 33))
+        d_x, d_y = int(rng.integers(1, 17)), int(rng.integers(1, 17))
 
         def signed_zeros(a):
             return np.where(rng.random(a.shape) < 0.3, np.copysign(0.0, a), a)
 
-        v_batch = {"shared": (), "own": batch, "repeated": batch[:1] + (1,) * len(batch[1:])}[patterns]
-        u = signed_zeros(rng.standard_normal(batch + (d,)))
-        v = signed_zeros(rng.standard_normal(v_batch + (1, d)))
-        z = np.ascontiguousarray(np.swapaxes(v, -1, -2))
-        weights, u_new = _retrieval_update_view(u, z, v, gamma)
-        ref_weights, ref_u_new = retrieval_update(u, z, v, gamma)
-        assert weights.shape == ref_weights.shape == batch + (1,)
+        pool = ExemplarPool([Exemplar(id=i, x=signed_zeros(rng.standard_normal(d_x)),
+                                      y=signed_zeros(rng.standard_normal(d_y))) for i in range(8)])
+        ids_batch = {"shared": (), "own": batch, "repeated": batch[:1] + (1,) * len(batch[1:])}[contexts]
+        ids = rng.integers(0, pool.size, size=ids_batch + (1,))
+        xs = signed_zeros(rng.standard_normal(batch + (d_x,)))
+        got = AssociativeOracle(gamma=gamma).predict_pool(pool, ids, xs)
+        v = np.concatenate([pool.xs[ids], pool.ys[ids]], axis=-1)
+        u = np.concatenate([xs, np.zeros(batch + (d_y,))], axis=-1)
+        weights, u_new = retrieval_update(u, np.ascontiguousarray(np.swapaxes(v, -1, -2)), v, gamma)
         assert np.all(weights == 1.0)
-        assert weights.tobytes() == ref_weights.tobytes()
-        assert u_new.shape == ref_u_new.shape == batch + (d,)
-        assert u_new.tobytes() == ref_u_new.tobytes()
-        assert not u_new.flags.writeable and ref_u_new.flags.writeable
-        v_axes = (1,) * (len(batch) - len(v_batch)) + v_batch
-        assert all(u_new.strides[a] == 0 for a, n in enumerate(v_axes) if n == 1)
+        assert got.shape == u_new[..., d_x:].shape == batch + (d_y,)
+        assert got.tobytes() == u_new[..., d_x:].tobytes()
+        assert not got.flags.writeable and u_new.flags.writeable
+        ids_axes = (1,) * (len(batch) - len(ids_batch)) + ids_batch
+        assert all(got.strides[a] == 0 for a, n in enumerate(ids_axes) if n == 1)
 
     def test_one_pattern_overflowing_scores_raise(self):
+        # One exemplar still forms its score u z, so an overflowing score
+        # raises, before anything warns, on every path that takes one.
+        e = Exemplar(id=0, x=np.array([1e200]), y=np.array([1e200]))
+        pool, oracle, xs = ExemplarPool([e]), AssociativeOracle(gamma=1.0), np.full((3, 1), 1e200)
         v = np.array([[1e200, 1e200]])
-        for update in (retrieval_update, _retrieval_update_view):
-            for u in (np.array([1e200, 1e200]), np.full((3, 2), 1e200)):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    with pytest.raises(ValueError, match="scores u z"):
-                        update(u, v.T.copy(), v, 1.0)
+        calls = [
+            lambda: retrieval_update(np.array([1e200, 1e200]), v.T.copy(), v, 1.0),
+            lambda: retrieval_update(np.full((3, 2), 1e200), v.T.copy(), v, 1.0),
+            lambda: oracle.predict_pool(pool, [0], xs[0]),
+            lambda: oracle.predict_pool(pool, [[0]] * 3, xs),
+            lambda: oracle.predict_many([e], xs),
+            lambda: oracle.predict([e], xs[0]),
+        ]
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="scores u z"):
+                    call()
 
     def test_pool_score_matrix_blocks_equal_one_call_per_exemplar(self):
         rng = np.random.default_rng(4)

@@ -1,5 +1,6 @@
 """Selection strategies: sampling procedure, ranking rules, value estimates."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -651,6 +652,17 @@ class TestScoreContexts:
         with pytest.raises(ValueError, match=rf"\(2, {t}, 1, 2\) and targets \(2, {t}, 2\)"):
             score_contexts(pool, ExtraAxisOracle(), cosine_score, np.zeros((2, 1, 1), int), pool.xs[:t], pool.ys[:t])
 
+    @pytest.mark.parametrize("fn", [cosine_score, negative_error, exact_match])
+    def test_safe_score_of_non_finite_prediction_does_not_warn(self, fn):
+        # A predict-only oracle's predictions are scored by safe_score, which
+        # must flag an inf or NaN prediction as score_rows does, not warn.
+        for y_hat in ([np.inf, 1.0], [np.nan, 1.0], [1e200, 1e200]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                s, ok = safe_score(fn, np.array(y_hat), np.ones(2))
+            rows, rows_ok = selection.score_rows(fn, np.array([y_hat]), np.ones((1, 2)))
+            assert (s, ok) == (rows[0], rows_ok[0])
+
 
 class TestPredictRows:
     """``predict_pool``, which predicts the rows of pool-indexed contexts,
@@ -735,11 +747,6 @@ class TestPoolRank:
         assert pool.ids.tolist() == [7, -3, 12]
         assert pool.ids is pool.ids and not pool.ids.flags.writeable
 
-    def test_pairs_read_only_and_built_once(self):
-        pool = ExemplarPool([Exemplar(id=i, x=np.full(2, i), y=np.ones(1)) for i in (7, -3, 12)])
-        assert pool.pairs.tolist() == [[7, 7, 1], [-3, -3, 1], [12, 12, 1]]
-        assert pool.pairs is pool.pairs and not pool.pairs.flags.writeable
-
 
 class TestPoolValidation:
     def test_duplicate_ids_rejected(self):
@@ -774,7 +781,7 @@ class TestPoolRows:
     def test_pool_of_its_exemplars_has_the_same_rows(self, case):
         pool = POOL_CASES[case]()
         rebuilt = ExemplarPool(list(pool))
-        for name in ("ids", "xs", "ys", "pairs"):
+        for name in ("ids", "xs", "ys"):
             a, b = getattr(pool, name), getattr(rebuilt, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
             for arr in (a, b):
@@ -785,7 +792,7 @@ class TestPoolRows:
     @pytest.mark.parametrize("case", sorted(POOL_CASES))
     def test_arrays_cannot_be_written(self, case):
         pool = POOL_CASES[case]()
-        for arr in (pool.ids, pool.xs, pool.ys, pool.pairs, pool[0].x, pool[0].y):
+        for arr in (pool.ids, pool.xs, pool.ys, pool[0].x, pool[0].y):
             with pytest.raises(ValueError):
                 arr[0] = 1
 

@@ -367,18 +367,20 @@ class TestAssociativeOracle:
         # rows as a read-only view; the public one-context results may not.
         pool, queries = generate_pool(make_benchmark_task(p=4, d=8), 10, seed=5, n_queries=4)
         context, oracle = [pool[3]], AssociativeOracle(gamma=2.0)
-        d = pool.pairs.shape[1]
+        pattern = np.concatenate([pool.xs[3], pool.ys[3]])
+        d = pattern.shape[0]
         model = ContextualHopfield.identity(d, gamma=2.0)
-        ctx = ContextSet(pool.pairs[3][:, None])
+        ctx = ContextSet(pattern[:, None])
         query = QueryState.from_sigma(np.concatenate([queries.xs[0], np.zeros(d - queries.xs.shape[1])]), model)
         results = {
             "predict": oracle.predict(context, queries.xs[0]),
             "predict_many": oracle.predict_many(context, queries.xs),
+            "predict_many, two exemplars": oracle.predict_many([pool[3], pool[5]], queries.xs),
             "hnc_retrieve": hnc_retrieve(model, ctx, query).u_new,
         }
         for name, got in results.items():
             assert got.flags.writeable, name
-            for owner in (pool.xs, pool.ys, pool.pairs, context[0].x, context[0].y, ctx.lam, query.u):
+            for owner in (pool.xs, pool.ys, context[0].x, context[0].y, ctx.lam, query.u):
                 assert not np.shares_memory(got, owner), name
         many = results["predict_many"]
         many[0] = np.nan  # each row is its own
