@@ -28,7 +28,6 @@ from .bounds import (
     verify_bound,
 )
 from .selection import (
-    Exemplar,
     ExemplarPool,
     active_select,
     estimate_pool_values,
@@ -36,6 +35,7 @@ from .selection import (
 )
 from .tasks import (
     AssociativeOracle,
+    Exemplar,
     OracleFailure,
     RemoteOracle,
     TaskSpec,

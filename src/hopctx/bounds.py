@@ -90,9 +90,11 @@ class BoundReport:
     realized_error: float | None = None
 
 
+@np.errstate(over="ignore")
 def _margins(sims: np.ndarray, z: np.ndarray, target_index: int):
     """The duplicate rule and the margins, for scores sims (B, M) and patterns
-    z (B, d_q, M).  Returns (delta_all, delta_min, t), delta_min NaN at t = M."""
+    z (B, d_q, M).  Returns (delta_all, delta_min, t), delta_min NaN at t = M;
+    a difference of finite values that overflows is an infinite margin."""
     m = z.shape[-1]
     if not 0 <= target_index < m:
         raise IndexError(f"target_index {target_index} out of range for M={m}")

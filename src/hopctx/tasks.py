@@ -3,16 +3,16 @@
 A task draws labelled (x, y) pairs from a small set of latent prototype
 vectors: the prototype is chosen uniformly, isotropic Gaussian noise is added
 to x, and y stays the clean completion of the chosen prototype.  Predictors
-are "completion oracles": anything with ``predict(context_exemplars, x)``,
-optionally with a batched ``predict_pool(pool, ids, xs)`` that takes each
-context as pool positions (``selection.score_contexts`` uses it when present).
-Each built-in score is a scalar function with a bare batched ``rows``
-kernel; ``selection.score_rows`` applies the safe-score rule to either form.
-The built-in oracle answers by associative retrieval over the context (x, y)
-pairs themselves (one exemplar gets weight 1, so it skips the softmax), so
-every experiment runs fully locally; an HTTP adapter lets a remote predictor
-stand in behind the same interface, ``predict_pool`` included: it sends one
-request per row, up to ``REMOTE_IN_FLIGHT`` at once.
+are "completion oracles": an oracle defines ``predict_pool(pool, ids, xs)``,
+the predictions of contexts given as pool positions on query rows, or
+serves the remote wire format of ``RemoteOracle``.  A score maps (..., d)
+predictions and targets to one score per row, non-finite where undefined;
+``selection.score_rows`` applies the safe-score rule to it.  The built-in
+oracle answers by associative retrieval over the context (x, y) pairs
+themselves (one exemplar gets weight 1, so it skips the softmax), so every
+experiment runs fully locally; an HTTP adapter lets a remote predictor
+stand in behind the same ``predict_pool``: it sends one request per row, up
+to ``REMOTE_IN_FLIGHT`` at once.
 """
 
 import json
@@ -24,10 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .retrieval import _finite_product, _row_dot, retrieval_update
-from .selection import ExemplarPool, _broadcast_rows
+from .selection import ExemplarPool
 
 __all__ = [
     "TaskSpec",
+    "Exemplar",
     "AssociativeOracle",
     "RemoteOracle",
     "OracleFailure",
@@ -106,61 +107,29 @@ class TaskSpec:
 
 
 # ---------------------------------------------------------------------------
-# Score functions (higher is better)
+# Score functions (higher is better): float64 predictions and targets
+# (..., d) in, their leading axes broadcast, and one score per broadcast row
+# out, non-finite where undefined.
 # ---------------------------------------------------------------------------
 
 
-def _as_pair(y_hat, y):
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if y_hat.shape != y.shape:
-        raise ValueError(f"prediction shape {y_hat.shape} != target shape {y.shape}")
-    return y_hat, y
-
-
-def cosine_score(y_hat, y) -> float:
-    """(1 + cos(y_hat, y)) / 2, in [0, 1].  Undefined for zero vectors."""
-    y_hat, y = _as_pair(y_hat, y)
-    nh, ny = np.linalg.norm(y_hat), np.linalg.norm(y)
-    if nh == 0.0 or ny == 0.0:
-        raise ValueError("cosine score undefined for zero vectors")
-    cos = float(y_hat @ y) / (nh * ny)
-    return (1.0 + cos) / 2.0
-
-
-def _cosine_rows(y_hats, ys):
-    # A zero-norm row divides by 0 or NaN, so its score is never finite.
+def cosine_score(y_hats, ys):
+    """(1 + cos(y_hat, y)) / 2 per row, in [0, 1]; never finite for a zero row
+    (it divides by 0 or NaN)."""
     nh, ny = np.sqrt(_row_dot(y_hats, y_hats)), np.sqrt(_row_dot(ys, ys))
     return (1.0 + _row_dot(y_hats, ys) / (nh * ny)) / 2.0
 
 
-def exact_match(y_hat, y) -> float:
-    """1 if the prediction equals the target exactly, else 0."""
-    y_hat, y = _as_pair(y_hat, y)
-    return 1.0 if np.array_equal(y_hat, y) else 0.0
-
-
-def _exact_match_rows(y_hats, ys):
+def exact_match(y_hats, ys):
+    """1 per row where the prediction equals the target exactly, else 0."""
     return (y_hats == ys).all(axis=-1).astype(np.float64)
 
 
-def negative_error(y_hat, y) -> float:
-    """-||y_hat - y||: negated Euclidean error, 0 at a perfect prediction."""
-    y_hat, y = _as_pair(y_hat, y)
-    return float(-np.linalg.norm(y_hat - y))
-
-
-def _negative_error_rows(y_hats, ys):
+def negative_error(y_hats, ys):
+    """-||y_hat - y|| per row: negated Euclidean error, 0 at a perfect prediction."""
     diff = y_hats - ys
     return -np.sqrt(_row_dot(diff, diff))
 
-
-# Rows kernel of each score, run by ``selection.score_rows``: float64
-# predictions and targets (..., d) in, their leading axes broadcast, and one
-# score per broadcast row out, non-finite where undefined.
-cosine_score.rows = _cosine_rows
-exact_match.rows = _exact_match_rows
-negative_error.rows = _negative_error_rows
 
 SCORE_TAGS = {
     "cosine-score": cosine_score,
@@ -184,21 +153,42 @@ class OracleFailure(RuntimeError):
     """A completion oracle could not produce a usable prediction."""
 
 
+@dataclass(frozen=True)
+class Exemplar:
+    """A labelled (x, y) pair, the context element of
+    ``AssociativeOracle.predict`` and ``predict_many``."""
+
+    id: int
+    x: np.ndarray
+    y: np.ndarray
+
+
+def _pool_query(pool: ExemplarPool, ids, xs) -> tuple[np.ndarray, np.ndarray]:
+    """``ids`` as pool positions and ``xs`` as float64 query rows, checked
+    for every oracle's ``predict_pool``: each context holds at least one
+    position, and each query row has the pool's x width."""
+    ids, xs = np.asarray(ids, dtype=np.intp), np.asarray(xs, dtype=np.float64)
+    if ids.ndim < 1 or ids.shape[-1] < 1:
+        raise ValueError(f"ids must hold at least one pool position per context, got shape {ids.shape}")
+    if xs.ndim < 1 or pool.xs.shape[1:] != xs.shape[-1:]:
+        raise ValueError("context exemplar dimensions do not match the query")
+    return ids, xs
+
+
 class AssociativeOracle:
     """Completion by associative retrieval over the context pairs.
 
     Each context exemplar is embedded as the pattern (x_i, y_i); the query is
     embedded as (x, 0).  Retrieval at inverse temperature gamma with identity
     projections (pure associative completion) produces an updated pattern
-    whose trailing block is the prediction.  With no context there is nothing
-    to retrieve and the prediction is the zero vector (``y_dim`` must be set
-    for that case).
+    whose trailing block is the prediction.
 
-    ``predict_pool`` is the batched form: every context is a set of pool
+    ``predict_pool`` is the oracle: every context is a set of pool
     positions, gathered from the pool's x and y rows.  ``predict_many`` (one
-    context, many queries) and ``predict`` (one of each) are front-ends over
-    the same ``_retrieve``, which skips the softmax for a one-exemplar
-    context, and every row of any of them has the same bits.
+    context of ``Exemplar`` pairs, many queries) and ``predict`` (one of
+    each) are front-ends over it, with its checks and its bits.  With no
+    context they have nothing to retrieve and the prediction is the zero
+    vector (``y_dim`` must be set for that case).
     """
 
     def __init__(self, gamma: float = 1.0, y_dim: int | None = None):
@@ -214,47 +204,37 @@ class AssociativeOracle:
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2:
             raise ValueError(f"expected a (n, d_x) batch, got shape {xs.shape}")
-        context_exemplars = list(context_exemplars)
-        if not context_exemplars:
+        context = list(context_exemplars)
+        if not context:
             if self.y_dim is None:
                 raise OracleFailure("zero-context prediction needs y_dim to be configured")
             return np.zeros((xs.shape[0], self.y_dim))
-        d_y = context_exemplars[0].y.shape[0]
-        for e in context_exemplars:
-            if e.x.shape != xs.shape[1:] or e.y.shape != (d_y,):
-                raise ValueError("context exemplar dimensions do not match the query")
-        cxs, cys = np.stack([e.x for e in context_exemplars]), np.stack([e.y for e in context_exemplars])
-        return self._retrieve(cxs, cys, np.arange(len(cxs)), xs).copy()
+        if len({(np.shape(e.x), np.shape(e.y)) for e in context}) > 1:
+            raise ValueError("context exemplar dimensions do not match the query")
+        pool = ExemplarPool(np.stack([e.x for e in context]), np.stack([e.y for e in context]))
+        return self.predict_pool(pool, np.arange(len(context)), xs).copy()
 
     def predict_pool(self, pool: ExemplarPool, ids, xs) -> np.ndarray:
         """Predictions of the contexts ``ids[..., :K]`` (pool positions) on
         the query rows ``xs[..., :d_x]``, their leading axes broadcast: shape
-        (*batch, d_y), a read-only view for one-exemplar contexts.  Row r
-        equals ``predict([pool[i] for i in ids[r]], xs[r])`` bit for bit."""
-        ids = np.asarray(ids, dtype=np.intp)
-        xs = np.asarray(xs, dtype=np.float64)
-        if ids.ndim < 1 or ids.shape[-1] < 1:
-            raise ValueError(f"ids must hold at least one pool position per context, got shape {ids.shape}")
-        if xs.ndim < 1 or pool.xs.shape[1:] != xs.shape[-1:]:
-            raise ValueError("context exemplar dimensions do not match the query")
-        return self._retrieve(pool.xs, pool.ys, ids, xs)
+        (*batch, d_y), a read-only view for one-exemplar contexts.
 
-    def _retrieve(self, cxs, cys, ids, xs) -> np.ndarray:
-        """y-blocks of the retrieval over the contexts ``ids[..., :K]``: the
-        patterns v are the (x, y) rows of ``cxs`` and ``cys``, the queries the
-        (x, 0) rows, and each row's v and z = v^T are C-contiguous, so each row
-        makes the same BLAS call however the batch is shaped.  With K = 1 the
+        The patterns v are the (x, y) rows of the pool, the queries the (x, 0)
+        rows, and each row's v and z = v^T are C-contiguous, so each row makes
+        the same BLAS call however the batch is shaped.  With K = 1 the
         weight is exp(gamma * 0) / 1 = 1.0 exactly for every finite score
-        (still formed, so an overflowing u z raises): the prediction is y plus
-        0.0, the bits of 1.0 * y (BLAS sums from 0, so -0.0 gives +0.0),
-        formed once and repeated over the query rows as a read-only view."""
-        v = np.hstack([cxs, cys])[ids]
+        (still formed, so an overflowing u z raises): the prediction is y
+        plus 0.0, the bits of 1.0 * y (BLAS sums from 0, so -0.0 gives
+        +0.0), formed once and repeated over the query rows as a read-only
+        view."""
+        ids, xs = _pool_query(pool, ids, xs)
+        v = np.hstack([pool.xs, pool.ys])[ids]
         z = np.ascontiguousarray(np.swapaxes(v, -1, -2))
-        sigmas = np.concatenate([xs, np.zeros(xs.shape[:-1] + cys.shape[-1:])], axis=-1)
+        sigmas = np.concatenate([xs, np.zeros(xs.shape[:-1] + pool.ys.shape[-1:])], axis=-1)
         if ids.shape[-1] > 1:
             return retrieval_update(sigmas, z, v, self.gamma)[1][..., xs.shape[-1]:]
         scores = _finite_product(sigmas[..., None, :], z, "scores u z")[..., 0, :]
-        return np.broadcast_to(cys[ids[..., 0]] + 0.0, scores.shape[:-1] + cys.shape[-1:])
+        return np.broadcast_to(pool.ys[ids[..., 0]] + 0.0, scores.shape[:-1] + pool.ys.shape[-1:])
 
 
 def split_endpoint(endpoint: str) -> tuple[str, str, int | None, str]:
@@ -278,7 +258,7 @@ def split_endpoint(endpoint: str) -> tuple[str, str, int | None, str]:
 
 
 class RemoteOracle:
-    """HTTP adapter: POST one JSON request per prediction.
+    """HTTP adapter: POST one JSON request per context row of ``predict_pool``.
 
     Request body:  {"exemplars": [{"x": [...], "y": [...]}, ...], "query": [...]}
     Response body: {"prediction": [...]}
@@ -288,10 +268,10 @@ class RemoteOracle:
     prediction whose length differs from the context's y or that is not finite
     in float64, or exhausted retries raise ``OracleFailure``.
 
-    ``predict`` sends one request.  ``predict_pool`` sends one per broadcast
-    row of a batch of pool-indexed contexts, with up to ``REMOTE_IN_FLIGHT``
-    in flight, and returns them in row order.  Requests are numbered from 1
-    per oracle, in row order within a batch, and a failure names its number.
+    ``predict_pool`` sends one request per broadcast row of a batch of
+    pool-indexed contexts, with up to ``REMOTE_IN_FLIGHT`` in flight, and
+    returns them in row order.  Requests are numbered from 1 per oracle, in
+    row order within a batch, and a failure names its number.
     """
 
     def __init__(self, endpoint: str):
@@ -299,23 +279,21 @@ class RemoteOracle:
         self._scheme, self._host, self._port, self._path = split_endpoint(endpoint)
         self._request_counter = 0
 
-    def predict(self, context_exemplars, x) -> np.ndarray:
-        context = list(context_exemplars)
-        self._request_counter += 1
-        return self._post([e.x for e in context], [e.y for e in context], x, self._request_counter)
-
     def predict_pool(self, pool: ExemplarPool, ids, xs) -> np.ndarray:
         """Predictions of the contexts ``ids[..., :K]`` (pool positions) on
         the query rows ``xs[..., :d_x]``, their leading axes broadcast: shape
-        (*batch, d_y).  Row r is ``predict([pool[i] for i in ids[r]], xs[r])``
-        as request r + 1 of the batch.  The first failing row in row order
+        (*batch, d_y), with ``AssociativeOracle.predict_pool``'s checks.  Row r
+        is request r + 1 of the batch.  The first failing row in row order
         raises its ``OracleFailure``; once any row has failed, no row not yet
         sent is sent."""
         # Imported here, as http.client is: only a remote batch needs them.
         import threading
         from concurrent.futures import ThreadPoolExecutor
 
-        ids, xs, batch = _broadcast_rows(ids, xs)
+        ids, xs = _pool_query(pool, ids, xs)
+        batch = np.broadcast_shapes(ids.shape[:-1], xs.shape[:-1])
+        ids = np.broadcast_to(ids, batch + ids.shape[-1:]).reshape(-1, ids.shape[-1])
+        xs = np.broadcast_to(xs, batch + xs.shape[-1:]).reshape(-1, xs.shape[-1])
         first = self._request_counter
         self._request_counter += len(ids)
         stop = threading.Event()
@@ -344,11 +322,8 @@ class RemoteOracle:
         import http.client
 
         body = {
-            "exemplars": [
-                {"x": np.asarray(cx, dtype=float).tolist(), "y": np.asarray(cy, dtype=float).tolist()}
-                for cx, cy in zip(context_xs, context_ys)
-            ],
-            "query": np.asarray(x, dtype=float).tolist(),
+            "exemplars": [{"x": cx, "y": cy} for cx, cy in zip(context_xs.tolist(), context_ys.tolist())],
+            "query": x.tolist(),
         }
         try:
             data = json.dumps(body, allow_nan=False).encode()
@@ -384,10 +359,10 @@ class RemoteOracle:
                 isinstance(v, (int, float)) and not isinstance(v, bool) for v in prediction
             ):
                 raise OracleFailure(f"request {request_id}: 'prediction' is not a numeric list")
-            if len(context_ys) and len(prediction) != len(context_ys[0]):
+            if len(prediction) != context_ys.shape[1]:
                 raise OracleFailure(
                     f"request {request_id}: prediction has length {len(prediction)}, "
-                    f"context y has length {len(context_ys[0])}"
+                    f"context y has length {context_ys.shape[1]}"
                 )
             try:
                 prediction = np.asarray(prediction, dtype=np.float64)
@@ -486,8 +461,8 @@ def generate_pool(
     sits between the normals, so the draws are not merged).  The arithmetic,
     elementwise and so the same bits as one draw at a time, is then done once
     for all rows.  Returns the pool and the queries as two pools of those
-    arrays, each numbered from 0 (the query pool is empty when n_queries is
-    0); ``pool[i]`` builds an ``Exemplar`` with its ``latent_id``.
+    arrays with their ``latents``, each numbered from 0 (the query pool is
+    empty when n_queries is 0).
     """
     if n < 2:
         raise ValueError("pool size must be at least 2")
@@ -507,4 +482,4 @@ def generate_pool(
         xs = np.concatenate([protos[:, :half] + spec.noise_sigma * noise, np.zeros((n + n_queries, half))], axis=1)
         ys = protos[:, half:]
     pool_rows, query_rows = slice(n), slice(n, None)
-    return tuple(ExemplarPool._of_rows(xs[s], ys[s], latents[s].tolist()) for s in (pool_rows, query_rows))
+    return tuple(ExemplarPool(xs[s], ys[s], latents[s]) for s in (pool_rows, query_rows))

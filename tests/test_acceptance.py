@@ -41,7 +41,7 @@ from hopctx import (
     separation,
     verify_bound,
 )
-from hopctx.selection import pool_score_matrix, safe_score
+from hopctx.selection import pool_score_matrix, score_rows
 
 
 def _report(line):
@@ -255,11 +255,9 @@ def test_criterion_6_value_estimator():
     worst = 0.0
     matrix = pool_score_matrix(pool, oracle, cosine_score)
     full_values, _ = estimate_pool_values(pool, matrix, subsample="all")
-    for e, value in zip(pool, full_values):
-        brute = np.mean([
-            cosine_score(oracle.predict([e], other.x), other.y)
-            for other in pool if other.id != e.id
-        ])
+    for i, value in enumerate(full_values):
+        others = np.delete(np.arange(pool.size), i)
+        brute = np.mean(cosine_score(oracle.predict_pool(pool, [i], pool.xs[others]), pool.ys[others]))
         worst = max(worst, abs(value - float(brute)))
     assert worst <= 1e-12, f"full-pool estimate deviates from brute force by {worst:.2e}"
 
@@ -352,16 +350,15 @@ def test_criterion_8_zero_context_strictly_worse():
         for k in (1, 2, 4):
             zero_scores = []
             ctx_scores = []
-            for q in queries:
-                same = [e for e in pool if e.latent_id == q.latent_id]
-                if not same:
+            for q_x, q_y, q_latent in zip(queries.xs, queries.ys, queries.latents):
+                same = np.flatnonzero(pool.latents == q_latent)
+                if not len(same):
                     continue
-                others = [e for e in pool if e.latent_id != q.latent_id]
+                others = np.flatnonzero(pool.latents != q_latent)
                 extra_count = min(k - 1, len(others))
-                extras = [others[i] for i in rng.permutation(len(others))[:extra_count]]
-                context = [same[0]] + list(extras)
-                zero_scores.append(safe_score(cosine_score, oracle.predict([], q.x), q.y)[0])
-                ctx_scores.append(safe_score(cosine_score, oracle.predict(context, q.x), q.y)[0])
+                context = np.concatenate([same[:1], others[rng.permutation(len(others))[:extra_count]]])
+                zero_scores.append(score_rows(cosine_score, oracle.predict([], q_x), q_y)[0])
+                ctx_scores.append(score_rows(cosine_score, oracle.predict_pool(pool, context, q_x), q_y)[0])
             assert zero_scores and ctx_scores
             assert np.mean(zero_scores) == 0.0
             assert np.mean(ctx_scores) > np.mean(zero_scores), (

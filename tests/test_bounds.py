@@ -16,7 +16,6 @@ from hopctx import (
     BoundViolationError,
     ContextSet,
     ContextualHopfield,
-    Exemplar,
     ExemplarPool,
     ExperimentConfig,
     QueryState,
@@ -118,6 +117,16 @@ class TestSeparation:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match=r"^scores u z are not finite"):
                 separation(np.array([1e200, 0.0]), np.array([[1e200, 0.0], [0.0, 1.0]]), 0)
+
+    def test_overflowing_margin_is_infinite_without_warning(self):
+        # Finite scores 1e308 and -1e308 are 2e308 apart: the margin is
+        # infinite, and with it c = exp(-gamma delta_min) = 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sep = separation(np.array([1.0, 0.0]), np.array([[1e308, -1e308], [0.0, 0.0]]), 0)
+            report = error_bound(sep, gamma=1.0, instance_error=0.0, z_max_norm=1.0)
+        assert sep.delta_min == math.inf and sep.duplicate_count == 1
+        assert report.c == 0.0
 
     def test_rejects_out_of_range_index(self):
         model, ctx, query = identity_instance([[1.0, 0.0]], [1.0, 0.0])
@@ -430,7 +439,7 @@ class TestBuiltinPrediction:
         # prediction error, so it is at most the realized error.
         rng = np.random.default_rng(seed)
         rows = scale * rng.standard_normal((n, d_x + d_y))[rng.integers(0, n, n)]
-        pool = ExemplarPool([Exemplar(id=j, x=r[:d_x], y=r[d_x:]) for j, r in enumerate(rows)])
+        pool = ExemplarPool(rows[:, :d_x], rows[:, d_x:])
         ids = rng.integers(0, n, k)
         x, y = scale * rng.standard_normal(d_x), scale * rng.standard_normal(d_y)
         v = np.hstack([pool.xs, pool.ys])[ids]

@@ -180,6 +180,22 @@ def test_k_study_overflowing_scores_is_usage_error(tmp_path, settings, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("score", ["cosine-score", "exact-match", "negative-error"])
+def test_k_study_of_every_score_runs_without_warnings(tmp_path, score):
+    # The CI workflow's negative-error console check, for each score: every
+    # strategy's scores, and their rounding, must not warn.
+    env = dict(os.environ, PYTHONPATH=str(Path(hopctx.__file__).resolve().parents[1]),
+               PYTHONWARNINGS="error::RuntimeWarning")
+    out = tmp_path / "out.csv"
+    settings = ["task.kind=prototype-completion", f"score={score}",
+                "strategies=random,metric,active,instance-best", "trials=3"]
+    sets = [arg for s in settings for arg in ("--set", s)]
+    proc = subprocess.run([sys.executable, "-m", "hopctx.cli", "k-study", *sets, "--output", str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert out.read_text().startswith("# hopctx k-study v1\n")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("instance, product", [
     # sigma xi_q and xi_k^T lam overflow before any score is formed.

@@ -29,7 +29,7 @@ from hopctx import (
 )
 from hopctx.bounds import BOUND_CSV_COLUMNS
 from hopctx.experiments import _draw_row, _verify_row, parse_config_text
-from hopctx.selection import _broadcast_rows, pool_score_matrix
+from hopctx.selection import pool_score_matrix
 
 
 def small_config(**overrides):
@@ -450,8 +450,9 @@ class TestKStudy:
         rows = []
 
         def one_row_per_call(self, pool, ids, xs):
-            ids_rows, xs_rows, batch = _broadcast_rows(ids, xs)
-            out = np.stack([batched(self, pool, i, x[None, :])[0] for i, x in zip(ids_rows, xs_rows)])
+            batch = np.broadcast_shapes(np.shape(ids)[:-1], np.shape(xs)[:-1])
+            ids, xs = (np.broadcast_to(a, batch + np.shape(a)[-1:]) for a in (ids, xs))
+            out = np.stack([batched(self, pool, ids[b], xs[b][None, :])[0] for b in np.ndindex(batch)])
             rows.append(len(out))
             return out.reshape(batch + out.shape[-1:])
 
@@ -460,29 +461,6 @@ class TestKStudy:
             rows.clear()
             assert run_k_study(config)[1] == batched_csv
             assert max(rows) > 1  # the k-study predicted through predict_pool
-
-    def test_predict_only_oracle_writes_the_builtin_csv(self, monkeypatch):
-        # An oracle with only ``predict`` (a duck-typed one) is asked once
-        # per (context, query): per (strategy, K), trial by trial, each over
-        # the queries.  Its predictions must meet the same tiled targets.
-        config = small_config(strategies=("random", "metric", "active", "instance-best"), trials=2,
-                              pool_size=16, queries_size=6, subsample=5)
-        _, builtin_csv = run_k_study(config)
-        build_oracle, calls = experiments._build_oracle, []
-
-        class PredictOnly:
-            def __init__(self, oracle):
-                self.oracle = oracle
-
-            def predict(self, exemplars, x):
-                calls.append(len(exemplars))
-                return self.oracle.predict(exemplars, x)
-
-        monkeypatch.setattr(experiments, "_build_oracle", lambda config, task: PredictOnly(build_oracle(config, task)))
-        assert run_k_study(config)[1] == builtin_csv
-        # The instance-best query matrix, the pool matrix, then each (strategy, K).
-        n, q, ks = config.pool_size, config.queries_size, config.k_values
-        assert calls == [1] * (n * q + n * n) + [k for rows in (2, 1, 2, 1) for k in ks for _ in range(rows * q)]
 
     def test_random_at_full_pool_has_zero_variance(self):
         config = small_config(trials=4, k_values=(30,), strategies=("random",))
@@ -514,10 +492,8 @@ class TestKStudy:
         for k in config.k_values:
             direct = active_select(pool, k, matrix, subsample=config.subsample, seed=active_seed)
             rec = next(r for r in records if r.k == k)
-            context = [pool[i] for i in direct]
-            xs = np.stack([q.x for q in queries])
-            y_hats = oracle.predict_many(context, xs)
-            expected = [round(float(cosine_score(y_hat, q.y)), 12) for y_hat, q in zip(y_hats, queries)]
+            y_hats = oracle.predict_pool(pool, direct, queries.xs)
+            expected = [round(float(cosine_score(y_hat, y)), 12) for y_hat, y in zip(y_hats, queries.ys)]
             assert list(rec.per_query_scores) == expected
 
     def test_trial_seed_selects_the_scored_context(self):
@@ -533,7 +509,6 @@ class TestKStudy:
         )
         oracle = AssociativeOracle(gamma=config.oracle_gamma, y_dim=task.y_dim)
         matrix = pool_score_matrix(pool, oracle, cosine_score)
-        xs = np.stack([q.x for q in queries])
         records, _ = run_k_study(config)
         assert len(records) == 2 * 2 * len(config.k_values)
         for rec in records:
@@ -541,8 +516,8 @@ class TestKStudy:
                 context = random_select(pool, rec.k, rec.trial_seed)
             else:
                 context = active_select(pool, rec.k, matrix, config.subsample, rec.trial_seed)
-            y_hats = oracle.predict_many([pool[i] for i in context], xs)
-            expected = [round(float(cosine_score(y_hat, q.y)), 12) for y_hat, q in zip(y_hats, queries)]
+            y_hats = oracle.predict_pool(pool, context, queries.xs)
+            expected = [round(float(cosine_score(y_hat, y)), 12) for y_hat, y in zip(y_hats, queries.ys)]
             assert list(rec.per_query_scores) == expected
 
     def test_instance_best_matches_per_query_selector(self):
@@ -557,26 +532,24 @@ class TestKStudy:
         oracle = AssociativeOracle(gamma=config.oracle_gamma, y_dim=task.y_dim)
         records, _ = run_k_study(config)
         rec = records[0]
-        for j, q in enumerate(queries):
-            # Brute force: every exemplar as the sole context, sorted by (-score, id).
-            scores = {e.id: float(cosine_score(oracle.predict([e], q.x), q.y)) for e in pool}
-            by_id = {e.id: e for e in pool}
-            context = [by_id[i] for i in sorted(sorted(scores), key=lambda i: -scores[i])[:2]]
-            expected = round(float(cosine_score(oracle.predict(context, q.x), q.y)), 12)
+        for j, (x, y) in enumerate(zip(queries.xs, queries.ys)):
+            # Brute force: every exemplar as the sole context, sorted by (-score, position).
+            scores = [float(cosine_score(oracle.predict_pool(pool, [i], x), y)) for i in range(pool.size)]
+            context = sorted(range(pool.size), key=lambda i: -scores[i])[:2]
+            expected = round(float(cosine_score(oracle.predict_pool(pool, context, x), y)), 12)
             assert rec.per_query_scores[j] == expected
 
     def test_instance_best_orders_match_python_sort(self):
-        from hopctx import Exemplar, ExemplarPool
+        from hopctx import ExemplarPool
 
         rng = np.random.default_rng(4)
-        ids = [int(i) for i in rng.permutation(40)[:12]]
-        pool = ExemplarPool([Exemplar(id=i, x=np.zeros(1), y=np.zeros(1)) for i in ids])
+        pool = ExemplarPool(np.zeros((12, 1)), np.zeros((12, 1)))
         # Few distinct values, so most scores tie; -0.0 and 0.0 must tie too.
         # The runner ranks instance-best as pool.rank(query_scores.T).
         matrix = rng.choice([0.0, -0.0, 0.5, 1.0], size=(12, 9))
         orders = pool.rank(matrix.T).T
         for j in range(9):
-            expected = sorted(range(12), key=lambda i: (-matrix[i, j], ids[i]))
+            expected = sorted(range(12), key=lambda i: (-matrix[i, j], i))
             assert orders[:, j].tolist() == expected
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
@@ -593,20 +566,20 @@ class TestKStudy:
         )
         oracle = AssociativeOracle(gamma=config.oracle_gamma, y_dim=task.y_dim)
         records, _ = run_k_study(config)
-        xs = np.stack([e.x for e in pool])
+        xs = pool.xs
         got = {(r.trial_index, r.k): r for r in records if r.strategy == "metric"}
         assert len(got) == config.trials * len(config.k_values)
         for trial in range(config.trials):
             for k in config.k_values:
                 expected = []
-                for q in queries:
+                for q_x, q_y in zip(queries.xs, queries.ys):
                     if metric == "euclidean":
-                        closeness = -np.linalg.norm(xs - q.x, axis=1)
+                        closeness = -np.linalg.norm(xs - q_x, axis=1)
                     else:
-                        closeness = (xs @ q.x) / (np.linalg.norm(xs, axis=1) * np.linalg.norm(q.x))
-                    order = sorted(range(pool.size), key=lambda i: (-closeness[i], pool[i].id))
-                    y_hat = oracle.predict([pool[i] for i in order[:k]], q.x)
-                    expected.append(round(float(cosine_score(y_hat, q.y)), 12))
+                        closeness = (xs @ q_x) / (np.linalg.norm(xs, axis=1) * np.linalg.norm(q_x))
+                    order = sorted(range(pool.size), key=lambda i: (-closeness[i], i))
+                    y_hat = oracle.predict_pool(pool, order[:k], q_x)
+                    expected.append(round(float(cosine_score(y_hat, q_y)), 12))
                 rec = got[trial, k]
                 assert list(rec.per_query_scores) == expected
                 assert rec.mean_score == float(np.mean(expected))

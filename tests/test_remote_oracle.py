@@ -17,6 +17,7 @@ import hopctx
 from hopctx import (
     AssociativeOracle,
     Exemplar,
+    ExemplarPool,
     OracleFailure,
     RemoteOracle,
     cosine_score,
@@ -34,7 +35,8 @@ NON_FINITE_BODIES = {
 
 
 class StubHandler(BaseHTTPRequestHandler):
-    """Routes: /echo fixed prediction, /predict builtin-backed, /record as
+    """Routes: /echo fixed prediction, /predict builtin-backed (through
+    ``predict`` on ``Exemplar`` pairs, as a Python server may), /record as
     /predict, /malformed, /error 500, /notjson, /huge (an integer beyond float64), /nan, /neginf and
     /overflow (a NaN, -Infinity or 1e400 prediction entry), /drop and /garbage (on every
     odd-numbered attempt close the connection unanswered, or after a line that
@@ -105,31 +107,36 @@ def stub_server():
     server.server_close()
 
 
+def predict_one(oracle, context_xs, context_ys, query):
+    """One request: the context of the given x and y rows, asked on one query."""
+    context_xs, context_ys = np.atleast_2d(context_xs), np.atleast_2d(context_ys)
+    return oracle.predict_pool(ExemplarPool(context_xs, context_ys), np.arange(len(context_xs)), query)
+
+
 def test_echo_stub(stub_server):
     oracle = RemoteOracle(stub_server + "/echo")
-    e = Exemplar(id=0, x=np.zeros(2), y=np.zeros(3))
-    got = oracle.predict([e], np.zeros(2))
+    got = predict_one(oracle, np.zeros(2), np.zeros(3), np.zeros(2))
     np.testing.assert_array_equal(got, [1.0, 2.0, 3.0])
 
 
 def test_malformed_body_raises(stub_server):
     oracle = RemoteOracle(stub_server + "/malformed")
     with pytest.raises(OracleFailure) as excinfo:
-        oracle.predict([], np.zeros(2))
+        predict_one(oracle, np.zeros(2), np.zeros(3), np.zeros(2))
     assert "request" in str(excinfo.value)
 
 
 def test_non_json_body_raises(stub_server):
     oracle = RemoteOracle(stub_server + "/notjson")
     with pytest.raises(OracleFailure):
-        oracle.predict([], np.zeros(2))
+        predict_one(oracle, np.zeros(2), np.zeros(3), np.zeros(2))
 
 
 def test_server_error_raises_after_retries(stub_server, monkeypatch):
     monkeypatch.setattr(hopctx.tasks, "REMOTE_MAX_RETRIES", 1)
     oracle = RemoteOracle(stub_server + "/error")
     with pytest.raises(OracleFailure) as excinfo:
-        oracle.predict([], np.zeros(2))
+        predict_one(oracle, np.zeros(2), np.zeros(3), np.zeros(2))
     assert "500" in str(excinfo.value)
 
 
@@ -138,31 +145,29 @@ def test_unreachable_endpoint_raises(monkeypatch):
     monkeypatch.setattr(hopctx.tasks, "REMOTE_MAX_RETRIES", 0)
     oracle = RemoteOracle("http://127.0.0.1:1/predict")
     with pytest.raises(OracleFailure):
-        oracle.predict([], np.zeros(2))
+        predict_one(oracle, np.zeros(2), np.zeros(3), np.zeros(2))
 
 
 def test_wrong_length_prediction_raises(stub_server):
     # /echo answers with 3 values; the context's y has 2.
     oracle = RemoteOracle(stub_server + "/echo")
-    e = Exemplar(id=0, x=np.zeros(2), y=np.zeros(2))
     with pytest.raises(OracleFailure) as excinfo:
-        oracle.predict([e], np.zeros(2))
+        predict_one(oracle, np.zeros(2), np.zeros(2), np.zeros(2))
     assert "length 3" in str(excinfo.value)
 
 
 def test_prediction_beyond_float64_raises(stub_server):
     oracle = RemoteOracle(stub_server + "/huge")
     with pytest.raises(OracleFailure, match=r"^request 1: 'prediction' does not fit float64"):
-        oracle.predict([], np.zeros(2))
+        predict_one(oracle, np.zeros(2), np.zeros(2), np.zeros(2))
 
 
 @pytest.mark.parametrize("route", sorted(NON_FINITE_BODIES))
 def test_non_finite_prediction_raises(stub_server, route):
     # A non-finite prediction would score 0 unnoticed: it is a failed call.
     oracle = RemoteOracle(stub_server + route)
-    e = Exemplar(id=0, x=np.zeros(2), y=np.zeros(2))
     with pytest.raises(OracleFailure, match=r"^request 1: 'prediction' is not finite"):
-        oracle.predict([e], np.zeros(2))
+        predict_one(oracle, np.zeros(2), np.zeros(2), np.zeros(2))
 
 
 def test_loopback_matches_builtin(stub_server):
@@ -170,11 +175,11 @@ def test_loopback_matches_builtin(stub_server):
     pool, queries = generate_pool(spec, 12, seed=9, n_queries=6)
     local = AssociativeOracle(gamma=2.0, y_dim=spec.y_dim)
     remote = RemoteOracle(stub_server + "/predict")
-    context = list(pool)[:4]
-    for q in queries:
-        s_local = cosine_score(local.predict(context, q.x), q.y)
-        s_remote = cosine_score(remote.predict(context, q.x), q.y)
-        assert abs(s_local - s_remote) <= 1e-9
+    context = np.arange(4)
+    s_local = cosine_score(local.predict_pool(pool, context, queries.xs), queries.ys)
+    s_remote = cosine_score(remote.predict_pool(pool, context, queries.xs), queries.ys)
+    assert s_local.shape == s_remote.shape == (6,)
+    assert np.all(np.abs(s_local - s_remote) <= 1e-9)
 
 
 @pytest.mark.parametrize("route", ["/drop", "/garbage"])
@@ -182,8 +187,7 @@ def test_failed_attempt_is_retried(stub_server, route, monkeypatch):
     StubHandler.seen.clear()
     monkeypatch.setattr(hopctx.tasks, "REMOTE_MAX_RETRIES", 1)
     oracle = RemoteOracle(stub_server + route)
-    e = Exemplar(id=0, x=np.zeros(2), y=np.zeros(3))
-    np.testing.assert_array_equal(oracle.predict([e], np.zeros(2)), [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(predict_one(oracle, np.zeros(2), np.zeros(3), np.zeros(2)), [1.0, 2.0, 3.0])
     assert StubHandler.seen == [route, route]
 
 
@@ -195,7 +199,7 @@ def test_non_finite_input_raises_without_request(stub_server, where):
     values[where][1] = np.nan
     oracle = RemoteOracle(stub_server + "/echo")
     with pytest.raises(OracleFailure, match=r"^request 1: input is not finite"):
-        oracle.predict([Exemplar(id=0, x=values["x"], y=values["y"])], values["query"])
+        predict_one(oracle, values["x"], values["y"], values["query"])
     assert StubHandler.seen == []
 
 
@@ -210,9 +214,9 @@ def test_remote_predict_does_not_import_requests(stub_server):
     code = (
         "import sys\n"
         "import numpy as np\n"
-        "from hopctx import Exemplar, RemoteOracle\n"
+        "from hopctx import ExemplarPool, RemoteOracle\n"
         f"oracle = RemoteOracle({stub_server + '/echo'!r})\n"
-        "got = oracle.predict([Exemplar(id=0, x=np.zeros(2), y=np.zeros(3))], np.zeros(2))\n"
+        "got = oracle.predict_pool(ExemplarPool(np.zeros((1, 2)), np.zeros((1, 3))), [0], np.zeros(2))\n"
         "assert got.tolist() == [1.0, 2.0, 3.0], got\n"
         "print(sorted(m for m in ('http.client', 'requests', 'urllib3') if m in sys.modules))\n"
     )
@@ -233,7 +237,7 @@ def _pool_and_queries():
 @pytest.mark.parametrize("per_target", [False, True], ids=["(B,1,K)", "(B,T,K)"])
 def test_predict_pool_equals_predict_row_by_row(stub_server, per_target):
     pool, queries = _pool_and_queries()
-    xs = np.stack([q.x for q in queries])
+    xs = queries.xs
     t = len(xs) if per_target else 1
     rng = np.random.default_rng(3)
     ids = np.stack([rng.permutation(pool.size)[:3] for _ in range(5 * t)]).reshape(5, t, 3)
@@ -243,12 +247,12 @@ def test_predict_pool_equals_predict_row_by_row(stub_server, per_target):
     one_at_a_time = RemoteOracle(stub_server + "/predict")
     for b in range(5):
         for q, x in enumerate(xs):
-            context = [pool[i] for i in ids[b, q if per_target else 0]]
-            np.testing.assert_array_equal(got[b, q], one_at_a_time.predict(context, x))
+            context = ids[b, q if per_target else 0]
+            np.testing.assert_array_equal(got[b, q], one_at_a_time.predict_pool(pool, context, x))
     # The batch used request ids 1..n, so the next request is n + 1.
     n = 5 * len(xs)
     with pytest.raises(OracleFailure, match=rf"^request {n + 1}: input is not finite"):
-        oracle.predict([pool[0]], np.full(pool.xs.shape[1], np.nan))
+        oracle.predict_pool(pool, [0], np.full(pool.xs.shape[1], np.nan))
 
 
 def test_predict_pool_sends_nothing_after_a_stalled_row(monkeypatch):
@@ -296,10 +300,19 @@ def test_predict_pool_sends_the_bytes_of_predict(stub_server):
     documented = []
     for row in ids[:, 0]:
         for x in queries.xs:
-            context = [pool[i] for i in row]
-            one_at_a_time.predict(context, x)
+            one_at_a_time.predict_pool(pool, row, x)
             documented.append(json.dumps({
-                "exemplars": [{"x": e.x.tolist(), "y": e.y.tolist()} for e in context], "query": x.tolist(),
+                "exemplars": [{"x": pool.xs[i].tolist(), "y": pool.ys[i].tolist()} for i in row], "query": x.tolist(),
             }).encode())
     assert len(batch) == len(ids) * len(queries)
     assert batch == sorted(StubHandler.recorded) == sorted(documented)
+
+
+@pytest.mark.parametrize("oracle", [AssociativeOracle(gamma=2.0), RemoteOracle("http://127.0.0.1:1/predict")],
+                         ids=["builtin", "remote"])
+def test_empty_context_is_rejected_before_any_request(oracle):
+    # The remote oracle once failed inside numpy's reshape instead; neither
+    # oracle has anything to retrieve from, and the remote one sends nothing.
+    pool, queries = _pool_and_queries()
+    with pytest.raises(ValueError, match=r"^ids must hold at least one pool position per context, got shape \(1, 0\)$"):
+        oracle.predict_pool(pool, np.zeros((1, 0), int), queries.xs[0])

@@ -185,17 +185,16 @@ class TestBatchInvariance:
         # which test_one_pattern_equals_softmax_mix checks against the formula.
         rng = np.random.default_rng(seed)
         d_x, d_y = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        pool = ExemplarPool([
-            Exemplar(id=i, x=rng.standard_normal(d_x), y=rng.standard_normal(d_y))
-            for i in range(k + int(rng.integers(0, 8)))
-        ])
+        exemplars = [Exemplar(id=i, x=rng.standard_normal(d_x), y=rng.standard_normal(d_y))
+                     for i in range(k + int(rng.integers(0, 8)))]
+        pool = ExemplarPool([e.x for e in exemplars], [e.y for e in exemplars])
         ids = rng.integers(0, pool.size, size=(k,) if shared else (n, k))
         xs = rng.standard_normal((n, d_x))
         oracle = AssociativeOracle(gamma=float(rng.uniform(0.1, 10.0)))
         got = oracle.predict_pool(pool, ids, xs)
         assert got.shape == (n, d_y)
         for j in range(n):
-            context = [pool[i] for i in (ids if shared else ids[j])]
+            context = [exemplars[i] for i in (ids if shared else ids[j])]
             np.testing.assert_array_equal(got[j], oracle.predict(context, xs[j]))
 
     @given(
@@ -219,8 +218,8 @@ class TestBatchInvariance:
         def signed_zeros(a):
             return np.where(rng.random(a.shape) < 0.3, np.copysign(0.0, a), a)
 
-        pool = ExemplarPool([Exemplar(id=i, x=signed_zeros(rng.standard_normal(d_x)),
-                                      y=signed_zeros(rng.standard_normal(d_y))) for i in range(8)])
+        rows = [(signed_zeros(rng.standard_normal(d_x)), signed_zeros(rng.standard_normal(d_y))) for _ in range(8)]
+        pool = ExemplarPool(*zip(*rows))
         ids_batch = {"shared": (), "own": batch, "repeated": batch[:1] + (1,) * len(batch[1:])}[contexts]
         ids = rng.integers(0, pool.size, size=ids_batch + (1,))
         xs = signed_zeros(rng.standard_normal(batch + (d_x,)))
@@ -239,7 +238,7 @@ class TestBatchInvariance:
         # One exemplar still forms its score u z, so an overflowing score
         # raises, before anything warns, on every path that takes one.
         e = Exemplar(id=0, x=np.array([1e200]), y=np.array([1e200]))
-        pool, oracle, xs = ExemplarPool([e]), AssociativeOracle(gamma=1.0), np.full((3, 1), 1e200)
+        pool, oracle, xs = ExemplarPool([e.x], [e.y]), AssociativeOracle(gamma=1.0), np.full((3, 1), 1e200)
         v = np.array([[1e200, 1e200]])
         calls = [
             lambda: retrieval_update(np.array([1e200, 1e200]), v.T.copy(), v, 1.0),
@@ -259,13 +258,12 @@ class TestBatchInvariance:
         rng = np.random.default_rng(4)
         n = 70
         assert n * n > POOL_BLOCK_PREDICTIONS  # more than one block
-        pool = ExemplarPool([
-            Exemplar(id=i, x=rng.standard_normal(4), y=rng.standard_normal(3)) for i in range(n)
-        ])
+        rows = rng.standard_normal((n, 7))
+        pool = ExemplarPool(rows[:, :4], rows[:, 4:])
         oracle = AssociativeOracle(gamma=3.0)
         scores, ok = pool_score_matrix(pool, oracle, cosine_score)
-        for i, e in enumerate(pool):
-            s_i, ok_i = score_rows(cosine_score, oracle.predict_many([e], pool.xs), pool.ys)
+        for i in range(n):
+            s_i, ok_i = score_rows(cosine_score, oracle.predict_pool(pool, [i], pool.xs), pool.ys)
             np.testing.assert_array_equal(scores[i], s_i)
             np.testing.assert_array_equal(ok[i], ok_i)
 

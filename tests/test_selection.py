@@ -21,9 +21,10 @@ from hopctx import (
     make_task,
     negative_error,
     random_select,
+    RemoteOracle,
 )
 from hopctx import selection
-from hopctx.selection import metric_rank, pool_score_matrix, safe_score, score_contexts
+from hopctx.selection import metric_rank, pool_score_matrix, score_contexts, score_rows
 
 
 def reference_prefix(seed_or_rng, n, k):
@@ -37,21 +38,13 @@ def reference_prefix(seed_or_rng, n, k):
     return slots[:k]
 
 
-def ids_of(pool, positions):
-    """The ids at the given pool positions, as a tuple."""
-    return tuple(pool.ids[positions].tolist())
-
-
-def exemplar_by_id(pool, exemplar_id):
-    return next(e for e in pool if e.id == exemplar_id)
+def as_tuple(positions):
+    return tuple(np.asarray(positions).tolist())
 
 
 def vector_pool(n, d=2, seed=5):
-    rng = np.random.default_rng(seed)
-    return ExemplarPool([
-        Exemplar(id=i, x=rng.standard_normal(d), y=rng.standard_normal(d))
-        for i in range(n)
-    ])
+    rows = np.random.default_rng(seed).standard_normal((n, 2, d))  # each row's x, then its y
+    return ExemplarPool(rows[:, 0], rows[:, 1])
 
 
 def oracle_pool(n=20, seed=13):
@@ -59,38 +52,37 @@ def oracle_pool(n=20, seed=13):
     rng = np.random.default_rng(seed)
     protos_x = np.array([[1.0, 0.0], [0.0, 1.0], [0.7, 0.7]])
     protos_y = np.array([[1.0, 0.0], [0.0, 1.0], [-0.7, 0.7]])
-    exemplars = []
+    latents, xs = np.empty(n, dtype=int), np.empty((n, 2))
     for i in range(n):
-        latent = int(rng.integers(3))
-        exemplars.append(Exemplar(
-            id=i,
-            x=protos_x[latent] + 0.05 * rng.standard_normal(2),
-            y=protos_y[latent].copy(),
-            latent_id=latent,
-        ))
-    return ExemplarPool(exemplars), AssociativeOracle(gamma=4.0, y_dim=2)
+        latents[i] = rng.integers(3)
+        xs[i] = protos_x[latents[i]] + 0.05 * rng.standard_normal(2)
+    return ExemplarPool(xs, protos_y[latents], latents), AssociativeOracle(gamma=4.0, y_dim=2)
+
+
+def zero_pool(n):
+    """A pool of n rows whose values nothing reads."""
+    return ExemplarPool(np.zeros((n, 1)), np.zeros((n, 1)))
 
 
 class TestRandomSelect:
     def test_k_equals_pool_size_returns_everything(self):
         pool = vector_pool(6)
-        assert sorted(ids_of(pool, random_select(pool, 6, seed=0))) == [e.id for e in pool]
+        assert sorted(as_tuple(random_select(pool, 6, seed=0))) == list(range(6))
 
     def test_deterministic_for_same_seed(self):
         pool = vector_pool(10)
-        a = ids_of(pool, random_select(pool, 4, seed=99))
-        b = ids_of(pool, random_select(pool, 4, seed=99))
+        a = as_tuple(random_select(pool, 4, seed=99))
+        b = as_tuple(random_select(pool, 4, seed=99))
         assert a == b
 
     def test_matches_reference_sampler(self):
         pool = vector_pool(10)
-        expected = sorted(pool[i].id for i in reference_prefix(42, 10, 3))
-        assert list(ids_of(pool, random_select(pool, 3, seed=42))) == expected
+        expected = sorted(reference_prefix(42, 10, 3))
+        assert list(as_tuple(random_select(pool, 3, seed=42))) == expected
 
     def test_chosen_in_pool_order(self):
         pool = vector_pool(25)
-        chosen = ids_of(pool, random_select(pool, 10, seed=3))
-        positions = [next(i for i, e in enumerate(pool) if e.id == c) for c in chosen]
+        positions = list(as_tuple(random_select(pool, 10, seed=3)))
         assert positions == sorted(positions)
 
     def test_rejects_out_of_range_k(self):
@@ -127,36 +119,29 @@ class TestSamplePrefix:
 
 
 def metric_top(pool, k, query_x, metric="euclidean"):
-    """Ids of the k closest exemplars, from a one-query ``metric_rank``."""
+    """Positions of the k closest exemplars, from a one-query ``metric_rank``."""
     orders, _ = metric_rank(pool, [query_x], metric)
-    return tuple(pool[i].id for i in orders[0, :k])
+    return as_tuple(orders[0, :k])
 
 
 class TestMetricSelect:
     def test_exact_match_wins_at_k1(self):
         pool = vector_pool(8)
-        target = pool[5]
-        assert metric_top(pool, 1, target.x) == (target.id,)
+        assert metric_top(pool, 1, pool.xs[5]) == (5,)
 
     def test_equidistant_ties_break_by_ascending_id(self):
-        pool = ExemplarPool([
-            Exemplar(id=i, x=np.array([np.cos(a), np.sin(a)]), y=np.zeros(1))
-            for i, a in enumerate([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
-        ])
+        angles = np.array([0.0, np.pi / 2, np.pi, 3 * np.pi / 2])
+        pool = ExemplarPool(np.column_stack([np.cos(angles), np.sin(angles)]), np.zeros((4, 1)))
         assert metric_top(pool, 2, np.array([0.0, 0.0])) == (0, 1)
 
     def test_matches_brute_force_sort(self):
         pool = vector_pool(8, seed=5)
         query = np.array([0.25, -0.5])
-        brute = sorted(pool, key=lambda e: (np.linalg.norm(e.x - query), e.id))
-        assert list(metric_top(pool, 3, query)) == [e.id for e in brute[:3]]
+        brute = sorted(range(8), key=lambda i: (np.linalg.norm(pool.xs[i] - query), i))
+        assert list(metric_top(pool, 3, query)) == brute[:3]
 
     def test_cosine_ranking(self):
-        pool = ExemplarPool([
-            Exemplar(id=0, x=np.array([1.0, 0.0]), y=np.zeros(1)),
-            Exemplar(id=1, x=np.array([10.0, 1.0]), y=np.zeros(1)),
-            Exemplar(id=2, x=np.array([0.0, 1.0]), y=np.zeros(1)),
-        ])
+        pool = ExemplarPool([[1.0, 0.0], [10.0, 1.0], [0.0, 1.0]], np.zeros((3, 1)))
         assert metric_top(pool, 2, np.array([1.0, 0.0]), metric="cosine") == (0, 1)
 
     def test_cosine_rejects_zero_vectors(self):
@@ -174,9 +159,9 @@ class TestMetricSelect:
 
 def reference_metric_select(pool, k, query_x, metric):
     """Per-query loop the batched ranker must reproduce: closeness of each
-    pool x to the query, then a Python sort by (-closeness, id)."""
+    pool x to the query, then a Python sort by (-closeness, position)."""
     query_x = np.asarray(query_x, dtype=np.float64)
-    xs = np.stack([e.x for e in pool])
+    xs = pool.xs
     if metric == "euclidean":
         closeness = -np.linalg.norm(xs - query_x, axis=1)
     else:
@@ -185,7 +170,7 @@ def reference_metric_select(pool, k, query_x, metric):
         if qn == 0.0 or np.any(xn == 0.0):
             raise ValueError("cosine metric undefined for zero vectors")
         closeness = (xs @ query_x) / (xn * qn)
-    order = sorted(range(pool.size), key=lambda i: (-closeness[i], pool[i].id))
+    order = sorted(range(pool.size), key=lambda i: (-closeness[i], i))
     return order, [float(closeness[i]).hex() for i in order[:k]]
 
 
@@ -223,8 +208,7 @@ class TestMetricRank:
         row = st.lists(coordinate, min_size=d, max_size=d)
         distinct = data.draw(st.lists(row, min_size=1, max_size=n))
         xs = [distinct[data.draw(st.integers(0, len(distinct) - 1))] for _ in range(n)]
-        ids = data.draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n, unique=True))
-        pool = ExemplarPool([Exemplar(id=i, x=x, y=np.zeros(1)) for i, x in zip(ids, xs)])
+        pool = ExemplarPool(xs, np.zeros((n, 1)))
         # Queries include copies of pool rows (exact matches) and fresh rows.
         queries = np.array(data.draw(st.lists(st.one_of(st.sampled_from(xs), row), min_size=1, max_size=4)))
         k = data.draw(st.integers(1, n))
@@ -232,10 +216,10 @@ class TestMetricRank:
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     def test_duplicate_rows_and_zero_closeness(self, metric):
-        # Duplicated x rows under unsorted, sparse ids; exact matches give
-        # -0.0 euclidean closeness, orthogonal rows 0.0 cosine closeness.
+        # Duplicated x rows; exact matches give -0.0 euclidean closeness,
+        # orthogonal rows 0.0 cosine closeness.
         xs = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
-        pool = ExemplarPool([Exemplar(id=i, x=x, y=np.zeros(1)) for i, x in zip([7, -3, 12, 0, 5, 40], xs)])
+        pool = ExemplarPool(xs, np.zeros((6, 1)))
         queries = np.array([[1.0, 0.0], [0.0, -1.0], [-0.0, 2.0]])
         for k in (1, 3, 6):
             check_rank_against_reference(pool, queries, k, metric)
@@ -259,8 +243,7 @@ class TestMetricRank:
         ("cosine", [1.0, 1.0]),  # ||x|| overflows while x . q stays finite: a closeness of 0, not 1
     ])
     def test_overflowing_closeness_is_rejected(self, metric, query):
-        pool = ExemplarPool([Exemplar(id=0, x=[1e200, 1e200], y=np.zeros(1)),
-                             Exemplar(id=1, x=[1.0, 0.0], y=np.zeros(1))])
+        pool = ExemplarPool([[1e200, 1e200], [1.0, 0.0]], np.zeros((2, 1)))
         with pytest.raises(ValueError, match=f"{metric} closeness is not finite"):
             metric_rank(pool, np.array([query]), metric)
 
@@ -274,21 +257,15 @@ class TestValueEstimate:
 
     def test_pool_of_two_single_term(self):
         pool, oracle = oracle_pool(2)
-        e0, e1 = pool[0], pool[1]
         values, failures = estimate_pool_values(pool, pool_score_matrix(pool, oracle, cosine_score))
-        expected = cosine_score(oracle.predict([e0], e1.x), e1.y)
+        expected = cosine_score(oracle.predict_pool(pool, [0], pool.xs[1]), pool.ys[1])
         assert values.shape == (2,) and failures[0] == 0
         assert values[0] == pytest.approx(expected, abs=1e-15)
 
     def test_full_pool_matches_scripted_mean(self):
         pool, oracle = oracle_pool(20, seed=13)
-        e = pool[7]
         values, failures = estimate_pool_values(pool, pool_score_matrix(pool, oracle, cosine_score), subsample="all")
-        scripted = [
-            cosine_score(oracle.predict([e], other.x), other.y)
-            for other in pool
-            if other.id != e.id
-        ]
+        scripted = [cosine_score(oracle.predict_pool(pool, [7], pool.xs[j]), pool.ys[j]) for j in range(20) if j != 7]
         assert len(scripted) == 19 and failures[7] == 0
         assert values[7] == pytest.approx(float(np.mean(scripted)), abs=1e-12)
 
@@ -296,8 +273,8 @@ class TestValueEstimate:
         pool, _ = oracle_pool(4)
 
         class BrokenOracle:
-            def predict(self, exemplars, x):
-                return np.zeros(2)
+            def predict_pool(self, pool, ids, xs):
+                return np.zeros(np.broadcast_shapes(np.shape(ids)[:-1], np.shape(xs)[:-1]) + (2,))
 
         values, failures = estimate_pool_values(pool, pool_score_matrix(pool, BrokenOracle(), cosine_score))
         assert np.all(values == 0.0)
@@ -305,7 +282,7 @@ class TestValueEstimate:
 
     def test_rejects_tiny_pool_and_bad_subsample(self):
         pool, oracle = oracle_pool(4)
-        solo = ExemplarPool([pool[0]])
+        solo = ExemplarPool(pool.xs[:1], pool.ys[:1])
         solo_matrix, matrix = pool_score_matrix(solo, oracle, cosine_score), pool_score_matrix(pool, oracle, cosine_score)
         with pytest.raises(ValueError):
             estimate_pool_values(solo, solo_matrix)
@@ -334,76 +311,70 @@ class TestActiveSelect:
         pool, oracle = oracle_pool(2, seed=3)
         matrix = pool_score_matrix(pool, oracle, cosine_score)
         values, _ = estimate_pool_values(pool, matrix)
-        values = {e.id: v for e, v in zip(pool, values)}
-        best = max(sorted(values), key=lambda i: values[i])
-        assert ids_of(pool, active_select(pool, 1, matrix)) == (best,)
+        assert as_tuple(active_select(pool, 1, matrix)) == (int(np.argmax(values)),)
 
     def test_dominant_exemplar_ranks_first(self):
-        target = np.array([1.0, 0.0])
-        exemplars = [Exemplar(id=i, x=np.array([1.0, 0.0]), y=target.copy()) for i in range(5)]
-        exemplars.append(Exemplar(id=5, x=np.array([1.0, 0.0]), y=np.array([-1.0, 0.0])))
-        pool = ExemplarPool(exemplars)
+        pool = ExemplarPool([[1.0, 0.0]] * 6, [[1.0, 0.0]] * 5 + [[-1.0, 0.0]])
         oracle = AssociativeOracle(gamma=4.0, y_dim=2)
-        assert ids_of(pool, active_select(pool, 1, pool_score_matrix(pool, oracle, cosine_score)))[0] != 5
+        assert active_select(pool, 1, pool_score_matrix(pool, oracle, cosine_score))[0] != 5
 
     def test_matches_independent_rerun_of_documented_procedure(self):
         pool, oracle = oracle_pool(20, seed=13)
-        chosen = ids_of(pool, active_select(pool, 5, pool_score_matrix(pool, oracle, cosine_score), subsample=10, seed=13))
+        chosen = as_tuple(active_select(pool, 5, pool_score_matrix(pool, oracle, cosine_score), subsample=10, seed=13))
         shared = reference_prefix(np.random.default_rng(13), 20, 20)
-        values = {}
-        for e in pool:
-            probe = [pool[i] for i in shared if pool[i].id != e.id][:10]
-            values[e.id] = float(np.mean([
-                cosine_score(oracle.predict([e], o.x), o.y) for o in probe
-            ]))
-        expected = sorted(sorted(values), key=lambda i: -values[i])[:5]
+        values = []
+        for i in range(20):
+            probe = [j for j in shared if j != i][:10]
+            values.append(float(np.mean([cosine_score(oracle.predict_pool(pool, [i], pool.xs[j]), pool.ys[j])
+                                         for j in probe])))
+        expected = sorted(range(20), key=lambda i: -values[i])[:5]
         assert list(chosen) == expected
 
     def test_full_subsample_invariant_to_pool_order(self):
+        # Each value is the mean over the same other rows in either order, so
+        # it moves with its row, up to the order of the sum.
         pool, oracle = oracle_pool(10, seed=2)
-        reversed_pool = ExemplarPool(list(pool)[::-1])
-        a = ids_of(pool, active_select(pool, 3, pool_score_matrix(pool, oracle, cosine_score), subsample="all", seed=0))
-        b = ids_of(reversed_pool, active_select(reversed_pool, 3, pool_score_matrix(reversed_pool, oracle, cosine_score),
-                                                subsample="all", seed=0))
-        assert a == b
+        reversed_pool = ExemplarPool(pool.xs[::-1], pool.ys[::-1])
+        a, _ = estimate_pool_values(pool, pool_score_matrix(pool, oracle, cosine_score), subsample="all", seed=0)
+        b, _ = estimate_pool_values(reversed_pool, pool_score_matrix(reversed_pool, oracle, cosine_score),
+                                    subsample="all", seed=0)
+        np.testing.assert_allclose(a, b[::-1], rtol=0, atol=1e-12)
 
     def test_shared_probe_within_one_call(self):
         pool, oracle = oracle_pool(10, seed=4)
         values, _ = estimate_pool_values(pool, pool_score_matrix(pool, oracle, cosine_score), subsample=4, seed=9)
         shared = reference_prefix(np.random.default_rng(9), 10, 10)
-        for e, value in zip(pool, values):
-            probe_ids = [pool[j].id for j in shared if pool[j].id != e.id][:4]
-            expected = np.mean([
-                cosine_score(oracle.predict([e], exemplar_by_id(pool, pid).x), exemplar_by_id(pool, pid).y)
-                for pid in probe_ids
-            ])
+        for i, value in enumerate(values):
+            probe = [j for j in shared if j != i][:4]
+            expected = np.mean([cosine_score(oracle.predict_pool(pool, [i], pool.xs[j]), pool.ys[j]) for j in probe])
             assert value == pytest.approx(float(expected), abs=1e-12)
 
 
 def reference_pool_values(pool, oracle, score_fn, subsample, seed):
     """The per-probe procedure, one exemplar at a time: shared permutation,
-    own position dropped, first ``subsample`` probes in id order, each scored
-    by ``safe_score``.  Returns (mean, len(pairs), failures) per exemplar."""
+    own position dropped, first ``subsample`` probes in position order, each
+    predicted and scored alone by the safe-score rule.  Returns (mean,
+    len(pairs), failures) per exemplar."""
     shared = reference_prefix(seed, pool.size, pool.size)
     out = []
-    for e in pool:
-        probe = [pool[i] for i in shared if pool[i].id != e.id]
+    for i in range(pool.size):
+        probe = [j for j in shared if j != i]
         if subsample != "all":
             probe = probe[:subsample]
-        probe.sort(key=lambda o: o.id)
-        pairs = [safe_score(score_fn, oracle.predict([e], o.x), o.y) for o in probe]
+        probe.sort()
+        pairs = [score_rows(score_fn, oracle.predict_pool(pool, [i], pool.xs[j]), pool.ys[j]) for j in probe]
         out.append((float(np.mean([s for s, _ in pairs])), len(pairs), sum(not ok for _, ok in pairs)))
     return out
 
 
 def reference_values_from_matrix(pool, scores, ok, subsample, seed):
     """Per-row loop over a pool score matrix: the shared permutation without
-    the row's own position, cut to m probes, in id order, then ``np.mean``."""
+    the row's own position, cut to m probes, in position order, then ``np.mean``."""
     shared = reference_prefix(seed, pool.size, pool.size)
     m = pool.size - 1 if subsample == "all" else subsample
     values, failures = [], []
     for i in range(pool.size):
-        probes = sorted([j for j in shared if j != i][:m], key=lambda j: pool[j].id)
+        probes = sorted([j for j in shared if j != i][:m])
         values.append(np.mean(scores[i, probes]))
         failures.append(sum(not ok[i, j] for j in probes))
     return np.array(values), np.array(failures)
@@ -414,10 +385,9 @@ class TestValuesFromMatrix:
     @given(n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1), probe_seed=st.integers(0, 2**32 - 1),
            kind=st.sampled_from(["one", "n-2", "n-1", "all"]))
     def test_matches_per_row_loop(self, n, seed, probe_seed, kind):
-        # No oracle: random scores and ok mask, sparse shuffled ids.
+        # No oracle: random scores and ok mask.
         rng = np.random.default_rng(seed)
-        ids = rng.choice(10**6, size=n, replace=False)
-        pool = ExemplarPool([Exemplar(id=int(i), x=np.zeros(1), y=np.zeros(1)) for i in ids])
+        pool = zero_pool(n)
         scores, ok = rng.standard_normal((n, n)), rng.random((n, n)) < 0.9
         subsample = {"one": 1, "n-2": max(1, n - 2), "n-1": n - 1, "all": "all"}[kind]
         values, failures = estimate_pool_values(pool, (scores, ok), subsample, probe_seed)
@@ -431,11 +401,10 @@ class TestValuesFromMatrix:
            kind=st.sampled_from(["one", "n-1", "all"]), block=st.integers(1, 3), discrete=st.booleans())
     def test_seed_blocks_equal_per_seed_calls(self, n, seed, seeds, kind, block, discrete):
         # The k-study's active gather: several seeds per gather, blocks of
-        # ``block`` seeds so the seeds cross block boundaries, sparse shuffled
-        # ids, and (discrete scores) tied values that rank by id.
+        # ``block`` seeds so the seeds cross block boundaries, and (discrete
+        # scores) tied values that rank by position.
         rng = np.random.default_rng(seed)
-        ids = rng.choice(10**6, size=n, replace=False)
-        pool = ExemplarPool([Exemplar(id=int(i), x=np.zeros(1), y=np.zeros(1)) for i in ids])
+        pool = zero_pool(n)
         scores = rng.integers(0, 3, (n, n)).astype(np.float64) if discrete else rng.standard_normal((n, n))
         ok = rng.random((n, n)) < 0.9
         subsample = {"one": 1, "n-1": n - 1, "all": "all"}[kind]
@@ -459,21 +428,17 @@ class TestPoolScoreMatrix:
         seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
         n=st.integers(2, 24),
         subsample=st.one_of(st.just("all"), st.integers(1, 23)),
-        fn=st.sampled_from([cosine_score, negative_error, exact_match, lambda y_hat, y: float(y_hat[0])]),
+        fn=st.sampled_from([cosine_score, negative_error, exact_match, lambda y_hats, ys: y_hats[..., 0]]),
     )
     @settings(max_examples=60, deadline=None)
     def test_matrix_values_equal_per_probe_reference(self, pool_seed, seeds, n, subsample, fn):
-        # Ids are shuffled and sparse so id order differs from pool order; a
-        # few zero targets make cosine scores fail and count as failures.
+        # A few zero targets make cosine scores fail and count as failures.
         rng = np.random.default_rng(pool_seed)
         if subsample != "all":
             subsample = min(subsample, n - 1)
-        ids = rng.permutation(10 * n)[:n]
         ys = rng.standard_normal((n, 3))
         ys[rng.random(n) < 0.15] = 0.0
-        pool = ExemplarPool([
-            Exemplar(id=int(i), x=rng.standard_normal(2), y=y) for i, y in zip(ids, ys)
-        ])
+        pool = ExemplarPool(rng.standard_normal((n, 2)), ys)
         oracle = AssociativeOracle(gamma=float(rng.uniform(0.5, 8.0)), y_dim=3)
         matrix = pool_score_matrix(pool, oracle, fn)
         for seed in seeds:
@@ -487,41 +452,9 @@ class TestPoolScoreMatrix:
         pool, oracle = oracle_pool(8, seed=3)
         scores, ok = pool_score_matrix(pool, oracle, cosine_score)
         assert scores.shape == ok.shape == (8, 8) and ok.all()
-        for i, e in enumerate(pool):
-            for j, other in enumerate(pool):
-                assert scores[i, j] == cosine_score(oracle.predict([e], other.x), other.y)
-
-    def test_ragged_predictions_score_row_by_row(self):
-        # A duck-typed oracle without predict_many whose predictions differ
-        # in length: the mismatched rows count as failures, as per probe.
-        pool, _ = oracle_pool(8, seed=2)
-
-        class RaggedOracle:
-            def predict(self, exemplars, x):
-                return np.ones(x.shape[0] + 1) if x[0] > 0.5 else np.ones(x.shape[0])
-
-        oracle = RaggedOracle()
-        values, failures = estimate_pool_values(pool, pool_score_matrix(pool, oracle, cosine_score), subsample=4, seed=7)
-        expected = reference_pool_values(pool, oracle, cosine_score, 4, 7)
-        assert list(zip(values, [4] * pool.size, failures)) == expected
-        assert failures.sum() > 0
-
-    @pytest.mark.parametrize("n", [1, 2, 8])
-    def test_predictions_with_an_extra_axis_score_zero_not_ok(self, n):
-        # A duck-typed oracle without predict_many that returns (1, d_y)
-        # rows: none of them scores, at any number of targets.
-        pool, _ = oracle_pool(n, seed=2)
-
-        class RowOracle:
-            def predict(self, exemplars, x):
-                return np.ones((1, 2))
-
-        for fn in (cosine_score, negative_error, exact_match):
-            scores, ok = pool_score_matrix(pool, RowOracle(), fn)
-            assert scores.shape == ok.shape == (n, n)
-            assert not ok.any() and not scores.any()
-            assert np.array_equal(score_contexts(pool, RowOracle(), fn, np.zeros((1, 1, 1), int), pool.xs[:1],
-                                                 pool.ys[:1])[1], [[False]])
+        for i in range(8):
+            for j in range(8):
+                assert scores[i, j] == cosine_score(oracle.predict_pool(pool, [i], pool.xs[j]), pool.ys[j])
 
     def test_default_builds_the_same_matrix(self):
         pool, oracle = oracle_pool(12, seed=5)
@@ -529,30 +462,23 @@ class TestPoolScoreMatrix:
         a = estimate_pool_values(pool, pool_score_matrix(pool, oracle, cosine_score), subsample=5, seed=3)
         b = estimate_pool_values(pool, matrix, subsample=5, seed=3)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-        assert ids_of(pool, active_select(pool, 4, pool_score_matrix(pool, oracle, cosine_score), subsample=5, seed=3)) == \
-            ids_of(pool, active_select(pool, 4, matrix, subsample=5, seed=3))
+        assert as_tuple(active_select(pool, 4, pool_score_matrix(pool, oracle, cosine_score), subsample=5, seed=3)) == \
+            as_tuple(active_select(pool, 4, matrix, subsample=5, seed=3))
 
     def test_rejects_matrix_of_another_pool(self):
         # An 8-exemplar pool's matrix passed with a pool of its last 5
-        # exemplars once ranked from unrelated rows: (4, 7), not (6, 3).
+        # exemplars once ranked from unrelated rows: (1, 4), not (3, 0).
         pool8 = vector_pool(8, seed=26)
         oracle = AssociativeOracle(gamma=2.0, y_dim=2)
         matrix8 = pool_score_matrix(pool8, oracle, cosine_score)
-        pool5 = ExemplarPool(list(pool8)[3:])
+        pool5 = ExemplarPool(pool8.xs[3:], pool8.ys[3:])
         scores, ok = pool_score_matrix(pool5, oracle, cosine_score)
-        assert ids_of(pool5, active_select(pool5, 2, (scores, ok), subsample=2, seed=7)) == (6, 3)
+        assert as_tuple(active_select(pool5, 2, (scores, ok), subsample=2, seed=7)) == (3, 0)
         with pytest.raises(ValueError, match="matrix"):
             active_select(pool5, 2, matrix8, subsample=2, seed=7)
         for bad in ((scores, ok[:, :4]), (scores[:4], ok), (scores.ravel(), ok)):
             with pytest.raises(ValueError, match="matrix"):
                 estimate_pool_values(pool5, bad)
-
-
-class PredictOnly:
-    """An oracle with only the documented ``predict`` of the one it wraps."""
-
-    def __init__(self, oracle):
-        self.predict = oracle.predict
 
 
 class TestScoreContexts:
@@ -562,82 +488,65 @@ class TestScoreContexts:
         shape=st.tuples(st.integers(1, 8), st.integers(1, 6), st.integers(1, 4)),
         per_target=st.booleans(),
         block=st.one_of(st.none(), st.integers(1, 12)),
-        fn=st.sampled_from([cosine_score, negative_error, exact_match, lambda y_hat, y: float(y_hat[0]) / float(y[0])]),
-        predict_only=st.booleans(),
+        fn=st.sampled_from([cosine_score, negative_error, exact_match, lambda y_hats, ys: y_hats[..., 0] / ys[..., 0]]),
         one_exemplar=st.booleans(),
     )
     @settings(max_examples=120, deadline=None)
-    def test_entries_equal_safe_score_of_one_prediction(self, seed, n, shape, per_target, block, fn, predict_only,
-                                                        one_exemplar):
+    def test_entries_equal_safe_score_of_one_prediction(self, seed, n, shape, per_target, block, fn, one_exemplar):
         # Contexts (B, 1, K) or (B, T, K), repeats allowed, and half the time
         # (B, 1, 1), whose prediction the built-in oracle repeats over the
         # targets; a block size below B x T splits the batch.  Zero targets,
         # and zero y rows predicted by one-exemplar contexts, make cosine
         # scores and the custom score fail; a prediction equal to its target
-        # scores -0.0.
+        # scores -0.0.  Each entry is the safe score of that one prediction
+        # (0 and not ok where not finite).
         b, t, k = shape
         if one_exemplar:
             k, per_target = 1, False
         rng = np.random.default_rng(seed)
-        pool = ExemplarPool([Exemplar(id=int(i), x=rng.standard_normal(2), y=rng.integers(-1, 2, 3))
-                             for i in rng.permutation(3 * n)[:n]])
+        pool = ExemplarPool(rng.standard_normal((n, 2)), rng.integers(-1, 2, (n, 3)))
         oracle = AssociativeOracle(gamma=float(rng.uniform(0.5, 8.0)), y_dim=3)
         ids = rng.integers(n, size=(b, t if per_target else 1, k))
         xs, ys = rng.standard_normal((t, 2)), rng.integers(-1, 2, (t, 3)).astype(np.float64)
         with mock.patch.object(selection, "POOL_BLOCK_PREDICTIONS", block or selection.POOL_BLOCK_PREDICTIONS):
-            scores, ok = score_contexts(pool, PredictOnly(oracle) if predict_only else oracle, fn, ids, xs, ys)
+            scores, ok = score_contexts(pool, oracle, fn, ids, xs, ys)
         assert scores.shape == ok.shape == (b, t)
         for i in range(b):
             for j in range(t):
                 ctx = ids[i, j if per_target else 0]
-                s, s_ok = safe_score(fn, oracle.predict([pool[c] for c in ctx], xs[j]), ys[j])
-                assert (scores[i, j].tobytes(), ok[i, j]) == (np.float64(s).tobytes(), s_ok)
+                with np.errstate(all="ignore"):
+                    s = fn(oracle.predict_pool(pool, ctx, xs[j]), ys[j])
+                expected = (np.float64(s if np.isfinite(s) else 0.0).tobytes(), bool(np.isfinite(s)))
+                assert (scores[i, j].tobytes(), ok[i, j]) == expected
 
-    @pytest.mark.parametrize("predict_only", [False, True])
+    @pytest.mark.parametrize("remote", [False, True])
     @pytest.mark.parametrize("b, t", [(3, 0), (0, 4), (0, 0)])
-    def test_no_contexts_or_no_targets_give_empty_scores(self, predict_only, b, t):
+    def test_no_contexts_or_no_targets_give_empty_scores(self, remote, b, t):
         pool, oracle = oracle_pool(6)
+        if remote:
+            oracle = RemoteOracle("http://127.0.0.1:1/predict")
         unused = AssertionError("the oracle was asked for an empty batch")
-        with mock.patch.object(AssociativeOracle, "predict", side_effect=unused), \
-                mock.patch.object(AssociativeOracle, "predict_pool", side_effect=unused):
-            scores, ok = score_contexts(pool, PredictOnly(oracle) if predict_only else oracle, cosine_score,
-                                        np.zeros((b, 1, 2), dtype=int), pool.xs[:t], pool.ys[:t])
+        with mock.patch.object(type(oracle), "predict_pool", side_effect=unused):
+            scores, ok = score_contexts(pool, oracle, cosine_score, np.zeros((b, 1, 2), dtype=int), pool.xs[:t],
+                                        pool.ys[:t])
         assert scores.shape == ok.shape == (b, t)
         assert scores.dtype == np.float64 and ok.dtype == bool
 
-
-    def test_predict_only_oracle_is_asked_per_broadcast_row_in_c_order(self):
-        # Each prediction is scored against its own target before the next
-        # is asked for.
-        pool = vector_pool(4)
-        calls = []
-
-        class RecordingOracle:
-            def predict(self, exemplars, x):
-                calls.append(("predict", [e.id for e in exemplars], x.tolist()))
-                return np.array([float(len(calls))])
-
-        def score(y_hat, y):
-            calls.append(("score", y_hat.tolist(), y.tolist()))
-            return float(y_hat[0])
-
-        ids = np.array([[[0, 1]], [[2, 3]]])  # (2, 1, K): broadcast against 3 targets
-        xs, ys = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), np.array([[4.0], [5.0], [6.0]])
-        scores, ok = score_contexts(pool, RecordingOracle(), score, ids, xs, ys)
-        predicts, scored = calls[::2], calls[1::2]
-        assert [c[:2] for c in predicts] == [("predict", [0, 1])] * 3 + [("predict", [2, 3])] * 3
-        assert [c[2] for c in predicts] == xs.tolist() * 2
-        assert scored == [("score", [2.0 * r + 1.0], ys[r % 3].tolist()) for r in range(6)]
-        assert scores.tolist() == [[1.0, 3.0, 5.0], [7.0, 9.0, 11.0]] and ok.all()
-
-    @pytest.mark.parametrize("fn", [cosine_score, negative_error, exact_match, lambda y_hat, y: float(y_hat[0])])
+    @pytest.mark.parametrize("fn", [cosine_score, negative_error, exact_match, lambda y_hats, ys: y_hats[..., 0]])
     @pytest.mark.parametrize("ids", [[[[0, 3, 5]], [[8, 1, 1]]], [[[0, 3], [5, 5]], [[8, 1], [2, 7]]], [[[4]], [[6]]]])
     def test_predict_only_scores_equal_predict_pool_scores(self, fn, ids):
+        # ``predict``, the front-end on ``Exemplar`` pairs, asked for one
+        # (context, target) at a time and scored alone, gives the scores of
+        # the batched predict_pool.
         pool, oracle = oracle_pool(9, seed=4)
+        exemplars = [Exemplar(id=i, x=x, y=y) for i, (x, y) in enumerate(zip(pool.xs, pool.ys))]
         xs, ys = pool.xs[:2] + 0.1, np.array([[1.0, 0.5], [0.0, 0.0]])  # cosine fails on the zero target
-        scores, ok = score_contexts(pool, oracle, fn, np.array(ids), xs, ys)
-        only_scores, only_ok = score_contexts(pool, PredictOnly(oracle), fn, np.array(ids), xs, ys)
-        assert scores.tobytes() == only_scores.tobytes() and np.array_equal(ok, only_ok)
+        ids = np.array(ids)
+        scores, ok = score_contexts(pool, oracle, fn, ids, xs, ys)
+        one = [[score_rows(fn, oracle.predict([exemplars[i] for i in ids[b, j % ids.shape[1]]], x), y)
+                for j, (x, y) in enumerate(zip(xs, ys))] for b in range(len(ids))]
+        assert scores.tobytes() == np.array([[s for s, _ in row] for row in one]).tobytes()
+        assert ok.tolist() == [[bool(flag) for _, flag in row] for row in one]
 
     @pytest.mark.parametrize("t", [1, 3])
     def test_mis_shaped_pool_predictions_raise(self, t):
@@ -654,14 +563,17 @@ class TestScoreContexts:
 
     @pytest.mark.parametrize("fn", [cosine_score, negative_error, exact_match])
     def test_safe_score_of_non_finite_prediction_does_not_warn(self, fn):
-        # A predict-only oracle's predictions are scored by safe_score, which
-        # must flag an inf or NaN prediction as score_rows does, not warn.
+        # The safe-score rule flags an inf or NaN prediction, or one whose
+        # norm overflows, without a warning: a non-finite score is 0, not ok.
         for y_hat in ([np.inf, 1.0], [np.nan, 1.0], [1e200, 1e200]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                s, ok = safe_score(fn, np.array(y_hat), np.ones(2))
-            rows, rows_ok = selection.score_rows(fn, np.array([y_hat]), np.ones((1, 2)))
-            assert (s, ok) == (rows[0], rows_ok[0])
+                scores, ok = score_rows(fn, np.array([y_hat]), np.ones((1, 2)))
+                with np.errstate(all="ignore"):
+                    alone = fn(np.array(y_hat), np.ones(2))
+            assert (scores[0], ok[0]) == ((alone, True) if np.isfinite(alone) else (0.0, False))
+
+
 
 
 class TestPredictRows:
@@ -677,33 +589,36 @@ class TestPredictRows:
 
 
 def instance_best(pool, query, k, oracle, score_fn):
-    """Ids of the k best exemplars on one (x, y) query, ranked the way the
-    k-study runner ranks instance-best: the query's column of the score
-    matrix, by descending score, ties by ascending id."""
+    """Positions of the k best exemplars on one (x, y) query, ranked the way
+    the k-study runner ranks instance-best: the query's column of the score
+    matrix, by descending score, ties by ascending position."""
     x, y = (np.asarray(a, dtype=np.float64)[None] for a in query)
     scores, _ = score_contexts(pool, oracle, score_fn, np.arange(pool.size)[:, None, None], x, y)
-    return tuple(pool[i].id for i in pool.rank(scores[:, 0])[:k])
+    return as_tuple(pool.rank(scores[:, 0])[:k])
+
+
+def sole_context_score(pool, oracle, i, x, y):
+    """Cosine score of row i as the sole context on the query (x, y)."""
+    return cosine_score(oracle.predict_pool(pool, [i], x), y)
 
 
 class TestInstanceBest:
     def test_identical_exemplar_chosen(self):
         pool, oracle = oracle_pool(10, seed=6)
-        target = pool[3]
-        chosen = exemplar_by_id(pool, instance_best(pool, (target.x, target.y), 1, oracle, cosine_score)[0])
-        assert cosine_score(oracle.predict([chosen], target.x), target.y) == pytest.approx(1.0, abs=1e-12)
+        target = (pool.xs[3], pool.ys[3])
+        chosen = instance_best(pool, target, 1, oracle, cosine_score)[0]
+        assert sole_context_score(pool, oracle, chosen, *target) == pytest.approx(1.0, abs=1e-12)
 
     def test_all_equal_scores_tie_break_to_smallest_ids(self):
         pool, oracle = oracle_pool(6)
-        assert instance_best(pool, (pool[0].x, pool[0].y), 3, oracle, lambda y_hat, y: 0.5) == (0, 1, 2)
+        assert instance_best(pool, (pool.xs[0], pool.ys[0]), 3, oracle, lambda y_hat, y: 0.5) == (0, 1, 2)
 
     def test_matches_brute_force_ranking(self):
         pool, oracle = oracle_pool(20, seed=13)
         query = (np.array([0.9, 0.1]), np.array([1.0, 0.0]))
         chosen = instance_best(pool, query, 3, oracle, cosine_score)
-        scores = {
-            e.id: cosine_score(oracle.predict([e], query[0]), query[1]) for e in pool
-        }
-        expected = sorted(sorted(scores), key=lambda i: -scores[i])[:3]
+        scores = [sole_context_score(pool, oracle, i, *query) for i in range(20)]
+        expected = sorted(range(20), key=lambda i: -scores[i])[:3]
         assert list(chosen) == expected
 
     def test_k1_choice_dominates_every_other_strategy(self):
@@ -715,61 +630,62 @@ class TestInstanceBest:
             query_x = rng.standard_normal(2)
             query_y = rng.standard_normal(2)
             best = instance_best(pool, (query_x, query_y), 1, oracle, cosine_score)
-            best_score = cosine_score(oracle.predict([exemplar_by_id(pool, best[0])], query_x), query_y)
+            best_score = sole_context_score(pool, oracle, best[0], query_x, query_y)
             rivals = [
-                ids_of(pool, random_select(pool, 1, seed=3))[0],
+                random_select(pool, 1, seed=3)[0],
                 metric_top(pool, 1, query_x)[0],
-                ids_of(pool, active_select(pool, 1, pool_score_matrix(pool, oracle, cosine_score)))[0],
+                active_select(pool, 1, pool_score_matrix(pool, oracle, cosine_score))[0],
             ]
             for rival in rivals:
-                rival_score = cosine_score(oracle.predict([exemplar_by_id(pool, rival)], query_x), query_y)
-                assert best_score >= rival_score - 1e-12
+                assert best_score >= sole_context_score(pool, oracle, rival, query_x, query_y) - 1e-12
 
 
 class TestPoolRank:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 12), rows=st.one_of(st.none(), st.integers(1, 4)))
     def test_matches_python_sort(self, data, n, rows):
-        # Sparse, unsorted and negative ids; 1-D scores, or 2-D ranked row by
-        # row; ``coordinate`` gives few distinct values, -0.0 and 0.0 among them.
-        ids = data.draw(st.lists(st.integers(-1000, 1000), min_size=n, max_size=n, unique=True))
-        pool = ExemplarPool([Exemplar(id=i, x=np.zeros(1), y=np.zeros(1)) for i in ids])
+        # 1-D scores, or 2-D ranked row by row; ``coordinate`` gives few
+        # distinct values, -0.0 and 0.0 among them.
+        pool = zero_pool(n)
         shape = (n,) if rows is None else (rows, n)
         size = n * (rows or 1)
         scores = np.array(data.draw(st.lists(coordinate, min_size=size, max_size=size))).reshape(shape)
         orders = pool.rank(scores)
         assert orders.shape == shape
         for s, order in zip(np.atleast_2d(scores), np.atleast_2d(orders)):
-            assert order.tolist() == sorted(range(n), key=lambda i: (-s[i], ids[i]))
-
-    def test_ids_read_only_and_built_once(self):
-        pool = ExemplarPool([Exemplar(id=i, x=np.zeros(1), y=np.zeros(1)) for i in (7, -3, 12)])
-        assert pool.ids.tolist() == [7, -3, 12]
-        assert pool.ids is pool.ids and not pool.ids.flags.writeable
+            assert order.tolist() == sorted(range(n), key=lambda i: (-s[i], i))
 
 
 class TestPoolValidation:
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError):
-            ExemplarPool([
-                Exemplar(id=1, x=np.zeros(2), y=np.zeros(2)),
-                Exemplar(id=1, x=np.ones(2), y=np.ones(2)),
-            ])
-
     def test_empty_pool_rejected(self):
-        with pytest.raises(ValueError):
-            ExemplarPool([])
+        # An empty pool is valid as a query set; every selector rejects it.
+        pool = zero_pool(0)
+        matrix = (np.zeros((0, 0)), np.zeros((0, 0), dtype=bool))
+        for select in (lambda: random_select(pool, 1, seed=0), lambda: estimate_pool_values(pool, matrix),
+                       lambda: active_select(pool, 1, matrix)):
+            with pytest.raises(ValueError):
+                select()
+
+    @pytest.mark.parametrize("xs, ys, latents", [
+        (np.zeros(3), np.zeros((3, 1)), None),  # x not (N, d_x)
+        (np.zeros((3, 2)), np.zeros((3, 1, 1)), None),  # y not (N, d_y)
+        (np.zeros((3, 2)), np.zeros((2, 1)), None),  # row counts differ
+        (np.zeros((3, 2)), np.zeros((3, 1)), [0, 1]),  # a latent short
+        (np.zeros((3, 2)), np.zeros((3, 1)), [[0], [1], [2]]),  # latents not one per row
+    ])
+    def test_mis_shaped_rows_rejected(self, xs, ys, latents):
+        with pytest.raises(ValueError, match="^pool rows must be"):
+            ExemplarPool(xs, ys, latents)
 
 
-def sparse_exemplars():
-    """Ids out of order, negative and far apart; latent ids None or not."""
+def given_rows():
+    """x and y rows, and latent ids out of order, negative and far apart."""
     rng = np.random.default_rng(11)
-    return [Exemplar(id=i, x=rng.standard_normal(3), y=rng.standard_normal(2), latent_id=latent)
-            for i, latent in zip((40, -7, 3, 1000, -1), (None, 2, None, 0, 5))]
+    return rng.standard_normal((5, 3)), rng.standard_normal((5, 2)), np.array([40, -7, 3, 1000, -1])
 
 
 POOL_CASES = {
-    "sparse-ids": lambda: ExemplarPool(sparse_exemplars()),
+    "sparse-ids": lambda: ExemplarPool(*given_rows()),
     "key-value-pool": lambda: generate_pool(make_benchmark_task(p=3, d=8), 12, seed=4, n_queries=5)[0],
     "key-value-queries": lambda: generate_pool(make_benchmark_task(p=3, d=8), 12, seed=4, n_queries=5)[1],
     "prototype-pool": lambda: generate_pool(make_task("prototype-completion", 6, 3, 0.2, seed=1), 9, seed=2)[0],
@@ -780,42 +696,43 @@ class TestPoolRows:
     @pytest.mark.parametrize("case", sorted(POOL_CASES))
     def test_pool_of_its_exemplars_has_the_same_rows(self, case):
         pool = POOL_CASES[case]()
-        rebuilt = ExemplarPool(list(pool))
-        for name in ("ids", "xs", "ys"):
+        rebuilt = ExemplarPool(pool.xs, pool.ys, pool.latents)
+        for name in ("xs", "ys", "latents"):
             a, b = getattr(pool, name), getattr(rebuilt, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
             for arr in (a, b):
                 assert not arr.flags.writeable and arr.flags.c_contiguous
-        assert [e.latent_id for e in rebuilt] == [e.latent_id for e in pool]
         assert len(rebuilt) == len(pool) == pool.size
 
     @pytest.mark.parametrize("case", sorted(POOL_CASES))
     def test_arrays_cannot_be_written(self, case):
         pool = POOL_CASES[case]()
-        for arr in (pool.ids, pool.xs, pool.ys, pool[0].x, pool[0].y):
+        for arr in (pool.xs, pool.ys, pool.latents):
             with pytest.raises(ValueError):
                 arr[0] = 1
 
     def test_row_is_the_exemplar_given(self):
-        given = sparse_exemplars()
-        pool = ExemplarPool(given)
-        for i, g in enumerate(given):
-            for e in (pool[i], list(pool)[i], pool[i - len(given)]):
-                assert (type(e.id), e.id, e.latent_id) == (int, g.id, g.latent_id)
-                assert e.x.tobytes() == g.x.tobytes() and e.y.tobytes() == g.y.tobytes()
-        with pytest.raises(IndexError):
-            pool[len(given)]
+        # The pool keeps its own float64 copy: writing the given arrays later
+        # does not change it.
+        xs, ys, latents = given_rows()
+        pool = ExemplarPool(xs, ys, latents.tolist())
+        want = [a.copy() for a in (xs, ys, latents)]
+        for a in (xs, ys, latents):
+            a[0] = 0
+        for got, given in zip((pool.xs, pool.ys, pool.latents), want):
+            assert got.tobytes() == given.astype(got.dtype).tobytes()
+        assert pool.xs.dtype == pool.ys.dtype == np.float64 and pool.latents.dtype == np.intp
+        assert ExemplarPool(xs, ys).latents is None
 
     def test_generated_rows_are_numbered_from_zero_with_their_latents(self):
         spec = make_benchmark_task(p=3, d=8)
         pool, queries = generate_pool(spec, 12, seed=4, n_queries=5)
         for part in (pool, queries):
-            assert part.ids.tolist() == list(range(len(part)))
-            assert all(type(e.latent_id) is int and 0 <= e.latent_id < spec.p for e in part)
+            assert part.latents.dtype == np.intp and part.latents.min() >= 0 and part.latents.max() < spec.p
             # Each y row is its latent prototype's value block.
-            assert all(np.array_equal(e.y, spec.prototypes[e.latent_id, 4:]) for e in part)
+            np.testing.assert_array_equal(part.ys, spec.prototypes[part.latents, 4:])
 
     def test_no_queries_is_an_empty_query_pool(self):
         _, queries = generate_pool(make_benchmark_task(p=3, d=8), 12, seed=4)
-        assert len(queries) == 0 and list(queries) == []
+        assert len(queries) == 0 and queries.latents.shape == (0,)
         assert queries.xs.shape == (0, 8) and queries.ys.shape == (0, 4)

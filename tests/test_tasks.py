@@ -24,13 +24,13 @@ from hopctx import (
     make_task,
     negative_error,
 )
-from hopctx.selection import safe_score, score_rows
+from hopctx.selection import score_rows
 
 
-def reference_single_retrieval(exemplars, x, gamma):
+def reference_single_retrieval(cxs, cys, x, gamma):
     """Direct evaluation of the retrieval update on the (x, y) embedding."""
-    lam = np.column_stack([np.concatenate([e.x, e.y]) for e in exemplars])
-    sigma = np.concatenate([x, np.zeros(exemplars[0].y.shape[0])])
+    lam = np.hstack([cxs, cys]).T
+    sigma = np.concatenate([x, np.zeros(cys.shape[1])])
     scores = gamma * (sigma @ lam)
     weights = np.exp(scores - scores.max())
     weights /= weights.sum()
@@ -39,10 +39,11 @@ def reference_single_retrieval(exemplars, x, gamma):
 
 
 def reference_pool(spec, n, seed, n_queries):
-    """The draw one exemplar at a time: a prototype index, then its x-noise."""
+    """The draw one exemplar at a time: a prototype index, then its x-noise.
+    Returns (x, y, latent) triples for the pool and for the queries."""
     rng = np.random.default_rng(seed)
 
-    def draw(i):
+    def draw():
         latent = int(rng.integers(spec.p))
         proto = spec.prototypes[latent]
         if spec.kind == "prototype-completion":
@@ -51,9 +52,9 @@ def reference_pool(spec, n, seed, n_queries):
             half = spec.d // 2
             x = np.concatenate([proto[:half] + spec.noise_sigma * rng.standard_normal(half), np.zeros(half)])
             y = proto[half:].copy()
-        return Exemplar(id=i, x=x, y=y, latent_id=latent)
+        return x, y, latent
 
-    return [draw(i) for i in range(n)], [draw(j) for j in range(n_queries)]
+    return [draw() for _ in range(n)], [draw() for _ in range(n_queries)]
 
 
 class TestScoreFunctions:
@@ -69,16 +70,19 @@ class TestScoreFunctions:
         assert cosine_score(np.array([0.0, 1.0]), y) == 0.5
 
     def test_cosine_rejects_zero_vector(self):
-        with pytest.raises(ValueError):
-            cosine_score(np.zeros(2), np.array([1.0, 0.0]))
+        # Undefined for a zero vector: never finite, so score_rows counts it
+        # 0 and not ok.
+        with np.errstate(all="ignore"):
+            for y_hat, y in ((np.zeros(2), np.array([1.0, 0.0])), (np.array([1.0, 0.0]), np.zeros(2))):
+                assert not np.isfinite(cosine_score(y_hat, y))
 
     def test_negative_error(self):
         got = negative_error(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         assert got == pytest.approx(-1.4142135623730951, abs=1e-12)
 
     def test_dispatch_by_tag_and_callable(self):
-        # A tag resolves to its built-in (batched rows form); any other
-        # callable is scored row by row.
+        # A tag resolves to its built-in; any other callable is the batched
+        # kernel itself, and a scalar result stands for every row.
         ys = np.array([[1.0, 0.0]])
         assert get_score_fn("exact-match") is exact_match
         assert score_rows(get_score_fn("exact-match"), ys, ys)[0].tolist() == [1.0]
@@ -92,12 +96,15 @@ class TestScoreFunctions:
 
 
 def assert_rows_equal_safe_score(fn, y_hats, ys):
-    """The batched rows kernel equals ``safe_score`` row by row, bit for bit."""
+    """The batch equals the safe score of each row alone, bit for bit: ``fn``
+    of that one row, or 0 and not ok where it is not finite."""
     scores, ok = score_rows(fn, y_hats, ys)
-    expected = [safe_score(fn, y_hat, y) for y_hat, y in zip(y_hats, ys)]
-    assert scores.dtype == np.float64 and scores.shape == (len(ys),)
-    assert scores.tobytes() == np.array([s for s, _ in expected], dtype=np.float64).tobytes()
-    assert ok.tolist() == [flag for _, flag in expected]
+    d = ys.shape[-1]
+    with np.errstate(all="ignore"):
+        alone = np.array([fn(y_hat, y) for y_hat, y in zip(y_hats.reshape(-1, d), ys.reshape(-1, d))])
+    assert scores.dtype == np.float64 and scores.shape == ok.shape == ys.shape[:-1]
+    assert ok.ravel().tolist() == np.isfinite(alone).tolist()
+    assert scores.tobytes() == np.where(np.isfinite(alone), alone, 0.0).reshape(ys.shape[:-1]).tobytes()
 
 
 SCORE_FNS = [cosine_score, exact_match, negative_error]
@@ -105,29 +112,37 @@ SCORE_FNS = [cosine_score, exact_match, negative_error]
 
 class TestScoreRows:
     @pytest.mark.parametrize("fn", SCORE_FNS, ids=lambda f: f.__name__)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 24), d=st.integers(1, 40),
-           wide=st.booleans())
+    @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 6), t=st.integers(1, 6), d=st.integers(1, 40),
+           repeated=st.sampled_from([(), (0,), (1,), (0, 1)]), broadcast_targets=st.booleans(), wide=st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_rows_bitwise_equal_safe_score(self, fn, seed, n, d, wide):
-        # Rows mix ordinary values, magnitudes near the float64 limits (so
-        # norms overflow or underflow), zero rows, exact copies and NaN/inf.
+    def test_rows_bitwise_equal_safe_score(self, fn, seed, b, t, d, repeated, broadcast_targets, wide):
+        # A (B, T, d) batch whose predictions repeat along the ``repeated``
+        # leading axes (stride 0), as predict_pool returns one-exemplar
+        # predictions, against targets repeated over B (as score_contexts
+        # passes them) or copied.  Rows mix ordinary values, magnitudes near
+        # the float64 limits (so norms overflow or underflow), zero rows,
+        # exact copies and NaN/inf.
         rng = np.random.default_rng(seed)
         lo, hi = (-320.0, 300.0) if wide else (-3.0, 3.0)
-        y_hats = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(lo, hi, size=(n, 1))
-        ys = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(lo, hi, size=(n, 1))
-        kind = rng.integers(0, 8, size=n)
-        y_hats[kind == 1] = 0.0
-        ys[kind == 2] = 0.0
-        ys[kind == 3] = y_hats[kind == 3]
-        y_hats[kind == 4, 0] = np.nan
-        ys[kind == 5, -1] = np.inf
+        shape = tuple(1 if axis in repeated else n for axis, n in enumerate((b, t)))
         # Predictions as the oracle returns them: a column slice of a wider array.
-        wider = np.zeros((n, d + 3))
-        wider[:, 3:] = y_hats
-        with np.errstate(all="ignore"):
-            assert_rows_equal_safe_score(fn, wider[:, 3:], ys)
+        wider = np.zeros(shape + (d + 3,))
+        y_hats = wider[..., 3:]
+        y_hats[...] = rng.standard_normal(shape + (d,)) * 10.0 ** rng.uniform(lo, hi, size=shape + (1,))
+        ys = rng.standard_normal((t, d)) * 10.0 ** rng.uniform(lo, hi, size=(t, 1))
+        kind = rng.integers(0, 8, size=shape)
+        y_hats[kind == 1] = 0.0
+        y_hats[kind == 2, 0] = np.nan
+        y_hats[kind == 3, -1] = np.inf
+        target_kind = rng.integers(0, 6, size=t)
+        ys[target_kind == 1] = 0.0
+        ys[target_kind == 2, -1] = np.inf
+        ys[target_kind == 3] = np.broadcast_to(y_hats, (b, t, d))[0, target_kind == 3]
+        targets = np.broadcast_to(ys, (b, t, d))
+        assert_rows_equal_safe_score(fn, np.broadcast_to(y_hats, (b, t, d)),
+                                     targets if broadcast_targets else targets.copy())
 
-    @pytest.mark.parametrize("fn", SCORE_FNS + [lambda y_hat, y: float(y_hat[0]) / float(y[0])],
+    @pytest.mark.parametrize("fn", SCORE_FNS + [lambda y_hats, ys: y_hats[..., 0] / ys[..., 0]],
                              ids=lambda f: f.__name__)
     @given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 6), t=st.integers(1, 6), d=st.integers(1, 8),
            repeated=st.sampled_from([(1,), (0,), (0, 1)]), broadcast_targets=st.booleans())
@@ -135,10 +150,9 @@ class TestScoreRows:
     def test_repeated_predictions_score_as_their_copies(self, fn, seed, b, t, d, repeated, broadcast_targets):
         # Predictions (B, T, d) that repeat along some leading axes (stride
         # 0), as predict_pool returns one-exemplar predictions, score with
-        # the bits and flags of materialised copies and of safe_score pair by
-        # pair.  Rows draw zero norms, exact copies, NaN/inf and magnitudes
-        # whose norms overflow; the custom score raises ZeroDivisionError on
-        # a zero first entry.
+        # the bits and flags of materialised copies.  Rows draw zero norms,
+        # exact copies, NaN/inf and magnitudes whose norms overflow; the
+        # custom score divides by zero on a zero first entry.
         rng = np.random.default_rng(seed)
         shape = tuple(1 if axis in repeated else n for axis, n in enumerate((b, t)))
         wider = rng.standard_normal(shape + (d + 2,)) * 10.0 ** rng.uniform(-3.0, 300.0, size=shape + (1,))
@@ -155,13 +169,11 @@ class TestScoreRows:
         targets = np.broadcast_to(ys, (b, t, d))  # as score_contexts passes them
         if not broadcast_targets:
             targets = targets.copy()
-        with np.errstate(all="ignore"):
-            scores, ok = score_rows(fn, y_hats, targets)
-            want_scores, want_ok = score_rows(fn, np.ascontiguousarray(y_hats), np.ascontiguousarray(targets))
-            expected = [safe_score(fn, y_hats[i, j], ys[j]) for i in range(b) for j in range(t)]
+        scores, ok = score_rows(fn, y_hats, targets)
+        want_scores, want_ok = score_rows(fn, np.ascontiguousarray(y_hats), np.ascontiguousarray(targets))
         assert scores.shape == ok.shape == (b, t)
-        assert scores.tobytes() == want_scores.tobytes() == np.array([s for s, _ in expected]).tobytes()
-        assert ok.ravel().tolist() == want_ok.ravel().tolist() == [flag for _, flag in expected]
+        assert scores.tobytes() == want_scores.tobytes()
+        assert ok.tolist() == want_ok.tolist()
 
     @pytest.mark.parametrize("fn", SCORE_FNS, ids=lambda f: f.__name__)
     @pytest.mark.parametrize("t", [1, 3])
@@ -192,12 +204,11 @@ class TestScoreRows:
         assert scores.tolist() == [0.0, 1.0, 0.0] and ok.all()
 
     def test_user_kernel_non_finite_rows_score_zero_not_ok(self):
-        # A user score with its own rows kernel: a NaN or inf entry is the
-        # undefined case, as the scalar form's ZeroDivisionError or inf is.
-        def ratio(y_hat, y):
-            return float(y_hat[0]) / float(y[0])
+        # A user score kernel: a NaN or inf entry, as from a division by
+        # zero, is the undefined case.
+        def ratio(y_hats, ys):
+            return y_hats[..., 0] / ys[..., 0]
 
-        ratio.rows = lambda y_hats, ys: y_hats[:, 0] / ys[:, 0]
         y_hats = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-2.0, 0.0], [np.inf, 0.0]])
         ys = np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 1.0], [4.0, 3.0], [1.0, 0.0]])
         assert_rows_equal_safe_score(ratio, y_hats, ys)
@@ -264,38 +275,30 @@ class TestGeneratePool:
     def test_zero_noise_single_prototype(self):
         spec = make_task("prototype-completion", 4, 1, 0.0, seed=2)
         pool, queries = generate_pool(spec, 10, seed=0, n_queries=3)
-        for e in pool:
-            np.testing.assert_array_equal(e.x, spec.prototypes[0])
-            np.testing.assert_array_equal(e.y, spec.prototypes[0])
-        for q in queries:
-            np.testing.assert_array_equal(q.y, spec.prototypes[0])
+        for rows in (pool.xs, pool.ys, queries.ys):
+            np.testing.assert_array_equal(rows, np.broadcast_to(spec.prototypes[0], rows.shape))
 
     def test_deterministic(self):
         spec = make_task("prototype-completion", 5, 3, 0.1, seed=4)
         pool_a, queries_a = generate_pool(spec, 20, seed=9, n_queries=5)
         pool_b, queries_b = generate_pool(spec, 20, seed=9, n_queries=5)
-        for a, b in zip(pool_a, pool_b):
-            assert a.id == b.id and a.latent_id == b.latent_id
-            np.testing.assert_array_equal(a.x, b.x)
-            np.testing.assert_array_equal(a.y, b.y)
-        for qa, qb in zip(queries_a, queries_b):
-            np.testing.assert_array_equal(qa.x, qb.x)
-            assert qa.latent_id == qb.latent_id
+        for a, b in ((pool_a, pool_b), (queries_a, queries_b)):
+            for name in ("xs", "ys", "latents"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_latent_counts_in_binomial_band(self):
         # P=3, n=300: 99% band around 100 per prototype is roughly +/-21.
         spec = make_task("prototype-completion", 6, 3, 0.05, seed=9)
         pool, _ = generate_pool(spec, 300, seed=9)
-        counts = np.bincount([e.latent_id for e in pool], minlength=3)
+        counts = np.bincount(pool.latents, minlength=3)
         assert np.all(counts >= 79) and np.all(counts <= 121)
 
     def test_key_value_padding_and_clean_values(self):
         spec = make_benchmark_task(p=3, d=8, noise_sigma=0.1)
         pool, _ = generate_pool(spec, 12, seed=5)
-        for e in pool:
-            assert e.x.shape == (8,)
-            np.testing.assert_array_equal(e.x[4:], np.zeros(4))
-            np.testing.assert_array_equal(e.y, spec.prototypes[e.latent_id][4:])
+        assert pool.xs.shape == (12, 8)
+        np.testing.assert_array_equal(pool.xs[:, 4:], np.zeros((12, 4)))
+        np.testing.assert_array_equal(pool.ys, spec.prototypes[pool.latents, 4:])
 
     @pytest.mark.parametrize("kind", ["prototype-completion", "key-value-association"])
     @pytest.mark.parametrize("noise", [0.0, 0.1, 3.0])
@@ -308,11 +311,11 @@ class TestGeneratePool:
         pool, queries = generate_pool(spec, 23, seed, n_queries=n_queries)
         ref_pool, ref_queries = reference_pool(spec, 23, seed, n_queries)
         assert len(pool) == 23 and len(queries) == n_queries
-        for got, ref in zip(list(pool) + list(queries), ref_pool + ref_queries):
-            assert got.id == ref.id
-            assert type(got.latent_id) is int and got.latent_id == ref.latent_id
-            assert got.x.dtype == ref.x.dtype and got.x.tobytes() == ref.x.tobytes()
-            assert got.y.dtype == ref.y.dtype and got.y.tobytes() == ref.y.tobytes()
+        for got, ref in ((pool, ref_pool), (queries, ref_queries)):
+            assert got.latents.dtype == np.intp and got.latents.tolist() == [latent for _, _, latent in ref]
+            for i, (x, y, _) in enumerate(ref):
+                assert got.xs.dtype == x.dtype and got.xs[i].tobytes() == x.tobytes()
+                assert got.ys.dtype == y.dtype and got.ys[i].tobytes() == y.tobytes()
 
     def test_rejects_tiny_pool(self):
         spec = make_task("prototype-completion", 4, 1, 0.0, seed=2)
@@ -341,10 +344,9 @@ class TestAssociativeOracle:
     def test_matches_reference_retrieval(self):
         spec = make_task("prototype-completion", 4, 3, 0.1, seed=9)
         pool, queries = generate_pool(spec, 10, seed=9, n_queries=1)
-        context = list(pool)[:4]
         oracle = AssociativeOracle(gamma=8.0, y_dim=spec.y_dim)
-        got = oracle.predict(context, queries[0].x)
-        expected = reference_single_retrieval(context, queries[0].x, gamma=8.0)
+        got = oracle.predict_pool(pool, np.arange(4), queries.xs[0])
+        expected = reference_single_retrieval(pool.xs[:4], pool.ys[:4], queries.xs[0], gamma=8.0)
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_zero_context_is_zero_vector(self):
@@ -356,17 +358,18 @@ class TestAssociativeOracle:
     def test_predict_consistent_with_batch(self):
         spec = make_benchmark_task(p=4, d=8)
         pool, queries = generate_pool(spec, 10, seed=3, n_queries=6)
-        context = list(pool)[:3]
+        context = [Exemplar(id=i, x=pool.xs[i], y=pool.ys[i]) for i in range(3)]
         oracle = AssociativeOracle(gamma=2.0, y_dim=spec.y_dim)
-        batch = oracle.predict_many(context, np.stack([q.x for q in queries]))
-        for row, q in zip(batch, queries):
-            np.testing.assert_allclose(row, oracle.predict(context, q.x), atol=1e-13)
+        batch = oracle.predict_many(context, queries.xs)
+        for row, x in zip(batch, queries.xs):
+            np.testing.assert_allclose(row, oracle.predict(context, x), atol=1e-13)
 
     def test_one_exemplar_results_are_writable_and_own_their_memory(self):
         # predict_pool may repeat a one-exemplar prediction over its query
         # rows as a read-only view; the public one-context results may not.
         pool, queries = generate_pool(make_benchmark_task(p=4, d=8), 10, seed=5, n_queries=4)
-        context, oracle = [pool[3]], AssociativeOracle(gamma=2.0)
+        exemplars = [Exemplar(id=i, x=pool.xs[i], y=pool.ys[i]) for i in range(len(pool))]
+        context, oracle = [exemplars[3]], AssociativeOracle(gamma=2.0)
         pattern = np.concatenate([pool.xs[3], pool.ys[3]])
         d = pattern.shape[0]
         model = ContextualHopfield.identity(d, gamma=2.0)
@@ -375,7 +378,7 @@ class TestAssociativeOracle:
         results = {
             "predict": oracle.predict(context, queries.xs[0]),
             "predict_many": oracle.predict_many(context, queries.xs),
-            "predict_many, two exemplars": oracle.predict_many([pool[3], pool[5]], queries.xs),
+            "predict_many, two exemplars": oracle.predict_many([exemplars[3], exemplars[5]], queries.xs),
             "hnc_retrieve": hnc_retrieve(model, ctx, query).u_new,
         }
         for name, got in results.items():
@@ -390,8 +393,8 @@ class TestAssociativeOracle:
         spec = make_benchmark_task(p=4, d=8)
         pool, queries = generate_pool(spec, 10, seed=3, n_queries=1)
         oracle = AssociativeOracle(gamma=2.0, y_dim=spec.y_dim)
-        a = oracle.predict(list(pool)[:5], queries[0].x)
-        b = oracle.predict(list(pool)[:5], queries[0].x)
+        a = oracle.predict_pool(pool, np.arange(5), queries.xs[0])
+        b = oracle.predict_pool(pool, np.arange(5), queries.xs[0])
         assert np.array_equal(a, b)
 
     def test_zero_noise_high_gamma_recovers_prototype(self):
@@ -400,22 +403,20 @@ class TestAssociativeOracle:
         spec = make_task("prototype-completion", 6, 3, 0.0, seed=12)
         pool, queries = generate_pool(spec, 30, seed=12, n_queries=10)
         oracle = AssociativeOracle(gamma=50.0, y_dim=spec.y_dim)
-        for q in queries:
-            context = [e for e in pool if e.latent_id == q.latent_id][:1]
-            context += [e for e in pool if e.latent_id != q.latent_id][:3]
-            got = oracle.predict(context, q.x)
-            assert cosine_score(got, q.y) >= 1 - 1e-6
+        for x, y, latent in zip(queries.xs, queries.ys, queries.latents):
+            context = np.concatenate([np.flatnonzero(pool.latents == latent)[:1],
+                                      np.flatnonzero(pool.latents != latent)[:3]])
+            assert cosine_score(oracle.predict_pool(pool, context, x), y) >= 1 - 1e-6
 
     def test_zero_context_scores_below_prototype_context(self):
         spec = make_benchmark_task(p=4, d=8)
         pool, queries = generate_pool(spec, 20, seed=7, n_queries=10)
         oracle = AssociativeOracle(gamma=2.0, y_dim=spec.y_dim)
-        for q in queries:
-            zero_pred = oracle.predict([], q.x)
-            with pytest.raises(ValueError):
-                cosine_score(zero_pred, q.y)  # zero vector: scored as 0 by harnesses
-            context = [e for e in pool if e.latent_id == q.latent_id][:2]
-            assert cosine_score(oracle.predict(context, q.x), q.y) > 0.0
+        for x, y, latent in zip(queries.xs, queries.ys, queries.latents):
+            zero_pred = oracle.predict([], x)
+            assert score_rows(cosine_score, zero_pred, y) == (0.0, False)  # zero vector: not ok, scored 0
+            context = np.flatnonzero(pool.latents == latent)[:2]
+            assert cosine_score(oracle.predict_pool(pool, context, x), y) > 0.0
 
     @staticmethod
     def hnc_rows(exemplars, xs, gamma):
