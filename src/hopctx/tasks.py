@@ -209,9 +209,11 @@ class AssociativeOracle:
             if self.y_dim is None:
                 raise OracleFailure("zero-context prediction needs y_dim to be configured")
             return np.zeros((xs.shape[0], self.y_dim))
-        if len({(np.shape(e.x), np.shape(e.y)) for e in context}) > 1:
-            raise ValueError("context exemplar dimensions do not match the query")
-        pool = ExemplarPool(np.stack([e.x for e in context]), np.stack([e.y for e in context]))
+        try:
+            cxs, cys = np.stack([e.x for e in context]), np.stack([e.y for e in context])
+        except ValueError:  # ragged rows
+            raise ValueError("context exemplar dimensions do not match the query") from None
+        pool = ExemplarPool(cxs, cys)
         return self.predict_pool(pool, np.arange(len(context)), xs).copy()
 
     def predict_pool(self, pool: ExemplarPool, ids, xs) -> np.ndarray:
@@ -257,6 +259,16 @@ def split_endpoint(endpoint: str) -> tuple[str, str, int | None, str]:
     return parts.scheme, parts.hostname, port, path
 
 
+def _exemplar_json(x: list, y: list):
+    """The object {"x": [...], "y": [...]} of one exemplar, as ``json.dumps``
+    writes it inside a request body, or the ``ValueError`` of a non-finite
+    entry."""
+    try:
+        return json.dumps({"x": x, "y": y}, allow_nan=False)
+    except ValueError as exc:
+        return exc
+
+
 class RemoteOracle:
     """HTTP adapter: POST one JSON request per context row of ``predict_pool``.
 
@@ -271,7 +283,12 @@ class RemoteOracle:
     ``predict_pool`` sends one request per broadcast row of a batch of
     pool-indexed contexts, with up to ``REMOTE_IN_FLIGHT`` in flight, and
     returns them in row order.  Requests are numbered from 1 per oracle, in
-    row order within a batch, and a failure names its number.
+    row order within a batch, and a failure names its number.  Each distinct
+    pool row of a batch is encoded once, by the ``json.dumps`` call that would
+    write it inside a whole body, and each body joins its context's encoded
+    rows with its query's, so the bytes are those of ``json.dumps(body)``.  A
+    non-finite pool row fails only the rows whose context holds it, and no
+    body holding it is sent; nothing is kept from one batch to the next.
     """
 
     def __init__(self, endpoint: str):
@@ -292,8 +309,12 @@ class RemoteOracle:
 
         ids, xs = _pool_query(pool, ids, xs)
         batch = np.broadcast_shapes(ids.shape[:-1], xs.shape[:-1])
-        ids = np.broadcast_to(ids, batch + ids.shape[-1:]).reshape(-1, ids.shape[-1])
+        ids = np.broadcast_to(ids, batch + ids.shape[-1:]).reshape(-1, ids.shape[-1]).tolist()
         xs = np.broadcast_to(xs, batch + xs.shape[-1:]).reshape(-1, xs.shape[-1])
+        # Each distinct position once: its {"x": ..., "y": ...} or its ValueError.
+        positions = list(dict.fromkeys(p for row in ids for p in row))
+        exemplars = dict(zip(positions, map(_exemplar_json, pool.xs[positions].tolist(),
+                                            pool.ys[positions].tolist())))
         first = self._request_counter
         self._request_counter += len(ids)
         stop = threading.Event()
@@ -302,7 +323,7 @@ class RemoteOracle:
             if stop.is_set():
                 return None  # a row has failed; its error is raised instead
             try:
-                return self._post(pool.xs[ids[r]], pool.ys[ids[r]], xs[r], first + r + 1)
+                return self._post([exemplars[p] for p in ids[r]], xs[r], pool.ys.shape[1], first + r + 1)
             except BaseException:
                 stop.set()
                 raise
@@ -316,19 +337,20 @@ class RemoteOracle:
             executor.shutdown(cancel_futures=True)
         return np.array(predictions, dtype=np.float64).reshape(batch + pool.ys.shape[1:])
 
-    def _post(self, context_xs, context_ys, x, request_id) -> np.ndarray:
+    def _post(self, exemplars, x, y_dim, request_id) -> np.ndarray:
         # Imported here, not at module level, so that runs with a local oracle
         # never load the HTTP stack (http.client, ssl, email, ...).
         import http.client
 
-        body = {
-            "exemplars": [{"x": cx, "y": cy} for cx, cy in zip(context_xs.tolist(), context_ys.tolist())],
-            "query": x.tolist(),
-        }
         try:
-            data = json.dumps(body, allow_nan=False).encode()
+            query = json.dumps(x.tolist(), allow_nan=False)
         except ValueError as exc:
-            raise OracleFailure(f"request {request_id}: input is not finite ({exc})") from exc
+            query = exc
+        error = next((e for e in (*exemplars, query) if isinstance(e, ValueError)), None)
+        if error is not None:
+            raise OracleFailure(f"request {request_id}: input is not finite ({error})") from error
+        # The bytes json.dumps writes for the whole body, its default separators included.
+        data = ('{"exemplars": [' + ", ".join(exemplars) + '], "query": ' + query + "}").encode()
         headers = {"Content-Type": "application/json", "Connection": "close"}
         connection_class = (
             http.client.HTTPSConnection if self._scheme == "https" else http.client.HTTPConnection
@@ -359,10 +381,9 @@ class RemoteOracle:
                 isinstance(v, (int, float)) and not isinstance(v, bool) for v in prediction
             ):
                 raise OracleFailure(f"request {request_id}: 'prediction' is not a numeric list")
-            if len(prediction) != context_ys.shape[1]:
+            if len(prediction) != y_dim:
                 raise OracleFailure(
-                    f"request {request_id}: prediction has length {len(prediction)}, "
-                    f"context y has length {context_ys.shape[1]}"
+                    f"request {request_id}: prediction has length {len(prediction)}, context y has length {y_dim}"
                 )
             try:
                 prediction = np.asarray(prediction, dtype=np.float64)

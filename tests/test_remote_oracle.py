@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopctx
 from hopctx import (
@@ -36,8 +38,8 @@ NON_FINITE_BODIES = {
 
 class StubHandler(BaseHTTPRequestHandler):
     """Routes: /echo fixed prediction, /predict builtin-backed (through
-    ``predict`` on ``Exemplar`` pairs, as a Python server may), /record as
-    /predict, /malformed, /error 500, /notjson, /huge (an integer beyond float64), /nan, /neginf and
+    ``predict`` on ``Exemplar`` pairs, as a Python server may), /record a
+    zero prediction of the context's y length, /malformed, /error 500, /notjson, /huge (an integer beyond float64), /nan, /neginf and
     /overflow (a NaN, -Infinity or 1e400 prediction entry), /drop and /garbage (on every
     odd-numbered attempt close the connection unanswered, or after a line that
     is no HTTP status line; echo on the others).  ``seen`` lists the path of
@@ -60,7 +62,9 @@ class StubHandler(BaseHTTPRequestHandler):
             self.close_connection = True
         elif self.path in ("/echo", "/drop", "/garbage"):
             self._reply(200, {"prediction": [1.0, 2.0, 3.0]})
-        elif self.path in ("/predict", "/record"):
+        elif self.path == "/record":
+            self._reply(200, {"prediction": [0.0] * len(body["exemplars"][0]["y"])})
+        elif self.path == "/predict":
             exemplars = [
                 Exemplar(id=i, x=np.array(e["x"]), y=np.array(e["y"]))
                 for i, e in enumerate(body["exemplars"])
@@ -211,14 +215,16 @@ def test_bad_endpoint_rejected(endpoint):
 
 def test_remote_predict_does_not_import_requests(stub_server):
     # A fresh interpreter: this process may have requests loaded by a plugin.
+    # numpy.ma (which np.unique imports) would add to a remote run's peak RSS.
     code = (
         "import sys\n"
         "import numpy as np\n"
         "from hopctx import ExemplarPool, RemoteOracle\n"
         f"oracle = RemoteOracle({stub_server + '/echo'!r})\n"
-        "got = oracle.predict_pool(ExemplarPool(np.zeros((1, 2)), np.zeros((1, 3))), [0], np.zeros(2))\n"
-        "assert got.tolist() == [1.0, 2.0, 3.0], got\n"
-        "print(sorted(m for m in ('http.client', 'requests', 'urllib3') if m in sys.modules))\n"
+        "pool = ExemplarPool(np.zeros((2, 2)), np.zeros((2, 3)))\n"
+        "got = oracle.predict_pool(pool, [[0, 1], [1, 1]], np.zeros(2))\n"
+        "assert got.tolist() == [[1.0, 2.0, 3.0]] * 2, got\n"
+        "print(sorted(m for m in ('http.client', 'numpy.ma', 'requests', 'urllib3') if m in sys.modules))\n"
     )
     src = str(Path(hopctx.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -285,27 +291,93 @@ def test_predict_pool_stops_sending_after_a_failed_row(stub_server, monkeypatch)
     assert 0 < len(StubHandler.seen) <= hopctx.tasks.REMOTE_IN_FLIGHT * (hopctx.tasks.REMOTE_MAX_RETRIES + 1)
 
 
-def test_predict_pool_sends_the_bytes_of_predict(stub_server):
-    # Rows arrive in any order (several are in flight), so the bodies are
-    # compared sorted; each holds its context and query, so equal sorted
-    # lists are the same body per row.
+# Floats whose JSON text is easy to get wrong: signed zero, the smallest
+# subnormal, the largest finite float, integral floats and a short repr.
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 3.0, -2.0, 1e16, 0.1]
+
+
+@st.composite
+def record_batches(draw):
+    """A small pool, ids of shape (B, 1 or T, K) over few positions (so rows
+    and contexts repeat positions), and T query rows."""
+    value = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+    n, d_x, d_y = (draw(st.integers(1, hi)) for hi in (4, 3, 3))
+    b, t, k = (draw(st.integers(1, hi)) for hi in (3, 3, 4))
+    rows = lambda m, d: np.array(draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=m, max_size=m)))
+    xs, ys, queries = rows(n, d_x), rows(n, d_y), rows(t, d_x)
+    per_target = draw(st.booleans())
+    ids = np.array(draw(st.lists(st.integers(0, n - 1), min_size=b * (t if per_target else 1) * k,
+                                 max_size=b * (t if per_target else 1) * k))).reshape(b, -1, k)
+    return ExemplarPool(xs, ys), ids, queries
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=record_batches())
+def test_predict_pool_sends_the_bytes_of_predict(stub_server, batch):
+    # Each body is its row's own json.dumps of the documented request.  Rows
+    # arrive in any order (several are in flight), so the bodies are compared
+    # sorted; each holds its context and query, so equal sorted lists are the
+    # same body per row.
+    pool, ids, queries = batch
+    StubHandler.recorded.clear()
+    got = RemoteOracle(stub_server + "/record").predict_pool(pool, ids, queries)
+    assert got.shape == (len(ids), len(queries), pool.ys.shape[1])
+    documented = [
+        json.dumps({
+            "exemplars": [{"x": pool.xs[i].tolist(), "y": pool.ys[i].tolist()} for i in ids[b, t % ids.shape[1]]],
+            "query": x.tolist(),
+        }).encode()
+        for b in range(len(ids)) for t, x in enumerate(queries)
+    ]
+    assert sorted(StubHandler.recorded) == sorted(documented)
+
+
+def _pool_with_non_finite_row(where):
+    """Rows 0-3 finite, row 4 holding a NaN in its x or y and the marker 7.25."""
+    xs, ys = np.arange(10.0).reshape(5, 2), np.arange(15.0).reshape(5, 3) / 4
+    xs[4], ys[4] = [7.25, 7.25], [7.25, 7.25, 7.25]
+    (xs if where == "x" else ys)[4, 1] = np.nan
+    return ExemplarPool(xs, ys)
+
+
+@pytest.mark.parametrize("where", ["x", "y"])
+def test_unused_non_finite_pool_row_leaves_the_batch_answered(stub_server, where):
+    StubHandler.recorded.clear()
+    pool = _pool_with_non_finite_row(where)
+    got = RemoteOracle(stub_server + "/record").predict_pool(pool, [[[0, 1]], [[3, 3]], [[2, 0]]], np.ones((2, 2)))
+    np.testing.assert_array_equal(got, np.zeros((3, 2, 3)))
+    assert len(StubHandler.recorded) == 6
+
+
+@pytest.mark.parametrize("where", ["x", "y"])
+def test_non_finite_pool_row_fails_the_first_row_that_uses_it(stub_server, where):
+    pool = _pool_with_non_finite_row(where)
+    oracle = RemoteOracle(stub_server + "/record")
+    oracle.predict_pool(pool, [0], np.ones(2))  # request 1, so the batch starts at first = 1
+    StubHandler.recorded.clear()
+    # Batch row r = 2 is the first to use row 4: request first + r + 1 = 4.
+    with pytest.raises(OracleFailure, match=r"^request 4: input is not finite"):
+        oracle.predict_pool(pool, [[[0, 1]], [[2, 3]], [[1, 4]], [[4, 0]], [[3, 2]]], np.ones(2))
+    # Rows 0 and 1 may or may not have been sent; none sent holds row 4.
+    assert not any(b"NaN" in body or b"7.25" in body for body in StubHandler.recorded)
+
+
+def test_each_distinct_position_is_encoded_once_per_batch(stub_server, monkeypatch):
+    encoded = []
+
+    def counting(x, y):
+        encoded.append((x, y))
+        return exemplar_json(x, y)
+
+    exemplar_json = hopctx.tasks._exemplar_json
+    monkeypatch.setattr(hopctx.tasks, "_exemplar_json", counting)
     pool, queries = _pool_and_queries()
-    rng = np.random.default_rng(5)
-    ids = np.stack([rng.permutation(pool.size)[:3] for _ in range(3)])[:, None]  # (3, 1, K)
-    StubHandler.recorded.clear()
-    RemoteOracle(stub_server + "/record").predict_pool(pool, ids, queries.xs)
-    batch = sorted(StubHandler.recorded)
-    StubHandler.recorded.clear()
-    one_at_a_time = RemoteOracle(stub_server + "/record")
-    documented = []
-    for row in ids[:, 0]:
-        for x in queries.xs:
-            one_at_a_time.predict_pool(pool, row, x)
-            documented.append(json.dumps({
-                "exemplars": [{"x": pool.xs[i].tolist(), "y": pool.ys[i].tolist()} for i in row], "query": x.tolist(),
-            }).encode())
-    assert len(batch) == len(ids) * len(queries)
-    assert batch == sorted(StubHandler.recorded) == sorted(documented)
+    ids = np.array([[[0, 5, 0], [2, 5, 5]], [[5, 2, 0], [0, 0, 0]], [[7, 5, 2], [2, 2, 2]]])  # (B, T, K)
+    oracle = RemoteOracle(stub_server + "/record")
+    distinct = sorted((pool.xs[i].tolist(), pool.ys[i].tolist()) for i in (0, 2, 5, 7))
+    for batches in (1, 2):  # nothing is kept from one batch to the next
+        oracle.predict_pool(pool, ids, queries.xs[:2])
+        assert sorted(encoded) == sorted(distinct * batches)
 
 
 @pytest.mark.parametrize("oracle", [AssociativeOracle(gamma=2.0), RemoteOracle("http://127.0.0.1:1/predict")],

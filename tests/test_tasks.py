@@ -477,6 +477,15 @@ class TestAssociativeOracle:
         with pytest.raises(ValueError, match="context exemplar dimensions"):
             oracle.predict_many([e, Exemplar(id=1, x=np.ones(2), y=np.ones(3))], np.ones((1, 2)))
 
+    @pytest.mark.parametrize("ragged", ["x", "y"])
+    def test_predict_many_rejects_ragged_context_rows(self, ragged):
+        # The first exemplar fits the query; the second has one more x or y entry.
+        first = Exemplar(id=0, x=np.array([0.4, -0.2]), y=np.array([0.9, 0.1]))
+        rows = {"x": np.array([0.3, 0.5]), "y": np.array([0.2, 0.7])}
+        rows[ragged] = np.append(rows[ragged], 1.0)
+        with pytest.raises(ValueError, match=r"^context exemplar dimensions do not match the query$"):
+            AssociativeOracle(gamma=3.0).predict_many([first, Exemplar(id=1, **rows)], np.ones((1, 2)))
+
 
 class TestBenchmarkGeometry:
     def test_hub_key_dominates_and_values_share_component(self):
