@@ -121,7 +121,9 @@ def separation(u: np.ndarray, z: np.ndarray, target_index: int) -> SeparationRep
 
 
 def beta_coefficient(c, m, t):
-    """beta = 1 - (1 + c(M-t)/t)^{-1} + c(M-t), elementwise over arrays."""
+    """beta = 1 - (1 + c(M-t)/t)^{-1} + c(M-t), elementwise over arrays.  A NaN
+    or negative c raises ValueError; an infinite c is valid and gives an
+    infinite beta (at t < M)."""
     if np.any(t <= 0):
         raise ValueError(f"t must be positive, got {t}")
     if np.any(m < t):
@@ -151,13 +153,20 @@ def _bound_columns(gamma, m: int, t, delta_min, instance_error, z_max_norm, real
 
 
 def _reports(columns: dict, gamma, m: int) -> list:
-    """One ``BoundReport`` per row of the columns ``_COLUMNS``."""
+    """One ``BoundReport`` per row of the columns ``_COLUMNS``.  Reports are built
+    only where they are returned or raised (``verify_patterns``, ``verify_bound``,
+    ``error_bound``, a ``BoundViolationError``); the sweep writes its CSV from the columns."""
     return [BoundReport(ie, c, t, m, b, zn, ub, float(gamma), None if t == m else dm, eps)
             for t, dm, c, ie, b, zn, ub, eps in zip(*(columns[name].tolist() for name in _COLUMNS))]
 
 
 def error_bound(sep: SeparationReport, gamma: float, instance_error: float, z_max_norm: float) -> BoundReport:
-    """Assemble the bound report from a separation report and instance data."""
+    """Assemble the bound report from a separation report and instance data.
+
+    Raises ValueError, before any arithmetic, for a gamma that is not finite
+    and > 0, an instance error or ``z_max_norm`` that is NaN, infinite or
+    negative, and a delta_min that is missing or NaN while t < M, so a margin
+    that could not be evaluated never becomes a bound."""
     if not 0 < gamma < math.inf:
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
     if not (0 <= instance_error < math.inf and 0 <= z_max_norm < math.inf):

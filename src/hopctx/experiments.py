@@ -373,6 +373,15 @@ def run_k_study(config: ExperimentConfig):
     its trial's probe permutation, and ranked in one call at the largest K
     (identical to calling the selector per trial and K with the same seed):
     pool.size^2 scores once instead of trials * pool.size * subsample.
+
+    Cost in predictions: metric and instance-best take len(k_values) *
+    queries.size per run whatever ``trials`` is (instance-best also
+    pool.size * queries.size for its ranking), and their records repeat
+    across trials; a random or active (strategy, K) takes trials *
+    queries.size, in blocks of whole trials.  The benchmark's
+    ``kstudy-default`` run (5 trials; random, active and instance-best) makes
+    30 ``predict_pool`` calls: 10 for the pool matrix, 5 for the query
+    matrix and one per (strategy, K).
     Returns (records, csv_text).
     """
     task = _build_task(config)

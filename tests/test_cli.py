@@ -1,5 +1,7 @@
 """CLI subcommands, exit codes, output files, and the package's public names."""
 
+import argparse
+import csv
 import importlib
 import json
 import os
@@ -13,8 +15,34 @@ import numpy as np
 import pytest
 
 import hopctx
-from hopctx import experiments
+from hopctx import cli, experiments
 from hopctx.cli import cli_main
+
+SRC = str(Path(hopctx.__file__).resolve().parents[1])
+
+
+def _run_cli(argv, warnings_as_errors=False):
+    """``python -m hopctx.cli argv`` in a fresh interpreter that imports this
+    hopctx, with ``RuntimeWarning`` an error if asked."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    if warnings_as_errors:
+        env["PYTHONWARNINGS"] = "error::RuntimeWarning"
+    return subprocess.run([sys.executable, "-m", "hopctx.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def _sets(settings):
+    return [arg for s in settings for arg in ("--set", s)]
+
+
+@pytest.fixture
+def no_runner(monkeypatch):
+    """Every experiment runner fails the test if it is called."""
+    def not_called(config):
+        raise AssertionError("the runner was called")
+
+    for name in ("run_k_study", "run_bound_sweep", "run_strategy_comparison"):
+        monkeypatch.setattr(experiments, name, not_called)
 
 
 @pytest.fixture
@@ -73,12 +101,7 @@ def test_output_to_a_directory_is_usage_error(tmp_path, capsys, argv):
 @pytest.mark.parametrize("command, suffix", [
     ("k-study", ""), ("bound-sweep", ""), ("compare", ""), ("compare", ".json"),
 ])
-def test_output_directory_is_found_before_the_run(tmp_path, capsys, monkeypatch, command, suffix):
-    def not_called(config):
-        raise AssertionError("the runner was called")
-
-    for name in ("run_k_study", "run_bound_sweep", "run_strategy_comparison"):
-        monkeypatch.setattr(experiments, name, not_called)
+def test_output_directory_is_found_before_the_run(tmp_path, capsys, no_runner, command, suffix):
     out = tmp_path / "out.csv"
     directory = Path(f"{out}{suffix}")
     directory.mkdir()
@@ -89,26 +112,14 @@ def test_output_directory_is_found_before_the_run(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("command", ["k-study", "compare"])
-def test_output_under_a_file_is_found_before_the_run(tmp_path, command):
+def test_output_under_a_file_is_found_before_the_run(tmp_path, capsys, no_runner, command):
     # An output whose ancestor is a regular file cannot be made: one error
     # line naming both, exit 1, before the runner is called.
     blocker = tmp_path / "notes.txt"
     blocker.write_text("kept\n")
     out = blocker / "sub" / "out.csv"
-    script = (
-        "import sys\n"
-        "from hopctx import cli, experiments\n"
-        "def not_called(config):\n"
-        "    sys.exit('the runner was called')\n"
-        "for name in ('run_k_study', 'run_bound_sweep', 'run_strategy_comparison'):\n"
-        "    setattr(experiments, name, not_called)\n"
-        "sys.exit(cli.cli_main(sys.argv[1:]))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(hopctx.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", script, command, "--output", str(out)],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 1
-    assert proc.stderr == f"error: output path {out}: {blocker} is not a directory\n"
+    assert cli_main([command, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: output path {out}: {blocker} is not a directory\n"
     assert blocker.read_text() == "kept\n" and list(tmp_path.iterdir()) == [blocker]
 
 
@@ -126,72 +137,68 @@ def test_key_error_is_a_bug_with_a_traceback(monkeypatch):
         cli_main(["k-study"])
 
 
-def test_retrieve_prints_frozen_example(tmp_path, capsys):
-    instance = {
-        "xi_q": [[1.0, 0.0], [0.0, 1.0]],
-        "xi_k": [[1.0, 0.0], [0.0, 1.0]],
-        "gamma": 1.0,
-        "sigma": [1.0, 0.0],
-        "contexts": [[1.0, 0.0], [0.0, 1.0]],
-    }
+_IDENTITY_MODEL = {"xi_q": [[1.0, 0.0], [0.0, 1.0]], "xi_k": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("instance, lines", [
+    ({"gamma": 1.0, "sigma": [1.0, 0.0], "contexts": [[1.0, 0.0], [0.0, 1.0]]},
+     ["weights: 0.7310585786300049 0.2689414213699951"]),
+    # One context pattern takes the softmax formula like any other M: a huge
+    # gamma still gives weight 1.0, and u_new holds no -0.0 (the projection
+    # V = lam^T xi_k already sums the context's -0.0 to +0.0).
+    ({"gamma": 1e300, "sigma": [1.0, -0.0], "contexts": [[-0.0, 2.0]]},
+     ["weights: 1.0", "u_new: 0.0 2.0"]),
+], ids=["frozen-example", "one-pattern-huge-gamma"])
+def test_retrieve_prints_weights_and_outputs(tmp_path, capsys, instance, lines):
     path = tmp_path / "instance.json"
-    path.write_text(json.dumps(instance))
+    path.write_text(json.dumps({**_IDENTITY_MODEL, **instance}))
     assert cli_main(["retrieve", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "0.7310585786300049" in out
-    assert "0.2689414213699951" in out
+    captured = capsys.readouterr()
+    assert set(lines) <= set(captured.out.splitlines()) and captured.err == ""
 
 
-def test_retrieve_overflowing_scores_is_usage_error(tmp_path, capsys):
-    instance = {
-        "xi_q": [[1.0, 0.0], [0.0, 1.0]],
-        "xi_k": [[1.0, 0.0], [0.0, 1.0]],
-        "gamma": 1.0,
-        "sigma": [1e200, 1e200],
-        "contexts": [[1e200, 1e200], [-1e200, 1e200]],
-    }
+@pytest.mark.parametrize("contexts", [[[1e200, 1e200], [-1e200, 1e200]], [[1e200, 1e200]]], ids=["M=2", "M=1"])
+def test_retrieve_overflowing_scores_is_usage_error(tmp_path, capsys, contexts):
     path = tmp_path / "instance.json"
-    path.write_text(json.dumps(instance))
+    path.write_text(json.dumps({**_IDENTITY_MODEL, "gamma": 1.0, "sigma": [1e200, 1e200], "contexts": contexts}))
     assert cli_main(["retrieve", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: scores u z are not finite")
-    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: scores u z are not finite") and captured.err.count("error:") == 1
 
 
 @pytest.mark.parametrize("settings, message", [
     # The built-in oracle's scores u z overflow.
-    (["task.noise_sigma=1e200"], "error: scores u z are not finite"),
+    (["task.noise_sigma=1e200", "trials=1", "k_values=2"], "error: scores u z are not finite"),
     # The metric ranking's closeness overflows before any prediction is made.
-    (["task.noise_sigma=1e160", "strategies=metric"], "error: euclidean closeness is not finite"),
-], ids=["oracle-scores", "metric-closeness"])
-def test_k_study_overflowing_scores_is_usage_error(tmp_path, settings, message):
-    # Run as a process with RuntimeWarning as an error: numpy must not warn
-    # first, and no record may be written with the overflow scored as 0.
-    env = dict(os.environ, PYTHONPATH=str(Path(hopctx.__file__).resolve().parents[1]),
-               PYTHONWARNINGS="error::RuntimeWarning")
+    (["task.noise_sigma=1e160", "strategies=metric", "trials=1", "k_values=2"],
+     "error: euclidean closeness is not finite"),
+    # One-exemplar contexts skip the softmax mix but still form the scores
+    # u z: through random, over the default trials,
+    (["task.noise_sigma=1e200", "k_values=1", "strategies=random"], "error: scores u z are not finite"),
+    # and through the instance-best and pool score matrices, which predict
+    # each one-exemplar context once and repeat it over the targets.
+    (["task.noise_sigma=1e200", "k_values=1", "strategies=active,instance-best", "trials=1"],
+     "error: scores u z are not finite"),
+], ids=["oracle-scores", "metric-closeness", "one-exemplar-random", "one-exemplar-matrices"])
+@pytest.mark.filterwarnings("ignore:min prototype distance:UserWarning")
+def test_k_study_overflowing_scores_is_usage_error(tmp_path, capsys, settings, message):
+    # RuntimeWarning is an error here (pyproject.toml), so numpy must not
+    # warn first; no record may be written with the overflow scored as 0.
     out = tmp_path / "out.csv"
-    sets = [arg for s in settings + ["trials=1", "k_values=2"] for arg in ("--set", s)]
-    proc = subprocess.run([sys.executable, "-m", "hopctx.cli", "k-study", *sets, "--output", str(out)],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.count("error:") == 1 and message in proc.stderr
+    assert cli_main(["k-study", *_sets(settings), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and message in err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("score", ["cosine-score", "exact-match", "negative-error"])
 def test_k_study_of_every_score_runs_without_warnings(tmp_path, score):
-    # The CI workflow's negative-error console check, for each score: every
-    # strategy's scores, and their rounding, must not warn.
-    env = dict(os.environ, PYTHONPATH=str(Path(hopctx.__file__).resolve().parents[1]),
-               PYTHONWARNINGS="error::RuntimeWarning")
+    # Every strategy's scores, and their rounding, must not warn.
     out = tmp_path / "out.csv"
     settings = ["task.kind=prototype-completion", f"score={score}",
                 "strategies=random,metric,active,instance-best", "trials=3"]
-    sets = [arg for s in settings for arg in ("--set", s)]
-    proc = subprocess.run([sys.executable, "-m", "hopctx.cli", "k-study", *sets, "--output", str(out)],
-                          env=env, capture_output=True, text=True, timeout=60)
+    proc = _run_cli(["k-study", *_sets(settings), "--output", out], warnings_as_errors=True)
     assert proc.returncode == 0 and proc.stderr == ""
     assert out.read_text().startswith("# hopctx k-study v1\n")
 
@@ -244,13 +251,11 @@ def test_retrieve_mistyped_field_is_usage_error(tmp_path, payload, field):
     # Run as a process: a TypeError escaping cli_main would print a traceback.
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(payload))
-    env = dict(os.environ, PYTHONPATH=str(Path(hopctx.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "hopctx.cli", "retrieve", str(path)],
-                          env=env, capture_output=True, text=True, timeout=60)
+    proc = _run_cli(["retrieve", path])
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("error:") == 1
-    assert field in proc.stderr.splitlines()[0]
+    assert len(proc.stderr.splitlines()) == 1 and field in proc.stderr
 
 
 def test_retrieve_missing_file_is_usage_error(tmp_path):
@@ -266,6 +271,30 @@ def test_bound_sweep_writes_csv(small_config_file, tmp_path, capsys):
     text = out_path.read_text()
     assert text.startswith("# hopctx bound-sweep v1\n")
     assert "violations=0" in capsys.readouterr().out
+
+
+def _csv_rows(path):
+    return list(csv.DictReader(line for line in path.read_text().splitlines() if not line.startswith("#")))
+
+
+def test_default_bound_sweep_runs_without_warnings(tmp_path, capsys):
+    # Its grid has a row whose beta * ||z_max|| overflows to inf: a valid,
+    # infinite bound, which must not warn.
+    assert cli_main(["bound-sweep", "--output", str(tmp_path / "sweep.csv")]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(_csv_rows(tmp_path / "sweep.csv")) == 2700
+
+
+def test_edge_bound_sweep_writes_empty_delta_min_and_infinite_c(tmp_path, capsys):
+    # M = 1 gives t = M rows (no delta_min, c = 0); gamma 1e4 gives rows with
+    # c = inf and an infinite bound.  Neither may warn.
+    out = tmp_path / "edge.csv"
+    settings = ["bound.m_grid=1,3", "bound.gamma_grid=0.5,10000", "bound.instances=20"]
+    assert cli_main(["bound-sweep", *_sets(settings), "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = _csv_rows(out)
+    assert any(r["M"] == r["t"] and r["delta_min"] == "" for r in rows)
+    assert any(r["c"] == "inf" for r in rows)
 
 
 def test_bound_violation_is_invariant_error(monkeypatch, capsys):
@@ -389,7 +418,7 @@ def test_local_commands_do_not_import_http_stack(small_config_file, tmp_path):
         # numpy.ma too: it is loaded by np.unique, for one, and raises every run's peak memory.
         "print(sorted(m for m in ('http.client', 'requests', 'urllib3', 'numpy.ma') if m in sys.modules))\n"
     )
-    path = [str(Path(hopctx.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    path = [SRC, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
@@ -402,3 +431,18 @@ def test_local_commands_do_not_import_http_stack(small_config_file, tmp_path):
 def test_every_all_entry_exists(name):
     module = importlib.import_module(f"hopctx.{name}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_readme_matches_the_code():
+    # The manual's config keys, exit codes and subcommands are the code's.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    keys = text.split("Keys (defaults printed by `hopctx selftest`):")[1].split("```")[1].split()
+    assert keys == list(experiments.ExperimentConfig().as_mapping())
+    codes = {0: "success", cli.USAGE_ERROR: "usage error", cli.INVARIANT_ERROR: "invariant violation",
+             cli.ORACLE_ERROR: "oracle failure"}
+    assert sorted(codes) == [0, 1, 2, 3]
+    assert all(f"\n- `{code}`: {name}" in text for code, name in codes.items())
+    block = text.split("## CLI\n\n```sh\n")[1].split("```")[0]
+    documented = {line.split()[1] for line in block.splitlines()}
+    subcommands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert documented == set(subcommands.choices)

@@ -5,7 +5,6 @@ import io
 import math
 import re
 from dataclasses import FrozenInstanceError, fields, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,11 +164,9 @@ class TestConfig:
 
     def test_keys_are_field_names_as_documented(self):
         # A key is its field's name with the first "_" a "." after a section
-        # name; README lists every key, in field order.
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        documented = readme.split("Keys (defaults printed by `hopctx selftest`):")[1].split("```")[1].split()
+        # name (test_cli checks that README lists every key, in field order).
         keys = list(ExperimentConfig().as_mapping())
-        assert len(keys) == 21 and keys == documented
+        assert len(keys) == 21
         assert [key.replace(".", "_") for key in keys] == [f.name for f in fields(ExperimentConfig)]
 
     def test_zero_d_prototype_task_rejected_naming_key(self):

@@ -388,3 +388,22 @@ def test_empty_context_is_rejected_before_any_request(oracle):
     pool, queries = _pool_and_queries()
     with pytest.raises(ValueError, match=r"^ids must hold at least one pool position per context, got shape \(1, 0\)$"):
         oracle.predict_pool(pool, np.zeros((1, 0), int), queries.xs[0])
+
+
+@pytest.mark.parametrize("ids, message", [
+    ([[0, -1]], "pool position -1 is outside [0, 12)"),
+    ([[3, 12]], "pool position 12 is outside [0, 12)"),
+    ([[1.7]], "ids must be integer pool positions, got float64 such as 1.7"),
+    (np.array([[True]]), "ids must be integer pool positions, got bool such as True"),
+], ids=["negative", "past-the-end", "float", "bool"])
+@pytest.mark.parametrize("kind", ["builtin", "remote"])
+def test_bad_pool_position_is_rejected_before_any_request(stub_server, kind, ids, message):
+    # numpy would read -1 as the last row, 1.7 and True as row 1, and raise
+    # its own IndexError at 12; the remote oracle would send such a row.
+    pool, queries = _pool_and_queries()
+    oracle = AssociativeOracle(gamma=2.0) if kind == "builtin" else RemoteOracle(stub_server + "/record")
+    StubHandler.seen.clear()
+    with pytest.raises(ValueError) as info:
+        oracle.predict_pool(pool, ids, queries.xs[0])
+    assert str(info.value) == message
+    assert StubHandler.seen == []
