@@ -31,7 +31,6 @@ __all__ = [
     "SeparationReport",
     "BoundReport",
     "BoundViolationError",
-    "DUPLICATE_TOL",
     "separation",
     "beta_coefficient",
     "error_bound",

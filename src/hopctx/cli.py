@@ -74,13 +74,11 @@ def _cmd_bound_sweep(args) -> int:
 
 def _cmd_k_study(args) -> int:
     config = _load_config(args)
-    records, csv_text = experiments.run_k_study(config)
+    scores, csv_text = experiments.run_k_study(config)
     _write_output(config, csv_text)
-    means = {}
-    for r in records:
-        means.setdefault((r.strategy, r.k), []).append(r.mean_score)
-    for (strategy, k), vals in sorted(means.items()):
-        print(f"{strategy:>14s} K={k:<3d} mean={np.mean(vals):.6f} trials={len(vals)}")
+    for strategy, k in sorted(scores):
+        trial_means = scores[strategy, k].mean(axis=1)
+        print(f"{strategy:>14s} K={k:<3d} mean={trial_means.mean():.6f} trials={len(trial_means)}")
     return 0
 
 

@@ -28,7 +28,6 @@ from . import bounds, selection, tasks
 
 __all__ = [
     "ExperimentConfig",
-    "TrialRecord",
     "derive_seed",
     "parse_config_text",
     "run_bound_sweep",
@@ -230,16 +229,6 @@ def parse_config_text(text: str) -> dict:
     return mapping
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    trial_index: int
-    trial_seed: int
-    strategy: str
-    k: int
-    mean_score: float
-    per_query_scores: tuple
-
-
 # ---------------------------------------------------------------------------
 # Shared experiment plumbing
 # ---------------------------------------------------------------------------
@@ -367,22 +356,27 @@ def run_k_study(config: ExperimentConfig):
     ``selection.score_contexts`` call on the first K positions of every
     context, over all trials and queries, through the oracle's
     ``predict_pool`` (the remote one sends one request per row, up to
-    ``tasks.REMOTE_IN_FLIGHT`` at a time); the trial loop only assembles
-    records.  With ``active``, the pool score matrix is built once per run,
-    and every trial's active values are gathered from it at once, each under
-    its trial's probe permutation, and ranked in one call at the largest K
-    (identical to calling the selector per trial and K with the same seed):
+    ``tasks.REMOTE_IN_FLIGHT`` at a time).  With ``active``, the pool score
+    matrix is built once per run, and every trial's active values are
+    gathered from it at once, each under its trial's probe permutation, and
+    ranked in one call at the largest K (identical to calling the selector
+    per trial and K with the same seed):
     pool.size^2 scores once instead of trials * pool.size * subsample.
 
     Cost in predictions: metric and instance-best take len(k_values) *
     queries.size per run whatever ``trials`` is (instance-best also
-    pool.size * queries.size for its ranking), and their records repeat
+    pool.size * queries.size for its ranking), and their scores repeat
     across trials; a random or active (strategy, K) takes trials *
     queries.size, in blocks of whole trials.  The benchmark's
     ``kstudy-default`` run (5 trials; random, active and instance-best) makes
     30 ``predict_pool`` calls: 10 for the pool matrix, 5 for the query
     matrix and one per (strategy, K).
-    Returns (records, csv_text).
+
+    Returns (scores, csv_text).  ``scores[strategy, k]`` is a read-only
+    float64 (trials, queries.size) array of rounded per-query scores, row t
+    for trial t (metric and instance-best broadcast their one row); a trial's
+    mean is its row's mean.  The CSV holds one row per (trial, strategy, K),
+    trial-major, with the trial's selection seed and mean score.
     """
     task = _build_task(config)
     oracle = _build_oracle(config, task)
@@ -412,36 +406,28 @@ def run_k_study(config: ExperimentConfig):
         values, _ = selection._pool_values(pool, matrix, config.subsample, [row[0] for row in seeds["active"]])
         contexts["active"] = pool.rank(values)[:, None, :max(config.k_values)]
 
-    # (per-query scores, mean) of each context row, per (strategy, K).
-    scored = {}
+    # Rounded per-query scores of each (strategy, K), one row per trial; metric and
+    # instance-best broadcast their one row.  A CSV mean is its block row's mean.
+    scores, means = {}, {}
     for strategy in config.strategies:
         for ki, k in enumerate(config.k_values):
             if strategy == "random":
                 ids = np.stack([selection.random_select(pool, k, row[ki]) for row in seeds["random"]])[:, None]
             else:
                 ids = contexts[strategy][..., :k]
-            scores, _ = selection.score_contexts(pool, oracle, score_fn, ids, xs, ys)
-            rounded = _round_scores(scores)
-            scored[strategy, k] = list(zip(map(tuple, rounded.tolist()), rounded.mean(axis=1).tolist()))
+            block, _ = selection.score_contexts(pool, oracle, score_fn, ids, xs, ys)
+            rounded = _round_scores(block)
+            scores[strategy, k] = np.broadcast_to(rounded, (config.trials, rounded.shape[1]))
+            means[strategy, k] = np.broadcast_to(rounded.mean(axis=1), config.trials).tolist()
 
-    records = []
-    for trial in trials:
-        for strategy in config.strategies:
-            for ki, k in enumerate(config.k_values):
-                by_row = scored[strategy, k]  # one row per trial, or one shared by all trials
-                per_query, mean = by_row[min(trial, len(by_row) - 1)]
-                records.append(TrialRecord(trial, seeds[strategy][trial][ki], strategy, k, mean, per_query))
-
-    rows = [
-        [r.trial_index, r.trial_seed, r.strategy, r.k, len(r.per_query_scores), r.mean_score]
-        for r in records
-    ]
+    rows = [[trial, seeds[strategy][trial][ki], strategy, k, len(xs), means[strategy, k][trial]]
+            for trial in trials for strategy in config.strategies for ki, k in enumerate(config.k_values)]
     csv_text = _csv_text(
         "# hopctx k-study v1",
         ("trial_index", "trial_seed", "strategy", "k", "n_queries", "mean_score"),
         rows,
     )
-    return records, csv_text
+    return scores, csv_text
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +440,8 @@ def run_strategy_comparison(config: ExperimentConfig):
     fixed K (the first entry of k_values).  Returns (summary, csv_text,
     json_text)."""
     k = config.k_values[0]
-    records, _ = run_k_study(replace(config, k_values=(k,)))
-    trial_means = {s: np.array([r.mean_score for r in records if r.strategy == s]) for s in config.strategies}
+    scores, _ = run_k_study(replace(config, k_values=(k,)))
+    trial_means = {s: scores[s, k].mean(axis=1) for s in config.strategies}
     random_means = trial_means.get("random")
 
     summary = {"k": k, "trials": config.trials, "strategies": {}}

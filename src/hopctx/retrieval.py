@@ -54,8 +54,10 @@ def softmax(scores: np.ndarray, gamma: float = 1.0) -> np.ndarray:
 
     exp(gamma * (s - max s)) has exponents <= 0, so for finite scores and a
     finite gamma > 0 the weights are finite and sum to 1; a gap that
-    overflows to -inf gets weight 0.
+    overflows to -inf gets weight 0.  Any other gamma raises ValueError.
     """
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
     scores = np.asarray(scores, dtype=np.float64)
     e = gamma * (scores - scores.max(axis=-1, keepdims=True))
     np.exp(e, out=e)

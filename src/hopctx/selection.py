@@ -61,10 +61,12 @@ __all__ = [
 ]
 
 # Most (context, target) scores one ``score_contexts`` block holds at once.
-# One call for all N^2 pool scores would hold every intermediate at once: in
-# the benchmark's ``kstudy-default`` workload (2-core host, Python 3.11, numpy
-# 2.4), peak resident memory was about 57.5 MB that way and 44 MB with these
-# blocks, at about the same speed.
+# The blocks bound the (B, T, K) intermediates of K > 1 contexts when trials x
+# queries is large.  Peak resident memory of a whole k-study in process (2-core
+# host, Python 3.11, numpy 2.4), blocked against one block per call, with the
+# same CSV bytes: 55 MB against 100 MB for 1,000 trials of random and active;
+# 41.8 MB against 43.6 MB for the default 100 trials; 38.7 MB against 39.5 MB
+# for the benchmark's ``kstudy-default`` config.
 POOL_BLOCK_PREDICTIONS = 4096
 # Most probe scores one block of value estimates gathers at once.
 VALUE_BLOCK_PROBES = 1 << 18

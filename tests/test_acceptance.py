@@ -57,14 +57,9 @@ def _report(line):
 def default_k_study():
     config = ExperimentConfig()
     t0 = time.perf_counter()
-    records, csv_text = run_k_study(config)
+    scores, csv_text = run_k_study(config)
     elapsed = time.perf_counter() - t0
-    by = {}
-    for r in records:
-        by.setdefault((r.strategy, r.k), []).append(r)
-    for recs in by.values():
-        recs.sort(key=lambda r: r.trial_index)
-    return config, records, csv_text, by, elapsed
+    return config, scores, csv_text, elapsed
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +274,12 @@ def test_criterion_6_value_estimator():
 
 
 def test_criterion_7_trend_suite(default_k_study):
-    config, records, _, by, elapsed = default_k_study
+    config, scores, _, elapsed = default_k_study
     assert elapsed < 300.0, f"default benchmark run took {elapsed:.0f}s (budget 300s)"
     ks = config.k_values
 
-    means = {
-        (strategy, k): float(np.mean([r.mean_score for r in by[(strategy, k)]]))
-        for (strategy, k) in by
-    }
+    trial_means = {key: block.mean(axis=1) for key, block in scores.items()}
+    means = {key: float(m.mean()) for key, m in trial_means.items()}
 
     # (b) active >= random at every K (1e-9 float-equality guard), strictly
     # better at the small context sizes.
@@ -301,17 +294,14 @@ def test_criterion_7_trend_suite(default_k_study):
 
     # (a) random mean non-decreasing in K within 2 paired standard errors.
     for k1, k2 in zip(ks, ks[1:]):
-        diffs = np.array([
-            r2.mean_score - r1.mean_score
-            for r1, r2 in zip(by[("random", k1)], by[("random", k2)])
-        ])
+        diffs = trial_means[("random", k2)] - trial_means[("random", k1)]
         se = diffs.std(ddof=1) / np.sqrt(len(diffs))
         assert diffs.mean() >= -2 * se - 1e-12, (
             f"random mean dropped from K={k1} to K={k2} by more than 2 SE"
         )
 
     # Across-seed variance of random non-increasing in K.
-    variances = [float(np.var([r.mean_score for r in by[("random", k)]], ddof=1)) for k in ks]
+    variances = [float(np.var(trial_means[("random", k)], ddof=1)) for k in ks]
     for v1, v2 in zip(variances, variances[1:]):
         assert v2 <= v1 + 1e-15, f"random variance increased along K: {variances}"
 
@@ -321,10 +311,7 @@ def test_criterion_7_trend_suite(default_k_study):
         assert best_k1 >= means[(strategy, 1)] - 1e-12
 
     # (d) instance-best does not improve from K=1 to K=8 beyond 2 SE.
-    ib_diffs = np.array([
-        r8.mean_score - r1.mean_score
-        for r1, r8 in zip(by[("instance-best", 1)], by[("instance-best", 8)])
-    ])
+    ib_diffs = trial_means[("instance-best", 8)] - trial_means[("instance-best", 1)]
     se = ib_diffs.std(ddof=1) / np.sqrt(len(ib_diffs)) if len(ib_diffs) > 1 else 0.0
     assert ib_diffs.mean() <= 2 * se + 1e-12, "instance-best improved from K=1 to K=8"
 
@@ -374,7 +361,7 @@ def test_criterion_8_zero_context_strictly_worse():
 
 
 def test_criterion_9_byte_identical_reruns(default_k_study):
-    config, _, csv_first, _, _ = default_k_study
+    config, _, csv_first, _ = default_k_study
     _, csv_second = run_k_study(config)
     assert csv_first == csv_second, "k-study CSV differs between reruns"
 

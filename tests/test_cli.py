@@ -9,6 +9,7 @@ import pkgutil
 import socket
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -431,6 +432,13 @@ def test_local_commands_do_not_import_http_stack(small_config_file, tmp_path):
 def test_every_all_entry_exists(name):
     module = importlib.import_module(f"hopctx.{name}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_top_level_names_are_the_modules_all():
+    # hopctx states its API once: each module's __all__, star-imported.
+    modules = ("classic", "retrieval", "bounds", "selection", "tasks", "experiments")
+    public = {n for n, v in vars(hopctx).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert public == {n for m in modules for n in importlib.import_module(f"hopctx.{m}").__all__}
 
 
 def test_readme_matches_the_code():

@@ -31,6 +31,11 @@ from hopctx.experiments import _draw_row, _verify_row, parse_config_text
 from hopctx.selection import pool_score_matrix
 
 
+def k_study_rows(csv_text):
+    """The k-study CSV's rows as dicts, after its one comment line."""
+    return list(csv.DictReader(csv_text.splitlines()[1:]))
+
+
 def small_config(**overrides):
     base = dict(
         task_kind="key-value-association",
@@ -424,10 +429,11 @@ class TestRoundScores:
 
 class TestKStudy:
     def test_mean_matches_per_query_scores_exactly(self):
-        records, _ = run_k_study(small_config(trials=2))
-        for r in records:
-            assert r.mean_score == pytest.approx(float(np.mean(r.per_query_scores)), abs=1e-12)
-            assert len(r.per_query_scores) == 12
+        scores, csv_text = run_k_study(small_config(trials=2))
+        for row in k_study_rows(csv_text):
+            per_query = scores[row["strategy"], int(row["k"])][int(row["trial_index"])]
+            assert float(row["mean_score"]) == pytest.approx(float(np.mean(per_query)), abs=1e-12)
+            assert len(per_query) == int(row["n_queries"]) == 12
 
     def test_byte_identical_reruns(self):
         config = small_config(trials=3)
@@ -461,16 +467,14 @@ class TestKStudy:
 
     def test_random_at_full_pool_has_zero_variance(self):
         config = small_config(trials=4, k_values=(30,), strategies=("random",))
-        records, _ = run_k_study(config)
-        means = {r.mean_score for r in records}
+        scores, _ = run_k_study(config)
+        means = set(scores["random", 30].mean(axis=1).tolist())
         assert len(means) == 1
 
     def test_instance_best_at_k1_not_below_random(self):
         config = small_config(trials=5, k_values=(1,), strategies=("random", "instance-best"))
-        records, _ = run_k_study(config)
-        random_means = [r.mean_score for r in records if r.strategy == "random"]
-        best_means = [r.mean_score for r in records if r.strategy == "instance-best"]
-        assert np.mean(best_means) >= np.mean(random_means)
+        scores, _ = run_k_study(config)
+        assert scores["instance-best", 1].mean(axis=1).mean() >= scores["random", 1].mean(axis=1).mean()
 
     def test_active_records_match_direct_selector(self):
         """Per-trial slicing of one estimate pass equals active_select per K."""
@@ -485,17 +489,16 @@ class TestKStudy:
         oracle = AssociativeOracle(gamma=config.oracle_gamma, y_dim=task.y_dim)
         active_seed = derive_seed(config.seed, 2, 0, 2)
         matrix = pool_score_matrix(pool, oracle, cosine_score)
-        records, _ = run_k_study(config)
+        scores, _ = run_k_study(config)
         for k in config.k_values:
             direct = active_select(pool, k, matrix, subsample=config.subsample, seed=active_seed)
-            rec = next(r for r in records if r.k == k)
             y_hats = oracle.predict_pool(pool, direct, queries.xs)
             expected = [round(float(cosine_score(y_hat, y)), 12) for y_hat, y in zip(y_hats, queries.ys)]
-            assert list(rec.per_query_scores) == expected
+            assert scores["active", k][0].tolist() == expected
 
     def test_trial_seed_selects_the_scored_context(self):
-        """Each random and active record's trial_seed, passed to its selector,
-        gives the context whose rounded per-query scores it records."""
+        """Each random and active CSV row's trial_seed, passed to its selector,
+        gives the context whose rounded per-query scores its trial holds."""
         from hopctx import generate_pool, random_select
         from hopctx.experiments import _build_task
 
@@ -506,16 +509,18 @@ class TestKStudy:
         )
         oracle = AssociativeOracle(gamma=config.oracle_gamma, y_dim=task.y_dim)
         matrix = pool_score_matrix(pool, oracle, cosine_score)
-        records, _ = run_k_study(config)
-        assert len(records) == 2 * 2 * len(config.k_values)
-        for rec in records:
-            if rec.strategy == "random":
-                context = random_select(pool, rec.k, rec.trial_seed)
+        scores, csv_text = run_k_study(config)
+        rows = k_study_rows(csv_text)
+        assert len(rows) == 2 * 2 * len(config.k_values)
+        for row in rows:
+            k, trial_seed = int(row["k"]), int(row["trial_seed"])
+            if row["strategy"] == "random":
+                context = random_select(pool, k, trial_seed)
             else:
-                context = active_select(pool, rec.k, matrix, config.subsample, rec.trial_seed)
+                context = active_select(pool, k, matrix, config.subsample, trial_seed)
             y_hats = oracle.predict_pool(pool, context, queries.xs)
             expected = [round(float(cosine_score(y_hat, y)), 12) for y_hat, y in zip(y_hats, queries.ys)]
-            assert list(rec.per_query_scores) == expected
+            assert scores[row["strategy"], k][int(row["trial_index"])].tolist() == expected
 
     def test_instance_best_matches_per_query_selector(self):
         from hopctx import AssociativeOracle, generate_pool
@@ -527,14 +532,13 @@ class TestKStudy:
             task, config.pool_size, derive_seed(config.seed, 1), n_queries=config.queries_size
         )
         oracle = AssociativeOracle(gamma=config.oracle_gamma, y_dim=task.y_dim)
-        records, _ = run_k_study(config)
-        rec = records[0]
+        got = run_k_study(config)[0]["instance-best", 2][0]
         for j, (x, y) in enumerate(zip(queries.xs, queries.ys)):
             # Brute force: every exemplar as the sole context, sorted by (-score, position).
             scores = [float(cosine_score(oracle.predict_pool(pool, [i], x), y)) for i in range(pool.size)]
             context = sorted(range(pool.size), key=lambda i: -scores[i])[:2]
             expected = round(float(cosine_score(oracle.predict_pool(pool, context, x), y)), 12)
-            assert rec.per_query_scores[j] == expected
+            assert got[j] == expected
 
     def test_instance_best_orders_match_python_sort(self):
         from hopctx import ExemplarPool
@@ -551,8 +555,8 @@ class TestKStudy:
 
     @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
     def test_metric_records_match_per_trial_selector(self, metric):
-        """The once-per-run ranking gives the records of a per-query metric
-        sort and a one-row predict per query, trial by trial."""
+        """The once-per-run ranking gives the scores and CSV rows of a
+        per-query metric sort and a one-row predict per query, trial by trial."""
         from hopctx import AssociativeOracle, generate_pool
         from hopctx.experiments import _build_task
 
@@ -562,9 +566,9 @@ class TestKStudy:
             task, config.pool_size, derive_seed(config.seed, 1), n_queries=config.queries_size
         )
         oracle = AssociativeOracle(gamma=config.oracle_gamma, y_dim=task.y_dim)
-        records, _ = run_k_study(config)
+        scores, csv_text = run_k_study(config)
         xs = pool.xs
-        got = {(r.trial_index, r.k): r for r in records if r.strategy == "metric"}
+        got = {(int(r["trial_index"]), int(r["k"])): r for r in k_study_rows(csv_text) if r["strategy"] == "metric"}
         assert len(got) == config.trials * len(config.k_values)
         for trial in range(config.trials):
             for k in config.k_values:
@@ -577,16 +581,55 @@ class TestKStudy:
                     order = sorted(range(pool.size), key=lambda i: (-closeness[i], i))
                     y_hat = oracle.predict_pool(pool, order[:k], q_x)
                     expected.append(round(float(cosine_score(y_hat, q_y)), 12))
-                rec = got[trial, k]
-                assert list(rec.per_query_scores) == expected
-                assert rec.mean_score == float(np.mean(expected))
-                assert rec.trial_seed == derive_seed(config.seed, 2, trial, 1, k)
-                assert rec.per_query_scores == got[0, k].per_query_scores
+                row = got[trial, k]
+                assert scores["metric", k][trial].tolist() == expected
+                assert float(row["mean_score"]) == float(np.mean(expected))
+                assert int(row["trial_seed"]) == derive_seed(config.seed, 2, trial, 1, k)
+                assert scores["metric", k][trial].tolist() == scores["metric", k][0].tolist()
 
     def test_metric_strategy_runs(self):
         config = small_config(trials=2, k_values=(1, 2), strategies=("random", "metric"))
-        records, _ = run_k_study(config)
-        assert {r.strategy for r in records} == {"random", "metric"}
+        scores, csv_text = run_k_study(config)
+        assert {strategy for strategy, _ in scores} == {"random", "metric"}
+        assert {row["strategy"] for row in k_study_rows(csv_text)} == {"random", "metric"}
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["key-value-association", "prototype-completion"]),
+           strategies=st.lists(st.sampled_from(["random", "metric", "active", "instance-best"]),
+                               min_size=1, max_size=4, unique=True),
+           trials=st.integers(1, 4),
+           k_values=st.lists(st.integers(1, 16), min_size=1, max_size=3, unique=True).map(sorted),
+           seed=st.integers(0, 2**16))
+    def test_scores_table_is_what_the_csv_and_comparison_read(self, kind, strategies, trials, k_values, seed):
+        config = small_config(task_kind=kind, strategies=tuple(strategies), trials=trials,
+                              k_values=tuple(k_values), pool_size=16, queries_size=5, subsample=8, seed=seed)
+        scores, csv_text = run_k_study(config)
+        assert list(scores) == [(s, k) for s in config.strategies for k in config.k_values]
+        for (strategy, k), block in scores.items():
+            assert block.dtype == np.float64 and block.shape == (trials, config.queries_size)
+            if strategy in ("metric", "instance-best"):
+                assert not block.flags.writeable
+                assert np.array_equal(block, np.broadcast_to(block[0], block.shape))
+
+        # The CSV is the table, trial-major, one row per (trial, strategy, K).
+        rows = k_study_rows(csv_text)
+        assert [(int(r["trial_index"]), r["strategy"], int(r["k"])) for r in rows] == [
+            (t, s, k) for t in range(trials) for s, k in scores]
+        for row in rows:
+            block = scores[row["strategy"], int(row["k"])]
+            assert row["mean_score"] == repr(float(block[int(row["trial_index"])].mean()))
+            assert int(row["n_queries"]) == block.shape[1]
+
+        k = config.k_values[0]
+        means = {s: scores[s, k].mean(axis=1) for s in config.strategies}
+        expected = {"k": k, "trials": trials, "strategies": {}}
+        for strategy, m in means.items():
+            entry = {"mean": float(m.mean()), "std": float(m.std(ddof=1)) if trials > 1 else 0.0}
+            if "random" in means:
+                wins = np.sum(m > means["random"]) + 0.5 * np.sum(m == means["random"])
+                entry["win_rate_vs_random"] = float(wins / trials)
+            expected["strategies"][strategy] = entry
+        assert run_strategy_comparison(config)[0] == expected
 
 
 class TestStrategyComparison:

@@ -270,10 +270,17 @@ class TestBatchInvariance:
 
 class TestModelValidation:
     def test_rejects_nonpositive_gamma(self):
-        # A non-finite gamma is rejected too: inf makes every weight NaN.
-        for gamma in (0.0, np.inf, np.nan):
-            with pytest.raises(ValueError):
+        # A non-finite gamma is rejected too: inf makes every weight NaN.  The
+        # kernels reject it as the model does: a negative gamma would weight
+        # the lower score higher, and 0 would give uniform weights.
+        u, z = np.array([1.0, 2.0]), np.eye(2)
+        for gamma in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="^gamma must be finite and positive"):
                 ContextualHopfield.identity(2, gamma=gamma)
+            with pytest.raises(ValueError, match="^gamma must be finite and positive"):
+                softmax(u, gamma)
+            with pytest.raises(ValueError, match="^gamma must be finite and positive"):
+                retrieval_update(u, z, z, gamma)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
