@@ -2,7 +2,7 @@
 
 Core pieces: a classic binary Hopfield network, continuous retrieval over
 dynamic context vectors (equivalent to single-head softmax attention), a
-proven upper bound on the retrieval error with inspection tools, exemplar
+proven upper bound on the retrieval error and its verifier, exemplar
 selection strategies for in-context prediction, synthetic tasks with local
 and remote completion oracles, and seeded experiment runners behind a CLI.
 """

@@ -15,78 +15,43 @@ patterns).  When every pattern duplicates the target (t = M), delta_min has
 no defined value; c is set to 0 by convention, which is harmless because both
 c terms carry the factor M - t = 0.
 
-``verify_patterns`` needs finite input and finite products: non-finite input, or
-finite input whose scores u z or norms overflow, is rejected with ValueError.
-It and ``error_bound`` reject a gamma that is not finite and > 0 the same way.
+``verify_patterns`` and ``verify_bound`` return the result as columns: a dict
+mapping t, delta_min, c, instance_error, beta, z_max_norm, upper_bound and
+realized_error each to an array over u's leading axes (0-d for one instance),
+delta_min NaN where t = M.  A violation raises ``BoundViolationError`` whose
+``report`` is the failing row as a dict keyed by ``BOUND_CSV_COLUMNS[1:]``.
+The verifier needs finite input and finite products: non-finite input, finite
+input whose scores u z or norms overflow, or a gamma that is not finite and
+> 0 is rejected with ValueError.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .retrieval import ContextSet, ContextualHopfield, QueryState, _finite_product, _row_dot, retrieval_update
 
-__all__ = [
-    "SeparationReport",
-    "BoundReport",
-    "BoundViolationError",
-    "separation",
-    "beta_coefficient",
-    "error_bound",
-    "verify_patterns",
-    "verify_bound",
-    "BOUND_CSV_COLUMNS",
-]
+__all__ = ["BoundViolationError", "beta_coefficient", "verify_patterns", "verify_bound", "BOUND_CSV_COLUMNS"]
 
 # Per-coordinate tolerance for treating two context patterns as duplicates.
 # Near-duplicates beyond this count as distinct: the bound treats equality
 # exactly and float noise must not silently merge patterns.
 DUPLICATE_TOL = 1e-12
 
-# CSV schema for serialized reports (one row per instance); the columns after
-# M and t are the ``BoundReport`` fields of the same name.  ``_COLUMNS`` are
-# those of ``_verify_rows``, one entry per row (delta_min NaN where t = M).
+# CSV schema of the sweep (one row per instance).  ``_COLUMNS`` are the verifier's
+# columns, one entry per row (delta_min NaN where t = M); a violation report adds M and gamma.
 BOUND_CSV_COLUMNS = ("instance_id", "M", "t", "gamma", "delta_min", "c", "instance_error", "beta",
                      "z_max_norm", "upper_bound", "realized_error")
 _COLUMNS = BOUND_CSV_COLUMNS[2:3] + BOUND_CSV_COLUMNS[4:]
 
 
 class BoundViolationError(AssertionError):
-    """Raised when a realized error exceeds the proven bound: an implementation bug."""
+    """Raised when a realized error exceeds the proven bound: an implementation bug.  ``report``
+    is the failing row, a dict keyed by ``BOUND_CSV_COLUMNS[1:]`` (delta_min NaN where t = M)."""
 
-    def __init__(self, report: "BoundReport", detail: str = ""):
+    def __init__(self, report: dict):
         self.report = report
-        super().__init__(f"retrieval error exceeds its upper bound: {report!r} {detail}")
-
-
-@dataclass(frozen=True)
-class SeparationReport:
-    """Score margins of one target pattern against the other context patterns.
-
-    ``delta_all[j]`` is u z_i - u z_j for distinct z_j and NaN at duplicate
-    positions (including the target itself).  ``delta_min`` is None when all
-    M patterns duplicate the target (t = M).
-    """
-
-    delta_all: np.ndarray
-    delta_min: float | None
-    duplicate_count: int
-    m: int
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    instance_error: float
-    c: float
-    t: int
-    m: int
-    beta: float
-    z_max_norm: float
-    upper_bound: float
-    gamma: float
-    delta_min: float | None
-    realized_error: float | None = None
+        super().__init__(f"retrieval error exceeds its upper bound: {report!r}")
 
 
 @np.errstate(over="ignore")
@@ -101,22 +66,6 @@ def _margins(sims: np.ndarray, z: np.ndarray, target_index: int):
     delta_all = np.where(dup, np.nan, sims[..., target_index, None] - sims)
     # fmin skips the NaN at duplicates, as nanmin does, without its all-NaN warning.
     return delta_all, np.fmin.reduce(delta_all, axis=-1), dup.sum(axis=-1)
-
-
-def separation(u: np.ndarray, z: np.ndarray, target_index: int) -> SeparationReport:
-    """Margins delta_j = u z_i - u z_j of target i against each distinct pattern.
-
-    u is the query pattern and z the context patterns as columns
-    (``ContextSet.patterns``).  Duplicates of the target are detected by
-    per-coordinate equality within ``DUPLICATE_TOL``; delta_min is the
-    minimum margin over non-duplicates.  A non-finite u or z, or scores u z
-    that overflow float64, raise ValueError.
-    """
-    if not (np.isfinite(u).all() and np.isfinite(z).all()):
-        raise ValueError("u or z not finite: separation takes finite input")
-    delta_all, delta_min, t = _margins(_finite_product(u, z, "scores u z")[None], z[None], target_index)
-    t, m = int(t[0]), z.shape[1]
-    return SeparationReport(delta_all[0], None if t == m else float(delta_min[0]), t, m)
 
 
 def beta_coefficient(c, m, t):
@@ -151,38 +100,11 @@ def _bound_columns(gamma, m: int, t, delta_min, instance_error, z_max_norm, real
     return dict(zip(_COLUMNS, (t, delta_min, c, instance_error, beta, z_max_norm, upper_bound, realized_error)))
 
 
-def _reports(columns: dict, gamma, m: int) -> list:
-    """One ``BoundReport`` per row of the columns ``_COLUMNS``.  Reports are built
-    only where they are returned or raised (``verify_patterns``, ``verify_bound``,
-    ``error_bound``, a ``BoundViolationError``); the sweep writes its CSV from the columns."""
-    return [BoundReport(ie, c, t, m, b, zn, ub, float(gamma), None if t == m else dm, eps)
-            for t, dm, c, ie, b, zn, ub, eps in zip(*(columns[name].tolist() for name in _COLUMNS))]
-
-
-def error_bound(sep: SeparationReport, gamma: float, instance_error: float, z_max_norm: float) -> BoundReport:
-    """Assemble the bound report from a separation report and instance data.
-
-    Raises ValueError, before any arithmetic, for a gamma that is not finite
-    and > 0, an instance error or ``z_max_norm`` that is NaN, infinite or
-    negative, and a delta_min that is missing or NaN while t < M, so a margin
-    that could not be evaluated never becomes a bound."""
-    if not 0 < gamma < math.inf:
-        raise ValueError(f"gamma must be finite and positive, got {gamma}")
-    if not (0 <= instance_error < math.inf and 0 <= z_max_norm < math.inf):
-        raise ValueError("instance_error and z_max_norm must be finite and nonnegative")
-    if sep.duplicate_count < sep.m and (sep.delta_min is None or math.isnan(sep.delta_min)):
-        raise ValueError(f"delta_min must be a number when t < M, got {sep.delta_min}")
-    row = [np.array([math.nan if x is None else x], dtype=np.float64)
-           for x in (sep.delta_min, instance_error, z_max_norm)]
-    return _reports(_bound_columns(gamma, sep.m, np.array([sep.duplicate_count]), *row, np.array([None])),
-                    gamma, sep.m)[0]
-
-
 @np.errstate(over="ignore")
 def _verify_rows(u, z, v, u_star, gamma: float, target_index: int):
-    """The verifier core on a batch, shaped as in ``verify_patterns``.  Returns (columns, fault): fault is
-    None or (row, exception) of the first failing row, and columns maps each name of ``_COLUMNS`` to an
-    array over the rows before that row (over every row when fault is None)."""
+    """The verifier core on a batch: u (B, d_q), z (B, d_q, M), v (B, M, d_q), u_star (B, d_q).  Returns
+    (columns, fault): fault is None or (row, exception) of the first failing row, and columns maps each
+    name of ``_COLUMNS`` to an array over the rows before that row (over every row when fault is None)."""
     if not 0 < gamma < math.inf:
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
     with np.errstate(invalid="ignore"):  # inf - inf in overflowing scores: flagged below
@@ -211,34 +133,36 @@ def _verify_rows(u, z, v, u_star, gamma: float, target_index: int):
     ub = columns["upper_bound"]
     i = int(np.append(~np.isfinite(eps) | np.isnan(ub) | (eps > ub + 1e-9 * (1.0 + ub)), True).argmax())
     if i < k:
-        report = _reports(columns, gamma, m)[i]
-        fault = (i, BoundViolationError(report, detail=f"eps={report.realized_error!r} bound={report.upper_bound!r}"))
+        t_i, *rest = (a[i].item() for a in columns.values())
+        fault = (i, BoundViolationError(dict(zip(BOUND_CSV_COLUMNS[1:], (m, t_i, float(gamma), *rest)))))
     return {name: a[:i] for name, a in columns.items()}, fault
 
 
-def verify_patterns(u, z, v, u_star, gamma: float, target_index: int):
+def verify_patterns(u, z, v, u_star, gamma: float, target_index: int) -> dict:
     """Run the retrieval and check the realized error against its upper bound.
 
-    One instance, u (d_q,), z (d_q, M) and v (M, d_q) as in
-    ``retrieval_update``, gives its ``BoundReport``; a batch of one shape,
-    u (B, d_q), z (B, d_q, M) and v (B, M, d_q), a list of B reports.
-    u_star, shaped as u, is the ground truth: dz = u*^T - z_target.  A
-    violation raises ``BoundViolationError`` carrying the full report, with
-    relative slack 1e-9 for softmax rounding.  A non-finite u, z, v or u_star,
-    or a score or norm that overflows, raises ValueError; a NaN error or bound
-    is a violation; an infinite bound (infinite c) holds for any finite error.
-    A batch raises the error of its first failing row, as a loop would.
+    u (..., d_q), z (..., d_q, M) and v (..., M, d_q) are as in
+    ``retrieval_update``, read as float64; u_star, shaped as u, is the ground
+    truth: dz = u*^T - z_target.  Returns the columns ``_COLUMNS``, each shaped
+    as u's leading axes (0-d for one instance).  A violation raises
+    ``BoundViolationError`` carrying the failing row, with relative slack 1e-9
+    for softmax rounding.  Shapes that do not match, a non-finite u, z, v or
+    u_star, or a score or norm that overflows, raise ValueError; a NaN error or
+    bound is a violation; an infinite bound (infinite c) holds for any finite
+    error.  A batch raises the error of its first failing row, as a loop would.
     """
-    u_star = np.asarray(u_star, dtype=np.float64)
-    if u_star.shape != u.shape:
-        raise ValueError(f"u_star shape {u_star.shape} != query pattern shape {u.shape}")
-    one = u.ndim == 1
-    columns, fault = _verify_rows(*((a[None] for a in (u, z, v, u_star)) if one else (u, z, v, u_star)),
-                                  gamma, target_index)
+    u, z, v, u_star = (np.asarray(a, dtype=np.float64) for a in (u, z, v, u_star))
+    if u.ndim == 0:
+        raise ValueError("query pattern u must have at least one axis, got shape ()")
+    lead, d_q, m = u.shape[:-1], u.shape[-1], z.shape[-1] if z.ndim else 0
+    for name, a, shape in (("z", z, (*lead, d_q, m)), ("v", v, (*lead, m, d_q)), ("u_star", u_star, u.shape)):
+        if a.shape != shape:
+            raise ValueError(f"{name} shape {a.shape} != {shape} for query pattern shape {u.shape}")
+    columns, fault = _verify_rows(u.reshape(-1, d_q), z.reshape(-1, d_q, m), v.reshape(-1, m, d_q),
+                                  u_star.reshape(-1, d_q), gamma, target_index)
     if fault is not None:
         raise fault[1]
-    reports = _reports(columns, gamma, z.shape[-1])
-    return reports[0] if one else reports
+    return {name: a.reshape(lead) for name, a in columns.items()}
 
 
 def verify_bound(model: ContextualHopfield, ctx: ContextSet, query: QueryState, u_star, target_index: int):

@@ -175,7 +175,7 @@ def _selftest_suites():
             ref = retrieval.hnc_retrieve(model, ctx, query).u_new @ model.w_v
             assert np.max(np.abs(out - ref)) <= 1e-12
 
-    def error_bound_holds():
+    def bound_sweep_holds():
         config = experiments.ExperimentConfig(bound_instances=40)
         experiments.run_bound_sweep(config)
 
@@ -202,7 +202,7 @@ def _selftest_suites():
     return [
         ("softmax-probability-vector", softmax_probability_vector),
         ("attention-matches-retrieval", attention_matches_retrieval),
-        ("error-bound-holds", error_bound_holds),
+        ("error-bound-holds", bound_sweep_holds),
         ("beta-monotone", beta_monotone),
         ("classic-fixed-points", classic_fixed_points),
     ]

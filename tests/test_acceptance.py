@@ -31,14 +31,12 @@ from hopctx import (
     classic_store,
     classic_update,
     cosine_score,
-    error_bound,
     estimate_pool_values,
     generate_pool,
     hnc_retrieve,
     make_benchmark_task,
     run_bound_sweep,
     run_k_study,
-    separation,
     verify_bound,
 )
 from hopctx.selection import pool_score_matrix, score_rows
@@ -89,8 +87,8 @@ def test_criterion_1_bound_soundness():
         query = QueryState.from_sigma(rng.standard_normal(d_m), model)
         z_target = ctx.patterns(model)[:, 0]
         u_star = z_target + rng.uniform(0.0, 1.0) * rng.standard_normal(d_q)
-        report = verify_bound(model, ctx, query, u_star, target_index=0)
-        assert report.realized_error <= report.upper_bound + 1e-9 * (1 + report.upper_bound)
+        columns = verify_bound(model, ctx, query, u_star, target_index=0)
+        assert columns["realized_error"] <= columns["upper_bound"] + 1e-9 * (1 + columns["upper_bound"])
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"bound verification too slow: {elapsed:.1f}s"
     _report(f"PASS 1 bound soundness: {n_instances} instances, 0 violations, {elapsed:.1f}s")
@@ -215,9 +213,9 @@ def test_criterion_5_degenerate_cases():
         ctx = ContextSet(np.tile(col[:, None], (1, m)))
         query = QueryState.from_sigma(rng.standard_normal(d), model)
         u_star = col + rng.standard_normal(d)
-        report = verify_bound(model, ctx, query, u_star, target_index=0)
-        assert report.t == report.m == m
-        assert report.upper_bound == report.instance_error, "t=M must collapse the bound to ||dz||"
+        columns = verify_bound(model, ctx, query, u_star, target_index=0)
+        assert columns["t"] == m
+        assert columns["upper_bound"] == columns["instance_error"], "t=M must collapse the bound to ||dz||"
 
     for m in (2, 4, 8, 16, 32):
         d = 3
@@ -227,12 +225,11 @@ def test_criterion_5_degenerate_cases():
             cols.append(np.array([2.0 - j * 0.01, 0.5, -0.25]))
         ctx = ContextSet.from_vectors(cols)
         query = QueryState.from_sigma(np.array([1.0, 0.0, 0.0]), model)
-        sep = separation(query.u, ctx.patterns(model), target_index=0)
-        assert sep.duplicate_count == 1 and sep.delta_min >= 1.0
-        report = error_bound(sep, gamma=50.0, instance_error=0.0,
-                             z_max_norm=float(np.linalg.norm(ctx.patterns(model), axis=0).max()))
-        assert report.upper_bound <= 1e-18 * report.z_max_norm, (
-            f"M={m}: bound {report.upper_bound:.3e} above the exp(-50) envelope"
+        # u* = z_0, so the bound is its contextual term alone.
+        columns = verify_bound(model, ctx, query, ctx.patterns(model)[:, 0], target_index=0)
+        assert columns["t"] == 1 and columns["delta_min"] >= 1.0
+        assert columns["upper_bound"] <= 1e-18 * columns["z_max_norm"], (
+            f"M={m}: bound {columns['upper_bound']:.3e} above the exp(-50) envelope"
         )
     _report("PASS 5 degenerate cases: t=M collapse exact, gamma=50 envelope <= 1e-18*||z_max||")
 

@@ -4,7 +4,6 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -20,12 +19,10 @@ from hopctx import (
     ExperimentConfig,
     QueryState,
     beta_coefficient,
-    error_bound,
     run_bound_sweep,
-    separation,
     verify_bound,
 )
-from hopctx.bounds import BoundReport, BOUND_CSV_COLUMNS, _COLUMNS, _verify_rows, verify_patterns
+from hopctx.bounds import BOUND_CSV_COLUMNS, _COLUMNS, _margins, _verify_rows, verify_patterns
 from hopctx.retrieval import retrieval_update
 
 
@@ -64,38 +61,44 @@ def random_bound_instance(rng, exact=False):
     return model, ctx, query, z_target + (0.0 if exact else dz)
 
 
+def columns_of(lam_columns, sigma, target_index=0, gamma=1.0, u_star=None):
+    """The verifier's columns for an identity instance, u* = z_target unless given."""
+    model, ctx, query = identity_instance(lam_columns, sigma, gamma)
+    z = ctx.patterns(model)
+    return verify_bound(model, ctx, query, z[:, target_index] if u_star is None else u_star, target_index)
+
+
 class TestSeparation:
     def test_orthogonal_pair(self):
         model, ctx, query = identity_instance([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
-        sep = separation(query.u, ctx.patterns(model), target_index=0)
-        assert sep.delta_min == 1.0
-        assert sep.duplicate_count == 1
-        assert math.isnan(sep.delta_all[0])
-        assert sep.delta_all[1] == 1.0
+        z = ctx.patterns(model)
+        columns = verify_bound(model, ctx, query, z[:, 0], target_index=0)
+        assert columns["delta_min"] == 1.0
+        assert columns["t"] == 1
+        delta_all = _margins((query.u @ z)[None], z[None], 0)[0][0]
+        assert math.isnan(delta_all[0])
+        assert delta_all[1] == 1.0
 
     def test_all_duplicates_flags_undefined(self):
         col = [0.5, -0.25]
-        model, ctx, query = identity_instance([col, col, col], [1.0, 2.0])
-        sep = separation(query.u, ctx.patterns(model), target_index=1)
-        assert sep.duplicate_count == 3
-        assert sep.delta_min is None
+        columns = columns_of([col, col, col], [1.0, 2.0], target_index=1)
+        assert columns["t"] == 3
+        assert math.isnan(columns["delta_min"])
 
     def test_matches_exhaustive_pairwise_computation(self):
         rng = np.random.default_rng(11)
         lam = rng.standard_normal((4, 5))
         sigma = rng.standard_normal(4)
         model, ctx, query = identity_instance(lam.T, sigma)
-        sep = separation(query.u, ctx.patterns(model), target_index=2)
+        columns = verify_bound(model, ctx, query, lam[:, 2], target_index=2)
         sims = [float(query.u @ lam[:, j]) for j in range(5)]
         expected = min(sims[2] - sims[j] for j in range(5) if j != 2)
-        assert sep.delta_min == pytest.approx(expected, abs=1e-12)
-        assert sep.duplicate_count == 1
+        assert columns["delta_min"] == pytest.approx(expected, abs=1e-12)
+        assert columns["t"] == 1
 
     def test_near_duplicates_beyond_tolerance_count_as_distinct(self):
         base = np.array([1.0, 0.0])
-        model, ctx, query = identity_instance([base, base + 1e-9], [1.0, 0.0])
-        sep = separation(query.u, ctx.patterns(model), target_index=0)
-        assert sep.duplicate_count == 1
+        assert columns_of([base, base + 1e-9], [1.0, 0.0])["t"] == 1
 
     @pytest.mark.parametrize("name", ["u", "z"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -106,49 +109,49 @@ class TestSeparation:
         patterns[name].flat[0] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ValueError, match=r"^u or z not finite: separation takes finite input$"):
-                separation(patterns["u"], patterns["z"], target_index=0)
+            with pytest.raises(ValueError, match=rf"^{name} not finite: the verifier takes finite input$"):
+                verify_patterns(patterns["u"], patterns["z"], np.eye(2), [1.0, 0.0], 1.0, target_index=0)
 
     def test_rejects_overflowing_scores(self):
-        # Finite u and z whose scores u z overflow are rejected with the
-        # verifier's message, before anything warns, not reported as an
-        # infinite margin that error_bound would turn into a bound of 0.
+        # Finite u and z whose scores u z overflow are rejected before
+        # anything warns, not read as an infinite margin and a bound of 0.
+        z = np.array([[1e200, 0.0], [0.0, 1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match=r"^scores u z are not finite"):
-                separation(np.array([1e200, 0.0]), np.array([[1e200, 0.0], [0.0, 1.0]]), 0)
+                verify_patterns(np.array([1e200, 0.0]), z, z.T.copy(), z[:, 0], 1.0, 0)
 
     def test_overflowing_margin_is_infinite_without_warning(self):
         # Finite scores 1e308 and -1e308 are 2e308 apart: the margin is
         # infinite, and with it c = exp(-gamma delta_min) = 0.
+        z = np.array([[1e8, -1e8], [0.0, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sep = separation(np.array([1.0, 0.0]), np.array([[1e308, -1e308], [0.0, 0.0]]), 0)
-            report = error_bound(sep, gamma=1.0, instance_error=0.0, z_max_norm=1.0)
-        assert sep.delta_min == math.inf and sep.duplicate_count == 1
-        assert report.c == 0.0
+            columns = verify_patterns(np.array([1e300, 0.0]), z, z.T.copy(), z[:, 0], 1.0, 0)
+        assert columns["delta_min"] == math.inf and columns["t"] == 1
+        assert columns["c"] == 0.0
 
     def test_rejects_out_of_range_index(self):
         model, ctx, query = identity_instance([[1.0, 0.0]], [1.0, 0.0])
         with pytest.raises(IndexError):
-            separation(query.u, ctx.patterns(model), target_index=1)
+            verify_bound(model, ctx, query, [1.0, 0.0], target_index=1)
 
 
 class TestRealizedError:
     def test_perfect_retrieval_is_zero(self):
         model, ctx, query = identity_instance([[1.0, 0.0]], [1.0, 0.0])
-        assert verify_bound(model, ctx, query, [1.0, 0.0], target_index=0).realized_error == 0.0
+        assert verify_bound(model, ctx, query, [1.0, 0.0], target_index=0)["realized_error"] == 0.0
 
     def test_unit_offset(self):
         model, ctx, query = identity_instance([[1.0, 0.0]], [1.0, 0.0])
-        report = verify_bound(model, ctx, query, [0.0, 0.0], target_index=0)
-        assert report.realized_error == pytest.approx(1.0, abs=1e-15)
+        columns = verify_bound(model, ctx, query, [0.0, 0.0], target_index=0)
+        assert columns["realized_error"] == pytest.approx(1.0, abs=1e-15)
 
     def test_two_pattern_example(self):
         # ||(0.73106..., 0.26894...) - (1, 0)||, frozen from a direct norm.
         model, ctx, query = identity_instance([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
-        report = verify_bound(model, ctx, query, [1.0, 0.0], target_index=0)
-        assert report.realized_error == pytest.approx(0.3803406055853444, abs=1e-12)
+        columns = verify_bound(model, ctx, query, [1.0, 0.0], target_index=0)
+        assert columns["realized_error"] == pytest.approx(0.3803406055853444, abs=1e-12)
 
     def test_rejects_dimension_mismatch(self):
         model, ctx, query = identity_instance([[1.0, 0.0]], [1.0, 0.0])
@@ -197,77 +200,48 @@ class TestBetaFormula:
 class TestErrorBound:
     def test_full_duplication_gives_instance_error(self):
         col = [1.0, 1.0]
-        model, ctx, query = identity_instance([col, col], [0.5, 0.5])
-        sep = separation(query.u, ctx.patterns(model), target_index=0)
-        report = error_bound(sep, gamma=2.0, instance_error=0.37, z_max_norm=5.0)
-        assert report.beta == 0.0
-        assert report.upper_bound == 0.37
-        assert report.c == 0.0
+        columns = columns_of([col, col], [0.5, 0.5], gamma=2.0, u_star=[1.37, 1.0])
+        assert columns["beta"] == 0.0
+        assert columns["instance_error"] == pytest.approx(0.37, abs=1e-15)
+        assert columns["upper_bound"] == columns["instance_error"]
+        assert columns["c"] == 0.0
 
     def test_exact_retrieval_limit(self):
         # dz = 0, delta_min > 0, huge gamma: c -> 0 and the bound -> 0.
-        model, ctx, query = identity_instance([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0], gamma=1e4)
-        sep = separation(query.u, ctx.patterns(model), target_index=0)
-        report = error_bound(sep, gamma=1e4, instance_error=0.0, z_max_norm=1.0)
-        assert report.upper_bound == 0.0
+        assert columns_of([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0], gamma=1e4)["upper_bound"] == 0.0
 
     def test_frozen_two_pattern_bound(self):
-        model, ctx, query = identity_instance([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
-        sep = separation(query.u, ctx.patterns(model), target_index=0)
-        report = error_bound(sep, gamma=1.0, instance_error=0.1, z_max_norm=1.0)
-        assert report.c == pytest.approx(math.exp(-1.0), abs=1e-15)
-        assert report.beta == pytest.approx(0.6368208625414374, abs=1e-12)
-        assert report.upper_bound == pytest.approx(0.7368208625414374, abs=1e-12)
+        # u* at distance 0.1 from z_0, with ||z_max|| = 1.
+        columns = columns_of([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0], u_star=[1.0, 0.1])
+        assert columns["instance_error"] == 0.1 and columns["z_max_norm"] == 1.0
+        assert columns["c"] == pytest.approx(math.exp(-1.0), abs=1e-15)
+        assert columns["beta"] == pytest.approx(0.6368208625414374, abs=1e-12)
+        assert columns["upper_bound"] == pytest.approx(0.7368208625414374, abs=1e-12)
 
     def test_rejects_negative_inputs(self):
-        model, ctx, query = identity_instance([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
-        sep = separation(query.u, ctx.patterns(model), target_index=0)
+        z = np.eye(2)
         with pytest.raises(ValueError):
-            error_bound(sep, gamma=0.0, instance_error=0.1, z_max_norm=1.0)
-        with pytest.raises(ValueError):
-            error_bound(sep, gamma=1.0, instance_error=-0.1, z_max_norm=1.0)
-
-    @pytest.mark.parametrize("field", ["instance_error", "z_max_norm"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
-    def test_rejects_norms_not_finite_and_nonnegative(self, field, value):
-        # Neither a NaN nor an infinite bound comes out of input that cannot be evaluated.
-        sep = separation(np.ones(2), np.eye(2), 0)
-        with pytest.raises(ValueError, match="instance_error and z_max_norm must be finite and nonnegative"):
-            error_bound(sep, 1.0, **{"instance_error": 1.0, "z_max_norm": 1.0, field: value})
-
-    @pytest.mark.parametrize("delta_min", [math.nan, None])
-    def test_rejects_missing_margin_below_full_duplication(self, delta_min):
-        # With t < M a margin that could not be evaluated gives no bound: as
-        # c = 0 it would make the bound the instance error alone.
-        from hopctx.bounds import SeparationReport
-
-        sep = SeparationReport(np.array([math.nan, math.nan]), delta_min, 1, 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ValueError, match=r"^delta_min must be a number when t < M, got "):
-                error_bound(sep, 1.0, instance_error=0.0, z_max_norm=1.0)
+            verify_patterns([1.0, 0.0], z, z, [1.0, 0.0], 0.0, 0)
 
     @pytest.mark.parametrize("gamma", [math.inf, math.nan, 0.0, -1.0])
     def test_rejects_gamma_not_finite_and_positive(self, gamma):
         # A tie (delta_min = 0, M = 2, t = 1), bounded by 1.5 at gamma = 2: a
         # NaN gamma must not pass as c = 0 and a bound of 0, nor an inf one warn.
-        u, z = np.array([1.0, 0.0]), np.array([[1.0, 1.0], [0.0, 1e-3]])
-        assert error_bound(separation(u, z, 0), 2.0, 0.0, 1.0).upper_bound == 1.5
+        u, z = np.array([1.0, 1.0]), np.eye(2)
+        assert verify_patterns(u, z, z, z[:, 0], 2.0, 0)["upper_bound"] == 1.5
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match="gamma must be finite and positive"):
-                error_bound(separation(u, z, 0), gamma, 0.0, 1.0)
-            with pytest.raises(ValueError, match="gamma must be finite and positive"):
-                verify_patterns(u, z, np.ascontiguousarray(z.T), u, gamma, 0)
+                verify_patterns(u, z, z, z[:, 0], gamma, 0)
 
 
 class TestVerifyBound:
     def test_single_pattern_exact(self):
         model, ctx, query = identity_instance([[0.4, -0.9]], [1.0, 0.0])
         z1 = ctx.patterns(model)[:, 0]
-        report = verify_bound(model, ctx, query, z1, target_index=0)
-        assert report.upper_bound == 0.0
-        assert report.realized_error <= 1e-12
+        columns = verify_bound(model, ctx, query, z1, target_index=0)
+        assert columns["upper_bound"] == 0.0
+        assert columns["realized_error"] <= 1e-12
 
     def test_lossless_retrieval_has_zero_error(self):
         # All patterns duplicate the target and u* is the target itself:
@@ -277,40 +251,40 @@ class TestVerifyBound:
         model = ContextualHopfield.identity(3, gamma=2.0)
         ctx = ContextSet(np.tile(col[:, None], (1, 7)))
         query = QueryState.from_sigma(rng.standard_normal(3), model)
-        report = verify_bound(model, ctx, query, col, target_index=0)
-        assert report.instance_error == 0.0
-        assert report.realized_error <= 1e-12 * (1 + np.linalg.norm(col))
+        columns = verify_bound(model, ctx, query, col, target_index=0)
+        assert columns["instance_error"] == 0.0
+        assert columns["realized_error"] <= 1e-12 * (1 + np.linalg.norm(col))
 
     def test_bound_decomposes_into_instance_and_contextual_error(self):
         model, ctx, query = identity_instance([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
-        report = verify_bound(model, ctx, query, [1.2, -0.1], target_index=0)
-        assert report.upper_bound - report.instance_error == pytest.approx(
-            report.beta * report.z_max_norm, rel=1e-12
+        columns = verify_bound(model, ctx, query, [1.2, -0.1], target_index=0)
+        assert columns["upper_bound"] - columns["instance_error"] == pytest.approx(
+            columns["beta"] * columns["z_max_norm"], rel=1e-12
         )
 
     def test_two_pattern_combined_example(self):
         model, ctx, query = identity_instance([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
-        report = verify_bound(model, ctx, query, [1.0, 0.0], target_index=0)
-        assert report.instance_error == 0.0
-        assert report.realized_error == pytest.approx(0.3803406055853444, abs=1e-12)
-        assert report.upper_bound == pytest.approx(0.6368208625414374, abs=1e-12)
-        assert report.realized_error <= report.upper_bound
+        columns = verify_bound(model, ctx, query, [1.0, 0.0], target_index=0)
+        assert columns["instance_error"] == 0.0
+        assert columns["realized_error"] == pytest.approx(0.3803406055853444, abs=1e-12)
+        assert columns["upper_bound"] == pytest.approx(0.6368208625414374, abs=1e-12)
+        assert columns["realized_error"] <= columns["upper_bound"]
 
     def test_thousand_random_instances_no_violation(self):
         rng = np.random.default_rng(2024)
         for _ in range(1000):
             model, ctx, query, u_star = random_bound_instance(rng)
-            report = verify_bound(model, ctx, query, u_star, target_index=0)
-            assert report.realized_error <= report.upper_bound + 1e-9 * (1 + report.upper_bound)
+            columns = verify_bound(model, ctx, query, u_star, target_index=0)
+            assert columns["realized_error"] <= columns["upper_bound"] + 1e-9 * (1 + columns["upper_bound"])
 
     @given(st.integers(min_value=0, max_value=100_000), st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_bound_holds_property(self, seed, exact):
         rng = np.random.default_rng(seed)
         model, ctx, query, u_star = random_bound_instance(rng, exact)
-        report = verify_bound(model, ctx, query, u_star, target_index=0)
+        columns = verify_bound(model, ctx, query, u_star, target_index=0)
         if exact:
-            assert report.instance_error == 0.0
+            assert columns["instance_error"] == 0.0
 
     def test_rejects_context_of_wrong_dimension(self):
         model = ContextualHopfield.identity(3)
@@ -332,7 +306,7 @@ class TestVerifyBound:
         model, ctx, query = identity_instance([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
         with pytest.raises(BoundViolationError) as excinfo:
             bounds_module.verify_bound(model, ctx, query, [1.0, 0.0], target_index=0)
-        assert math.isnan(excinfo.value.report.realized_error)
+        assert math.isnan(excinfo.value.report["realized_error"])
 
     @pytest.mark.parametrize(
         "contexts, sigma, u_star",
@@ -363,11 +337,11 @@ class TestVerifyBound:
         ctx = ContextSet(ctx.lam * scale)
         query = QueryState.from_sigma(query.sigma * scale, model)
         try:
-            report = verify_bound(model, ctx, query, u_star * scale, target_index=0)
+            columns = verify_bound(model, ctx, query, u_star * scale, target_index=0)
         except ValueError as exc:
             assert "not finite" in str(exc)
         else:
-            assert report.realized_error <= report.upper_bound + 1e-9 * (1 + report.upper_bound)
+            assert columns["realized_error"] <= columns["upper_bound"] + 1e-9 * (1 + columns["upper_bound"])
 
     @pytest.mark.parametrize("name", ["u", "z", "v", "u_star"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -388,7 +362,46 @@ class TestVerifyBound:
         model, ctx, query = identity_instance([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
         with pytest.raises(BoundViolationError) as excinfo:
             bounds_module.verify_bound(model, ctx, query, [1.0, 0.0], target_index=0)
-        assert excinfo.value.report.realized_error > excinfo.value.report.upper_bound
+        assert excinfo.value.report["realized_error"] > excinfo.value.report["upper_bound"]
+
+    @pytest.mark.parametrize("through", ["verify_patterns", "run_bound_sweep"])
+    def test_violation_report_is_the_failing_row(self, through, monkeypatch):
+        # The report is the failing instance's row of the CSV schema, without
+        # instance_id: M, t and gamma are its cell's, and delta_min is NaN
+        # where t = M, as in the columns.
+        import hopctx.bounds as bounds_module
+
+        monkeypatch.setattr(bounds_module, "beta_coefficient", lambda c, m, t: np.full_like(c, -10.0))
+        with pytest.raises(BoundViolationError) as excinfo:
+            if through == "verify_patterns":
+                cell = {"M": 2, "t": 1, "gamma": 1.5}
+                verify_patterns([1.0, 0.0], np.eye(2), np.eye(2), [1.0, 0.0], 1.5, 0)
+            else:
+                cell = {"M": 3, "t": 3, "gamma": 0.5}
+                run_bound_sweep(ExperimentConfig(bound_gamma_grid=(0.5,), bound_m_grid=(3,),
+                                                 bound_dup_fractions=(1.0,), bound_instances=1))
+        report = excinfo.value.report
+        assert list(report) == list(BOUND_CSV_COLUMNS[1:])
+        assert {name: report[name] for name in cell} == cell
+        assert math.isnan(report["delta_min"]) == (cell["t"] == cell["M"])
+        assert report["realized_error"] > report["upper_bound"]
+        assert str(excinfo.value) == f"retrieval error exceeds its upper bound: {report!r}"
+
+    @pytest.mark.parametrize("case", ["list-input", "z", "v", "u_star", "scalar-u"])
+    def test_reads_arrays_and_names_the_mismatched_shape(self, case):
+        # Any array-like is read as float64; a shape that does not match u's
+        # is a ValueError naming the argument, not a numpy error.
+        z = np.eye(2)
+        args = {"u": [1.0, 0.0], "z": z, "v": z, "u_star": [1.0, 0.0]}
+        if case == "list-input":
+            got = verify_patterns(*args.values(), 2.0, 0)
+            want = verify_patterns(np.array([1.0, 0.0]), z, z, np.array([1.0, 0.0]), 2.0, 0)
+            assert [repr(a) for a in got.values()] == [repr(a) for a in want.values()]
+            return
+        name = "u" if case == "scalar-u" else case
+        args[name] = {"z": np.ones((3, 2)), "v": np.ones((3, 2)), "u_star": [1.0, 0.0, 0.0], "u": 1.0}[name]
+        with pytest.raises(ValueError, match=rf"^(query pattern )?{name} (shape|must)"):
+            verify_patterns(*args.values(), 2.0, 0)
 
 
 def pattern_stack(seed, rows, d_q, m, t, exact=()):
@@ -406,9 +419,10 @@ def pattern_stack(seed, rows, d_q, m, t, exact=()):
     return u, z, z.transpose(0, 2, 1).copy(), u_star  # a copy: at M = 1 the transpose is contiguous
 
 
-def report_bits(report):
-    """Every field of a report, with repr telling apart each float's bits."""
-    return [repr(x) for x in astuple(report)]
+def row_bits(columns, i=()):
+    """Row i of verifier columns (the one row of 0-d columns), with repr
+    telling apart each float's bits."""
+    return [repr(columns[name][i].item()) for name in _COLUMNS]
 
 
 def first_error_of_loop(u, z, v, u_star, gamma):
@@ -446,9 +460,9 @@ class TestBuiltinPrediction:
         z = np.ascontiguousarray(v.T)
         u = np.concatenate([x, np.zeros(d_y)])
         i = int(np.argmax(u @ z))
-        report = verify_patterns(u, z, v, np.concatenate([v[i, :d_x], y]), gamma, i)
+        columns = verify_patterns(u, z, v, np.concatenate([v[i, :d_x], y]), gamma, i)
         y_hat = AssociativeOracle(gamma=gamma, y_dim=d_y).predict_pool(pool, ids, x)
-        assert np.linalg.norm(y_hat - y) <= report.realized_error
+        assert np.linalg.norm(y_hat - y) <= columns["realized_error"]
 
 
 class TestBatchedVerifier:
@@ -462,40 +476,42 @@ class TestBatchedVerifier:
     )
     @settings(max_examples=120, deadline=None)
     def test_batch_equals_one_row_calls_bitwise(self, seed, rows, d_q, m, data, gamma):
-        # t = M covers delta_min None and c = 0 (always at M = 1); gamma 1e4
+        # t = M covers delta_min NaN and c = 0 (always at M = 1); gamma 1e4
         # with a negative margin gives c = inf and an infinite bound.
         t = data.draw(st.integers(min_value=1, max_value=m))
         exact = data.draw(st.sets(st.integers(min_value=0, max_value=rows - 1)))
         u, z, v, u_star = pattern_stack(seed, rows, d_q, m, t, exact)
         batch = verify_patterns(u, z, v, u_star, gamma, target_index=0)
-        assert len(batch) == rows
-        for i, report in enumerate(batch):
+        assert list(batch) == list(_COLUMNS) and all(a.shape == (rows,) for a in batch.values())
+        for i in range(rows):
             one = verify_patterns(u[i], z[i], v[i], u_star[i], gamma, target_index=0)
-            assert report_bits(report) == report_bits(one)
-            # The same bits as a scalar evaluation of each term of the bound.
-            sep = separation(u[i], z[i], target_index=0)
-            if sep.delta_min is None:
+            assert all(a.shape == () for a in one.values())
+            assert row_bits(batch, i) == row_bits(one)
+            # The same bits as a scalar evaluation of each term of the bound:
+            # the first t patterns duplicate the target, the rest are distinct.
+            sims = u[i] @ z[i]
+            delta_min = min(sims[0] - sims[t:]) if t < m else math.nan
+            if t == m:
                 c = 0.0
             else:
                 try:
-                    c = math.exp(-gamma * sep.delta_min)
+                    c = math.exp(-gamma * delta_min)
                 except OverflowError:
                     c = math.inf
-            t = sep.duplicate_count
             beta = 0.0 if t == m else reference_beta(c, m, t)
             instance_error = float(np.linalg.norm(u_star[i] - z[i][:, 0]))
             assert instance_error == 0.0 or i not in exact
             z_max_norm = float(np.linalg.norm(z[i], axis=0).max())
             _, u_new = retrieval_update(u[i], z[i], v[i], gamma)
-            assert report_bits(report) == report_bits(BoundReport(
-                instance_error, c, t, m, beta, z_max_norm, instance_error + beta * z_max_norm, gamma,
-                sep.delta_min, float(np.linalg.norm(u_new - u_star[i])),
-            ))
+            assert row_bits(batch, i) == [repr(x) for x in (
+                t, float(delta_min), c, instance_error, beta, z_max_norm, instance_error + beta * z_max_norm,
+                float(np.linalg.norm(u_new - u_star[i])),
+            )]
 
     def test_draws_reach_infinite_c(self):
         u, z, v, u_star = pattern_stack(5, 20, 3, 4, 1)
-        reports = verify_patterns(u, z, v, u_star, 1e4, target_index=0)
-        assert any(r.delta_min < 0 and r.c == math.inf and r.upper_bound == math.inf for r in reports)
+        columns = verify_patterns(u, z, v, u_star, 1e4, target_index=0)
+        assert np.any((columns["delta_min"] < 0) & (columns["c"] == math.inf) & (columns["upper_bound"] == math.inf))
 
     @given(
         st.integers(min_value=0, max_value=100_000),
@@ -547,10 +563,10 @@ class TestBatchedVerifier:
 
         u, z, v, u_star = pattern_stack(seed, rows, 3, m, 1)
         clean = verify_patterns(u, z, v, u_star, 2.0, target_index=0)
-        marked = [i for i, r in enumerate(clean) if kind != "excess" or r.upper_bound < 100.0]
+        marked = [i for i in range(rows) if kind != "excess" or clean["upper_bound"][i] < 100.0]
         assume(marked)
         row = data.draw(st.sampled_from(marked))
-        offset = np.eye(3)[0] * (clean[row].upper_bound + 1e-6)
+        offset = np.eye(3)[0] * (clean["upper_bound"][row] + 1e-6)
 
         def mutant_update(u_, z_, v_, gamma):
             weights, u_new = retrieval_update(u_, z_, v_, gamma)
@@ -560,7 +576,7 @@ class TestBatchedVerifier:
 
         def mutant_beta(c, m_, t):
             beta = np.array(beta_coefficient(c, m_, t), dtype=np.float64)
-            beta[c == clean[row].c] = np.nan if kind == "nan-bound" else np.inf
+            beta[c == clean["c"][row]] = np.nan if kind == "nan-bound" else np.inf
             return beta
 
         with pytest.MonkeyPatch.context() as mp:
@@ -578,7 +594,7 @@ class TestBatchedVerifier:
                 verify_patterns(u, z, v, u_star, 2.0, target_index=0)
         (i, exc), (j, one) = fault, expected
         assert i == j == row and isinstance(exc, BoundViolationError)
-        assert report_bits(exc.report) == report_bits(one.report) == report_bits(excinfo.value.report)
+        assert repr(exc.report) == repr(one.report) == repr(excinfo.value.report)
         assert str(exc) == str(one) == str(excinfo.value)
         assert all(len(a) == row for a in columns.values())
 
@@ -592,32 +608,33 @@ class TestBatchedVerifier:
     )
     @settings(max_examples=120, deadline=None)
     def test_columns_equal_the_one_row_reports_bitwise(self, seed, rows, d_q, m, data, gamma):
-        # The columns hold each one-row report's fields, bit for bit; delta_min
-        # is NaN where the report's is None (t = M, always at M = 1).  dz = 0
-        # rows and c = inf at gamma 1e4 are among the draws.
+        # The batch core's columns hold each one-row call's columns, bit for
+        # bit; delta_min is NaN where t = M (always at M = 1).  dz = 0 rows
+        # and c = inf at gamma 1e4 are among the draws.
         t = data.draw(st.integers(min_value=1, max_value=m))
         exact = data.draw(st.sets(st.integers(min_value=0, max_value=rows - 1)))
         u, z, v, u_star = pattern_stack(seed, rows, d_q, m, t, exact)
         columns, fault = _verify_rows(u, z, v, u_star, gamma, 0)
         assert fault is None and list(columns) == list(_COLUMNS)
         assert columns["t"].dtype.kind == "i" and all(a.dtype == np.float64 for a in list(columns.values())[1:])
-        reports = [verify_patterns(u[i], z[i], v[i], u_star[i], gamma, target_index=0) for i in range(rows)]
-        field_names = [f.name for f in fields(BoundReport)]
+        ones = [verify_patterns(u[i], z[i], v[i], u_star[i], gamma, target_index=0) for i in range(rows)]
         for name, column in columns.items():
-            one_row = [astuple(r)[field_names.index(name)] for r in reports]
-            assert [repr(x) for x in column.tolist()] == [repr(math.nan if x is None else x) for x in one_row]
-        assert all(r.m == m and r.gamma == gamma for r in reports)
+            assert [repr(x) for x in column.tolist()] == [repr(one[name].item()) for one in ones]
 
 
-def sweep_row_of(report, monkeypatch):
+def bound_row(*values):
+    """A row keyed by ``BOUND_CSV_COLUMNS[1:]``, as a violation report is."""
+    return dict(zip(BOUND_CSV_COLUMNS[1:], values))
+
+
+def sweep_row_of(row, monkeypatch):
     """The CSV line ``run_bound_sweep`` writes for a one-instance sweep whose
-    verifier columns are the fields of ``report`` (delta_min None as NaN)."""
+    verifier columns hold ``row`` (delta_min NaN where t = M)."""
     import hopctx.experiments as experiments_module
 
-    columns = {name: np.array([math.nan if getattr(report, name) is None else getattr(report, name)])
-               for name in _COLUMNS}
+    columns = {name: np.array([row[name]]) for name in _COLUMNS}
     monkeypatch.setattr(experiments_module, "_verify_row", lambda groups, gamma: columns)
-    config = ExperimentConfig(bound_gamma_grid=(report.gamma,), bound_m_grid=(report.m,),
+    config = ExperimentConfig(bound_gamma_grid=(row["gamma"],), bound_m_grid=(row["M"],),
                               bound_dup_fractions=(0.0,), bound_instances=1)
     _, csv_text, summary = run_bound_sweep(config)
     assert summary["instances"] == 1
@@ -638,17 +655,18 @@ class TestCsvRow:
         assert [len(r) for r in rows] == [len(BOUND_CSV_COLUMNS)] * 4
         assert [r[4] for r in rows] == [""] * 4
 
-    @pytest.mark.parametrize("report", [
-        BoundReport(0.25, 0.0, 2, 2, 0.0, 1.5, 0.25, 2.0, None, 0.125),  # t = M: delta_min undefined
-        BoundReport(0.1, math.inf, 1, 3, math.inf, 2.0, math.inf, 1e4, -0.3, 0.7),  # c = inf, infinite bound
-        BoundReport(0.1, 1e300, 1, 3, 2e300, 1e10, math.inf, 8.0, -86.3, 0.7),  # only the bound overflows
-        BoundReport(0.1 + 0.2, 0.1353352832366127, 1, 8, 0.9473469826562889, 1.0 / 3.0, 0.6157823275520963,
-                    2.0, 1.0, 0.3),
+    @pytest.mark.parametrize("row", [
+        bound_row(2, 2, 2.0, math.nan, 0.0, 0.25, 0.0, 1.5, 0.25, 0.125),  # t = M: delta_min undefined
+        bound_row(3, 1, 1e4, -0.3, math.inf, 0.1, math.inf, 2.0, math.inf, 0.7),  # c = inf, infinite bound
+        bound_row(3, 1, 8.0, -86.3, 1e300, 0.1, 2e300, 1e10, math.inf, 0.7),  # only the bound overflows
+        bound_row(8, 1, 2.0, 1.0, 0.1353352832366127, 0.1 + 0.2, 0.9473469826562889, 1.0 / 3.0,
+                  0.6157823275520963, 0.3),
     ], ids=["delta-none", "c-inf", "bound-inf", "ordinary"])
-    def test_writer_gives_the_repr_strings(self, report, monkeypatch):
+    def test_writer_gives_the_repr_strings(self, row, monkeypatch):
         # The sweep writes .tolist() columns with csv.writer: floats by repr,
         # and delta_min None (an empty field) where t = M.  That gives the
         # bytes of formatting each field by hand.
-        values = [getattr(report, name) for name in BOUND_CSV_COLUMNS[3:]]
-        by_hand = ",".join(["g0-m0-d0-0", str(report.m), str(report.t)] + ["" if x is None else repr(x) for x in values])
-        assert sweep_row_of(report, monkeypatch) == by_hand + "\n"
+        values = ["" if name == "delta_min" and row["t"] == row["M"] else repr(row[name])
+                  for name in BOUND_CSV_COLUMNS[3:]]
+        by_hand = ",".join(["g0-m0-d0-0", str(row["M"]), str(row["t"])] + values)
+        assert sweep_row_of(row, monkeypatch) == by_hand + "\n"

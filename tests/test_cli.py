@@ -6,6 +6,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import socket
 import subprocess
 import sys
@@ -308,6 +309,7 @@ def test_bound_violation_is_invariant_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("invariant violation: retrieval error exceeds its upper bound")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_non_finite_bound_input_is_usage_error(monkeypatch, capsys):
@@ -442,7 +444,7 @@ def test_top_level_names_are_the_modules_all():
 
 
 def test_readme_matches_the_code():
-    # The manual's config keys, exit codes and subcommands are the code's.
+    # The manual's config keys, exit codes, subcommands and module names are the code's.
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     keys = text.split("Keys (defaults printed by `hopctx selftest`):")[1].split("```")[1].split()
     assert keys == list(experiments.ExperimentConfig().as_mapping())
@@ -454,3 +456,11 @@ def test_readme_matches_the_code():
     documented = {line.split()[1] for line in block.splitlines()}
     subcommands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert documented == set(subcommands.choices)
+    # Each backticked name in "## Modules" (`verify_patterns`, `retrieval_update(u, ...)`, `compare`,
+    # `hopctx.bounds`) is a public hopctx name, a CLI subcommand or a hopctx module.
+    section = text.split("\n## Modules\n")[1].split("\n## ")[0]
+    spans = re.findall(r"`([^`]+)`", section)
+    names = [m.group(1) for span in spans if (m := re.fullmatch(r"([A-Za-z_][\w.-]*)(\(.*\))?", span))]
+    modules = {f"hopctx.{m.name}" for m in pkgutil.iter_modules(hopctx.__path__)}
+    public = {n for n in vars(hopctx) if not n.startswith("_")} | set(subcommands.choices) | modules
+    assert len(names) >= 10 and [n for n in names if n not in public] == []

@@ -281,9 +281,11 @@ class TestBoundSweep:
                         ctx = ContextSet(lam)
                         query = QueryState.from_sigma(rng.standard_normal(d_m), model)
                         dz = rng.uniform(0.0, 1.0) * rng.standard_normal(d_q)
-                        report = verify_bound(model, ctx, query, ctx.patterns(model)[:, 0] + dz, target_index=0)
-                        writer.writerow([f"g{gi}-m{mi}-d{di}-{j}", report.m, report.t]
-                                        + [getattr(report, name) for name in BOUND_CSV_COLUMNS[3:]])
+                        row = verify_bound(model, ctx, query, ctx.patterns(model)[:, 0] + dz, target_index=0)
+                        row = {"M": m, "gamma": gamma, **{name: a.item() for name, a in row.items()}}
+                        if row["t"] == m:  # delta_min is NaN in the columns, an empty CSV field
+                            row["delta_min"] = None
+                        writer.writerow([f"g{gi}-m{mi}-d{di}-{j}"] + [row[name] for name in BOUND_CSV_COLUMNS[1:]])
         return buf.getvalue().splitlines()
 
     def test_rows_equal_verify_bound_on_the_same_draws(self):
@@ -372,17 +374,16 @@ class TestBoundSweep:
 class TestGammaMonotonicity:
     def test_bound_non_increasing_in_gamma_at_fixed_geometry(self):
         # Positive separation: larger gamma shrinks c and hence the bound.
-        from hopctx import ContextSet, ContextualHopfield, QueryState, error_bound, separation
-
         ctx = ContextSet.from_vectors([[1.0, 0.0], [0.0, 1.0], [0.4, 0.4]])
         bounds_by_gamma = []
         for gamma in (0.5, 1.0, 2.0):
             model = ContextualHopfield.identity(2, gamma=gamma)
             query = QueryState.from_sigma([1.0, 0.0], model)
-            sep = separation(query.u, ctx.patterns(model), target_index=0)
-            assert sep.delta_min is not None and sep.delta_min > 0
-            report = error_bound(sep, gamma, instance_error=0.05, z_max_norm=1.0)
-            bounds_by_gamma.append(report.upper_bound)
+            # u* at distance 0.05 from z_0 = (1, 0); ||z_max|| = 1.
+            columns = verify_bound(model, ctx, query, [1.0, 0.05], target_index=0)
+            assert columns["instance_error"] == 0.05 and columns["z_max_norm"] == 1.0
+            assert columns["delta_min"] > 0
+            bounds_by_gamma.append(columns["upper_bound"])
         assert bounds_by_gamma[0] >= bounds_by_gamma[1] >= bounds_by_gamma[2]
 
 
