@@ -355,12 +355,12 @@ def run_k_study(config: ExperimentConfig):
     the query score matrix).  Each (strategy, K) is one blocked
     ``selection.score_contexts`` call on the first K positions of every
     context, over all trials and queries, through the oracle's
-    ``predict_pool`` (the remote one sends one request per row, up to
-    ``tasks.REMOTE_IN_FLIGHT`` at a time).  With ``active``, the pool score
-    matrix is built once per run, and every trial's active values are
-    gathered from it at once, each under its trial's probe permutation, and
-    ranked in one call at the largest K (identical to calling the selector
-    per trial and K with the same seed):
+    ``predict_pool`` (the remote one sends one request per row, pipelining
+    up to ``tasks.REMOTE_IN_FLIGHT`` on one connection per call).  With
+    ``active``, the pool score matrix is built once per run, and every
+    trial's active values are gathered from it at once, each under its
+    trial's probe permutation, and ranked in one call at the largest K
+    (identical to calling the selector per trial and K with the same seed):
     pool.size^2 scores once instead of trials * pool.size * subsample.
 
     Cost in predictions: metric and instance-best take len(k_values) *

@@ -11,10 +11,11 @@ predictions and targets to one score per row, non-finite where undefined;
 oracle answers by associative retrieval over the context (x, y) pairs
 themselves (one exemplar gets weight 1, so it skips the softmax), so every
 experiment runs fully locally; an HTTP adapter lets a remote predictor
-stand in behind the same ``predict_pool``: it sends one request per row, up
-to ``REMOTE_IN_FLIGHT`` at once.
+stand in behind the same ``predict_pool``: it sends one request per row,
+pipelining up to ``REMOTE_IN_FLIGHT`` on one connection per batch.
 """
 
+import io
 import json
 import math
 import urllib.parse
@@ -48,10 +49,8 @@ TASK_KINDS = ("prototype-completion", "key-value-association")
 # ``RemoteOracle``: seconds allowed per connect or read, and retries after a failed attempt.
 REMOTE_TIMEOUT_S = 10.0
 REMOTE_MAX_RETRIES = 2
-# Most ``RemoteOracle.predict_pool`` requests in flight at once.  Each waits
-# in the server's listen backlog until accepted: at most 4 fits the default
-# backlog of 5 of a one-thread ``http.server``, where a full queue drops the
-# connection attempt and costs a 1 s retransmit.
+# Most ``RemoteOracle.predict_pool`` requests pipelined at once on a connection:
+# a one-thread server has the next request queued while the client reads.
 REMOTE_IN_FLIGHT = 4
 
 
@@ -249,15 +248,15 @@ class AssociativeOracle:
         return np.broadcast_to(pool.ys[ids[..., 0]] + 0.0, scores.shape[:-1] + pool.ys.shape[-1:])
 
 
-def split_endpoint(endpoint: str) -> tuple[str, str, int | None, str]:
-    """(scheme, host, port, path with query) of an http:// or https:// URL;
+def split_endpoint(endpoint: str) -> tuple[str, str, str]:
+    """(scheme, host[:port], path with query) of an http:// or https:// URL;
     ``ValueError`` naming ``oracle.endpoint`` for anything else."""
     try:
-        # Percent-encoding is the caller's job: http.client sends the URL as is.
+        # Percent-encoding is the caller's job: the request line holds the path as is.
         if not endpoint.isascii() or not endpoint.isprintable() or " " in endpoint:
             raise ValueError
         parts = urllib.parse.urlsplit(endpoint)
-        port = parts.port  # raises on a non-numeric or out-of-range port
+        parts.port  # raises on a non-numeric or out-of-range port
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ValueError
     except ValueError:
@@ -266,17 +265,52 @@ def split_endpoint(endpoint: str) -> tuple[str, str, int | None, str]:
             f"with a host and a valid port, got {endpoint!r}"
         ) from None
     path = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-    return parts.scheme, parts.hostname, port, path
+    return parts.scheme, parts.netloc.rpartition("@")[2], path
 
 
-def _exemplar_json(x: list, y: list):
-    """The object {"x": [...], "y": [...]} of one exemplar, as ``json.dumps``
-    writes it inside a request body, or the ``ValueError`` of a non-finite
-    entry."""
+def _json(value):
+    """``value`` as ``json.dumps`` writes it inside a request body, or the
+    ``ValueError`` of a non-finite entry."""
     try:
-        return json.dumps({"x": x, "y": y}, allow_nan=False)
+        return json.dumps(value, allow_nan=False)
     except ValueError as exc:
         return exc
+
+
+def _prediction(raw, y_dim, request_id) -> np.ndarray:
+    """The checked float64 prediction of a 2xx response body."""
+    try:
+        payload = json.loads(raw)
+    except ValueError as exc:
+        raise OracleFailure(f"request {request_id}: response is not JSON ({exc})") from exc
+    if not isinstance(payload, dict) or "prediction" not in payload:
+        raise OracleFailure(f"request {request_id}: response missing 'prediction'")
+    prediction = payload["prediction"]
+    if not isinstance(prediction, list) or not all(type(v) in (int, float) for v in prediction):  # not bool
+        raise OracleFailure(f"request {request_id}: 'prediction' is not a numeric list")
+    if len(prediction) != y_dim:
+        raise OracleFailure(f"request {request_id}: prediction has length {len(prediction)}, context y has length {y_dim}")
+    try:
+        prediction = np.asarray(prediction, dtype=np.float64)
+    except OverflowError as exc:  # an integer beyond the float64 range
+        raise OracleFailure(f"request {request_id}: 'prediction' does not fit float64 ({exc})") from exc
+    if not np.isfinite(prediction).all():  # NaN, Infinity or a float literal such as 1e400
+        raise OracleFailure(f"request {request_id}: 'prediction' is not finite")
+    return prediction
+
+
+class _Responses(io.BufferedReader):
+    """Socket and file of each ``http.client.HTTPResponse`` on a ``RemoteOracle``
+    connection.  It may hold the pipelined responses after the one read, so a
+    response's ``close`` (once read) and ``flush`` (when collected) do nothing."""
+
+    def makefile(self, mode):
+        return self
+
+    def close(self):
+        pass
+
+    flush = close
 
 
 class RemoteOracle:
@@ -284,26 +318,37 @@ class RemoteOracle:
 
     Request body:  {"exemplars": [{"x": [...], "y": [...]}, ...], "query": [...]}
     Response body: {"prediction": [...]}
-    Each attempt opens one connection and asks the server to close it
-    (``Connection: close``).  A transport error or a non-2xx status is retried
-    up to ``REMOTE_MAX_RETRIES`` times; a non-finite input, a malformed body, a
-    prediction whose length differs from the context's y or that is not finite
-    in float64, or exhausted retries raise ``OracleFailure``.
+    A batch's requests go out in row order on one HTTP/1.1 connection, closed
+    when the batch returns or raises: the first alone, then, once a response
+    keeps the connection open, up to ``REMOTE_IN_FLIGHT`` pipelined.  A
+    transport error or a non-2xx status is a failed attempt of the row read
+    next, and of no other: the client reconnects and sends that row and the
+    unanswered rows after it again.  A non-finite input, a malformed body, a
+    prediction whose length differs from the context's y or that is not
+    finite in float64, or a row still failing after ``REMOTE_MAX_RETRIES``
+    retries raise ``OracleFailure``.  Requests are numbered from 1 per oracle,
+    in row order within a batch, and a failure names its number.
 
-    ``predict_pool`` sends one request per broadcast row of a batch of
-    pool-indexed contexts, in C order, with up to ``REMOTE_IN_FLIGHT`` in
-    flight, and returns them in row order.  Requests are numbered from 1 per
-    oracle, in row order within a batch, and a failure names its number.  Each distinct
-    pool row of a batch is encoded once, by the ``json.dumps`` call that would
-    write it inside a whole body, and each body joins its context's encoded
-    rows with its query's, so the bytes are those of ``json.dumps(body)``.  A
-    non-finite pool row fails only the rows whose context holds it, and no
-    body holding it is sent; nothing is kept from one batch to the next.
+    Each distinct pool row of a batch is encoded once, by the ``json.dumps``
+    call that would write it inside a whole body, and each body joins its
+    context's encoded rows with its query's, so the bytes are those of
+    ``json.dumps(body)``.  A non-finite pool row fails only the rows whose
+    context holds it, and no body holding it is sent; nothing is kept from
+    one batch to the next.
+
+    ``TCP_QUICKACK`` is set before each response is read, where ``socket``
+    has it (Linux): else a server that writes headers and body in two sends
+    with Nagle on, as ``http.server`` does, holds each body on a reused
+    connection until the client's delayed ACK.  Trade-off: a server that
+    serves connections in parallel but a connection's requests in turn sees
+    a batch one request at a time, not ``REMOTE_IN_FLIGHT`` at once.
     """
 
     def __init__(self, endpoint: str):
         self.endpoint = endpoint
-        self._scheme, self._host, self._port, self._path = split_endpoint(endpoint)
+        self._scheme, self._authority, path = split_endpoint(endpoint)
+        self._head = (f"POST {path} HTTP/1.1\r\nHost: {self._authority}\r\nAccept-Encoding: identity\r\n"
+                      "Content-Type: application/json\r\nContent-Length: ").encode()
         self._request_counter = 0
 
     def predict_pool(self, pool: ExemplarPool, ids, xs) -> np.ndarray:
@@ -313,9 +358,10 @@ class RemoteOracle:
         is request r + 1 of the batch.  The first failing row in row order
         raises its ``OracleFailure``; once any row has failed, no row not yet
         sent is sent."""
-        # Imported here, as http.client is: only a remote batch needs them.
-        import threading
-        from concurrent.futures import ThreadPoolExecutor
+        # Imported here, not at module level, so that runs with a local oracle
+        # never load the HTTP stack (http.client, ssl, email, ...).
+        import http.client
+        import socket
 
         ids, xs = _pool_query(pool, ids, xs)
         batch = np.broadcast_shapes(ids.shape[:-1], xs.shape[:-1])
@@ -323,86 +369,55 @@ class RemoteOracle:
         xs = np.broadcast_to(xs, batch + xs.shape[-1:]).reshape(-1, xs.shape[-1])
         # Each distinct position once: its {"x": ..., "y": ...} or its ValueError.
         positions = list(dict.fromkeys(p for row in ids for p in row))
-        exemplars = dict(zip(positions, map(_exemplar_json, pool.xs[positions].tolist(),
-                                            pool.ys[positions].tolist())))
+        exemplars = {p: _json({"x": x, "y": y})
+                     for p, x, y in zip(positions, pool.xs[positions].tolist(), pool.ys[positions].tolist())}
         first = self._request_counter
         self._request_counter += len(ids)
-        stop = threading.Event()
-
-        def post(r):
-            if stop.is_set():
-                return None  # a row has failed; its error is raised instead
+        connection_class = http.client.HTTPSConnection if self._scheme == "https" else http.client.HTTPConnection
+        predictions, failures = [], 0  # failures: the failed attempts of the row read next
+        while len(predictions) < len(ids):
+            # A new connection: rows from len(predictions) on are sent again, the first alone.
+            link, sent, window = None, len(predictions), 1
             try:
-                return self._post([exemplars[p] for p in ids[r]], xs[r], pool.ys.shape[1], first + r + 1)
-            except BaseException:
-                stop.set()
-                raise
-
-        executor = ThreadPoolExecutor(max_workers=REMOTE_IN_FLIGHT)
-        try:
-            predictions = list(executor.map(post, range(len(ids))))
-        finally:
-            # Also when the caller is interrupted: rows not yet sent stay unsent.
-            stop.set()
-            executor.shutdown(cancel_futures=True)
-        return np.array(predictions, dtype=np.float64).reshape(batch + pool.ys.shape[1:])
-
-    def _post(self, exemplars, x, y_dim, request_id) -> np.ndarray:
-        # Imported here, not at module level, so that runs with a local oracle
-        # never load the HTTP stack (http.client, ssl, email, ...).
-        import http.client
-
-        try:
-            query = json.dumps(x.tolist(), allow_nan=False)
-        except ValueError as exc:
-            query = exc
-        error = next((e for e in (*exemplars, query) if isinstance(e, ValueError)), None)
-        if error is not None:
-            raise OracleFailure(f"request {request_id}: input is not finite ({error})") from error
-        # The bytes json.dumps writes for the whole body, its default separators included.
-        data = ('{"exemplars": [' + ", ".join(exemplars) + '], "query": ' + query + "}").encode()
-        headers = {"Content-Type": "application/json", "Connection": "close"}
-        connection_class = (
-            http.client.HTTPSConnection if self._scheme == "https" else http.client.HTTPConnection
-        )
-        last_error = None
-        for _ in range(REMOTE_MAX_RETRIES + 1):
-            conn = connection_class(self._host, self._port, timeout=REMOTE_TIMEOUT_S)
-            try:
-                conn.request("POST", self._path, body=data, headers=headers)
-                resp = conn.getresponse()
-                status, raw = resp.status, resp.read()
+                while len(predictions) < len(ids):
+                    r = len(predictions)
+                    while sent < min(len(ids), r + window):
+                        context, query = [exemplars[p] for p in ids[sent]], _json(xs[sent].tolist())
+                        error = next((e for e in (*context, query) if isinstance(e, ValueError)), None)
+                        if error is not None:
+                            break
+                        # The bytes json.dumps writes for the whole body, its default separators included.
+                        body = ('{"exemplars": [' + ", ".join(context) + '], "query": ' + query + "}").encode()
+                        if link is None:
+                            conn = connection_class(self._authority, timeout=REMOTE_TIMEOUT_S)
+                            conn.connect()
+                            link = _Responses(conn.sock.makefile("rb", buffering=0))
+                        conn.sock.sendall(self._head + b"%d\r\n\r\n" % len(body) + body)
+                        sent += 1
+                    if sent == r:  # row r's input is not finite, and the rows before it are answered
+                        raise OracleFailure(f"request {first + r + 1}: input is not finite ({error})") from error
+                    if hasattr(socket, "TCP_QUICKACK"):
+                        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
+                    resp = http.client.HTTPResponse(link, method="POST")
+                    resp.begin()
+                    raw = resp.read()
+                    if not 200 <= resp.status < 300:
+                        raise http.client.HTTPException(
+                            f"request {first + r + 1}: status {resp.status} from {self.endpoint}")
+                    predictions.append(_prediction(raw, pool.ys.shape[1], first + r + 1))
+                    failures, window = 0, REMOTE_IN_FLIGHT
+                    if resp.will_close:
+                        break
             except (OSError, http.client.HTTPException) as exc:
-                last_error = exc
-                continue
+                failures += 1
+                if failures > REMOTE_MAX_RETRIES:
+                    raise OracleFailure(
+                        f"request {first + len(predictions) + 1}: no successful response ({exc})") from exc
             finally:
-                conn.close()
-            if not 200 <= status < 300:
-                last_error = OracleFailure(f"request {request_id}: status {status} from {self.endpoint}")
-                continue
-            try:
-                payload = json.loads(raw)
-            except ValueError as exc:
-                raise OracleFailure(f"request {request_id}: response is not JSON ({exc})") from exc
-            if not isinstance(payload, dict) or "prediction" not in payload:
-                raise OracleFailure(f"request {request_id}: response missing 'prediction'")
-            prediction = payload["prediction"]
-            if not isinstance(prediction, list) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in prediction
-            ):
-                raise OracleFailure(f"request {request_id}: 'prediction' is not a numeric list")
-            if len(prediction) != y_dim:
-                raise OracleFailure(
-                    f"request {request_id}: prediction has length {len(prediction)}, context y has length {y_dim}"
-                )
-            try:
-                prediction = np.asarray(prediction, dtype=np.float64)
-            except OverflowError as exc:  # an integer beyond the float64 range
-                raise OracleFailure(f"request {request_id}: 'prediction' does not fit float64 ({exc})") from exc
-            if not np.isfinite(prediction).all():  # NaN, Infinity or a float literal such as 1e400
-                raise OracleFailure(f"request {request_id}: 'prediction' is not finite")
-            return prediction
-        raise OracleFailure(f"request {request_id}: no successful response ({last_error})")
+                if link is not None:
+                    io.BufferedReader.close(link)  # the close that _Responses ignores
+                    conn.close()
+        return np.array(predictions, dtype=np.float64).reshape(batch + pool.ys.shape[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """HTTP oracle adapter against a local loopback stub."""
 
+import itertools
 import json
 import os
 import socket
@@ -43,17 +44,26 @@ class StubHandler(BaseHTTPRequestHandler):
     /overflow (a NaN, -Infinity or 1e400 prediction entry), /drop and /garbage (on every
     odd-numbered attempt close the connection unanswered, or after a line that
     is no HTTP status line; echo on the others).  ``seen`` lists the path of
-    every POST received, ``recorded`` the raw body of every POST to /record."""
+    every POST received and ``carriers`` the number of the connection that
+    carried it, ``recorded`` the raw body of every POST to /record or /hangup.
+    Each reply writes its headers and its body in two sends, Nagle on."""
 
     oracle = AssociativeOracle(gamma=2.0, y_dim=4)
+    connection_numbers = itertools.count()
     seen = []
+    carriers = []
     recorded = []
+
+    def setup(self):
+        super().setup()
+        self.number = next(self.connection_numbers)
 
     def do_POST(self):
         self.seen.append(self.path)
+        self.carriers.append(self.number)
         length = int(self.headers.get("Content-Length", 0))
         raw = self.rfile.read(length) if length else b""
-        if self.path == "/record":
+        if self.path in ("/record", "/hangup"):
             self.recorded.append(raw)
         body = json.loads(raw) if raw else {}
         if self.path in ("/drop", "/garbage") and self.seen.count(self.path) % 2 == 1:
@@ -64,7 +74,7 @@ class StubHandler(BaseHTTPRequestHandler):
             self._reply(200, {"prediction": [1.0, 2.0, 3.0]})
         elif self.path == "/record":
             self._reply(200, {"prediction": [0.0] * len(body["exemplars"][0]["y"])})
-        elif self.path == "/predict":
+        elif self.path in ("/predict", "/hangup"):
             exemplars = [
                 Exemplar(id=i, x=np.array(e["x"]), y=np.array(e["y"]))
                 for i, e in enumerate(body["exemplars"])
@@ -98,9 +108,32 @@ class StubHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture(scope="module")
-def stub_server():
-    server = HTTPServer(("127.0.0.1", 0), StubHandler)
+class KeepAliveHandler(StubHandler):
+    """StubHandler's routes over HTTP/1.1 keep-alive, one connection at a time.
+    /hangup answers as /predict, but its arrivals numbered in ``HANGUPS``
+    (from 1) are closed unanswered, lingering: FIN goes after the responses
+    already written, and the requests pipelined behind are read until the
+    client closes, so no reset loses a response.  ``drained`` gets the number
+    of requests read that way at each."""
+
+    protocol_version = "HTTP/1.1"
+    timeout = 5  # an idle connection holds the one serving thread at most this long
+    HANGUPS = (4, 6)
+    drained = []
+
+    def do_POST(self):
+        if self.path != "/hangup" or self.seen.count("/hangup") + 1 not in self.HANGUPS:
+            return super().do_POST()
+        self.seen.append(self.path)
+        self.carriers.append(self.number)
+        self.recorded.append(self.rfile.read(int(self.headers["Content-Length"])))
+        self.connection.shutdown(socket.SHUT_WR)
+        self.drained.append(self.rfile.read().count(b"POST "))
+        self.close_connection = True
+
+
+def serve(handler):
+    server = HTTPServer(("127.0.0.1", 0), handler)
     # A short poll interval lets shutdown() return within 0.05 s, not 0.5 s.
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
@@ -109,6 +142,21 @@ def stub_server():
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture(scope="module")
+def stub_server():
+    yield from serve(StubHandler)
+
+
+@pytest.fixture(scope="module")
+def keep_alive_server():
+    yield from serve(KeepAliveHandler)
+
+
+def clear_stub():
+    for log in (StubHandler.seen, StubHandler.carriers, StubHandler.recorded, KeepAliveHandler.drained):
+        log.clear()
 
 
 def predict_one(oracle, context_xs, context_ys, query):
@@ -275,8 +323,9 @@ def test_predict_pool_sends_nothing_after_a_stalled_row(monkeypatch):
         with pytest.raises(OracleFailure, match=r"^request 1: no successful response"):
             oracle.predict_pool(pool, ids, pool.xs[:1])
         elapsed = time.perf_counter() - t0
-    # One row's budget is 0.2 s.  Sending every row, REMOTE_IN_FLIGHT at a
-    # time, would take 20 / REMOTE_IN_FLIGHT = 5 budgets.
+    # One row's budget is 0.2 s.  The first request on a connection goes
+    # alone, so row 0's timeout ends the batch; going on to row 1 would take
+    # a second budget.
     assert elapsed < 2 * 0.2
     assert threading.active_count() == threads
 
@@ -288,7 +337,8 @@ def test_predict_pool_stops_sending_after_a_failed_row(stub_server, monkeypatch)
     oracle = RemoteOracle(stub_server + "/error")
     with pytest.raises(OracleFailure, match=r"^request 1: .*status 500"):
         oracle.predict_pool(pool, np.arange(20)[:, None, None] % pool.size, pool.xs[:1])
-    assert 0 < len(StubHandler.seen) <= hopctx.tasks.REMOTE_IN_FLIGHT * (hopctx.tasks.REMOTE_MAX_RETRIES + 1)
+    # Row 0 goes alone on each of its connections, and row 1 is never sent.
+    assert StubHandler.seen == ["/error"] * (hopctx.tasks.REMOTE_MAX_RETRIES + 1)
 
 
 # Floats whose JSON text is easy to get wrong: signed zero, the smallest
@@ -314,22 +364,25 @@ def record_batches(draw):
 @settings(max_examples=40, deadline=None)
 @given(batch=record_batches())
 def test_predict_pool_sends_the_bytes_of_predict(stub_server, batch):
-    # Each body is its row's own json.dumps of the documented request.  Rows
-    # arrive in any order (several are in flight), so the bodies are compared
-    # sorted; each holds its context and query, so equal sorted lists are the
-    # same body per row.
+    # Each body is its row's own json.dumps of the documented request, and
+    # the bodies leave in row order.
     pool, ids, queries = batch
     StubHandler.recorded.clear()
     got = RemoteOracle(stub_server + "/record").predict_pool(pool, ids, queries)
     assert got.shape == (len(ids), len(queries), pool.ys.shape[1])
-    documented = [
+    assert StubHandler.recorded == documented_bodies(pool, ids, queries)
+
+
+def documented_bodies(pool, ids, queries):
+    """The body of each row of a (B, 1 or T, K) batch, in row order: the
+    ``json.dumps`` of the documented request."""
+    return [
         json.dumps({
             "exemplars": [{"x": pool.xs[i].tolist(), "y": pool.ys[i].tolist()} for i in ids[b, t % ids.shape[1]]],
             "query": x.tolist(),
         }).encode()
         for b in range(len(ids)) for t, x in enumerate(queries)
     ]
-    assert sorted(StubHandler.recorded) == sorted(documented)
 
 
 def _pool_with_non_finite_row(where):
@@ -358,19 +411,21 @@ def test_non_finite_pool_row_fails_the_first_row_that_uses_it(stub_server, where
     # Batch row r = 2 is the first to use row 4: request first + r + 1 = 4.
     with pytest.raises(OracleFailure, match=r"^request 4: input is not finite"):
         oracle.predict_pool(pool, [[[0, 1]], [[2, 3]], [[1, 4]], [[4, 0]], [[3, 2]]], np.ones(2))
-    # Rows 0 and 1 may or may not have been sent; none sent holds row 4.
+    # Rows 0 and 1 are sent and answered first; no body holding row 4 is sent.
+    assert len(StubHandler.recorded) == 2
     assert not any(b"NaN" in body or b"7.25" in body for body in StubHandler.recorded)
 
 
 def test_each_distinct_position_is_encoded_once_per_batch(stub_server, monkeypatch):
     encoded = []
 
-    def counting(x, y):
-        encoded.append((x, y))
-        return exemplar_json(x, y)
+    def counting(value):
+        if isinstance(value, dict):  # an exemplar, not a query
+            encoded.append((value["x"], value["y"]))
+        return encode(value)
 
-    exemplar_json = hopctx.tasks._exemplar_json
-    monkeypatch.setattr(hopctx.tasks, "_exemplar_json", counting)
+    encode = hopctx.tasks._json
+    monkeypatch.setattr(hopctx.tasks, "_json", counting)
     pool, queries = _pool_and_queries()
     ids = np.array([[[0, 5, 0], [2, 5, 5]], [[5, 2, 0], [0, 0, 0]], [[7, 5, 2], [2, 2, 2]]])  # (B, T, K)
     oracle = RemoteOracle(stub_server + "/record")
@@ -407,3 +462,63 @@ def test_bad_pool_position_is_rejected_before_any_request(stub_server, kind, ids
         oracle.predict_pool(pool, ids, queries.xs[0])
     assert str(info.value) == message
     assert StubHandler.seen == []
+
+
+def _rows_batch(rows):
+    """A (rows, 1, 2) batch of distinct contexts over the test pool, on one query."""
+    pool, queries = _pool_and_queries()
+    ids = np.array(list(itertools.permutations(range(pool.size), 2))[:rows])
+    return pool, ids[:, None, :], queries.xs[:1]
+
+
+def test_keep_alive_batch_uses_one_connection_in_row_order(keep_alive_server):
+    clear_stub()
+    pool, ids, query = _rows_batch(20)
+    got = RemoteOracle(keep_alive_server + "/record").predict_pool(pool, ids, query)
+    np.testing.assert_array_equal(got, np.zeros((20, 1, 4)))
+    assert StubHandler.recorded == documented_bodies(pool, ids, query)
+    assert len(set(StubHandler.carriers)) == 1
+
+
+def test_http10_server_gets_one_request_per_connection(stub_server):
+    # Its responses never keep the connection open, so nothing is pipelined.
+    clear_stub()
+    pool, ids, query = _rows_batch(20)
+    got = RemoteOracle(stub_server + "/record").predict_pool(pool, ids, query)
+    np.testing.assert_array_equal(got, np.zeros((20, 1, 4)))
+    assert StubHandler.recorded == documented_bodies(pool, ids, query)
+    assert len(set(StubHandler.carriers)) == 20
+
+
+def test_row_dropped_mid_pipeline_is_the_only_row_charged(keep_alive_server, monkeypatch):
+    # Arrival 4 (row 3) is dropped with rows 4-6 pipelined behind it: row 3
+    # uses its one retry, and rows 4-6 are sent again without using theirs.
+    # Arrival 6 (row 4, behind row 3's retry) is dropped too: had row 4 been
+    # charged for the first drop, it would now fail the batch.
+    monkeypatch.setattr(hopctx.tasks, "REMOTE_MAX_RETRIES", 1)
+    clear_stub()
+    pool, ids, query = _rows_batch(20)
+    got = RemoteOracle(keep_alive_server + "/hangup").predict_pool(pool, ids, query)
+    np.testing.assert_array_equal(got, AssociativeOracle(gamma=2.0).predict_pool(pool, ids, query))
+    assert got.shape == (20, 1, 4)
+    bodies = documented_bodies(pool, ids, query)
+    assert StubHandler.recorded == bodies[:4] + bodies[3:5] + bodies[4:]
+    assert KeepAliveHandler.drained == [3, 3]
+    # Connections: rows 0-3, then row 3 again and row 4, then row 4 onwards.
+    assert StubHandler.carriers == sorted(StubHandler.carriers)
+    assert [StubHandler.carriers.count(c) for c in dict.fromkeys(StubHandler.carriers)] == [4, 2, 16]
+
+
+@pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"),
+                    reason="no TCP_QUICKACK here: a body sent after its headers may wait for the "
+                           "client's delayed ACK, so the time bound does not hold")
+def test_pipelined_responses_do_not_wait_for_delayed_acks(keep_alive_server):
+    # The stub writes each response's headers and body in two sends with
+    # Nagle on.  Were the client to delay its ACK of the headers, each body
+    # would wait for it (about 40 ms on Linux): 100 rows would take seconds.
+    clear_stub()
+    pool, ids, query = _rows_batch(100)
+    t0 = time.perf_counter()
+    RemoteOracle(keep_alive_server + "/record").predict_pool(pool, ids, query)
+    assert time.perf_counter() - t0 < 0.5
+    assert len(set(StubHandler.carriers)) == 1
