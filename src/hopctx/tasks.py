@@ -183,6 +183,28 @@ def _pool_query(pool: ExemplarPool, ids, xs) -> tuple[np.ndarray, np.ndarray]:
     return ids, xs
 
 
+def _complete(v: np.ndarray, xs: np.ndarray, gamma: float) -> np.ndarray:
+    """The y block of retrieval over the (x, y) patterns ``v`` (..., K,
+    d_x + d_y), C-contiguous, from the (x, 0) embeddings of the query rows
+    ``xs`` (..., d_x), their leading axes broadcast: shape (*batch, d_y), a
+    read-only view for K = 1.
+
+    Each row's v and z = v^T are C-contiguous and its query is zero-padded
+    to d_x + d_y, so each row makes the same BLAS calls however the batch is
+    shaped and whichever front-end gathered v.  With K = 1 the weight is
+    exp(gamma * 0) / 1 = 1.0 exactly for every finite score (still formed,
+    so an overflowing u z raises): the prediction is y plus 0.0, the bits of
+    1.0 * y (BLAS sums from 0, so -0.0 gives +0.0), formed once and repeated
+    over the query rows as a read-only view."""
+    d_x, d_y = xs.shape[-1], v.shape[-1] - xs.shape[-1]
+    z = np.ascontiguousarray(np.swapaxes(v, -1, -2))
+    sigmas = np.concatenate([xs, np.zeros(xs.shape[:-1] + (d_y,))], axis=-1)
+    if v.shape[-2] > 1:
+        return retrieval_update(sigmas, z, v, gamma)[1][..., d_x:]
+    scores = _finite_product(sigmas[..., None, :], z, "scores u z")[..., 0, :]
+    return np.broadcast_to(v[..., 0, d_x:] + 0.0, scores.shape[:-1] + (d_y,))
+
+
 class AssociativeOracle:
     """Completion by associative retrieval over the context pairs.
 
@@ -194,10 +216,10 @@ class AssociativeOracle:
     ``predict_pool`` is the oracle: every context is a set of pool
     positions, gathered from the pool's x and y rows.  ``predict_many`` (one
     context of ``Exemplar`` pairs, many queries) and ``predict`` (one of
-    each) are front-ends over it, with its checks and its bits, and return
-    writable arrays of their own.  With no context they have nothing to
-    retrieve and the prediction is the zero vector (``y_dim`` must be set
-    for that case).
+    each) gather their patterns from the exemplars instead and run the same
+    kernel, so a row has the same bits either way; they return writable
+    arrays of their own.  With no context they have nothing to retrieve and
+    the prediction is the zero vector (``y_dim`` must be set for that case).
     """
 
     def __init__(self, gamma: float = 1.0, y_dim: int | None = None):
@@ -218,34 +240,22 @@ class AssociativeOracle:
             if self.y_dim is None:
                 raise OracleFailure("zero-context prediction needs y_dim to be configured")
             return np.zeros((xs.shape[0], self.y_dim))
-        try:
-            cxs, cys = np.stack([e.x for e in context]), np.stack([e.y for e in context])
-        except ValueError:  # ragged rows
+        try:  # ragged rows raise here
+            cxs, cys = (np.array(rows, dtype=np.float64) for rows in ([e.x for e in context], [e.y for e in context]))
+            if cxs.ndim != 2 or cys.ndim != 2 or cxs.shape[1] != xs.shape[1]:
+                raise ValueError
+        except ValueError:
             raise ValueError("context exemplar dimensions do not match the query") from None
-        pool = ExemplarPool(cxs, cys)
-        return self.predict_pool(pool, np.arange(len(context)), xs).copy()
+        return _complete(np.concatenate([cxs, cys], axis=1), xs, self.gamma).copy()
 
     def predict_pool(self, pool: ExemplarPool, ids, xs) -> np.ndarray:
         """Predictions of the contexts ``ids[..., :K]`` (pool positions) on
         the query rows ``xs[..., :d_x]``, their leading axes broadcast: shape
-        (*batch, d_y), a read-only view for one-exemplar contexts.
-
-        The patterns v are the (x, y) rows of the pool, the queries the (x, 0)
-        rows, and each row's v and z = v^T are C-contiguous, so each row makes
-        the same BLAS call however the batch is shaped.  With K = 1 the
-        weight is exp(gamma * 0) / 1 = 1.0 exactly for every finite score
-        (still formed, so an overflowing u z raises): the prediction is y
-        plus 0.0, the bits of 1.0 * y (BLAS sums from 0, so -0.0 gives
-        +0.0), formed once and repeated over the query rows as a read-only
-        view."""
+        (*batch, d_y), a read-only view for one-exemplar contexts.  The
+        patterns are the pool's (x, y) rows at ``ids``, gathered into one
+        C-contiguous array for ``_complete``, which states the bits."""
         ids, xs = _pool_query(pool, ids, xs)
-        v = np.hstack([pool.xs, pool.ys])[ids]
-        z = np.ascontiguousarray(np.swapaxes(v, -1, -2))
-        sigmas = np.concatenate([xs, np.zeros(xs.shape[:-1] + pool.ys.shape[-1:])], axis=-1)
-        if ids.shape[-1] > 1:
-            return retrieval_update(sigmas, z, v, self.gamma)[1][..., xs.shape[-1]:]
-        scores = _finite_product(sigmas[..., None, :], z, "scores u z")[..., 0, :]
-        return np.broadcast_to(pool.ys[ids[..., 0]] + 0.0, scores.shape[:-1] + pool.ys.shape[-1:])
+        return _complete(np.hstack([pool.xs, pool.ys])[ids], xs, self.gamma)
 
 
 def split_endpoint(endpoint: str) -> tuple[str, str, str]:

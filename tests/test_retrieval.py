@@ -176,26 +176,36 @@ class TestBatchInvariance:
         st.one_of(st.just(1), st.integers(min_value=1, max_value=16)),
         st.integers(min_value=1, max_value=64),
         st.booleans(),
+        st.floats(min_value=0.1, max_value=1e4),
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.floats(min_value=-3.0, max_value=3.0),
     )
     @settings(max_examples=80, deadline=None)
-    def test_pool_prediction_rows_equal_predict(self, seed, k, n, shared):
+    def test_pool_prediction_rows_equal_predict(self, seed, k, n, shared, gamma, x_exp, y_exp):
         # Contexts as pool positions, one per query row (n, K) or one for
-        # all rows (K,): each row equals predict on that context and query.
-        # For K = 1 (half the examples) both take the one-exemplar shortcut,
-        # which test_one_pattern_equals_softmax_mix checks against the formula.
+        # all rows (K,): each row has the bits of predict on that context and
+        # query, and of predict_many's row on the whole of xs, signed zeros
+        # included (compared as uint64, since -0.0 == 0.0).  x and y rows are
+        # drawn at scales 1e-3 to 1e3.  For K = 1 (half the examples) all
+        # take the one-exemplar shortcut, which
+        # test_one_pattern_equals_softmax_mix checks against the formula.
         rng = np.random.default_rng(seed)
         d_x, d_y = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        exemplars = [Exemplar(id=i, x=rng.standard_normal(d_x), y=rng.standard_normal(d_y))
+        x_scale, y_scale = 10.0**x_exp, 10.0**y_exp
+        exemplars = [Exemplar(id=i, x=x_scale * rng.standard_normal(d_x), y=y_scale * rng.standard_normal(d_y))
                      for i in range(k + int(rng.integers(0, 8)))]
         pool = ExemplarPool([e.x for e in exemplars], [e.y for e in exemplars])
         ids = rng.integers(0, pool.size, size=(k,) if shared else (n, k))
-        xs = rng.standard_normal((n, d_x))
-        oracle = AssociativeOracle(gamma=float(rng.uniform(0.1, 10.0)))
+        xs = x_scale * rng.standard_normal((n, d_x))
+        oracle = AssociativeOracle(gamma=gamma)
         got = oracle.predict_pool(pool, ids, xs)
         assert got.shape == (n, d_y)
         for j in range(n):
             context = [exemplars[i] for i in (ids if shared else ids[j])]
-            np.testing.assert_array_equal(got[j], oracle.predict(context, xs[j]))
+            many = oracle.predict_many(context, xs)
+            assert many.flags.writeable and many.flags.owndata
+            np.testing.assert_array_equal(got[j].view(np.uint64), oracle.predict(context, xs[j]).view(np.uint64))
+            np.testing.assert_array_equal(got[j].view(np.uint64), many[j].view(np.uint64))
 
     @given(
         st.integers(min_value=0, max_value=100_000),

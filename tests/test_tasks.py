@@ -476,6 +476,23 @@ class TestAssociativeOracle:
             oracle.predict_many([e], np.ones((1, 3)))
         with pytest.raises(ValueError, match="context exemplar dimensions"):
             oracle.predict_many([e, Exemplar(id=1, x=np.ones(2), y=np.ones(3))], np.ones((1, 2)))
+        # An exemplar x or y that is not one row.
+        for x, y in ((np.array([[0.4, -0.2]]), e.y), (e.x, np.array([[0.9, 0.1]])), (np.array(0.4), e.y)):
+            with pytest.raises(ValueError, match=r"^context exemplar dimensions do not match the query$"):
+                oracle.predict_many([Exemplar(id=0, x=x, y=y)], np.ones((1, x.size)))
+        # An empty context predicts zeros of width y_dim, and needs y_dim.
+        with pytest.raises(OracleFailure, match="^zero-context prediction needs y_dim to be configured$"):
+            oracle.predict_many([], np.ones((2, 2)))
+        zeros = AssociativeOracle(gamma=3.0, y_dim=3).predict_many([], np.ones((2, 2)))
+        np.testing.assert_array_equal(zeros, np.zeros((2, 3)))
+        assert zeros.flags.writeable and zeros.flags.owndata
+        # List rows and int rows are read as the float rows they hold.
+        floats = [Exemplar(id=0, x=np.array([1.0, 2.0]), y=np.array([3.0, 4.0])),
+                  Exemplar(id=1, x=np.array([2.0, -1.0]), y=np.array([0.0, 1.0]))]
+        want = oracle.predict_many(floats, np.array([[1.0, 0.5]]))
+        for as_rows in (lambda a: a.tolist(), lambda a: a.astype(np.int64)):
+            rows = [Exemplar(id=f.id, x=as_rows(f.x), y=as_rows(f.y)) for f in floats]
+            assert oracle.predict_many(rows, [[1.0, 0.5]]).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("ragged", ["x", "y"])
     def test_predict_many_rejects_ragged_context_rows(self, ragged):
